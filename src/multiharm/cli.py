@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="table rendering (default csv)")
             p.add_argument("--decimal", type=int, metavar="DIGITS",
-                           help="add an approximate column with this many digits")
+                           help="add an approximate column with this many digits (>= 1)")
 
     p_seq = sub.add_parser("seq", help="print an exact sequence table")
     p_seq.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
@@ -320,6 +320,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "decimal", None) is not None and args.decimal < 1:
+            raise CliError(f"--decimal must be >= 1, got {args.decimal}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

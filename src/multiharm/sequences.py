@@ -3,13 +3,21 @@
 Each family has a primary (fast, memoized) route; where an independent route
 exists it is exposed as a separate function so the two can be cross-checked:
 
-* ``harmonic_like`` (convolution recurrence) vs ``harmonic_like_bruteforce``
-  (literal sum over integer compositions) vs the generating-function route in
+* ``harmonic_like`` (first-order recurrence in n) vs the cross-check route
+  ``harmonic_like_convolution`` (convolution recurrence in m, tabulated by
+  :mod:`multiharm._kernels`) vs ``harmonic_like_bruteforce`` (literal sum over
+  integer compositions) vs the generating-function route in
   :mod:`multiharm.series`.
+* ``stirling1`` (triangle recurrence, only the columns asked for) vs the
+  log-power generating function in :mod:`multiharm.series`.
 * ``hyperharmonic`` (iterated partial sums) vs ``hyperharmonic_closed``
   (binomial times harmonic difference).
 * ``hyperharmonic_half`` (central-binomial form) vs
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
+
+The memo tables of the primary routes grow in place, one index at a time;
+none of them reads another family's table, the kernels or the series layer,
+so each cross-check compares independent computations.
 
 All caches are module-level, guarded by one re-entrant lock, and transparent:
 a warm cache returns exactly what a cold recomputation would.  Values are
@@ -28,6 +36,7 @@ from multiharm import _kernels
 from multiharm.rational import binomial, gen_binomial
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _lock = threading.RLock()
 
@@ -102,40 +111,103 @@ def half_harmonic_offset(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# two-index recurrence tables
+
+
+class _LevelTable:
+    """Memo table for a two-index recurrence, grown in place level by level.
+
+    ``levels[j][i]`` is the value at index i on level j.  Level 0 is
+    ``base(i)``; every level j >= 1 starts at index 0 with ``start`` and
+    continues by ``step(j, i, left, below)``, where ``left`` is the entry at
+    index i - 1 of level j and ``below`` is level j - 1, already grown at
+    least to index i.
+
+    Levels may differ in length, but each one is always a correct prefix:
+    a value is appended only once it is fully computed, and lower levels
+    grow first.  A fill interrupted part-way (for example by MemoryError)
+    therefore leaves the table consistent, and growing by one index costs
+    one ``step`` per level instead of a recomputation.
+    """
+
+    def __init__(
+        self,
+        base: Callable[[int], Fraction | int],
+        start: Fraction | int,
+        step: Callable[[int, int, Fraction | int, list], Fraction | int],
+    ) -> None:
+        self.base = base
+        self.start = start
+        self.step = step
+        self.levels: list[list] = [[base(0)]]
+
+    def clear(self) -> None:
+        del self.levels[1:]
+        del self.levels[0][1:]
+
+    def value(self, i: int, j: int) -> Fraction | int:
+        levels = self.levels
+        if j >= len(levels) or i >= len(levels[j]):
+            self._grow(i + 1, j)
+        return levels[j][i]
+
+    def _grow(self, size: int, top: int) -> None:
+        levels, step = self.levels, self.step
+        base = levels[0]
+        for i in range(len(base), size):
+            base.append(self.base(i))
+        for j in range(1, top + 1):
+            if j == len(levels):
+                levels.append([self.start])
+            level, below = levels[j], levels[j - 1]
+            left = level[-1]
+            for i in range(len(level), size):
+                left = step(j, i, left, below)
+                level.append(left)
+
+
+# ---------------------------------------------------------------------------
 # multiple harmonic-like numbers
 
 
-class _HarmonicLikeTable:
-    """Memo table for harmonic-like numbers, filled by the kernel backend."""
-
-    def __init__(self) -> None:
-        self.levels: list[list[Fraction]] = [[Fraction(1)]]
-
-    def value(self, n: int, m: int) -> Fraction:
-        if m >= len(self.levels) or n >= len(self.levels[0]):
-            n_cap = len(self.levels[0]) - 1
-            if n > n_cap:
-                n_cap = max(n, 2 * n_cap, 16)
-            m_cap = max(m, len(self.levels) - 1)
-            self.levels = _kernels.harmonic_like_levels(n_cap, m_cap)
-        return self.levels[m][n]
+def _harmonic_like_step(m: int, n: int, left: Fraction, below: list) -> Fraction:
+    # t(n, m) = t(n-1, m) + m/n * t(n-1, m-1): the coefficient of z^n in
+    # L^m, L = -ln(1-z), is m/n times that of z^(n-1) in L^(m-1)/(1-z).
+    return left + Fraction(m, n) * below[n - 1]
 
 
-_hlike = _HarmonicLikeTable()
+_hlike = _LevelTable(lambda n: _ONE, _ZERO, _harmonic_like_step)
 
 
 def harmonic_like(n: int, m: int) -> Fraction:
     """Multiple harmonic-like number: sum of 1/(k_1 ... k_m) over positive
     integer m-tuples with k_1 + ... + k_m <= n.
 
-    Evaluated level by level through the convolution recurrence
-    ``t(n, m+1) = sum_{j=1..n} t(n-j, m)/j`` with t(n, 0) = 1 and t(0, m) = 0
-    for m >= 1; fully memoized across calls.
+    Primary route: the first-order recurrence
+    ``t(n+1, m) = t(n, m) + m/(n+1) * t(n, m-1)`` with t(n, 0) = 1 and
+    t(0, m) = 0 for m >= 1, which follows from
+    ``[z^(n+1)] L^m = m/(n+1) * [z^n] L^(m-1)/(1-z)`` for L = -ln(1-z).
+    The memo table grows in place: a new index costs O(m) operations.
+    It reads neither :func:`stirling1` nor the series layer; the cross-check
+    routes are :func:`harmonic_like_convolution`,
+    :func:`harmonic_like_bruteforce` and ``series.gf_harmonic_like``.
     """
     _check_index(n)
     _check_index(m, "m")
+    if m > n:
+        return _ZERO
     with _lock:
         return _hlike.value(n, m)
+
+
+def harmonic_like_convolution(n: int, m: int) -> Fraction:
+    """Cross-check route for :func:`harmonic_like`: the convolution recurrence
+    ``t(n, m+1) = sum_{j=1..n} t(n-j, m)/j``, tabulated from scratch by
+    ``_kernels.harmonic_like_levels`` on every call (O(m n^2), no memo).
+    """
+    _check_index(n)
+    _check_index(m, "m")
+    return _kernels.harmonic_like_levels(n, m)[m][n]
 
 
 #: Default ceiling on how many tuples the brute-force oracle will enumerate.
@@ -176,28 +248,27 @@ def harmonic_like_bruteforce(n: int, m: int, ceiling: int = BRUTE_FORCE_CEILING)
 # Stirling numbers of the first kind
 
 
-class _StirlingTable:
-    def __init__(self) -> None:
-        self.rows: list[list[int]] = [[1]]
-
-    def value(self, n: int, k: int) -> int:
-        if n >= len(self.rows):
-            self.rows = _kernels.stirling1_rows(max(n, 2 * (len(self.rows) - 1), 16))
-        row = self.rows[n]
-        return row[k] if k < len(row) else 0
+def _stirling_step(k: int, n: int, left: int, below: list) -> int:
+    # s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k)
+    return below[n - 1] - (n - 1) * left
 
 
-_stirling = _StirlingTable()
+_stirling = _LevelTable(lambda n: int(n == 0), 0, _stirling_step)
 
 
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k).
 
-    Triangle recurrence s(n+1, k) = s(n, k-1) - n*s(n, k) with s(0, 0) = 1;
-    s(n, k) = 0 for n < k.
+    Primary route: the triangle recurrence s(n+1, k) = s(n, k-1) - n*s(n, k)
+    with s(0, 0) = 1; s(n, k) = 0 for n < k.  Only the columns 0..k asked
+    for so far are kept, each grown in place, so a new index costs O(k)
+    integer operations and memory is O(n k), not the whole triangle.  The
+    cross-check route is ``series.gf_stirling_column``.
     """
     _check_index(n)
     _check_index(k, "k")
+    if k > n:
+        return 0
     with _lock:
         return _stirling.value(n, k)
 
@@ -206,7 +277,12 @@ def stirling1(n: int, k: int) -> int:
 # hyperharmonic numbers
 
 
-_hyper: dict[int, list[Fraction]] = {}
+def _hyperharmonic_step(p: int, n: int, left: Fraction, below: list) -> Fraction:
+    return left + below[n]
+
+
+# index 0 of level 0 is never read: value(1, p) = value(0, p) + value(1, p-1)
+_hyper = _LevelTable(lambda n: Fraction(1, n) if n else _ZERO, _ZERO, _hyperharmonic_step)
 
 
 def hyperharmonic(n: int, p: int) -> Fraction:
@@ -214,7 +290,8 @@ def hyperharmonic(n: int, p: int) -> Fraction:
 
     Defined by the recurrence ``value(n, p) = sum_{i=1..n} value(i, p-1)``
     with base level value(n, 0) = 1/n and value(0, p) = 0 for p >= 1.
-    value(0, 0) is undefined and raises ValueError.
+    value(0, 0) is undefined and raises ValueError.  Levels are filled in a
+    loop, lowest first, so any order p works without deep recursion.
     """
     _check_index(n)
     _check_index(p, "p")
@@ -223,11 +300,7 @@ def hyperharmonic(n: int, p: int) -> Fraction:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
         return Fraction(1, n)
     with _lock:
-        lst = _hyper.setdefault(p, [_ZERO])
-        while len(lst) <= n:
-            i = len(lst)
-            lst.append(lst[-1] + hyperharmonic(i, p - 1))
-        return lst[n]
+        return _hyper.value(n, p)
 
 
 def hyperharmonic_closed(n: int, p: int) -> Fraction:
@@ -377,7 +450,6 @@ class SeqSpec:
 
 def clear_caches() -> None:
     """Drop every memo table (cold-start state, mainly for tests)."""
-    global _hlike, _stirling
     with _lock:
         del _harmonic[1:]
         del _odd_harmonic[1:]
@@ -385,6 +457,6 @@ def clear_caches() -> None:
         del _fibonacci[2:]
         del _lucas[2:]
         _harmonic_order.clear()
+        _hlike.clear()
+        _stirling.clear()
         _hyper.clear()
-        _hlike = _HarmonicLikeTable()
-        _stirling = _StirlingTable()

@@ -28,6 +28,7 @@ from multiharm.sequences import (
     harmonic,
     harmonic_like,
     harmonic_like_bruteforce,
+    harmonic_like_convolution,
     hyperharmonic,
     hyperharmonic_half,
     hyperharmonic_half_via_binomial,
@@ -64,6 +65,7 @@ def test_criterion_1_bruteforce_oracle_equivalence():
         for m in range(1, 16):
             for n in range(0, 17 - m):
                 assert harmonic_like(n, m) == harmonic_like_bruteforce(n, m), (n, m)
+                assert harmonic_like_convolution(n, m) == harmonic_like(n, m), (n, m)
                 checked += 1
         elapsed = time.perf_counter() - start
         assert checked == 135  # pairs with m >= 1, n >= 0, n + m <= 16
@@ -77,6 +79,7 @@ def test_criterion_2_generating_function_cross_checks():
             gf = gf_harmonic_like(m, 60)
             for n in range(61):
                 assert gf[n] == harmonic_like(n, m), (n, m)
+            assert harmonic_like_convolution(60, m) == harmonic_like(60, m), m
         t_hlike = time.perf_counter() - start
         assert t_hlike < 5.0, f"harmonic-like GF took {t_hlike:.1f}s (limit 5s)"
 

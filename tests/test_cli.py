@@ -53,6 +53,23 @@ def test_seq_decimal_adds_a_column_without_replacing_exact(capsys):
     assert lines[3].startswith("2,3/2,1.5")
 
 
+def test_decimal_below_one_is_a_usage_error(capsys):
+    for argv in (("seq", "--family", "harmonic", "--n", "2"),
+                 ("transform", "--family", "harmonic", "--n", "2")):
+        for digits in ("0", "-1"):
+            code = cli.main([*argv, "--decimal", digits])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--decimal must be >= 1" in captured.err
+
+
+def test_seq_hyperharmonic_high_order(capsys):
+    code, out = run(capsys, "seq", "--family", "hyperharmonic", "--p", "1200", "--n", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "3,2163601/3"
+
+
 def test_verify_single_identity_with_bounds(capsys):
     code, out = run(capsys, "verify", "--id", "cor_id1", "--n-max", "10", "--m-max", "3")
     assert code == 0

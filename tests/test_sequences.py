@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from multiharm import sequences
+from multiharm import _kernels, sequences
+from multiharm.rational import factorial
 from multiharm.sequences import (
     FAMILY_NAMES,
     FeasibilityError,
@@ -15,6 +18,7 @@ from multiharm.sequences import (
     harmonic,
     harmonic_like,
     harmonic_like_bruteforce,
+    harmonic_like_convolution,
     harmonic_order,
     hyperharmonic,
     hyperharmonic_closed,
@@ -24,6 +28,7 @@ from multiharm.sequences import (
     odd_harmonic,
     stirling1,
 )
+from multiharm.series import gf_harmonic_like
 
 
 def test_harmonic_values():
@@ -72,6 +77,23 @@ def test_harmonic_like_order3_double_sum():
             Fraction(0),
         )
         assert harmonic_like(n, 3) == expected
+
+
+def test_harmonic_like_recurrence_convolution_and_gf_agree():
+    table = _kernels.harmonic_like_levels(120, 6)
+    for m in range(7):
+        gf = gf_harmonic_like(m, 120)
+        for n in range(121):
+            assert harmonic_like(n, m) == table[m][n] == gf[n], (n, m)
+        for n in (0, 1, 2, 7, 120):
+            assert harmonic_like_convolution(n, m) == harmonic_like(n, m), (n, m)
+
+
+def test_harmonic_like_matches_stirling_column():
+    # n! HL(n, m) = m! |s(n+1, m+1)|; both sides come from separate tables
+    for m in range(6):
+        for n in range(201):
+            assert factorial(n) * harmonic_like(n, m) == factorial(m) * abs(stirling1(n + 1, m + 1)), (n, m)
 
 
 def test_bruteforce_examples():
@@ -138,6 +160,49 @@ def test_hyperharmonic_recurrence_equals_closed_form():
             if p == 0 and n == 0:
                 continue
             assert hyperharmonic(n, p) == hyperharmonic_closed(n, p)
+
+
+def test_hyperharmonic_high_order_does_not_recurse():
+    clear_caches()
+    assert hyperharmonic(2, 1500) == hyperharmonic_closed(2, 1500)
+
+
+def test_stirling_column_memory_is_bounded():
+    clear_caches()
+    tracemalloc.start()
+    try:
+        value = stirling1(3000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert value == factorial(2999) * harmonic(2999)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "table, route", [("_hlike", harmonic_like), ("_stirling", stirling1), ("_hyper", hyperharmonic)]
+)
+def test_interrupted_fill_leaves_table_consistent(monkeypatch, table, route):
+    clear_caches()
+    expected = [route(n, m) for n in range(41) for m in range(1, 5)]
+    clear_caches()
+    route(10, 2)
+    step = getattr(sequences, table).step
+    calls = 0
+
+    def failing_step(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 50:  # part-way through growing level 2 to index 40
+            raise MemoryError
+        return step(*args)
+
+    monkeypatch.setattr(getattr(sequences, table), "step", failing_step)
+    with pytest.raises(MemoryError):
+        route(40, 4)
+    monkeypatch.undo()
+    assert [route(n, m) for n in range(41) for m in range(1, 5)] == expected
 
 
 def test_hyperharmonic_half_examples():
@@ -267,3 +332,29 @@ def test_concurrent_use_returns_identical_values():
         results = list(pool.map(worker, range(8)))
     for result in results:
         assert result == reference
+
+
+_ROUTES = {"harmonic_like": harmonic_like, "stirling1": stirling1, "hyperharmonic": hyperharmonic}
+_QUERIES = st.lists(
+    st.one_of(
+        st.tuples(st.just("harmonic_like"), st.integers(0, 60), st.integers(0, 8)),
+        st.tuples(st.just("stirling1"), st.integers(0, 60), st.integers(0, 12)),
+        st.tuples(st.just("hyperharmonic"), st.integers(0, 60), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_QUERIES)
+@example([("harmonic_like", 50, 1), ("harmonic_like", 20, 6), ("harmonic_like", 55, 3),
+          ("stirling1", 3, 9), ("stirling1", 40, 2), ("stirling1", 15, 7),
+          ("hyperharmonic", 30, 2), ("hyperharmonic", 5, 12), ("hyperharmonic", 31, 12)])
+def test_interleaved_queries_match_fresh_ascending_evaluation(queries):
+    clear_caches()
+    interleaved = [_ROUTES[family](n, j) for family, n, j in queries]
+    for (family, n, j), value in zip(queries, interleaved):
+        clear_caches()
+        ascending = [_ROUTES[family](i, j) for i in range(n + 1)]
+        assert value == ascending[-1], (family, n, j)
