@@ -9,7 +9,6 @@ routes (recurrences vs generating-function coefficient extraction, plus a
 brute-force composition oracle for the harmonic-like family).
 """
 
-from multiharm._kernels import BACKEND as kernel_backend_name
 from multiharm.identities import (
     IdentityDescriptor,
     UnknownIdentityError,
@@ -68,12 +67,6 @@ from multiharm.transforms import (
     binomial_sum_m2,
     binomial_sum_m3,
     binomial_transform,
-    inverse_binomial_transform,
 )
 
 __version__ = "0.1.0"
-
-
-def kernel_backend() -> str:
-    """Name of the active kernel backend: "compiled" or "pure"."""
-    return kernel_backend_name

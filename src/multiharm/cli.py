@@ -10,8 +10,12 @@ Subcommands::
 Rationals are always printed exactly ("p/q"); ``--decimal D`` adds an
 approximate column next to the exact one, never instead of it.  Exit status is
 0 on success, 1 when a verification found a mismatch, 2 on usage or domain
-errors.  If ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are
-resolved against it.
+errors.  A ``verify`` run that would pass without checking anything is a usage
+error too: a tag no identity carries, or grid bounds that leave an identity
+with zero cases, exit 2 with a message on stderr and print no reports (the
+library's ``verify_all`` still returns ``[]`` for an unknown tag).  If
+``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are resolved
+against it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from multiharm import _kernels, identities, series, transforms
+from multiharm import identities, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
 from multiharm.sequences import (
     FAMILY_NAMES,
@@ -141,6 +145,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports = identities.verify_all(args.tag, overrides)
     except identities.UnknownIdentityError as exc:
         raise CliError(f"unknown identity id: {exc.args[0]}") from exc
+    if not reports:
+        raise CliError(
+            f"no identity carries tag {args.tag!r}; tags: {', '.join(identities.registry_tags())}"
+        )
+    empty = [r.identity for r in reports if r.cases == 0]
+    if empty:
+        raise CliError(f"the grid bounds leave no cases to check for: {', '.join(empty)}")
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     _emit(args, payload)
     return 0 if all(r.passed for r in reports) else 1
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="multiharm",
         description=(
             "Exact computation of harmonic-like numbers and mechanical "
-            "verification of their identities (kernel backend: %s)." % _kernels.BACKEND
+            "verification of their identities."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")

@@ -8,9 +8,10 @@ oracle for the sequence families: the ``gf_*`` constructors build each
 family's generating function from scratch so its coefficients can be compared
 against the recurrence routes in :mod:`multiharm.sequences`.
 
-Composition is deliberately restricted to the two inner forms with zero
-constant term that the identity catalog needs: the scaling z -> c*z and the
-Moebius substitution z -> a*z/(1 - b*z).
+Argument substitution is restricted to two inner forms with zero constant
+term: the scaling z -> c*z and the Moebius substitution z -> a*z/(1 - b*z).
+No identity in the catalog uses either yet; the tests check
+``compose_mobius`` against the binomial sums of :mod:`multiharm.transforms`.
 """
 
 from __future__ import annotations

@@ -149,12 +149,3 @@ def binomial_transform(seq: SeqFn, n: int, signed: bool = True) -> Fraction:
         else:
             total += term
     return total
-
-
-def inverse_binomial_transform(seq: SeqFn, n: int) -> Fraction:
-    """Recover index n of the pre-image of a signed binomial transform.
-
-    Because the signed transform is self-inverse this is the same sum; the
-    separate name documents direction of use.
-    """
-    return binomial_transform(seq, n, signed=True)

@@ -88,10 +88,27 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert code == 2
 
 
-def test_verify_unknown_tag_yields_empty_list(capsys):
-    code, out = run(capsys, "verify", "--tag", "no_such_tag")
-    assert code == 0
-    assert json.loads(out) == []
+def test_verify_unknown_tag_is_usage_error(capsys):
+    # a run that checks nothing must not report a pass
+    code = cli.main(["verify", "--tag", "no_such_tag"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no identity carries tag 'no_such_tag'" in captured.err
+
+
+def test_verify_empty_grid_is_usage_error(capsys):
+    code = cli.main(["verify", "--id", "cor_id1", "--n-max", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no cases to check for: cor_id1" in captured.err
+    # one vacuous identity among checked ones is refused too
+    code = cli.main(["verify", "--tag", "section1", "--n-max", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no cases to check for" in captured.err
 
 
 def test_verify_tag_filter(capsys):

@@ -1,70 +1,164 @@
-"""The two kernel backends must be interchangeable: same API, identical bits."""
+"""Differential tests: the series kernels against schoolbook Fraction loops.
 
-import random
+The kernels multiply by Kronecker substitution and invert / take square roots
+by Newton iteration.  The references below are the plain coefficient loops
+those kernels replaced; every output must equal theirs exactly.
+"""
+
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multiharm import _kernels
 from multiharm._kernels import pure
+from multiharm.sequences import stirling1
 
-speedups = pytest.importorskip("multiharm._kernels._speedups")
-
-
-def _random_coeffs(rng, size, nonzero_head=False, unit_head=False):
-    coeffs = [
-        Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(size)
-    ]
-    if unit_head:
-        coeffs[0] = Fraction(1)
-    elif nonzero_head:
-        while coeffs[0] == 0:
-            coeffs[0] = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-    return coeffs
+F = Fraction
+_ZERO = F(0)
 
 
-def test_backend_name_is_sane():
-    assert _kernels.BACKEND in ("pure", "compiled")
-    assert pure.BACKEND == "pure"
-    assert speedups.BACKEND == "compiled"
+def schoolbook_product(f, g, order):
+    out = []
+    for n in range(order + 1):
+        acc = _ZERO
+        for k in range(max(0, n - len(g) + 1), min(n, len(f) - 1) + 1):
+            acc += f[k] * g[n - k]
+        out.append(acc)
+    return out
 
 
-def test_cauchy_product_backends_agree():
-    rng = random.Random(1)
-    for _ in range(10):
-        f = _random_coeffs(rng, rng.randint(1, 40))
-        g = _random_coeffs(rng, rng.randint(1, 40))
-        order = min(len(f), len(g)) - 1
-        assert pure.cauchy_product(f, g, order) == speedups.cauchy_product(f, g, order)
+def schoolbook_inverse(f):
+    inv0 = 1 / F(f[0])
+    out = [inv0]
+    for n in range(1, len(f)):
+        acc = _ZERO
+        for i in range(1, n + 1):
+            acc += f[i] * out[n - i]
+        out.append(-acc * inv0)
+    return out
 
 
-def test_invert_series_backends_agree():
-    rng = random.Random(2)
-    for _ in range(10):
-        f = _random_coeffs(rng, rng.randint(1, 40), nonzero_head=True)
-        assert pure.invert_series(f) == speedups.invert_series(f)
+def schoolbook_sqrt(f):
+    out = [F(1)]
+    for n in range(1, len(f)):
+        acc = _ZERO
+        for i in range(1, n):
+            acc += out[i] * out[n - i]
+        out.append((f[n] - acc) / 2)
+    return out
 
 
-def test_sqrt_series_backends_agree():
-    rng = random.Random(3)
-    for _ in range(10):
-        f = _random_coeffs(rng, rng.randint(1, 40), unit_head=True)
-        assert pure.sqrt_series(f) == speedups.sqrt_series(f)
+small = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+# numerators and denominators far beyond one machine word
+huge = st.builds(
+    F,
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.integers(min_value=1, max_value=10**45),
+)
+coeff = st.one_of(small, huge)
 
 
-def test_harmonic_like_levels_backends_agree():
-    assert pure.harmonic_like_levels(30, 4) == speedups.harmonic_like_levels(30, 4)
-    assert pure.harmonic_like_levels(0, 0) == speedups.harmonic_like_levels(0, 0) == [[Fraction(1)]]
+def series(min_size=0, max_size=40, elements=coeff):
+    return st.lists(elements, min_size=min_size, max_size=max_size)
 
 
-def test_stirling1_rows_backends_agree():
-    assert pure.stirling1_rows(40) == speedups.stirling1_rows(40)
-    assert pure.stirling1_rows(0) == [[1]]
+def test_backend_is_pure_and_exports_every_kernel():
+    assert _kernels.BACKEND == pure.BACKEND == "pure"
+    for name in ("cauchy_product", "invert_series", "sqrt_series",
+                 "harmonic_like_levels", "stirling1_rows"):
+        assert getattr(_kernels, name) is getattr(pure, name)
+
+
+@settings(max_examples=150)
+@given(series(), series(), st.integers(min_value=-1, max_value=90))
+def test_cauchy_product_matches_schoolbook(f, g, order):
+    # unequal lengths, orders past len(f) + len(g) - 2, empty factors, mixed signs
+    assert pure.cauchy_product(f, g, order) == schoolbook_product(f, g, order)
+
+
+@given(series(min_size=1), st.integers(min_value=1, max_value=40), st.integers(0, 60))
+def test_cauchy_product_with_an_all_zero_factor(f, zeros, order):
+    expected = [_ZERO] * (order + 1)
+    assert pure.cauchy_product(f, [_ZERO] * zeros, order) == expected
+    assert pure.cauchy_product([_ZERO] * zeros, f, order) == expected
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=48),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=10**20),
+)
+def test_cauchy_product_at_the_slot_bound(n, bits, sign_f, sign_g, den):
+    # The slot bound n * a * 1 has exactly ``bits`` bits, and the top
+    # coefficient of the product reaches it.  bits = 8k - 1 fills a k-byte
+    # slot up to its sign bit; bits = 8k needs a (k+1)-th byte for the sign.
+    a = (2**bits - 1) // n
+    assume(a > 0 and (n * a).bit_length() == bits)
+    f = [F(sign_f * a, den)] * n
+    g = [F(sign_g)] * n
+    product = pure.cauchy_product(f, g, 2 * n)
+    assert product == schoolbook_product(f, g, 2 * n)
+    assert product[n - 1] == F(sign_f * sign_g * n * a, den)
+
+
+def test_cauchy_product_with_alternating_extremes():
+    bound = 2**63 - 1
+    f = [F(bound if i % 2 else -bound) for i in range(30)]
+    g = [F(-bound if i % 3 else bound, 7) for i in range(25)]
+    assert pure.cauchy_product(f, g, 60) == schoolbook_product(f, g, 60)
+
+
+@settings(max_examples=100)
+@given(series(min_size=1), st.one_of(small, huge).filter(lambda c: c != 0))
+def test_invert_series_matches_schoolbook(tail, head):
+    # heads other than 1 give denominators that grow like head**n
+    f = [head] + tail[1:]
+    assert pure.invert_series(f) == schoolbook_inverse(f)
+
+
+@settings(max_examples=100)
+@given(series(min_size=1))
+def test_sqrt_series_matches_schoolbook(tail):
+    f = [F(1)] + tail[1:]
+    assert pure.sqrt_series(f) == schoolbook_sqrt(f)
+
+
+def test_newton_kernels_at_deep_orders():
+    one_minus_4z = [F(1), F(-4)] + [_ZERO] * 299
+    root = pure.sqrt_series(one_minus_4z)
+    assert root == schoolbook_sqrt(one_minus_4z)
+    central = pure.invert_series(root)
+    assert central == schoolbook_inverse(root)
+    assert central[300] == comb(600, 300)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 17, 33])
+def test_newton_kernels_across_precision_doublings(length):
+    f = [F(3, 2)] + [F((-1) ** i * i, i + 1) for i in range(1, length)]
+    assert pure.invert_series(f) == schoolbook_inverse(f)
+    f[0] = F(1)
+    assert pure.sqrt_series(f) == schoolbook_sqrt(f)
 
 
 def test_invert_round_trip_at_kernel_level():
-    rng = random.Random(4)
-    f = _random_coeffs(rng, 25, nonzero_head=True)
-    for backend in (pure, speedups):
-        g = backend.invert_series(f)
-        assert backend.cauchy_product(f, g, 24) == [Fraction(1)] + [Fraction(0)] * 24
+    f = [F(2, 3)] + [F(i * i - 7, i + 2) for i in range(1, 25)]
+    g = pure.invert_series(f)
+    assert pure.cauchy_product(f, g, 24) == [F(1)] + [_ZERO] * 24
+
+
+def test_invert_series_rejects_a_zero_head():
+    with pytest.raises(ZeroDivisionError):
+        pure.invert_series([_ZERO, F(1)])
+
+
+def test_tabulation_kernels():
+    assert pure.harmonic_like_levels(0, 0) == [[F(1)]]
+    assert pure.harmonic_like_levels(4, 2)[2] == [0, 0, 1, 2, F(35, 12)]
+    rows = pure.stirling1_rows(40)
+    assert pure.stirling1_rows(0) == [[1]]
+    assert all(rows[n][k] == stirling1(n, k) for n in range(41) for k in range(n + 1))
