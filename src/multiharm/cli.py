@@ -10,7 +10,7 @@ Subcommands::
 Rationals are always printed exactly ("p/q"); ``--decimal D`` adds an
 approximate column next to the exact one, never instead of it.  Exit status is
 0 on success, 1 when a verification found a mismatch, 2 on usage or domain
-errors.  A ``verify`` run that would pass without checking anything is a usage
+errors and when the ``--output`` file cannot be written.  A ``verify`` run that would pass without checking anything is a usage
 error too: a tag no identity carries, or grid bounds that leave an identity
 with zero cases, exit 2 with a message on stderr and print no reports (the
 library's ``verify_all`` still returns ``[]`` for an unknown tag).  If
@@ -334,10 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "decimal", None) is not None and args.decimal < 1:
             raise CliError(f"--decimal must be >= 1, got {args.decimal}")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

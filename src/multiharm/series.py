@@ -8,15 +8,21 @@ oracle for the sequence families: the ``gf_*`` constructors build each
 family's generating function from scratch so its coefficients can be compared
 against the recurrence routes in :mod:`multiharm.sequences`.
 
-Argument substitution is restricted to two inner forms with zero constant
-term: the scaling z -> c*z and the Moebius substitution z -> a*z/(1 - b*z).
-No identity in the catalog uses either yet; the tests check
+A series stores integer numerators over one positive denominator, always in
+lowest terms, so equal series store equal data and a product, inverse or
+square root is one call into the integer kernels of :mod:`multiharm._kernels`.
+``Fraction`` values appear only at the boundary: the constructor takes them
+in, and indexing, iteration and ``coeffs`` hand them out.
+
+The one argument substitution is the Moebius substitution
+z -> a*z/(1 - b*z).  No identity in the catalog uses it yet; the tests check
 ``compose_mobius`` against the binomial sums of :mod:`multiharm.transforms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from multiharm import _kernels
@@ -27,21 +33,41 @@ _ONE = Fraction(1)
 
 
 class TruncatedSeries:
-    """Formal power series truncated at an inclusive order."""
+    """Formal power series truncated at an inclusive order.
 
-    __slots__ = ("_coeffs",)
+    Coefficient n is ``_nums[n] / _den`` with ``_den > 0`` and
+    ``gcd(_den, *_nums) == 1``.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike]):
-        tup = tuple(Fraction(c) for c in coeffs)
-        if not tup:
+        fracs = [Fraction(c) for c in coeffs]
+        if not fracs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tup
+        # Each Fraction is in lowest terms, so over the lcm of the
+        # denominators the gcd of the numerators and the lcm is already 1.
+        den = lcm(*[c.denominator for c in fracs])
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self._den = den
+
+    @classmethod
+    def _from_integers(cls, nums: Iterable[int], den: int) -> TruncatedSeries:
+        """The series with coefficients nums[n] / den, stored in lowest terms."""
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        series = object.__new__(cls)
+        series._nums = nums if g == 1 else tuple(x // g for x in nums)
+        series._den = den // g
+        return series
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def constant(cls, value: RationalLike, order: int) -> TruncatedSeries:
-        return cls((Fraction(value),) + (_ZERO,) * order)
+        return cls((value,) + (0,) * order)
 
     @classmethod
     def one(cls, order: int) -> TruncatedSeries:
@@ -55,109 +81,115 @@ class TruncatedSeries:
     def monomial(cls, coeff: RationalLike, degree: int, order: int) -> TruncatedSeries:
         if degree > order:
             return cls.zero(order)
-        c = [_ZERO] * (order + 1)
-        c[degree] = Fraction(coeff)
+        c = [0] * (order + 1)
+        c[degree] = coeff
         return cls(c)
 
     # -- basic protocol ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(self)
 
     def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        den = self._den
+        return (Fraction(x, den) for x in self._nums)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:8])
-        if len(self._coeffs) > 8:
+        shown = ", ".join(str(self[n]) for n in range(min(len(self), 8)))
+        if len(self) > 8:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self.order})"
 
     def truncate(self, order: int) -> TruncatedSeries:
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if order >= self.order:
             return self
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return self._from_integers(self._nums[: order + 1], self._den)
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _add(self, other: TruncatedSeries, sign: int) -> TruncatedSeries:
+        """self + sign*other over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        p = den // self._den
+        q = sign * (den // other._den)
+        return self._from_integers(
+            (x * p + y * q for x, y in zip(self._nums, other._nums)), den
+        )
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs))
+        return self._add(other, 1)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(a - b for a, b in zip(self._coeffs[: n + 1], other._coeffs))
+        return self._add(other, -1)
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(-c for c in self._coeffs)
+        return self._from_integers((-x for x in self._nums), self._den)
 
     def __mul__(self, other: TruncatedSeries | RationalLike) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             order = min(self.order, other.order)
-            return TruncatedSeries(_kernels.cauchy_product(self._coeffs, other._coeffs, order))
+            product = _kernels.cauchy_product(self._nums, other._nums, order)
+            return self._from_integers(product, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(c * other for c in self._coeffs)
+            c = Fraction(other)
+            return self._from_integers(
+                (x * c.numerator for x in self._nums), self._den * c.denominator
+            )
         return NotImplemented
 
-    def __rmul__(self, other: RationalLike) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(other * c for c in self._coeffs)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, m: int) -> TruncatedSeries:
         if not isinstance(m, int) or m < 0:
             raise ValueError(f"series power requires an integer m >= 0, got {m!r}")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(m):
-            result = result * self
+        if m == 0:
+            return TruncatedSeries.one(self.order)
+        result = self
+        for bit in bin(m)[3:]:  # binary powering from the leading bit down
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> TruncatedSeries:
         """The series g with self*g = 1 up to the truncation order."""
-        if self._coeffs[0] == 0:
+        if self._nums[0] == 0:
             raise ValueError("series with zero constant term has no inverse")
-        return TruncatedSeries(_kernels.invert_series(self._coeffs))
+        b, e = _kernels.invert_series(self._nums)
+        return self._from_integers((x * self._den for x in b), e)
 
     def sqrt(self) -> TruncatedSeries:
         """The series g with g*g = self and g(0) = 1; requires self(0) = 1."""
-        if self._coeffs[0] != 1:
+        if self._nums[0] != self._den:
             raise ValueError("series sqrt requires constant term 1")
-        return TruncatedSeries(_kernels.sqrt_series(self._coeffs))
+        return self._from_integers(*_kernels.sqrt_series(self._nums))
 
     # -- argument substitution ----------------------------------------------
-
-    def scale_argument(self, c: RationalLike) -> TruncatedSeries:
-        """Substitute z -> c*z (coefficient n picks up a factor c^n)."""
-        c = Fraction(c)
-        out = []
-        power = _ONE
-        for coeff in self._coeffs:
-            out.append(coeff * power)
-            power *= c
-        return TruncatedSeries(out)
 
     def compose_mobius(
         self, a: RationalLike, b: RationalLike, order: int | None = None
@@ -172,7 +204,7 @@ class TruncatedSeries:
         b = Fraction(b)
         if order is None:
             order = self.order
-        f = self._coeffs
+        f = self.coeffs
         a_pow = [_ONE]
         b_pow = [_ONE]
         for _ in range(order):

@@ -208,6 +208,22 @@ def test_output_file_and_output_dir_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "sub" / "rel.csv").read_text() == target.read_text()
 
 
+@pytest.mark.parametrize("command", [
+    ["seq", "--family", "harmonic", "--n", "3"],
+    ["verify", "--id", "cor_id1", "--n-max", "3"],
+])
+def test_unwritable_output_is_exit_two(tmp_path, capsys, command):
+    # the parent of the output path is a regular file, so it cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(command + ["--output", str(blocker / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["seq"]) == 2  # missing required flags
     capsys.readouterr()

@@ -1,10 +1,12 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiharm.rational import binomial, factorial
-from multiharm.sequences import harmonic, harmonic_like, hyperharmonic, odd_harmonic, stirling1
+from multiharm.sequences import harmonic_like, hyperharmonic, odd_harmonic, stirling1
 from multiharm.series import (
     TruncatedSeries,
     geometric,
@@ -35,6 +37,8 @@ def test_construction_and_order():
     assert len(f) == 3
     with pytest.raises(ValueError):
         TruncatedSeries([])
+    with pytest.raises(ValueError):
+        f.truncate(-1)
 
 
 def test_add_mul_examples():
@@ -102,6 +106,58 @@ def test_sqrt_round_trip(f):
     assert g * g == f
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda order: st.lists(coeff, min_size=order + 1, max_size=order + 1)
+    ),
+    st.integers(min_value=0, max_value=9),
+)
+@example([F(0)], 9)  # order 0, zero head
+@example([F(7, 3)], 9)  # order 0
+@example([F(0), F(1, 2), F(-3), F(5, 7)], 9)  # zero head
+@example([F(-2, 3), F(1), F(0), F(4, 9), F(-1, 6)], 5)
+def test_pow_equals_repeated_left_product(c, m):
+    f = TruncatedSeries(c)
+    expected = reduce(operator.mul, [f] * m) if m else TruncatedSeries.one(f.order)
+    assert f**m == expected
+
+
+def assert_canonical(results):
+    # a series built from a result's Fraction coefficients is stored in
+    # lowest terms, so it is equal (and hashes equal) only if the result is too
+    for s in results:
+        rebuilt = TruncatedSeries(s.coeffs)
+        assert rebuilt == s
+        assert hash(rebuilt) == hash(s)
+
+
+def canonical_results(f, g, c):
+    return [f + g, f - g, -g, g * c, c * g, f * g, g**3, f.inverse(), f.sqrt()]
+
+
+def test_results_are_stored_in_lowest_terms():
+    # each operation below gives integers with a common factor before reduction
+    f = TruncatedSeries([1, F(1, 2)])
+    g = TruncatedSeries([0, F(1, 2)])
+    assert_canonical(canonical_results(f, g, 2))
+    assert f + g == TruncatedSeries([1, 1])
+    assert f * f == TruncatedSeries([1, 1])
+    assert f.inverse() == TruncatedSeries([1, F(-1, 2)])
+    assert f.sqrt() == TruncatedSeries([1, F(1, 4)])
+    # a negative head gives the inverse kernel a negative denominator
+    negative = [TruncatedSeries([F(-2, 3)]).inverse(), TruncatedSeries([-2, 1]).inverse()]
+    assert_canonical(negative)
+    assert negative == [TruncatedSeries([F(-3, 2)]), TruncatedSeries([F(-1, 2), F(-1, 4)])]
+    assert TruncatedSeries([1, F(1, 2)]).truncate(0) == TruncatedSeries.one(0)
+
+
+@settings(max_examples=40)
+@given(unit_head_series(10), st.lists(coeff, min_size=11, max_size=11), coeff)
+def test_random_results_are_stored_in_lowest_terms(f, g, c):
+    assert_canonical(canonical_results(f, TruncatedSeries(g), c))
+
+
 def test_neg_log_one_minus_examples():
     assert neg_log_one_minus(1, 4).coeffs == (F(0), F(1), F(1, 2), F(1, 3), F(1, 4))
     assert neg_log_one_minus(0, 3) == TruncatedSeries.zero(3)
@@ -147,13 +203,6 @@ def test_compose_mobius_nesting():
         nested = f.compose_mobius(a1, b1, order).compose_mobius(a2, b2, order)
         direct = f.compose_mobius(a1 * a2, b2 + a2 * b1, order)
         assert nested == direct
-
-
-def test_scale_argument():
-    f = gf_harmonic_like(1, 8)
-    scaled = f.scale_argument(4)
-    for n in range(9):
-        assert scaled[n] == 4**n * harmonic(n)
 
 
 def test_gf_harmonic_like_matches_recurrence():
