@@ -8,14 +8,16 @@ Subcommands::
     multiharm transform  evaluate binomial sums / binomial transforms
 
 Rationals are always printed exactly ("p/q"); ``--decimal D`` adds an
-approximate column next to the exact one, never instead of it.  Exit status is
-0 on success, 1 when a verification found a mismatch, 2 on usage or domain
-errors and when the ``--output`` file cannot be written.  A ``verify`` run that would pass without checking anything is a usage
-error too: a tag no identity carries, or grid bounds that leave an identity
-with zero cases, exit 2 with a message on stderr and print no reports (the
-library's ``verify_all`` still returns ``[]`` for an unknown tag).  If
-``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are resolved
-against it.
+approximate column next to the exact one, never instead of it, with D from 1
+to ``DECIMAL_MAX`` (10000) digits.  Exit status is 0 on success, 1 when a
+verification found a mismatch, 2 on usage or domain errors (a ``--decimal``
+outside that range among them) and when the ``--output`` file cannot be
+written.  A ``verify`` run that would pass without checking anything is a
+usage error too: a tag no identity carries, or grid bounds that leave an
+identity with zero cases, exit 2 with a message on stderr and print no
+reports (the library's ``verify_all`` still returns ``[]`` for an unknown
+tag).  If ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are
+resolved against it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from multiharm.sequences import (
 )
 
 GF_FAMILIES = ("harmonic_like", "stirling1", "hyperharmonic", "odd_central")
+
+#: Most digits ``--decimal`` accepts.  Far larger values overflow the decimal
+#: context or exhaust memory before a row is printed.
+DECIMAL_MAX = 10_000
 
 
 class CliError(Exception):
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="table rendering (default csv)")
             p.add_argument("--decimal", type=int, metavar="DIGITS",
-                           help="add an approximate column with this many digits (>= 1)")
+                           help=f"add an approximate column with this many digits (1..{DECIMAL_MAX})")
 
     p_seq = sub.add_parser("seq", help="print an exact sequence table")
     p_seq.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
@@ -331,8 +337,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "decimal", None) is not None and args.decimal < 1:
-            raise CliError(f"--decimal must be >= 1, got {args.decimal}")
+        if getattr(args, "decimal", None) is not None and not 1 <= args.decimal <= DECIMAL_MAX:
+            raise CliError(f"--decimal must be >= 1 and <= {DECIMAL_MAX}, got {args.decimal}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

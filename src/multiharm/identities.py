@@ -7,6 +7,13 @@ Grids exclude up front the points where a formula is undefined (e.g. n >= 1
 where a side divides by n), so a failure always means mathematical
 disagreement, not domain abuse.
 
+A grid is an ordered mapping from parameter name to values.  An integer axis
+is a ``range``; ``--n-max``/``--m-max``/``--p-max`` (the ``overrides`` of
+:func:`verify_identity` and :func:`verify_all`) replace its upper bound and
+keep its start.  Any other axis is a tuple of listed values; a tuple key such
+as ``("a", "b")`` takes joint values, one tuple per grid point.  Bindings run
+over the product of the axes, the last axis fastest.
+
 Anchor strings state each identity in plain ASCII with this notation:
 
 * ``H_n``       harmonic number, ``H_n^(r)`` the order-r variant
@@ -19,15 +26,15 @@ Anchor strings state each identity in plain ASCII with this notation:
 * ``Hhat(n)``   half-integer harmonic offset, sum_{k=1..n} 1/(k - 1/2)
 * ``F_n, L_n``  Fibonacci and Lucas numbers
 
-The four generic telescoping combinators used to derive several families of
-entries are exposed as ``telescope_*_check`` functions returning both sides
-of the collapsed sum for an arbitrary sequence callback.
+The four generic telescoping combinators ``telescope_*_check`` return both
+sides of a collapsed sum for an arbitrary sequence callback.  No registry
+entry is built from them: entries are the literal sums they state.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
@@ -47,6 +54,7 @@ from multiharm.sequences import (
 )
 from multiharm.transforms import (
     AB_FIXTURES,
+    SeqFn,
     binomial_sum_closed,
     binomial_sum_direct,
     binomial_sum_m1,
@@ -55,8 +63,6 @@ from multiharm.transforms import (
 )
 
 _ZERO = Fraction(0)
-
-SeqFn = Callable[[int], RationalLike]
 
 
 def harm2(n: int) -> Fraction:
@@ -68,75 +74,51 @@ def _fsum(terms) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# grids
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One grid dimension; ``values`` are tuples matching ``names``."""
-
-    names: tuple[str, ...]
-    values: tuple[tuple[Any, ...], ...]
-    int_bounds: tuple[int, int] | None = None
-
-
-def int_axis(name: str, lo: int, hi: int) -> Axis:
-    return Axis((name,), tuple((i,) for i in range(lo, hi + 1)), (lo, hi))
-
-
-def value_axis(name: str, values) -> Axis:
-    return Axis((name,), tuple((v,) for v in values))
-
-
-def pair_axis(names: tuple[str, str], pairs) -> Axis:
-    return Axis(tuple(names), tuple(tuple(p) for p in pairs))
-
-
-def _apply_override(axis: Axis, overrides: Mapping[str, int]) -> Axis:
-    if axis.int_bounds is not None and axis.names[0] in overrides:
-        lo, _ = axis.int_bounds
-        return int_axis(axis.names[0], lo, overrides[axis.names[0]])
-    return axis
-
-
-# ---------------------------------------------------------------------------
 # descriptors and reports
 
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """One catalog entry: two independent evaluators over a parameter grid."""
+    """One catalog entry: two independent evaluators over a parameter grid.
+
+    ``section`` is set by the registry from the section an entry is listed
+    under; it is what ``verify_all(tag=...)`` selects on.
+    """
 
     id: str
     title: str
     anchor: str
-    tags: tuple[str, ...]
-    axes: tuple[Axis, ...]
+    grid: Mapping[str | tuple[str, ...], range | tuple[Any, ...]]
     lhs: Callable[..., RationalLike]
     rhs: Callable[..., RationalLike]
-    constraint: Callable[..., bool] | None = None
+    section: str = ""
 
     def bindings(self, overrides: Mapping[str, int] | None = None) -> Iterator[dict[str, Any]]:
-        axes = [_apply_override(a, overrides or {}) for a in self.axes]
-        for combo in itertools.product(*(a.values for a in axes)):
-            binding: dict[str, Any] = {}
-            for axis, vals in zip(axes, combo):
-                binding.update(zip(axis.names, vals))
-            if self.constraint is None or self.constraint(**binding):
-                yield binding
+        overrides = overrides or {}
+        names: list[str] = []
+        axes = []
+        for key, values in self.grid.items():
+            if isinstance(values, range) and key in overrides:
+                values = range(values.start, overrides[key] + 1)
+            if isinstance(key, tuple):
+                names.extend(key)
+                axes.append(values)
+            else:
+                names.append(key)
+                axes.append([(v,) for v in values])
+        for combo in itertools.product(*axes):
+            yield dict(zip(names, itertools.chain.from_iterable(combo)))
 
     def grid_text(self) -> str:
         parts = []
-        for axis in self.axes:
-            if axis.int_bounds is not None:
-                lo, hi = axis.int_bounds
-                parts.append(f"{axis.names[0]}={lo}..{hi}")
+        for key, values in self.grid.items():
+            if isinstance(values, range):
+                parts.append(f"{key}={values.start}..{values.stop - 1}")
+            elif isinstance(key, tuple):
+                rendered = ", ".join("(" + ", ".join(map(str, v)) + ")" for v in values)
+                parts.append(f"({', '.join(key)}) in {{{rendered}}}")
             else:
-                rendered = ", ".join(
-                    "(" + ", ".join(map(str, v)) + ")" if len(v) > 1 else str(v[0])
-                    for v in axis.values
-                )
-                parts.append(f"({', '.join(axis.names)}) in {{{rendered}}}")
+                parts.append(f"({key}) in {{{', '.join(map(str, values))}}}")
         return "; ".join(parts)
 
 
@@ -212,7 +194,7 @@ def verify_all(
     return [
         verify_descriptor(desc, overrides)
         for _, desc in sorted(_REGISTRY.items())
-        if tag is None or tag in desc.tags
+        if tag is None or desc.section == tag
     ]
 
 
@@ -222,7 +204,7 @@ def registry_catalog() -> list[tuple[str, str, str]]:
 
 
 def registry_tags() -> tuple[str, ...]:
-    return tuple(sorted({t for d in _REGISTRY.values() for t in d.tags}))
+    return tuple(sorted({d.section for d in _REGISTRY.values()}))
 
 
 # ---------------------------------------------------------------------------
@@ -290,102 +272,104 @@ def telescope_linear_check(a: SeqFn, n: int) -> tuple[Fraction, Fraction]:
 # not in terms of each other, so a bug in a shared simplification cannot hide.
 
 
-def _ident(id, title, anchor, tags, axes, lhs, rhs, constraint=None) -> IdentityDescriptor:
-    return IdentityDescriptor(id, title, anchor, tuple(tags), tuple(axes), lhs, rhs, constraint)
+_KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
 
 
-def _section1() -> list[IdentityDescriptor]:
-    return [
-        _ident(
+def _cw(k: int, p: int) -> Fraction:
+    # central-binomial weight C(2(k+p), k+p) C(k+p, k) / 4^k
+    return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
+
+
+def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
+    registry: dict[str, IdentityDescriptor] = {}
+    for section, entries in sections.items():
+        for desc in entries:
+            if desc.id in registry:
+                raise ValueError(f"duplicate identity id: {desc.id}")
+            registry[desc.id] = replace(desc, section=section)
+    return registry
+
+
+_REGISTRY = _build_registry({
+    "section1": [
+        IdentityDescriptor(
             "hn2_closed",
             "two-index harmonic-like number in closed form",
             "HL(n,2) = H_n^2 - H_n^(2)",
-            ("section1",),
-            (int_axis("n", 0, 60),),
+            {"n": range(0, 61)},
             lambda n: hlike(n, 2),
             lambda n: harm(n) ** 2 - harm2(n),
         ),
-        _ident(
+        IdentityDescriptor(
             "hn3_double",
             "three-index harmonic-like number as a double sum",
             "HL(n,3) = sum_{j=1..n} (1/j) sum_{l=1..n-j} H_{n-j-l}/l",
-            ("section1",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: hlike(n, 3),
             lambda n: _fsum(
                 Fraction(1, j) * _fsum(harm(n - j - l) / l for l in range(1, n - j + 1))
                 for j in range(1, n + 1)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "stirling_s_n1",
             "Stirling column 1 in closed form",
             "s(n,1) = (-1)^(n-1) (n-1)!",
-            ("section1",),
-            (int_axis("n", 1, 30),),
+            {"n": range(1, 31)},
             lambda n: stir(n, 1),
             lambda n: (-1) ** (n - 1) * fact(n - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "stirling_s_n2",
             "Stirling column 2 in closed form",
             "s(n,2) = (-1)^n (n-1)! H_{n-1}",
-            ("section1",),
-            (int_axis("n", 1, 30),),
+            {"n": range(1, 31)},
             lambda n: stir(n, 2),
             lambda n: (-1) ** n * fact(n - 1) * harm(n - 1),
         ),
-    ]
-
-
-def _section2() -> list[IdentityDescriptor]:
-    ids = [
-        _ident(
+    ],
+    "section2": [
+        IdentityDescriptor(
             "main_id1",
             "two-parameter binomial sum: direct vs Stirling closed form",
             "sum_{k=0..n} C(n,k) a^k b^(n-k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (a+b)^k ((m-j)!/(n-k)!) (-1)^(n-k) b^(n-k) s(n-k,m-j)",
-            ("section2",),
-            (pair_axis(("a", "b"), AB_FIXTURES), int_axis("m", 0, 4), int_axis("n", 0, 25)),
+            {("a", "b"): AB_FIXTURES, "m": range(0, 5), "n": range(0, 26)},
             lambda a, b, m, n: binomial_sum_direct(a, b, m, n),
             lambda a, b, m, n: binomial_sum_closed(a, b, m, n),
         ),
-        _ident(
+        IdentityDescriptor(
             "remark_m1",
             "m=1 closed form of the binomial sum",
             "sum_{k=0..n} C(n,k) a^k b^(n-k) H_k = H_n (a+b)^n - sum_{k=0..n-1} (a+b)^k b^(n-k)/(n-k)",
-            ("section2",),
-            (pair_axis(("a", "b"), AB_FIXTURES), int_axis("n", 0, 25)),
+            {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 1, n),
             lambda a, b, n: binomial_sum_m1(a, b, n),
         ),
-        _ident(
+        IdentityDescriptor(
             "cor_id1",
             "alternating binomial transform of HL(.,m)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,m) = (-1)^n (m!/n!) s(n,m)",
-            ("section2",),
-            (int_axis("m", 0, 5), int_axis("n", 0, 25)),
+            {"m": range(0, 6), "n": range(0, 26)},
             lambda m, n: _fsum((-1) ** k * comb(n, k) * hlike(k, m) for k in range(n + 1)),
             lambda m, n: (-1) ** n * Fraction(fact(m), fact(n)) * stir(n, m),
         ),
-        _ident(
+        IdentityDescriptor(
             "cor_id2",
             "inverse transform: Stirling column sums give HL(.,m)",
             "sum_{k=m..n} C(n,k) s(k,m)/k! = HL(n,m)/m!",
-            ("section2",),
-            (int_axis("m", 0, 5), int_axis("n", 0, 30)),
+            {"m": range(0, 6), "n": range(0, 31)},
             lambda m, n: _fsum(
                 comb(n, k) * Fraction(stir(k, m), fact(k)) for k in range(m, n + 1)
             ),
             lambda m, n: Fraction(hlike(n, m), 1) / fact(m),
         ),
-        _ident(
+        IdentityDescriptor(
             "cor_id3",
             "plain binomial transform of HL(.,m), Stirling double-sum form",
             "sum_{k=0..n} C(n,k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
-            ("section2",),
-            (int_axis("m", 0, 4), int_axis("n", 0, 25)),
+            {"m": range(0, 5), "n": range(0, 26)},
             lambda m, n: _fsum(comb(n, k) * hlike(k, m) for k in range(n + 1)),
             lambda m, n: _fsum(
                 comb(m, j)
@@ -400,30 +384,27 @@ def _section2() -> list[IdentityDescriptor]:
                 for j in range(m + 1)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "classical_Hk",
             "plain binomial transform of harmonic numbers",
             "sum_{k=0..n} C(n,k) H_k = 2^n (H_n - sum_{k=1..n} 1/(2^k k))",
-            ("section2",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: _fsum(comb(n, k) * harm(k) for k in range(n + 1)),
             lambda n: 2**n * (harm(n) - _fsum(Fraction(1, 2**k * k) for k in range(1, n + 1))),
         ),
-        _ident(
+        IdentityDescriptor(
             "cor_id4",
             "m=2 closed form of the binomial sum",
             "S(a,b,2,n) = HL(n,2) (a+b)^n + 2 sum_{k=1..n} (a+b)^(n-k) b^k (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (pair_axis(("a", "b"), AB_FIXTURES), int_axis("n", 0, 25)),
+            {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 2, n),
             lambda a, b, n: binomial_sum_m2(a, b, n),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_Hk2_2n",
             "plain binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) HL(k,2) = 2^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(2^k k))",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(comb(n, k) * hlike(k, 2) for k in range(n + 1)),
             lambda n: 2**n
             * (
@@ -431,60 +412,54 @@ def _section2() -> list[IdentityDescriptor]:
                 + 2 * _fsum((harm(k - 1) - harm(n - k)) / Fraction(2**k * k) for k in range(1, n + 1))
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_alt_Hk2",
             "alternating binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,2) = (2/n) H_{n-1}",
-            ("section2",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum((-1) ** k * comb(n, k) * hlike(k, 2) for k in range(n + 1)),
             lambda n: Fraction(2, n) * harm(n - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_alt_Hk2sq",
             "alternating binomial transform of order-2 harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^(2) = -H_n/n",
-            ("section2",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum((-1) ** k * comb(n, k) * harm2(k) for k in range(n + 1)),
             lambda n: -harm(n) / n,
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_alt_Hksq",
             "alternating binomial transform of squared harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^2 = H_n/n - 2/n^2",
-            ("section2",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum((-1) ** k * comb(n, k) * harm(k) ** 2 for k in range(n + 1)),
             lambda n: harm(n) / n - Fraction(2, n * n),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_inv_HkOverK",
             "inverse-transform companion with H_k/k",
             "sum_{k=1..n} C(n,k) (-1)^(k+1) H_k/k = H_n^(2)",
-            ("section2",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum((-1) ** (k + 1) * comb(n, k) * harm(k) / k for k in range(1, n + 1)),
             lambda n: harm2(n),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_2k_alt",
             "mixed-weight transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k (-1)^(n-k) HL(k,2) = HL(n,2) + 2 sum_{k=1..n} (-1)^k (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(
                 comb(n, k) * 2**k * (-1) ** (n - k) * hlike(k, 2) for k in range(n + 1)
             ),
             lambda n: hlike(n, 2)
             + 2 * _fsum((-1) ** k * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "ex_3n",
             "weight-2^k binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k HL(k,2) = 3^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(3^k k))",
-            ("section2",),
-            (int_axis("n", 0, 25),),
+            {"n": range(0, 26)},
             lambda n: _fsum(comb(n, k) * 2**k * hlike(k, 2) for k in range(n + 1)),
             lambda n: 3**n
             * (
@@ -492,107 +467,93 @@ def _section2() -> list[IdentityDescriptor]:
                 + 2 * _fsum((harm(k - 1) - harm(n - k)) / Fraction(3**k * k) for k in range(1, n + 1))
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "fib_Hk2",
             "Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) F_k HL(k,2) = HL(n,2) F_{2n} + 2 sum_{k=1..n} F_{2(n-k)} (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(comb(n, k) * fib(k) * hlike(k, 2) for k in range(n + 1)),
             lambda n: hlike(n, 2) * fib(2 * n)
             + 2 * _fsum(fib(2 * (n - k)) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "lucas_Hk2",
             "Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) L_k HL(k,2) = HL(n,2) L_{2n} + 2 sum_{k=1..n} L_{2(n-k)} (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(comb(n, k) * luc(k) * hlike(k, 2) for k in range(n + 1)),
             lambda n: hlike(n, 2) * luc(2 * n)
             + 2 * _fsum(luc(2 * (n - k)) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "fib_alt_Hk2",
             "alternating Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^(k+1) F_k HL(k,2) = HL(n,2) F_n + 2 sum_{k=1..n} F_{n-k} (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(
                 (-1) ** (k + 1) * comb(n, k) * fib(k) * hlike(k, 2) for k in range(n + 1)
             ),
             lambda n: hlike(n, 2) * fib(n)
             + 2 * _fsum(fib(n - k) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "lucas_alt_Hk2",
             "alternating Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k L_k HL(k,2) = HL(n,2) L_n + 2 sum_{k=1..n} L_{n-k} (H_{k-1} - H_{n-k})/k",
-            ("section2",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum((-1) ** k * comb(n, k) * luc(k) * hlike(k, 2) for k in range(n + 1)),
             lambda n: hlike(n, 2) * luc(n)
             + 2 * _fsum(luc(n - k) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "cor_id5",
             "m=3 closed form of the binomial sum",
             "S(a,b,3,n) = HL(n,3) (a+b)^n - 3 sum_{k=1..n} (a+b)^(n-k) b^k "
             "(H_{k-1}^2 - H_{k-1}^(2) - 2 H_{k-1} H_{n-k} + H_{n-k}^2 - H_{n-k}^(2))/k",
-            ("section2",),
-            (pair_axis(("a", "b"), AB_FIXTURES), int_axis("n", 0, 25)),
+            {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 3, n),
             lambda a, b, n: binomial_sum_m3(a, b, n),
         ),
-        _ident(
+        IdentityDescriptor(
             "stirling_s_n3",
             "Stirling column 3 in closed form",
             "s(n,3) = (1/2) (-1)^(n-1) (n-1)! (H_{n-1}^2 - H_{n-1}^(2))",
-            ("section2",),
-            (int_axis("n", 1, 30),),
+            {"n": range(1, 31)},
             lambda n: stir(n, 3),
             lambda n: Fraction((-1) ** (n - 1) * fact(n - 1), 2) * (harm(n - 1) ** 2 - harm2(n - 1)),
         ),
-    ]
-    return ids
-
-
-def _section3() -> list[IdentityDescriptor]:
-    ids = [
-        _ident(
+    ],
+    "section3": [
+        IdentityDescriptor(
             "warmup_Hprev_over_k",
             "partial sums of H_{k-1}/k",
             "sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k - 1) / k for k in range(1, n + 1)),
             lambda n: (harm(n) ** 2 - harm2(n)) / 2,
         ),
-        _ident(
+        IdentityDescriptor(
             "warmup_sum_Hk",
             "partial sums of harmonic numbers",
             "sum_{k=1..n} H_k = (n+1) H_n - n",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k) for k in range(1, n + 1)),
             lambda n: (n + 1) * harm(n) - n,
         ),
-        _ident(
+        IdentityDescriptor(
             "warmup_fib_harmonic",
             "Fibonacci-harmonic partial sums",
             "sum_{k=1..n} H_k F_k = H_n F_{n+2} - sum_{k=1..n} F_{k+1}/k",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k) * fib(k) for k in range(1, n + 1)),
             lambda n: harm(n) * fib(n + 2) - _fsum(Fraction(fib(k + 1), k) for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_o107dby",
             "harmonic-weighted Stirling double sum",
             "sum_{k=1..n} H_k sum_{j=m..k} C(k-1,j-1) s(j,m)/j! = "
             "(1/m!) HL(n,m) H_n - (1/m!) sum_{k=1..n} HL(k-1,m)/k",
-            ("section3",),
-            (int_axis("m", 0, 4), int_axis("n", 1, 25)),
+            {"m": range(0, 5), "n": range(1, 26)},
             lambda m, n: _fsum(
                 harm(k)
                 * _fsum(comb(k - 1, j - 1) * Fraction(stir(j, m), fact(j)) for j in range(m, k + 1))
@@ -603,22 +564,20 @@ def _section3() -> list[IdentityDescriptor]:
             )
             / fact(m),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_o107dby_m1",
             "partial sums of H_k/k",
             "sum_{k=1..n} H_k/k = (H_n^2 + H_n^(2))/2",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k) / k for k in range(1, n + 1)),
             lambda n: (harm(n) ** 2 + harm2(n)) / 2,
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_o107dby_m2",
             "cubic harmonic sum via alternating Stirling weights",
             "2 sum_{k=1..n} H_k sum_{j=1..k} (-1)^j C(k-1,j-1) H_{j-1}/j = "
             "H_n^3 - H_n^(2) H_n - sum_{k=1..n} (H_{k-1}^2 - H_{k-1}^(2))/k",
-            ("section3",),
-            (int_axis("n", 1, 25),),
+            {"n": range(1, 26)},
             lambda n: 2
             * _fsum(
                 harm(k)
@@ -629,12 +588,11 @@ def _section3() -> list[IdentityDescriptor]:
             - harm2(n) * harm(n)
             - _fsum((harm(k - 1) ** 2 - harm2(k - 1)) / k for k in range(1, n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_hnp1",
             "reversed-index Stirling double sum reaching HL(n+1,m+1)",
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
-            ("section3",),
-            (int_axis("m", 1, 4), int_axis("n", 1, 25)),
+            {"m": range(1, 5), "n": range(1, 26)},
             lambda m, n: _fsum(
                 harm(k)
                 * _fsum(
@@ -645,22 +603,20 @@ def _section3() -> list[IdentityDescriptor]:
             ),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_hnp1_m1",
             "reversed-denominator harmonic sum",
             "sum_{k=1..n} H_k/(n-k+1) = H_{n+1}^2 - H_{n+1}^(2)",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k) / (n - k + 1) for k in range(1, n + 1)),
             lambda n: harm(n + 1) ** 2 - harm2(n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_hnp1_m2",
             "reversed-index alternating Stirling sum reaching HL(n+1,3)",
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
-            ("section3",),
-            (int_axis("n", 1, 25),),
+            {"n": range(1, 26)},
             lambda n: _fsum(
                 harm(k)
                 * _fsum(
@@ -674,59 +630,53 @@ def _section3() -> list[IdentityDescriptor]:
                 for k in range(1, n + 2)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "har_helper",
             "partial fraction sums 1/(k(k+p))",
             "sum_{k=1..n} 1/(k(k+p)) = H_n^(2) if p = 0 else (H_n + H_p - H_{n+p})/p",
-            ("section3",),
-            (int_axis("p", 0, 5), int_axis("n", 1, 40)),
+            {"p": range(0, 6), "n": range(1, 41)},
             lambda p, n: _fsum(Fraction(1, k * (k + p)) for k in range(1, n + 1)),
             lambda p, n: harm2(n) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
         ),
-        _ident(
+        IdentityDescriptor(
             "har_example_p0",
             "harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_k/(k(k+1)) = H_n^(2) - H_n/(n+1)",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(k) / (k * (k + 1)) for k in range(1, n + 1)),
             lambda n: harm2(n) - harm(n) / (n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "har_example_p_pos",
             "shifted harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{k+p}/(k(k+1)) = (H_n + H_p - H_{n+p})/p + H_p - H_{n+p}/(n+1)",
-            ("section3",),
-            (int_axis("p", 1, 5), int_axis("n", 1, 30)),
+            {"p": range(1, 6), "n": range(1, 31)},
             lambda p, n: _fsum(harm(k + p) / (k * (k + 1)) for k in range(1, n + 1)),
             lambda p, n: (harm(n) + harm(p) - harm(n + p)) / p + harm(p) - harm(n + p) / (n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kk1",
             "reversed harmonic-like numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} HL(n-k,m)/(k(k+1)) = HL(n,m) + HL(n,m+1) - HL(n+1,m+1)",
-            ("section3",),
-            (int_axis("m", 0, 4), int_axis("n", 1, 25)),
+            {"m": range(0, 5), "n": range(1, 26)},
             lambda m, n: _fsum(hlike(n - k, m) / Fraction(k * (k + 1)) for k in range(1, n + 1)),
             lambda m, n: hlike(n, m) + hlike(n, m + 1) - hlike(n + 1, m + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kk1_m1",
             "reversed harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{n-k}/(k(k+1)) = H_n + H_n^2 - H_n^(2) - H_{n+1}^2 + H_{n+1}^(2)",
-            ("section3",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(harm(n - k) / (k * (k + 1)) for k in range(1, n + 1)),
             lambda n: harm(n) + harm(n) ** 2 - harm2(n) - harm(n + 1) ** 2 + harm2(n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kk1_m2",
             "reversed squared-harmonic weights against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} (H_{n-k}^2 - H_{n-k}^(2))/(k(k+1)) = H_n^2 - H_n^(2) "
             "+ sum_{k=1..n} (1/k) sum_{j=1..n-k} H_{n-k-j}/j "
             "- sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
-            ("section3",),
-            (int_axis("n", 1, 25),),
+            {"n": range(1, 26)},
             lambda n: _fsum(
                 (harm(n - k) ** 2 - harm2(n - k)) / Fraction(k * (k + 1)) for k in range(1, n + 1)
             ),
@@ -741,13 +691,12 @@ def _section3() -> list[IdentityDescriptor]:
                 for k in range(1, n + 2)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kollar",
             "alternating generalized-binomial sums of Stirling steps",
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=m..k+1} C(k,j-1) s(j,m)/j! = "
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
-            ("section3",),
-            (value_axis("r", _KOLLAR_R), int_axis("m", 1, 4), int_axis("n", 1, 20)),
+            {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
             lambda r, m, n: _fsum(
                 (-1) ** k
                 * gbin(r - 1, k)
@@ -757,23 +706,21 @@ def _section3() -> list[IdentityDescriptor]:
             lambda r, m, n: (-1) ** n * gbin(r - 1, n) * hlike(n + 1, m) / fact(m)
             - _fsum((-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)) / fact(m),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kollar_m1",
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
-            ("section3",),
-            (value_axis("r", _KOLLAR_R), int_axis("n", 1, 30)),
+            {"r": _KOLLAR_R, "n": range(1, 31)},
             lambda r, n: _fsum(Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1)),
             lambda r, n: (-1) ** n * gbin(r - 1, n) * harm(n + 1)
             - _fsum((-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_kollar_m2",
             "alternating generalized-binomial sums, squared-harmonic case",
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
-            ("section3",),
-            (value_axis("r", _KOLLAR_R), int_axis("n", 1, 25)),
+            {"r": _KOLLAR_R, "n": range(1, 26)},
             lambda r, n: _fsum(
                 (-1) ** k
                 * gbin(r - 1, k)
@@ -783,42 +730,31 @@ def _section3() -> list[IdentityDescriptor]:
             lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harm2(n + 1)) / 2
             - _fsum((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harm2(k)) for k in range(n + 1)) / 2,
         ),
-    ]
-    return ids
-
-
-def _section4() -> list[IdentityDescriptor]:
-    def cw(k: int, p: int) -> Fraction:
-        # central-binomial weight C(2(k+p), k+p) C(k+p, k) / 4^k
-        return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
-
-    ids = [
-        _ident(
+    ],
+    "section4": [
+        IdentityDescriptor(
             "thm_hyphar",
             "hyperharmonic convolution lifts HL level by one",
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
-            ("section4",),
-            (int_axis("m", 0, 3), int_axis("p", 0, 5), int_axis("n", 0, 25)),
+            {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
             lambda m, p, n: _fsum(
                 comb(k + p, k) * hlike(n - k, m) * (harm(k + p) - harm(p)) for k in range(n + 1)
             ),
             lambda m, p, n: _fsum(comb(k + p, k) * hlike(n - k, m + 1) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_hyphar_m0",
             "hyperharmonic convolution, base case",
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 0, 30)),
+            {"p": range(0, 6), "n": range(0, 31)},
             lambda p, n: _fsum(comb(k + p, k) * (harm(k + p) - harm(p)) for k in range(n + 1)),
             lambda p, n: _fsum(comb(k + p, k) * harm(n - k) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_hyphar_m1",
             "hyperharmonic convolution, harmonic case",
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 0, 30)),
+            {"p": range(0, 6), "n": range(0, 31)},
             lambda p, n: _fsum(
                 comb(k + p, k) * harm(n - k) * (harm(k + p) - harm(p)) for k in range(n + 1)
             ),
@@ -826,129 +762,116 @@ def _section4() -> list[IdentityDescriptor]:
                 comb(k + p, k) * (harm(n - k) ** 2 - harm2(n - k)) for k in range(n + 1)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_1",
             "half-integer offset equals twice the odd harmonic number",
             "Hhat(n) = 2 O_n  [difference form of H_{n-1/2} - H_{-1/2} = 2 O_n]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n),
             lambda n: 2 * oddh(n),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_2",
             "offset from the half point",
             "Hhat(n) - Hhat(1) = 2 (O_n - 1)  [H_{n-1/2} - H_{1/2} = 2 (O_n - 1)]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n) - hoff(1),
             lambda n: 2 * (oddh(n) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_3",
             "shifted offset equals twice the next odd harmonic number",
             "Hhat(n+1) = 2 O_{n+1}  [H_{n+1/2} - H_{-1/2} = 2 O_{n+1}]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n + 1),
             lambda n: 2 * oddh(n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_4",
             "shifted offset from the half point",
             "Hhat(n+1) - Hhat(1) = 2 (O_{n+1} - 1)  [H_{n+1/2} - H_{1/2} = 2 (O_{n+1} - 1)]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n + 1) - hoff(1),
             lambda n: 2 * (oddh(n + 1) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_5",
             "single half-integer step",
             "Hhat(n+1) - Hhat(n) = 2/(2n+1)  [H_{n+1/2} - H_{n-1/2} = 2/(2n+1)]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n + 1) - hoff(n),
             lambda n: Fraction(2, 2 * n + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_6",
             "offset from the minus-three-halves point",
             "Hhat(n) - 2 = 2 (O_n - 1)  [H_{n-1/2} - H_{-3/2} = 2 (O_n - 1), step H_{-1/2} - H_{-3/2} = -2]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n) - 2,
             lambda n: 2 * (oddh(n) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "czxfdu7_7",
             "shifted offset from the minus-three-halves point",
             "Hhat(n+1) - 2 = 2 (O_{n+1} - 1)  [H_{n+1/2} - H_{-3/2} = 2 (O_{n+1} - 1)]",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: hoff(n + 1) - 2,
             lambda n: 2 * (oddh(n + 1) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "lemma_m2jjbl5",
             "half-integer hyperharmonic, central-binomial vs binomial route",
             "HHalf(r,p) = C(r+p-1/2, r) (Hhat(r+p) - Hhat(p)) "
             "= 2^(1-2r) C(2p,p)^-1 C(2(r+p), r+p) C(r+p, r) (O_{r+p} - O_p)",
-            ("section4",),
-            (int_axis("r", 0, 15), int_axis("p", 0, 15)),
+            {"r": range(0, 16), "p": range(0, 16)},
             lambda r, p: hyph(r, p),
             lambda r, p: gbin(Fraction(2 * (r + p) - 1, 2), r) * (hoff(r + p) - hoff(p)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_suzj3to",
             "partial sums of half-integer hyperharmonic numbers",
             "sum_{k=1..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(1/2^(2n+1)) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
-            ("section4",),
-            (int_axis("p", 0, 20), int_axis("n", 0, 20)),
-            lambda p, n: _fsum(cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
+            {"p": range(0, 21), "n": range(0, 21)},
+            lambda p, n: _fsum(_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 2 * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(p + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "oklok93",
             "central-binomial odd-harmonic partial sums",
             "sum_{k=1..n} (O_k/4^k) C(2k,k) = ((n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1)",
-            ("section4",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * oddh(k) for k in range(1, n + 1)),
             lambda n: Fraction(n + 1, 2 * 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_odd_id1",
             "central-binomial convolution lifts HL level by one",
             "sum_{k=0..n} C(2k,k) O_k HL(n-k,m)/4^k = (1/2) sum_{k=0..n} C(2k,k) HL(n-k,m+1)/4^k",
-            ("section4",),
-            (int_axis("m", 0, 3), int_axis("n", 0, 25)),
+            {"m": range(0, 4), "n": range(0, 26)},
             lambda m, n: _fsum(
                 Fraction(comb(2 * k, k), 4**k) * oddh(k) * hlike(n - k, m) for k in range(n + 1)
             ),
             lambda m, n: Fraction(1, 2)
             * _fsum(Fraction(comb(2 * k, k), 4**k) * hlike(n - k, m + 1) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_odd_id1_m0",
             "central-binomial convolution, base case",
             "sum_{k=0..n} C(2k,k) O_k/4^k = (1/2) sum_{k=0..n} C(2k,k) H_{n-k}/4^k",
-            ("section4",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * oddh(k) for k in range(n + 1)),
             lambda n: Fraction(1, 2)
             * _fsum(Fraction(comb(2 * k, k), 4**k) * harm(n - k) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_odd_id1_m1",
             "central-binomial convolution, harmonic case",
             "sum_{k=0..n} C(2k,k) O_k H_{n-k}/4^k = (1/2) sum_{k=0..n} C(2k,k) (H_{n-k}^2 - H_{n-k}^(2))/4^k",
-            ("section4",),
-            (int_axis("n", 0, 30),),
+            {"n": range(0, 31)},
             lambda n: _fsum(
                 Fraction(comb(2 * k, k), 4**k) * oddh(k) * harm(n - k) for k in range(n + 1)
             ),
@@ -958,59 +881,54 @@ def _section4() -> list[IdentityDescriptor]:
                 for k in range(n + 1)
             ),
         ),
-        _ident(
+        IdentityDescriptor(
             "tb6ik5l",
             "central-binomial harmonic convolution in closed form",
             "sum_{k=0..n} C(2k,k) H_{n-k}/4^k = ((n+1)/4^n) C(2(n+1),n+1) (O_{n+1} - 1)",
-            ("section4",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * harm(n - k) for k in range(n + 1)),
             lambda n: Fraction(n + 1, 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_general_p",
             "weighted central-binomial convolution lifts HL level by one",
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m) (O_{k+p} - O_p) = "
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
-            ("section4",),
-            (int_axis("m", 0, 3), int_axis("p", 0, 4), int_axis("n", 0, 20)),
+            {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
             lambda m, p, n: _fsum(
-                cw(k, p) * hlike(n - k, m) * (oddh(k + p) - oddh(p)) for k in range(n + 1)
+                _cw(k, p) * hlike(n - k, m) * (oddh(k + p) - oddh(p)) for k in range(n + 1)
             ),
             lambda m, p, n: Fraction(1, 2)
-            * _fsum(cw(k, p) * hlike(n - k, m + 1) for k in range(n + 1)),
+            * _fsum(_cw(k, p) * hlike(n - k, m + 1) for k in range(n + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_general_p_m0",
             "weighted central-binomial harmonic convolution in closed form",
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) H_{n-k} = "
             "(1/4^n) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 0, 25)),
-            lambda p, n: _fsum(cw(k, p) * harm(n - k) for k in range(n + 1)),
+            {"p": range(0, 6), "n": range(0, 26)},
+            lambda p, n: _fsum(_cw(k, p) * harm(n - k) for k in range(n + 1)),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(p + 1)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_xld8bhi",
             "index-weighted hyperharmonic partial sums",
             "sum_{k=1..n} k HH(k,p) = n HH(n,p+1) - HH(n-1,p+2)",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 1, 30)),
+            {"p": range(0, 6), "n": range(1, 31)},
             lambda p, n: _fsum(k * hyp(k, p) for k in range(1, n + 1)),
             lambda p, n: n * hyp(n, p + 1) - hyp(n - 1, p + 2),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_k_weighted_half",
             "index-weighted half-integer hyperharmonic partial sums",
             "sum_{k=1..n} (k/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(n/4^n) C(2(p+1),p+1)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1}) "
             "- (4/4^n) C(2(p+2),p+2)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n-1) (O_{n+p+1} - O_{p+2})",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 1, 25)),
-            lambda p, n: _fsum(k * cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
+            {"p": range(0, 6), "n": range(1, 26)},
+            lambda p, n: _fsum(k * _cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
             lambda p, n: Fraction(n * comb(2 * p, p), 4**n * comb(2 * (p + 1), p + 1))
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1020,13 +938,12 @@ def _section4() -> list[IdentityDescriptor]:
             * comb(n + p + 1, n - 1)
             * (oddh(n + p + 1) - oddh(p + 2)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_k_weighted_half_p0",
             "index-weighted central-binomial odd-harmonic sums",
             "sum_{k=1..n} (k/4^k) C(2k,k) O_k = (n(n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1) "
             "- (n(n+1)/(3*4^n)) C(2(n+1),n+1) (O_{n+1} - 4/3)",
-            ("section4",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: _fsum(
                 Fraction(k * comb(2 * k, k), 4**k) * oddh(k) for k in range(1, n + 1)
             ),
@@ -1037,14 +954,13 @@ def _section4() -> list[IdentityDescriptor]:
             * comb(2 * (n + 1), n + 1)
             * (oddh(n + 1) - Fraction(4, 3)),
         ),
-        _ident(
+        IdentityDescriptor(
             "thm_yycg1tg",
             "odd-harmonic difference sums with inverse central-binomial weights",
             "sum_{k=1..n} C(2k,k)^-1 C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_k) = "
             "(1/4) C(2n,n)^-1 C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_n) "
             "- (1/4) C(2(p+1),p+1) O_{p+1}",
-            ("section4",),
-            (int_axis("p", 0, 5), int_axis("n", 1, 25)),
+            {"p": range(0, 6), "n": range(1, 26)},
             lambda p, n: _fsum(
                 Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k))
                 * (oddh(k + p) - oddh(k))
@@ -1055,38 +971,21 @@ def _section4() -> list[IdentityDescriptor]:
             * (oddh(n + p + 1) - oddh(n))
             - Fraction(comb(2 * (p + 1), p + 1), 4) * oddh(p + 1),
         ),
-        _ident(
+        IdentityDescriptor(
             "odd_even_split",
             "harmonic number at an even index",
             "H_{2n} = (1/2) H_n + O_n",
-            ("section4",),
-            (int_axis("n", 0, 40),),
+            {"n": range(0, 41)},
             lambda n: harm(2 * n),
             lambda n: harm(n) / 2 + oddh(n),
         ),
-        _ident(
+        IdentityDescriptor(
             "odd_even_split_offset",
             "harmonic number at an odd index",
             "H_{2n-1} = (1/2) H_{n-1} + O_n",
-            ("section4",),
-            (int_axis("n", 1, 40),),
+            {"n": range(1, 41)},
             lambda n: harm(2 * n - 1),
             lambda n: harm(n - 1) / 2 + oddh(n),
         ),
-    ]
-    return ids
-
-
-_KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
-
-
-def _build_registry() -> dict[str, IdentityDescriptor]:
-    registry: dict[str, IdentityDescriptor] = {}
-    for desc in _section1() + _section2() + _section3() + _section4():
-        if desc.id in registry:
-            raise ValueError(f"duplicate identity id: {desc.id}")
-        registry[desc.id] = desc
-    return registry
-
-
-_REGISTRY = _build_registry()
+    ],
+})

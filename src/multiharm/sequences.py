@@ -374,38 +374,24 @@ def lucas(n: int) -> int:
 @dataclass(frozen=True)
 class _Family:
     name: str
-    params: tuple[str, ...]
     evaluate: Callable[..., Fraction | int]
-    validate: Callable[[Mapping[str, int]], str | None] = lambda params: None
-
-
-def _require_nonneg(key: str) -> Callable[[Mapping[str, int]], str | None]:
-    def check(params: Mapping[str, int]) -> str | None:
-        if params[key] < 0:
-            return f"parameter {key} must be >= 0"
-        return None
-
-    return check
+    #: The family's parameters, each with the smallest value it accepts.
+    minimum: Mapping[str, int] = field(default_factory=dict)
 
 
 _FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
-        _Family("harmonic", (), harmonic),
-        _Family(
-            "harmonic_order",
-            ("r",),
-            harmonic_order,
-            lambda p: None if p["r"] >= 1 else "parameter r must be >= 1",
-        ),
-        _Family("odd_harmonic", (), odd_harmonic),
-        _Family("harmonic_like", ("m",), harmonic_like, _require_nonneg("m")),
-        _Family("stirling1", ("k",), stirling1, _require_nonneg("k")),
-        _Family("hyperharmonic", ("p",), hyperharmonic, _require_nonneg("p")),
-        _Family("hyperharmonic_half", ("p",), hyperharmonic_half, _require_nonneg("p")),
-        _Family("fibonacci", (), fibonacci),
-        _Family("lucas", (), lucas),
-        _Family("half_harmonic_offset", (), half_harmonic_offset),
+        _Family("harmonic", harmonic),
+        _Family("harmonic_order", harmonic_order, {"r": 1}),
+        _Family("odd_harmonic", odd_harmonic),
+        _Family("harmonic_like", harmonic_like, {"m": 0}),
+        _Family("stirling1", stirling1, {"k": 0}),
+        _Family("hyperharmonic", hyperharmonic, {"p": 0}),
+        _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}),
+        _Family("fibonacci", fibonacci),
+        _Family("lucas", lucas),
+        _Family("half_harmonic_offset", half_harmonic_offset),
     )
 }
 
@@ -433,19 +419,18 @@ class SeqSpec:
                 f"unknown sequence family {self.family!r}; known: {', '.join(FAMILY_NAMES)}"
             )
         object.__setattr__(self, "params", dict(self.params))
-        missing = [p for p in fam.params if p not in self.params]
-        extra = [p for p in self.params if p not in fam.params]
+        missing = [p for p in fam.minimum if p not in self.params]
+        extra = [p for p in self.params if p not in fam.minimum]
         if missing:
             raise ValueError(f"family {self.family!r} requires parameter(s): {', '.join(missing)}")
         if extra:
             raise ValueError(f"family {self.family!r} does not take: {', '.join(extra)}")
-        problem = fam.validate(self.params)
-        if problem:
-            raise ValueError(f"family {self.family!r}: {problem}")
+        for key, low in fam.minimum.items():
+            if self.params[key] < low:
+                raise ValueError(f"family {self.family!r}: parameter {key} must be >= {low}")
 
     def evaluate(self, n: int) -> Fraction | int:
-        fam = _FAMILIES[self.family]
-        return fam.evaluate(n, **{k: self.params[k] for k in fam.params})
+        return _FAMILIES[self.family].evaluate(n, **self.params)
 
 
 def clear_caches() -> None:

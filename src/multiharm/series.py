@@ -77,14 +77,6 @@ class TruncatedSeries:
     def zero(cls, order: int) -> TruncatedSeries:
         return cls.constant(0, order)
 
-    @classmethod
-    def monomial(cls, coeff: RationalLike, degree: int, order: int) -> TruncatedSeries:
-        if degree > order:
-            return cls.zero(order)
-        c = [0] * (order + 1)
-        c[degree] = coeff
-        return cls(c)
-
     # -- basic protocol ------------------------------------------------------
 
     @property

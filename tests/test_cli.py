@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multiharm import cli, identities
-from multiharm.identities import IdentityDescriptor, int_axis
+from multiharm.identities import IdentityDescriptor
 
 
 def run(capsys, *argv):
@@ -53,10 +53,19 @@ def test_seq_decimal_adds_a_column_without_replacing_exact(capsys):
     assert lines[3].startswith("2,3/2,1.5")
 
 
-def test_decimal_below_one_is_a_usage_error(capsys):
+def test_decimal_at_the_ceiling_is_accepted(capsys):
+    code, out = run(capsys, "seq", "--family", "harmonic", "--n", "3", "--decimal", str(cli.DECIMAL_MAX))
+    assert code == 0
+    assert out.splitlines()[-1] == "3,11/6,1." + "8" + "3" * (cli.DECIMAL_MAX - 2)
+
+
+def test_decimal_below_one_is_a_usage_error(capsys, monkeypatch):
+    # above DECIMAL_MAX: an OverflowError and a MemoryError traceback before the
+    # ceiling; the refusal must come before any Decimal work
+    monkeypatch.setattr(cli, "_approx", lambda value, digits: pytest.fail("Decimal work ran"))
     for argv in (("seq", "--family", "harmonic", "--n", "2"),
                  ("transform", "--family", "harmonic", "--n", "2")):
-        for digits in ("0", "-1"):
+        for digits in ("0", "-1", str(cli.DECIMAL_MAX + 1), "99999999999999999999", "1000000000000"):
             code = cli.main([*argv, "--decimal", digits])
             captured = capsys.readouterr()
             assert code == 2
@@ -131,8 +140,7 @@ def test_verify_failure_sets_exit_one(capsys, monkeypatch):
         id="zz_broken_fixture",
         title="broken on purpose",
         anchor="n = n + 1",
-        tags=("fixture",),
-        axes=(int_axis("n", 1, 5),),
+        grid={"n": range(1, 6)},
         lhs=lambda n: Fraction(n),
         rhs=lambda n: Fraction(n + 1),
     )

@@ -7,7 +7,6 @@ from multiharm import identities
 from multiharm.identities import (
     IdentityDescriptor,
     UnknownIdentityError,
-    int_axis,
     registry_catalog,
     registry_tags,
     telescope_harmonic_check,
@@ -61,7 +60,7 @@ def test_catalog_is_complete_and_well_formed():
     assert all(anchor for _, anchor, _ in catalog)
     assert all(grid for _, _, grid in catalog)
     assert REQUIRED_IDS <= set(ids)
-    assert {"section2", "section3", "section4"} <= set(registry_tags())
+    assert registry_tags() == ("section1", "section2", "section3", "section4")
 
 
 def test_catalog_listing_is_stable():
@@ -73,6 +72,27 @@ def test_verify_identity_grid_cardinality():
     assert report.passed
     assert report.cases == 21 * 6 == 126
     assert report.first_failure is None
+
+
+def test_grid_text_for_each_axis_kind():
+    text = {ident: grid for ident, _, grid in registry_catalog()}
+    assert text["cor_id1"] == "m=0..5; n=0..25"
+    assert text["thm_kollar"] == "(r) in {3, 1/2, 5/2, -2/3}; m=1..4; n=1..20"
+    assert text["main_id1"] == (
+        "(a, b) in {(1, 1), (-1, 1), (2, 1), (1, 2), (1/2, -1/3), (3, -2), (0, 1), (1, 0)}; "
+        "m=0..4; n=0..25"
+    )
+
+
+def test_overrides_change_only_range_axes():
+    # thm_kollar: 4 listed r values, m = 1..2, n = 1..3
+    assert verify_identity("thm_kollar", {"n": 3, "m": 2}).cases == 4 * 2 * 3
+    # main_id1: 8 joint (a, b) pairs, m = 0..1, n = 0..2
+    assert verify_identity("main_id1", {"n": 2, "m": 1}).cases == 8 * 2 * 3
+    # a listed axis ignores an override of the same name
+    assert verify_identity("thm_kollar", {"r": 0, "n": 1, "m": 1}).cases == 4
+    binding = next(identities.get_identity("main_id1").bindings())
+    assert binding == {"a": F(1), "b": F(1), "m": 0, "n": 0}
 
 
 def test_verify_identity_unknown_id():
@@ -101,8 +121,7 @@ def test_corrupted_evaluator_reports_smallest_failure():
         id="corrupted_fixture",
         title="broken on purpose",
         anchor="sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2 + [n>=3]/7",
-        tags=("fixture",),
-        axes=(int_axis("n", 1, 10),),
+        grid={"n": range(1, 11)},
         lhs=lambda n: sum((harmonic(k - 1) / k for k in range(1, n + 1)), F(0)),
         rhs=lambda n: (harmonic(n) ** 2 - harmonic_order(n, 2)) / 2
         + (F(1, 7) if n >= 3 else 0),

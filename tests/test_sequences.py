@@ -218,6 +218,19 @@ def test_hyperharmonic_half_two_routes_agree():
             assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(0, 200), st.integers(0, 200)).filter(lambda rp: max(rp) > 15)
+)
+@example((16, 16))
+@example((200, 0))
+@example((1, 200))
+@example((200, 200))
+def test_hyperharmonic_half_routes_agree_past_the_registry_grid(rp):
+    r, p = rp
+    assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p)
+
+
 def test_hyperharmonic_half_ladder_relations():
     # the half-integer family obeys the same ladder recurrences as the
     # integer-order family: partial sums raise the order by one, and the

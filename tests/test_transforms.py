@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiharm.sequences import harmonic, harmonic_like, stirling1
 from multiharm.transforms import (
@@ -83,6 +83,28 @@ def test_specializations_match_closed_form_smoke_grid():
             assert binomial_sum_m1(a, b, n) == binomial_sum_closed(a, b, 1, n)
             assert binomial_sum_m2(a, b, n) == binomial_sum_closed(a, b, 2, n)
             assert binomial_sum_m3(a, b, n) == binomial_sum_closed(a, b, 3, n)
+
+
+_SCALARS = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(_SCALARS, _SCALARS).filter(lambda ab: ab not in AB_FIXTURES),
+    st.integers(0, 4),
+    st.integers(0, 12),
+)
+@example((F(1, 2), F(-1, 2)), 4, 12)  # a + b = 0
+@example((F(0), F(-5, 3)), 3, 12)  # a = 0
+@example((F(-7, 9), F(0)), 2, 12)  # b = 0
+@example((F(7), F(7)), 4, 12)
+def test_routes_agree_off_the_fixture_pairs(ab, m, n):
+    a, b = ab
+    direct = binomial_sum_direct(a, b, m, n)
+    assert binomial_sum_closed(a, b, m, n) == direct
+    specialization = {1: binomial_sum_m1, 2: binomial_sum_m2, 3: binomial_sum_m3}.get(m)
+    if specialization is not None:
+        assert specialization(a, b, n) == direct
 
 
 def test_signed_transform_spot_values():
