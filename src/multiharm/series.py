@@ -66,16 +66,8 @@ class TruncatedSeries:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def constant(cls, value: RationalLike, order: int) -> TruncatedSeries:
-        return cls((value,) + (0,) * order)
-
-    @classmethod
     def one(cls, order: int) -> TruncatedSeries:
-        return cls.constant(1, order)
-
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls.constant(0, order)
+        return cls((1,) + (0,) * order)
 
     # -- basic protocol ------------------------------------------------------
 

@@ -1,10 +1,13 @@
+import argparse
+import contextlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from multiharm import cli, identities
+from multiharm import cli, identities, series
 from multiharm.identities import IdentityDescriptor
 
 
@@ -118,6 +121,15 @@ def test_verify_empty_grid_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "no cases to check for" in captured.err
+
+
+def test_verify_bound_on_a_missing_axis_is_usage_error(capsys):
+    # cor_id1 has no p axis, so --p-max would bound nothing
+    code = cli.main(["verify", "--id", "cor_id1", "--p-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cor_id1 has no integer axis for --p-max" in captured.err
 
 
 def test_verify_tag_filter(capsys):
@@ -245,3 +257,107 @@ def test_verify_output_is_deterministic(capsys):
     code2, out2 = run(capsys, "verify", "--tag", "section1")
     assert code1 == code2 == 0
     assert strip(out1) == strip(out2)
+
+
+#: One valid command per subcommand mode; every option the parser declares on
+#: that subcommand is added to it in turn.
+BASE_COMMANDS = {
+    "seq": ["seq", "--family", "harmonic_like", "--m", "2", "--n", "3"],
+    "verify": ["verify", "--id", "thm_hyphar", "--n-max", "3"],
+    "gf-check": ["gf-check", "--family", "harmonic_like", "--m", "2", "--order", "3"],
+    "gf-check odd_central": ["gf-check", "--family", "odd_central", "--order", "3"],
+    "transform --family": ["transform", "--family", "harmonic_like", "--m", "2", "--n", "3"],
+    "transform --a/--b": ["transform", "--a", "1/2", "--b", "1/3", "--m", "2", "--n", "3"],
+}
+
+#: A value for each option, different from any the base commands use.
+OPTION_VALUES = {
+    "--family": ["harmonic"], "--n": ["4"], "--order": ["4"], "--m": ["1"], "--k": ["1"],
+    "--p": ["2"], "--r": ["2"], "--format": ["json"], "--decimal": ["5"], "--signed": [],
+    "--a": ["1"], "--b": ["2"], "--id": ["cor_id1"], "--tag": ["section1"],
+    "--n-max": ["2"], "--m-max": ["1"], "--p-max": ["1"], "--output": None,
+}
+
+
+def _declared_options():
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for mode, base in BASE_COMMANDS.items():
+        for action in subcommands.choices[base[0]]._actions:
+            if action.option_strings and action.dest != "help":
+                yield pytest.param(base, action.option_strings[0], id=f"{mode} {action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("base, option", _declared_options())
+def test_every_declared_option_changes_the_output_or_exits_two(tmp_path, capsys, base, option):
+    strip = lambda text: re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', text)
+    code, out = run(capsys, *base)
+    assert code == 0
+    values = OPTION_VALUES[option]
+    if values is None:
+        values = [str(tmp_path / "out.txt")]
+    code_with, out_with = run(capsys, *base, option, *values)
+    assert code_with == 2 or (code_with == 0 and strip(out_with) != strip(out))
+
+
+@pytest.mark.parametrize("b", [["--b", "-1/3"], ["--b=-1/3"]])
+def test_negative_fraction_spellings_are_equivalent(capsys, b):
+    code, out = run(capsys, "transform", "--a", "1/2", *b, "--m", "3", "--n", "9")
+    assert code == 0
+    assert out == "n,value\n9,3421/34836480\n"
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_exact_output_has_no_digit_ceiling(tmp_path, capsys):
+    # F_21000 has 4389 digits, past CPython's default 4300-digit str() guard
+    target = tmp_path / "fib.csv"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, _ = run(capsys, "seq", "--family", "fibonacci", "--n", "21000", "--output", str(target))
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+    a, b = 0, 1
+    for _ in range(21000):
+        a, b = b, a + b
+    with no_digit_limit():
+        expected = f"21000,{a}"
+    assert target.read_text().splitlines()[-1] == expected
+
+
+def test_verify_mismatch_of_huge_values_exits_one(capsys, monkeypatch):
+    huge = IdentityDescriptor(
+        id="zz_huge_fixture",
+        title="a mismatch past the 4300-digit str() guard",
+        anchor="10^5000 = 10^5000 + n",
+        grid={"n": range(1, 3)},
+        lhs=lambda n: 10**5000,
+        rhs=lambda n: 10**5000 + n,
+    )
+    monkeypatch.setitem(identities._REGISTRY, huge.id, huge)
+    code, out = run(capsys, "verify", "--id", "zz_huge_fixture")
+    assert code == 1
+    failure = json.loads(out)[0]["first_failure"]
+    assert failure["lhs"] == "1" + "0" * 5000
+    assert failure["rhs"] == "1" + "0" * 4999 + "1"
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(m, order):
+        raise MemoryError
+
+    monkeypatch.setattr(series, "gf_harmonic_like", exhausted)
+    code = cli.main(["gf-check", "--family", "harmonic_like", "--m", "4", "--order", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"

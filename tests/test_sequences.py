@@ -89,6 +89,16 @@ def test_harmonic_like_recurrence_convolution_and_gf_agree():
             assert harmonic_like_convolution(n, m) == harmonic_like(n, m), (n, m)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 10))
+@example(60, 10)
+@example(3, 7)
+def test_harmonic_like_routes_agree_past_the_grid(n, m):
+    # the convolution recomputes its O(m n^2) table on every call, which
+    # keeps n small; the grid above compares it at n in {0, 1, 2, 7, 120}
+    assert harmonic_like_convolution(n, m) == harmonic_like(n, m)
+
+
 def test_harmonic_like_matches_stirling_column():
     # n! HL(n, m) = m! |s(n+1, m+1)|; both sides come from separate tables
     for m in range(6):
@@ -160,6 +170,16 @@ def test_hyperharmonic_recurrence_equals_closed_form():
             if p == 0 and n == 0:
                 continue
             assert hyperharmonic(n, p) == hyperharmonic_closed(n, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 300), st.integers(0, 300)).filter(lambda case: case[0] > 40 or case[1] > 8))
+@example((41, 0))
+@example((0, 300))
+@example((300, 300))
+def test_hyperharmonic_routes_agree_past_the_grid(case):
+    n, p = case
+    assert hyperharmonic(n, p) == hyperharmonic_closed(n, p)
 
 
 def test_hyperharmonic_high_order_does_not_recurse():
