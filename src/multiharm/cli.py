@@ -20,11 +20,13 @@ never instead of it, with D from 1 to ``DECIMAL_MAX`` (10000) digits.  Exit
 status is 0 on success and 1 only when ``verify`` or ``gf-check`` found a
 mismatch.  Every refusal exits 2 with one ``error:`` line on stderr: a usage
 or domain error, an option the chosen mode does not read, a ``--decimal``
-outside its range, an ``--output`` file that cannot be written, and running
-out of memory.  A ``verify`` run that would pass without checking anything is
-refused too: a tag no identity carries, a grid bound on an axis the ``--id``
-identity lacks, or bounds that leave an identity with zero cases (the
-library's ``verify_all`` still returns ``[]`` for an unknown tag).  If
+outside its range, an ``--output`` file that cannot be written, a parameter
+too large for the stdlib's integer routines (``OverflowError``, for example
+from ``math.comb`` or ``math.factorial``), and running out of memory.  A
+``verify`` run that would pass without checking anything is refused too: a
+tag no identity carries, a grid bound on an axis the ``--id`` identity
+lacks, or bounds that leave an identity with zero cases (the library's
+``verify_all`` still returns ``[]`` for an unknown tag).  If
 ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are resolved
 against it.
 """
@@ -248,7 +250,7 @@ def _run(argv: Sequence[str]) -> int:
             if vars(args).get(name, 0) < 0:
                 raise ValueError(f"--{name} must be >= 0")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -15,13 +15,15 @@ exists it is exposed as a separate function so the two can be cross-checked:
 * ``hyperharmonic_half`` (central-binomial form) vs
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
-The memo tables of the primary routes grow in place, one index at a time;
-none of them reads another family's table, the kernels or the series layer,
-so each cross-check compares independent computations.
+Every cached family but Fibonacci and Lucas (two-term recurrences, one plain
+list each) has its own ``_LevelTable``.  The tables grow in place, one index
+at a time; none of them reads another family's table, the kernels or the
+series layer, so each cross-check compares independent computations.
 
-All caches are module-level, guarded by one re-entrant lock, and transparent:
-a warm cache returns exactly what a cold recomputation would.  Values are
-immutable, so concurrent use never changes any returned value.
+All caches are module-level, guarded by one re-entrant lock that the table
+type takes itself, and transparent: a warm cache returns exactly what a
+cold recomputation would.  Values are immutable, so concurrent use never
+changes any returned value.
 """
 
 from __future__ import annotations
@@ -51,67 +53,7 @@ def _check_index(n: int, name: str = "n") -> None:
 
 
 # ---------------------------------------------------------------------------
-# harmonic numbers and relatives
-
-
-_harmonic: list[Fraction] = [_ZERO]
-_harmonic_order: dict[int, list[Fraction]] = {}
-_odd_harmonic: list[Fraction] = [_ZERO]
-_half_offset: list[Fraction] = [_ZERO]
-
-
-def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-    _check_index(n)
-    with _lock:
-        while len(_harmonic) <= n:
-            k = len(_harmonic)
-            _harmonic.append(_harmonic[-1] + Fraction(1, k))
-        return _harmonic[n]
-
-
-def harmonic_order(n: int, r: int) -> Fraction:
-    """Order-r harmonic number: sum of 1/k^r for k = 1..n."""
-    _check_index(n)
-    if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
-    if r == 1:
-        return harmonic(n)
-    with _lock:
-        lst = _harmonic_order.setdefault(r, [_ZERO])
-        while len(lst) <= n:
-            k = len(lst)
-            lst.append(lst[-1] + Fraction(1, k**r))
-        return lst[n]
-
-
-def odd_harmonic(n: int) -> Fraction:
-    """O_n = sum of 1/(2k-1) for k = 1..n, with O_0 = 0."""
-    _check_index(n)
-    with _lock:
-        while len(_odd_harmonic) <= n:
-            k = len(_odd_harmonic)
-            _odd_harmonic.append(_odd_harmonic[-1] + Fraction(1, 2 * k - 1))
-        return _odd_harmonic[n]
-
-
-def half_harmonic_offset(n: int) -> Fraction:
-    """Half-integer harmonic offset: sum of 1/(k - 1/2) for k = 1..n.
-
-    This is the difference of harmonic values at n - 1/2 and at -1/2; only
-    such differences are rational, and they are all this package ever needs.
-    Each step adds the exact term 1/(k - 1/2) = 2/(2k - 1).
-    """
-    _check_index(n)
-    with _lock:
-        while len(_half_offset) <= n:
-            k = len(_half_offset)
-            _half_offset.append(_half_offset[-1] + Fraction(2, 2 * k - 1))
-        return _half_offset[n]
-
-
-# ---------------------------------------------------------------------------
-# two-index recurrence tables
+# the memo-table type
 
 
 class _LevelTable:
@@ -121,13 +63,15 @@ class _LevelTable:
     ``base(i)``; every level j >= 1 starts at index 0 with ``start`` and
     continues by ``step(j, i, left, below)``, where ``left`` is the entry at
     index i - 1 of level j and ``below`` is level j - 1, already grown at
-    least to index i.
+    least to index i.  A one-index partial sum is such a table with the
+    terms on level 0 and the sums on level 1 (see :func:`_partial_sums`).
 
     Levels may differ in length, but each one is always a correct prefix:
     a value is appended only once it is fully computed, and lower levels
     grow first.  A fill interrupted part-way (for example by MemoryError)
     therefore leaves the table consistent, and growing by one index costs
-    one ``step`` per level instead of a recomputation.
+    one ``step`` per level instead of a recomputation.  :meth:`value` holds
+    the module lock; :func:`clear_caches` holds it around :meth:`clear`.
     """
 
     def __init__(
@@ -146,10 +90,11 @@ class _LevelTable:
         del self.levels[0][1:]
 
     def value(self, i: int, j: int) -> Fraction | int:
-        levels = self.levels
-        if j >= len(levels) or i >= len(levels[j]):
-            self._grow(i + 1, j)
-        return levels[j][i]
+        with _lock:
+            levels = self.levels
+            if j >= len(levels) or i >= len(levels[j]):
+                self._grow(i + 1, j)
+            return levels[j][i]
 
     def _grow(self, size: int, top: int) -> None:
         levels, step = self.levels, self.step
@@ -164,6 +109,61 @@ class _LevelTable:
             for i in range(len(level), size):
                 left = step(j, i, left, below)
                 level.append(left)
+
+
+def _partial_sum_step(j: int, n: int, left: Fraction, below: list) -> Fraction:
+    return left + below[n]
+
+
+def _partial_sums(term: Callable[[int], Fraction]) -> _LevelTable:
+    # index 0 of level 0 is never read: value(1, j) = value(0, j) + value(1, j-1)
+    return _LevelTable(lambda k: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
+
+
+# ---------------------------------------------------------------------------
+# harmonic numbers and relatives
+
+
+_harmonic = _partial_sums(lambda k: Fraction(1, k))
+_harmonic_order: dict[int, _LevelTable] = {}
+_odd_harmonic = _partial_sums(lambda k: Fraction(1, 2 * k - 1))
+_half_offset = _partial_sums(lambda k: Fraction(2, 2 * k - 1))
+
+
+def harmonic(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
+    _check_index(n)
+    return _harmonic.value(n, 1)
+
+
+def harmonic_order(n: int, r: int) -> Fraction:
+    """Order-r harmonic number: sum of 1/k^r for k = 1..n."""
+    _check_index(n)
+    if r < 1:
+        raise ValueError(f"order r must be >= 1, got {r}")
+    if r == 1:
+        return harmonic(n)
+    table = _harmonic_order.get(r)
+    if table is None:
+        table = _harmonic_order.setdefault(r, _partial_sums(lambda k: Fraction(1, k**r)))
+    return table.value(n, 1)
+
+
+def odd_harmonic(n: int) -> Fraction:
+    """O_n = sum of 1/(2k-1) for k = 1..n, with O_0 = 0."""
+    _check_index(n)
+    return _odd_harmonic.value(n, 1)
+
+
+def half_harmonic_offset(n: int) -> Fraction:
+    """Half-integer harmonic offset: sum of 1/(k - 1/2) for k = 1..n.
+
+    This is the difference of harmonic values at n - 1/2 and at -1/2; only
+    such differences are rational, and they are all this package ever needs.
+    Each step adds the exact term 1/(k - 1/2) = 2/(2k - 1).
+    """
+    _check_index(n)
+    return _half_offset.value(n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,7 @@ def harmonic_like(n: int, m: int) -> Fraction:
     _check_index(m, "m")
     if m > n:
         return _ZERO
-    with _lock:
-        return _hlike.value(n, m)
+    return _hlike.value(n, m)
 
 
 def harmonic_like_convolution(n: int, m: int) -> Fraction:
@@ -214,21 +213,21 @@ def harmonic_like_convolution(n: int, m: int) -> Fraction:
 BRUTE_FORCE_CEILING = 2_000_000
 
 
-def harmonic_like_bruteforce(n: int, m: int, ceiling: int = BRUTE_FORCE_CEILING) -> Fraction:
+def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
     """Independent oracle for :func:`harmonic_like`: the literal composition sum.
 
     Enumerates every m-tuple of positive integers with component sum <= n
     (there are C(n, m) of them) and adds the exact reciprocal products.
     Refuses with :class:`FeasibilityError` when the tuple count exceeds
-    ``ceiling``.
+    :data:`BRUTE_FORCE_CEILING`, read at call time.
     """
     _check_index(n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     count = binomial(n, m)
-    if count > ceiling:
+    if count > BRUTE_FORCE_CEILING:
         raise FeasibilityError(
-            f"{count} tuples for (n={n}, m={m}) exceeds the ceiling of {ceiling}"
+            f"{count} tuples for (n={n}, m={m}) exceeds the ceiling of {BRUTE_FORCE_CEILING}"
         )
     total = _ZERO
     for s in range(m, n + 1):
@@ -269,20 +268,14 @@ def stirling1(n: int, k: int) -> int:
     _check_index(k, "k")
     if k > n:
         return 0
-    with _lock:
-        return _stirling.value(n, k)
+    return _stirling.value(n, k)
 
 
 # ---------------------------------------------------------------------------
 # hyperharmonic numbers
 
 
-def _hyperharmonic_step(p: int, n: int, left: Fraction, below: list) -> Fraction:
-    return left + below[n]
-
-
-# index 0 of level 0 is never read: value(1, p) = value(0, p) + value(1, p-1)
-_hyper = _LevelTable(lambda n: Fraction(1, n) if n else _ZERO, _ZERO, _hyperharmonic_step)
+_hyper = _partial_sums(lambda n: Fraction(1, n))
 
 
 def hyperharmonic(n: int, p: int) -> Fraction:
@@ -299,8 +292,7 @@ def hyperharmonic(n: int, p: int) -> Fraction:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
         return Fraction(1, n)
-    with _lock:
-        return _hyper.value(n, p)
+    return _hyper.value(n, p)
 
 
 def hyperharmonic_closed(n: int, p: int) -> Fraction:
@@ -436,12 +428,8 @@ class SeqSpec:
 def clear_caches() -> None:
     """Drop every memo table (cold-start state, mainly for tests)."""
     with _lock:
-        del _harmonic[1:]
-        del _odd_harmonic[1:]
-        del _half_offset[1:]
+        tables = (_harmonic, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper)
+        for table in (*tables, *_harmonic_order.values()):
+            table.clear()
         del _fibonacci[2:]
         del _lucas[2:]
-        _harmonic_order.clear()
-        _hlike.clear()
-        _stirling.clear()
-        _hyper.clear()

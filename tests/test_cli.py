@@ -351,6 +351,22 @@ def test_verify_mismatch_of_huge_values_exits_one(capsys, monkeypatch):
     assert failure["rhs"] == "1" + "0" * 4999 + "1"
 
 
+@pytest.mark.parametrize("command", [
+    # math.comb in rational.binomial: min(n - k, k) must not exceed 2**63 - 1
+    ["seq", "--family", "hyperharmonic_half", "--p", "99999999999999999999", "--n", "1"],
+    # math.factorial: argument should not exceed 2**63 - 1
+    ["gf-check", "--family", "stirling1", "--k", "99999999999999999999", "--order", "2"],
+])
+def test_overflow_error_exits_two(capsys, command):
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_memory_error_exits_two(capsys, monkeypatch):
     def exhausted(m, order):
         raise MemoryError

@@ -1,7 +1,9 @@
 import random
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +30,7 @@ from multiharm.sequences import (
     odd_harmonic,
     stirling1,
 )
-from multiharm.series import gf_harmonic_like
+from multiharm.series import gf_harmonic_like, gf_stirling_column
 
 
 def test_harmonic_values():
@@ -119,11 +121,27 @@ def test_bruteforce_matches_recurrence_smoke():
             assert harmonic_like_bruteforce(n, m) == harmonic_like(n, m)
 
 
-def test_bruteforce_guard():
+def test_bruteforce_guard(monkeypatch):
+    monkeypatch.setattr(sequences, "BRUTE_FORCE_CEILING", 1000)
     with pytest.raises(FeasibilityError):
-        harmonic_like_bruteforce(30, 10, ceiling=1000)
+        harmonic_like_bruteforce(30, 10)
     with pytest.raises(ValueError):
         harmonic_like_bruteforce(5, 0)
+
+
+#: For each m, the largest n (at most 80) whose C(n, m) tuples the brute-force
+#: oracle enumerates in a few milliseconds, far inside its ceiling.
+_BRUTE_N_MAX = {m: max(n for n in range(m, 81) if comb(n, m) <= 5_000) for m in range(1, 11)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda m: st.tuples(st.integers(0, _BRUTE_N_MAX[m]), st.just(m))))
+@example((80, 1))
+@example((_BRUTE_N_MAX[3], 3))
+@example((_BRUTE_N_MAX[10], 10))
+def test_harmonic_like_matches_bruteforce_past_the_grid(nm):
+    n, m = nm
+    assert harmonic_like_bruteforce(n, m) == harmonic_like(n, m)
 
 
 def test_stirling_examples():
@@ -146,6 +164,15 @@ def test_stirling_special_values():
             assert stirling1(n, 1) == (-1) ** (n - 1) * fact
             assert stirling1(n, 2) == (-1) ** n * fact * harmonic(n - 1)
             fact *= n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 250), st.integers(0, 12))
+@example(250, 12)
+@example(3, 7)
+def test_stirling_matches_generating_function(n, k):
+    # s(n, k) = n! [z^n] ln(1+z)^k / k!: the series side never reads the table
+    assert stirling1(n, k) == factorial(n) * gf_stirling_column(k, n)[n]
 
 
 def test_hyperharmonic_values():
@@ -200,29 +227,67 @@ def test_stirling_column_memory_is_bounded():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize(
-    "table, route", [("_hlike", harmonic_like), ("_stirling", stirling1), ("_hyper", hyperharmonic)]
-)
-def test_interrupted_fill_leaves_table_consistent(monkeypatch, table, route):
+def _check_interrupted_fill(monkeypatch, table, route, grid, warm, fail_at):
     clear_caches()
-    expected = [route(n, m) for n in range(41) for m in range(1, 5)]
+    expected = [route(*args) for args in grid]
     clear_caches()
-    route(10, 2)
-    step = getattr(sequences, table).step
+    route(*warm)
+    step = table().step
     calls = 0
 
     def failing_step(*args):
         nonlocal calls
         calls += 1
-        if calls == 50:  # part-way through growing level 2 to index 40
+        if calls == fail_at:
             raise MemoryError
         return step(*args)
 
-    monkeypatch.setattr(getattr(sequences, table), "step", failing_step)
+    monkeypatch.setattr(table(), "step", failing_step)
     with pytest.raises(MemoryError):
-        route(40, 4)
+        route(*grid[-1])
     monkeypatch.undo()
-    assert [route(n, m) for n in range(41) for m in range(1, 5)] == expected
+    assert [route(*args) for args in grid] == expected
+
+
+@pytest.mark.parametrize(
+    "table, route", [("_hlike", harmonic_like), ("_stirling", stirling1), ("_hyper", hyperharmonic)]
+)
+def test_interrupted_fill_leaves_table_consistent(monkeypatch, table, route):
+    grid = [(n, m) for n in range(41) for m in range(1, 5)]
+    # the 50th step is part-way through growing level 2 to index 40
+    _check_interrupted_fill(monkeypatch, lambda: getattr(sequences, table), route, grid, (10, 2), 50)
+
+
+_PARTIAL_SUMS = {
+    "harmonic": (lambda: sequences._harmonic, harmonic),
+    "harmonic_order": (lambda: sequences._harmonic_order[3], lambda n: harmonic_order(n, 3)),
+    "odd_harmonic": (lambda: sequences._odd_harmonic, odd_harmonic),
+    "half_harmonic_offset": (lambda: sequences._half_offset, half_harmonic_offset),
+}
+
+
+@pytest.mark.parametrize("family", _PARTIAL_SUMS)
+def test_interrupted_partial_sum_fill_leaves_table_consistent(monkeypatch, family):
+    table, route = _PARTIAL_SUMS[family]
+    grid = [(n,) for n in range(41)]
+    # the 20th step is part-way through growing the sums from index 10 to 40
+    _check_interrupted_fill(monkeypatch, table, route, grid, (10,), 20)
+
+
+def test_clear_caches_resets_every_table():
+    for name, family in sequences._FAMILIES.items():
+        SeqSpec(name, {key: low + 2 for key, low in family.minimum.items()}).evaluate(30)
+    harmonic_order(30, 5)
+    grown = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
+    grown += [sequences._harmonic_order[r] for r in (3, 5)]
+    assert len(grown) == 8
+    assert all([len(level) for level in table.levels] != [1] for table in grown)
+    # earlier queries may have left tables for other orders r in the dict
+    tables = grown + list(sequences._harmonic_order.values())
+    clear_caches()
+    assert [[len(level) for level in table.levels] for table in tables] == [[1]] * len(tables)
+    assert sequences._fibonacci == [0, 1]
+    assert sequences._lucas == [2, 1]
 
 
 def test_hyperharmonic_half_examples():
@@ -347,7 +412,7 @@ def test_concurrent_use_returns_identical_values():
         (n, m): harmonic_like(n, m) for n in range(31) for m in range(5)
     }
     reference.update({("s", n, k): stirling1(n, k) for n in range(31) for k in range(5)})
-    clear_caches()
+    reference.update({("r", n, r): harmonic_order(n, r) for n in range(31) for r in range(1, 5)})
 
     def worker(seed):
         rng = random.Random(seed)
@@ -357,14 +422,22 @@ def test_concurrent_use_returns_identical_values():
         for key in keys:
             if key[0] == "s":
                 out[key] = stirling1(key[1], key[2])
+            elif key[0] == "r":
+                out[key] = harmonic_order(key[1], key[2])
             else:
                 out[key] = harmonic_like(*key)
         return out
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(worker, range(8)))
-    for result in results:
-        assert result == reference
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside table growth too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for round_ in range(5):  # each round races the threads on cold tables
+                clear_caches()
+                for result in pool.map(worker, range(8 * round_, 8 * round_ + 8), timeout=120):
+                    assert result == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _ROUTES = {"harmonic_like": harmonic_like, "stirling1": stirling1, "hyperharmonic": hyperharmonic}
