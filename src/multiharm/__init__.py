@@ -15,18 +15,12 @@ from multiharm.identities import (
     VerificationReport,
     registry_catalog,
     registry_tags,
-    telescope_harmonic_check,
-    telescope_kollar_check,
-    telescope_linear_check,
-    telescope_reciprocal_check,
     verify_all,
     verify_identity,
 )
 from multiharm.rational import (
-    Rational,
     binomial,
     factorial,
-    format_rational,
     gen_binomial,
     parse_rational,
 )

@@ -22,13 +22,13 @@ mismatch.  Every refusal exits 2 with one ``error:`` line on stderr: a usage
 or domain error, an option the chosen mode does not read, a ``--decimal``
 outside its range, an ``--output`` file that cannot be written, a parameter
 too large for the stdlib's integer routines (``OverflowError``, for example
-from ``math.comb`` or ``math.factorial``), and running out of memory.  A
-``verify`` run that would pass without checking anything is refused too: a
-tag no identity carries, a grid bound on an axis the ``--id`` identity
-lacks, or bounds that leave an identity with zero cases (the library's
-``verify_all`` still returns ``[]`` for an unknown tag).  If
-``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are resolved
-against it.
+from ``math.comb`` or ``math.factorial``), a query over a sequence table
+ceiling (``FeasibilityError``), and running out of memory.  A ``verify`` run
+that would pass without checking anything is refused too: a tag no identity
+carries, a grid bound on an axis the ``--id`` identity lacks, or bounds
+that leave an identity with zero cases (the library's ``verify_all`` still
+returns ``[]`` for an unknown tag).  If ``MULTIHARM_OUTPUT_DIR`` is set,
+relative ``--output`` paths are resolved against it.
 """
 
 from __future__ import annotations

@@ -25,10 +25,6 @@ Anchor strings state each identity in plain ASCII with this notation:
 * ``HHalf(r,p)``  hyperharmonic number of order p + 1/2
 * ``Hhat(n)``   half-integer harmonic offset, sum_{k=1..n} 1/(k - 1/2)
 * ``F_n, L_n``  Fibonacci and Lucas numbers
-
-The four generic telescoping combinators ``telescope_*_check`` return both
-sides of a collapsed sum for an arbitrary sequence callback.  No registry
-entry is built from them: entries are the literal sums they state.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from multiharm.sequences import (
 )
 from multiharm.transforms import (
     AB_FIXTURES,
-    SeqFn,
     binomial_sum_closed,
     binomial_sum_direct,
     binomial_sum_m1,
@@ -205,64 +200,6 @@ def registry_catalog() -> list[tuple[str, str, str]]:
 
 def registry_tags() -> tuple[str, ...]:
     return tuple(sorted({d.section for d in _REGISTRY.values()}))
-
-
-# ---------------------------------------------------------------------------
-# telescoping combinators
-
-
-def telescope_harmonic_check(a: SeqFn, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the harmonic-weighted telescoping collapse for ``a``:
-
-    sum_{k=1..n} H_k (a(k+1) - a(k))  vs  H_n a(n+1) - sum_{k=1..n} a(k)/k.
-    Requires ``a`` defined on 1..n+1.
-    """
-    lhs = _fsum(harm(k) * (Fraction(a(k + 1)) - Fraction(a(k))) for k in range(1, n + 1))
-    rhs = harm(n) * Fraction(a(n + 1)) - _fsum(Fraction(a(k)) / k for k in range(1, n + 1))
-    return lhs, rhs
-
-
-def telescope_reciprocal_check(a: SeqFn, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the reciprocal-difference collapse for ``a`` on 0..n:
-
-    sum_{k=1..n} (a(k) - a(k-1))/k  vs
-    sum_{k=1..n} a(k)/(k(k+1)) - a(0) + a(n)/(n+1).
-    """
-    lhs = _fsum((Fraction(a(k)) - Fraction(a(k - 1))) / k for k in range(1, n + 1))
-    rhs = (
-        _fsum(Fraction(a(k)) / (k * (k + 1)) for k in range(1, n + 1))
-        - Fraction(a(0))
-        + Fraction(a(n)) / (n + 1)
-    )
-    return lhs, rhs
-
-
-def telescope_kollar_check(a: SeqFn, r: RationalLike, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the alternating generalized-binomial collapse for ``a``:
-
-    sum_{k=0..n} (-1)^k C(r-1,k) (a(k+1) - a(k))  vs
-    (-1)^n C(r-1,n) a(n+1) - sum_{k=0..n} (-1)^k C(r,k) a(k).
-    ``r`` may be any rational; ``a`` must be defined on 0..n+1.
-    """
-    r = Fraction(r)
-    lhs = _fsum(
-        (-1) ** k * gbin(r - 1, k) * (Fraction(a(k + 1)) - Fraction(a(k)))
-        for k in range(n + 1)
-    )
-    rhs = (-1) ** n * gbin(r - 1, n) * Fraction(a(n + 1)) - _fsum(
-        (-1) ** k * gbin(r, k) * Fraction(a(k)) for k in range(n + 1)
-    )
-    return lhs, rhs
-
-
-def telescope_linear_check(a: SeqFn, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the index-weighted collapse for ``a`` on 0..n:
-
-    sum_{k=1..n} k (a(k) - a(k-1))  vs  n a(n) - sum_{k=1..n} a(k-1).
-    """
-    lhs = _fsum(k * (Fraction(a(k)) - Fraction(a(k - 1))) for k in range(1, n + 1))
-    rhs = n * Fraction(a(n)) - _fsum(Fraction(a(k - 1)) for k in range(1, n + 1))
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and binomial machinery.
 
-The universal scalar type is :class:`fractions.Fraction`, re-exported here as
-``Rational``.  It guarantees the invariants everything else relies on: the
-denominator is always positive, numerator and denominator are always coprime,
-zero is ``0/1``, and all arithmetic is exact.  Values are immutable, so they
-are safe to share across threads.  ``str()`` of a value is already the wire
-format used by the CLI: ``"p/q"`` with the sign on the numerator, bare ``"p"``
-when the denominator is 1.
+The universal scalar type is the stdlib :class:`fractions.Fraction`.  It
+guarantees the invariants everything else relies on: the denominator is
+always positive, numerator and denominator are always coprime, zero is
+``0/1``, and all arithmetic is exact.  Values are immutable, so they are
+safe to share across threads.  ``str()`` of a value is already the wire
+format used by the CLI: ``"p/q"`` with the sign on the numerator, bare
+``"p"`` when the denominator is 1; :func:`parse_rational` reads it back.
 
 Division by zero raises :class:`ZeroDivisionError`; there is no silent
 sentinel value anywhere in this package.
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 #: Accepted wherever a rational scalar is expected.
 RationalLike = Fraction | int
@@ -61,13 +59,8 @@ def gen_binomial(x: RationalLike, k: int) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the exact wire format ("p/q" or bare "p") back into a Rational."""
+    """Parse the exact wire format ("p/q" or bare "p") back into a Fraction."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-
-
-def format_rational(value: RationalLike) -> str:
-    """Exact string form: "p/q" in canonical terms, bare "p" for integers."""
-    return str(Fraction(value))

@@ -15,10 +15,13 @@ exists it is exposed as a separate function so the two can be cross-checked:
 * ``hyperharmonic_half`` (central-binomial form) vs
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
-Every cached family but Fibonacci and Lucas (two-term recurrences, one plain
-list each) has its own ``_LevelTable``.  The tables grow in place, one index
-at a time; none of them reads another family's table, the kernels or the
-series layer, so each cross-check compares independent computations.
+Every cached family but Fibonacci (a two-term recurrence, one plain list)
+has its own ``_LevelTable``.  Lucas numbers are read off the Fibonacci list.
+The tables grow in place, one index at a time; none of them reads another
+family's table, the kernels or the series layer, so each cross-check
+compares independent computations.  ``hyperharmonic`` and ``harmonic_order``
+refuse up front, with :class:`FeasibilityError`, a query whose table would
+exceed :data:`TABLE_CEILING`.
 
 All caches are module-level, guarded by one re-entrant lock that the table
 type takes itself, and transparent: a warm cache returns exactly what a
@@ -44,7 +47,7 @@ _lock = threading.RLock()
 
 
 class FeasibilityError(ValueError):
-    """Raised when a brute-force enumeration would exceed its tuple ceiling."""
+    """Raised when a query would exceed a ceiling on the work it may do."""
 
 
 def _check_index(n: int, name: str = "n") -> None:
@@ -137,10 +140,15 @@ def harmonic(n: int) -> Fraction:
 
 
 def harmonic_order(n: int, r: int) -> Fraction:
-    """Order-r harmonic number: sum of 1/k^r for k = 1..n."""
+    """Order-r harmonic number: sum of 1/k^r for k = 1..n.
+
+    A query with (n+1)*r above :data:`TABLE_CEILING` raises
+    :class:`FeasibilityError`.
+    """
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
+    _check_table_size(n, r, "r")
     if r == 1:
         return harmonic(n)
     table = _harmonic_order.get(r)
@@ -211,6 +219,18 @@ def harmonic_like_convolution(n: int, m: int) -> Fraction:
 
 #: Default ceiling on how many tuples the brute-force oracle will enumerate.
 BRUTE_FORCE_CEILING = 2_000_000
+
+#: Ceiling on (n + 1) times the order of a ``hyperharmonic`` or
+#: ``harmonic_order`` query, read at call time.  The first grows one table
+#: level per unit of p; the second has terms with r times the digits of k.
+TABLE_CEILING = 1_000_000
+
+
+def _check_table_size(n: int, order: int, name: str) -> None:
+    if (n + 1) * order > TABLE_CEILING:
+        raise FeasibilityError(
+            f"(n+1)*{name} exceeds the ceiling of {TABLE_CEILING} at n={n}, {name}={order}"
+        )
 
 
 def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
@@ -284,10 +304,12 @@ def hyperharmonic(n: int, p: int) -> Fraction:
     Defined by the recurrence ``value(n, p) = sum_{i=1..n} value(i, p-1)``
     with base level value(n, 0) = 1/n and value(0, p) = 0 for p >= 1.
     value(0, 0) is undefined and raises ValueError.  Levels are filled in a
-    loop, lowest first, so any order p works without deep recursion.
+    loop, lowest first, so no order p needs deep recursion; a query with
+    (n+1)*p above :data:`TABLE_CEILING` raises :class:`FeasibilityError`.
     """
     _check_index(n)
     _check_index(p, "p")
+    _check_table_size(n, p, "p")
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -338,7 +360,6 @@ def hyperharmonic_half_via_binomial(r: int, p: int) -> Fraction:
 
 
 _fibonacci: list[int] = [0, 1]
-_lucas: list[int] = [2, 1]
 
 
 def fibonacci(n: int) -> int:
@@ -351,12 +372,9 @@ def fibonacci(n: int) -> int:
 
 
 def lucas(n: int) -> int:
-    """L_n with L_0 = 2, L_1 = 1."""
+    """L_n with L_0 = 2, L_1 = 1, as L_n = F_(n-1) + F_(n+1) = 2 F_(n+1) - F_n."""
     _check_index(n)
-    with _lock:
-        while len(_lucas) <= n:
-            _lucas.append(_lucas[-1] + _lucas[-2])
-        return _lucas[n]
+    return 2 * fibonacci(n + 1) - fibonacci(n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,4 +450,3 @@ def clear_caches() -> None:
         for table in (*tables, *_harmonic_order.values()):
             table.clear()
         del _fibonacci[2:]
-        del _lucas[2:]

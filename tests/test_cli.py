@@ -367,6 +367,24 @@ def test_overflow_error_exits_two(capsys, command):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    # one table level per unit of p, before index n is read
+    ["seq", "--family", "hyperharmonic", "--p", "99999999999999999999", "--n", "2"],
+    ["gf-check", "--family", "hyperharmonic", "--p", "99999999999999999999", "--order", "2"],
+    # terms 1/k^r with r times the digits of k
+    ["seq", "--family", "harmonic_order", "--r", "99999999999999999999", "--n", "2"],
+])
+def test_table_ceiling_exits_two(capsys, command):
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "exceeds the ceiling" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_memory_error_exits_two(capsys, monkeypatch):
     def exhausted(m, order):
         raise MemoryError

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,22 +8,11 @@ from multiharm.identities import (
     UnknownIdentityError,
     registry_catalog,
     registry_tags,
-    telescope_harmonic_check,
-    telescope_kollar_check,
-    telescope_linear_check,
-    telescope_reciprocal_check,
     verify_all,
     verify_descriptor,
     verify_identity,
 )
-from multiharm.sequences import (
-    fibonacci,
-    harmonic,
-    harmonic_like,
-    harmonic_order,
-    hyperharmonic,
-    odd_harmonic,
-)
+from multiharm.sequences import harmonic, harmonic_order
 
 F = Fraction
 
@@ -141,95 +129,3 @@ def test_reports_are_deterministic_apart_from_timing():
     b.pop("elapsed_ms")
     assert a == b
 
-
-# ---------------------------------------------------------------------------
-# telescoping combinators
-
-
-def test_telescope_harmonic_classic_fixtures():
-    # a_k = H_{k-1}: the difference H_k - H_{k-1} is 1/k, so both sides are
-    # sum H_k/k; moving the right-hand sum over yields the H_{k-1}/k closed form
-    lhs, rhs = telescope_harmonic_check(lambda k: harmonic(k - 1), 5)
-    assert lhs == rhs == (harmonic(5) ** 2 + harmonic_order(5, 2)) / 2
-    assert harmonic(5) ** 2 - rhs == (harmonic(5) ** 2 - harmonic_order(5, 2)) / 2 == F(15, 8)
-
-    lhs, rhs = telescope_harmonic_check(lambda k: k, 6)
-    assert lhs == rhs == 7 * harmonic(6) - 6 == F(223, 20)
-
-    lhs, rhs = telescope_harmonic_check(lambda k: fibonacci(k + 1), 5)
-    assert lhs == rhs
-    assert lhs == sum((harmonic(k) * fibonacci(k) for k in range(1, 6)), F(0))
-    assert rhs == harmonic(5) * fibonacci(7) - sum(
-        (F(fibonacci(k + 1), k) for k in range(1, 6)), F(0)
-    )
-
-
-def test_telescope_reciprocal_classic_fixtures():
-    lhs, rhs = telescope_reciprocal_check(harmonic, 4)
-    assert lhs == rhs
-    assert sum((harmonic(k) / (k * (k + 1)) for k in range(1, 5)), F(0)) == harmonic_order(
-        4, 2
-    ) - harmonic(4) / 5
-
-    lhs, rhs = telescope_reciprocal_check(lambda k: harmonic(k + 2), 5)
-    assert lhs == rhs
-    p, n = 2, 5
-    assert sum((harmonic(k + p) / (k * (k + 1)) for k in range(1, n + 1)), F(0)) == (
-        harmonic(n) + harmonic(p) - harmonic(n + p)
-    ) / p + harmonic(p) - harmonic(n + p) / (n + 1)
-
-    lhs, rhs = telescope_reciprocal_check(lambda k: F(5, 3), 7)
-    assert lhs == rhs == 0
-
-
-def test_telescope_kollar_classic_fixtures():
-    lhs, rhs = telescope_kollar_check(harmonic, 3, 4)
-    assert lhs == rhs
-
-    lhs, rhs = telescope_kollar_check(lambda k: harmonic_like(k, 2), F(5, 2), 5)
-    assert lhs == rhs
-
-    lhs, rhs = telescope_kollar_check(lambda k: 1, F(7, 3), 6)
-    assert lhs == rhs == 0
-
-
-def test_telescope_linear_classic_fixtures():
-    lhs, rhs = telescope_linear_check(lambda k: k, 6)
-    assert lhs == rhs == 21
-
-    p, n = 1, 5
-    lhs, rhs = telescope_linear_check(lambda k: hyperharmonic(k, p + 1), n)
-    assert lhs == rhs
-    assert lhs == sum((k * hyperharmonic(k, p) for k in range(1, n + 1)), F(0))
-    assert rhs == n * hyperharmonic(n, p + 1) - hyperharmonic(n - 1, p + 2)
-
-    lhs, rhs = telescope_linear_check(fibonacci, 6)
-    assert lhs == rhs
-
-
-def _random_sequences(seed, count, length):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(length)]
-
-
-@pytest.mark.parametrize(
-    "checker,needs_r",
-    [
-        (telescope_harmonic_check, False),
-        (telescope_reciprocal_check, False),
-        (telescope_kollar_check, True),
-        (telescope_linear_check, False),
-    ],
-)
-def test_telescopes_hold_for_random_sequences(checker, needs_r):
-    r_values = [F(3), F(1, 2), F(5, 2), F(-2, 3)]
-    seed = sum(map(ord, checker.__name__))
-    for i, seq in enumerate(_random_sequences(seed, 50, 14)):
-        n = 3 + i % 10
-        a = lambda k: seq[k]
-        if needs_r:
-            lhs, rhs = checker(a, r_values[i % 4], n)
-        else:
-            lhs, rhs = checker(a, n)
-        assert lhs == rhs

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multiharm.rational import (
-    Rational,
     binomial,
     factorial,
-    format_rational,
     gen_binomial,
     parse_rational,
 )
@@ -20,7 +18,6 @@ def test_basic_arithmetic_examples():
     assert Fraction(3, 4) * Fraction(4, 3) == 1
     assert Fraction(-2, 6) == Fraction(-1, 3)
     assert Fraction(-2, 6).numerator == -1 and Fraction(-2, 6).denominator == 3
-    assert Rational(0) == Fraction(0, 1)
 
 
 def test_division_by_zero_is_an_explicit_error():
@@ -96,10 +93,9 @@ def test_half_integer_binomial_central_product_form():
 
 
 def test_wire_format():
-    assert format_rational(Fraction(5, 6)) == "5/6"
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
-    assert format_rational(Fraction(7, 1)) == "7"
-    assert format_rational(3) == "3"
+    assert str(Fraction(5, 6)) == "5/6"
+    assert str(Fraction(-1, 3)) == "-1/3"
+    assert str(Fraction(7, 1)) == "7"
     assert parse_rational("25/12") == Fraction(25, 12)
     assert parse_rational("-3") == -3
     with pytest.raises(ValueError):
@@ -110,4 +106,4 @@ def test_wire_format():
 
 @given(rationals)
 def test_wire_format_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    assert parse_rational(str(x)) == x

@@ -121,6 +121,25 @@ def test_bruteforce_matches_recurrence_smoke():
             assert harmonic_like_bruteforce(n, m) == harmonic_like(n, m)
 
 
+def test_table_ceiling_refuses_before_any_table_grows(monkeypatch):
+    monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
+    clear_caches()
+    assert hyperharmonic(9, 10) == hyperharmonic_closed(9, 10)  # (n+1)*p = 100
+    assert harmonic_order(49, 2) == sum(Fraction(1, k * k) for k in range(1, 50))  # (n+1)*r = 100
+    hyper = [len(level) for level in sequences._hyper.levels]
+    orders = dict(sequences._harmonic_order)
+    for route, n, order in [
+        (hyperharmonic, 9, 11),
+        (hyperharmonic, 2, 99999999999999999999),
+        (harmonic_order, 50, 2),
+        (harmonic_order, 2, 99999999999999999999),
+    ]:
+        with pytest.raises(FeasibilityError, match="exceeds the ceiling of 100"):
+            route(n, order)
+    assert [len(level) for level in sequences._hyper.levels] == hyper
+    assert sequences._harmonic_order == orders
+
+
 def test_bruteforce_guard(monkeypatch):
     monkeypatch.setattr(sequences, "BRUTE_FORCE_CEILING", 1000)
     with pytest.raises(FeasibilityError):
@@ -287,7 +306,6 @@ def test_clear_caches_resets_every_table():
     clear_caches()
     assert [[len(level) for level in table.levels] for table in tables] == [[1]] * len(tables)
     assert sequences._fibonacci == [0, 1]
-    assert sequences._lucas == [2, 1]
 
 
 def test_hyperharmonic_half_examples():
@@ -336,6 +354,12 @@ def test_fibonacci_lucas():
     assert fibonacci(10) == 55
     assert lucas(0) == 2
     assert [lucas(n) for n in range(6)] == [2, 1, 3, 4, 7, 11]
+
+
+def test_lucas_recurrence_on_cold_caches():
+    clear_caches()
+    for n in range(2, 3001):
+        assert lucas(n) == lucas(n - 1) + lucas(n - 2), n
 
 
 def test_half_harmonic_offset():
