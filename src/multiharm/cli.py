@@ -23,12 +23,12 @@ or domain error, an option the chosen mode does not read, a ``--decimal``
 outside its range, an ``--output`` file that cannot be written, a parameter
 too large for the stdlib's integer routines (``OverflowError``, for example
 from ``math.comb`` or ``math.factorial``), a query over a sequence table
-ceiling (``FeasibilityError``), and running out of memory.  A ``verify`` run
-that would pass without checking anything is refused too: a tag no identity
-carries, a grid bound on an axis the ``--id`` identity lacks, or bounds
-that leave an identity with zero cases (the library's ``verify_all`` still
-returns ``[]`` for an unknown tag).  If ``MULTIHARM_OUTPUT_DIR`` is set,
-relative ``--output`` paths are resolved against it.
+ceiling (``FeasibilityError``), and running out of memory.  ``verify``
+refuses a run that would pass without checking anything, through the library's
+own checks (see :mod:`multiharm.identities`).  ``seq``, ``transform`` and
+``gf-check`` check their last index against the table ceiling before the first
+row.  If ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are
+resolved against it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from multiharm import identities, series, transforms
+from multiharm import identities, sequences, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
 from multiharm.sequences import FAMILY_NAMES, SeqSpec, odd_harmonic
 
@@ -97,6 +97,7 @@ def _emit_table(args: argparse.Namespace, header: list[str], rows: list[list]) -
 
 def cmd_seq(args: argparse.Namespace) -> int:
     spec = SeqSpec(args.family, _params(args))
+    spec.check(args.n)
     _emit_table(args, ["n", "value"], [[n, spec.evaluate(n)] for n in range(args.n + 1)])
     return 0
 
@@ -104,23 +105,9 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     overrides = {key: bound for key in "nmp" if (bound := vars(args)[f"{key}_max"]) is not None}
     if args.id:
-        try:
-            desc = identities.get_identity(args.id)
-        except identities.UnknownIdentityError:
-            raise ValueError(f"unknown identity id: {args.id}") from None
-        unread = [f"--{key}-max" for key in overrides if not isinstance(desc.grid.get(key), range)]
-        if unread:
-            raise ValueError(f"{args.id} has no integer axis for {', '.join(unread)}")
-        reports = [identities.verify_descriptor(desc, overrides)]
+        reports = [identities.verify_identity(args.id, overrides)]
     else:
         reports = identities.verify_all(args.tag, overrides)
-    if not reports:
-        raise ValueError(
-            f"no identity carries tag {args.tag!r}; tags: {', '.join(identities.registry_tags())}"
-        )
-    empty = [r.identity for r in reports if r.cases == 0]
-    if empty:
-        raise ValueError(f"the grid bounds leave no cases to check for: {', '.join(empty)}")
     _emit(args, json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -135,6 +122,7 @@ def cmd_gf_check(args: argparse.Namespace) -> int:
         gf = series.gf_odd_central(args.order).coeffs
     else:
         spec = SeqSpec(args.family, params)
+        spec.check(args.order)
         name, scale = _GF_CHECKS[args.family]
         coeffs = getattr(series, name)(*spec.params.values(), args.order)
         recurrence = [spec.evaluate(n) for n in range(args.order + 1)]
@@ -150,6 +138,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if args.a is not None or args.b is not None:
             raise ValueError("--family and --a/--b are mutually exclusive")
         spec = SeqSpec(args.family, _params(args))
+        spec.check(args.n)
         rows = [[n, transforms.binomial_transform(spec.evaluate, n, signed=args.signed)]
                 for n in range(args.n + 1)]
     elif args.a is None or args.b is None:
@@ -168,8 +157,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 _OPTIONS = {
     "--m": dict(type=int, help="level parameter (harmonic_like; binomial-sum mode, default 0)"),
     "--k": dict(type=int, help="column parameter (stirling1)"),
-    "--p": dict(type=int, help="order parameter (hyperharmonic families)"),
-    "--r": dict(type=int, help="order parameter (harmonic_order)"),
+    "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}"),
+    "--r": dict(type=int, help="order (harmonic_order); refused if (n+1)*r > {ceiling}"),
     "--format": dict(choices=("csv", "json"), default="csv", help="table rendering (default csv)"),
     "--decimal": dict(type=int, metavar="DIGITS",
                       help=f"add an approximate column with this many digits (1..{DECIMAL_MAX})"),
@@ -179,8 +168,9 @@ _OPTIONS = {
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(name, **_OPTIONS[name])
+    for name in names:  # the ceiling is read now, so --help states the one in force
+        help_text = _OPTIONS[name]["help"].format(ceiling=sequences.TABLE_CEILING)
+        parser.add_argument(name, **{**_OPTIONS[name], "help": help_text})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,9 +236,6 @@ def _run(argv: Sequence[str]) -> int:
     try:
         if args.decimal is not None and not 1 <= args.decimal <= DECIMAL_MAX:
             raise ValueError(f"--decimal must be >= 1 and <= {DECIMAL_MAX}, got {args.decimal}")
-        for name in ("n", "order"):
-            if vars(args).get(name, 0) < 0:
-                raise ValueError(f"--{name} must be >= 0")
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

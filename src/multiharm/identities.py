@@ -14,6 +14,10 @@ keep its start.  Any other axis is a tuple of listed values; a tuple key such
 as ``("a", "b")`` takes joint values, one tuple per grid point.  Bindings run
 over the product of the axes, the last axis fastest.
 
+Both refuse with ``ValueError``, before any evaluation, a run that checks nothing
+asked of it: an unknown id or tag, an override that is no integer axis of any
+selected entry, or overrides that leave one with no grid point.
+
 Anchor strings state each identity in plain ASCII with this notation:
 
 * ``H_n``       harmonic number, ``H_n^(r)`` the order-r variant
@@ -30,7 +34,7 @@ Anchor strings state each identity in plain ASCII with this notation:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
@@ -95,12 +99,10 @@ class IdentityDescriptor:
         for key, values in self.grid.items():
             if isinstance(values, range) and key in overrides:
                 values = range(values.start, overrides[key] + 1)
-            if isinstance(key, tuple):
-                names.extend(key)
-                axes.append(values)
-            else:
-                names.append(key)
-                axes.append([(v,) for v in values])
+            if not isinstance(key, tuple):
+                key, values = (key,), [(v,) for v in values]
+            names.extend(key)
+            axes.append(values)
         for combo in itertools.product(*axes):
             yield dict(zip(names, itertools.chain.from_iterable(combo)))
 
@@ -129,18 +131,14 @@ class VerificationReport:
     elapsed_ms: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "identity": self.identity,
-            "anchor": self.anchor,
-            "cases": self.cases,
-            "passed": self.passed,
-            "first_failure": self.first_failure,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
-class UnknownIdentityError(KeyError):
+class UnknownIdentityError(KeyError, ValueError):
     """Requested identity id is not in the registry."""
+
+    def __str__(self) -> str:
+        return f"unknown identity id: {self.args[0]}"
 
 
 def _json_value(v: Any) -> Any:
@@ -175,22 +173,32 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
         raise UnknownIdentityError(identity_id) from None
 
 
+def _verify(what: str, descs: list[IdentityDescriptor], overrides: Mapping[str, int]) -> list[VerificationReport]:
+    """Reports for ``descs``, or a ValueError naming ``what`` if the run would check nothing asked."""
+    if not descs:
+        raise ValueError(f"no identity carries {what}; tags: {', '.join(registry_tags())}")
+    unread = [key for key in overrides if not any(isinstance(d.grid.get(key), range) for d in descs)]
+    if unread:
+        raise ValueError(f"no integer axis {', '.join(unread)} to bound in {what}")
+    empty = [d.id for d in descs if next(d.bindings(overrides), None) is None]
+    if empty:
+        raise ValueError(f"the grid bounds leave no cases to check for: {', '.join(empty)}")
+    return [verify_descriptor(desc, overrides) for desc in descs]
+
+
 def verify_identity(
     identity_id: str, overrides: Mapping[str, int] | None = None
 ) -> VerificationReport:
     """Verify one registered identity, optionally tightening/widening grid bounds."""
-    return verify_descriptor(get_identity(identity_id), overrides)
+    return _verify(identity_id, [get_identity(identity_id)], overrides or {})[0]
 
 
 def verify_all(
     tag: str | None = None, overrides: Mapping[str, int] | None = None
 ) -> list[VerificationReport]:
     """Verify every registered identity (or those carrying ``tag``), sorted by id."""
-    return [
-        verify_descriptor(desc, overrides)
-        for _, desc in sorted(_REGISTRY.items())
-        if tag is None or desc.section == tag
-    ]
+    descs = [desc for _, desc in sorted(_REGISTRY.items()) if tag is None or desc.section == tag]
+    return _verify("the registry" if tag is None else f"tag {tag!r}", descs, overrides or {})
 
 
 def registry_catalog() -> list[tuple[str, str, str]]:

@@ -387,17 +387,19 @@ class _Family:
     evaluate: Callable[..., Fraction | int]
     #: The family's parameters, each with the smallest value it accepts.
     minimum: Mapping[str, int] = field(default_factory=dict)
+    #: The parameter whose product with n + 1 is bounded by TABLE_CEILING.
+    ceiling: str = ""
 
 
 _FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
         _Family("harmonic", harmonic),
-        _Family("harmonic_order", harmonic_order, {"r": 1}),
+        _Family("harmonic_order", harmonic_order, {"r": 1}, ceiling="r"),
         _Family("odd_harmonic", odd_harmonic),
         _Family("harmonic_like", harmonic_like, {"m": 0}),
         _Family("stirling1", stirling1, {"k": 0}),
-        _Family("hyperharmonic", hyperharmonic, {"p": 0}),
+        _Family("hyperharmonic", hyperharmonic, {"p": 0}, ceiling="p"),
         _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}),
         _Family("fibonacci", fibonacci),
         _Family("lucas", lucas),
@@ -441,6 +443,12 @@ class SeqSpec:
 
     def evaluate(self, n: int) -> Fraction | int:
         return _FAMILIES[self.family].evaluate(n, **self.params)
+
+    def check(self, n: int) -> None:
+        """Refuse n < 0 or a query over :data:`TABLE_CEILING`, evaluating nothing."""
+        _check_index(n)
+        if name := _FAMILIES[self.family].ceiling:
+            _check_table_size(n, self.params[name], name)
 
 
 def clear_caches() -> None:

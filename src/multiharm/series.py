@@ -32,6 +32,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+
+
 class TruncatedSeries:
     """Formal power series truncated at an inclusive order.
 
@@ -104,8 +109,7 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}], order={self.order})"
 
     def truncate(self, order: int) -> TruncatedSeries:
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_order(order)
         if order >= self.order:
             return self
         return self._from_integers(self._nums[: order + 1], self._den)
@@ -188,6 +192,7 @@ class TruncatedSeries:
         b = Fraction(b)
         if order is None:
             order = self.order
+        _check_order(order)
         f = self.coeffs
         a_pow = [_ONE]
         b_pow = [_ONE]
@@ -209,6 +214,7 @@ class TruncatedSeries:
 
 def neg_log_one_minus(a: RationalLike, order: int) -> TruncatedSeries:
     """-ln(1 - a*z) = sum_{k>=1} a^k z^k / k, truncated at ``order``."""
+    _check_order(order)
     a = Fraction(a)
     out = [_ZERO]
     power = _ONE
@@ -225,6 +231,7 @@ def log_one_plus(order: int) -> TruncatedSeries:
 
 def geometric(a: RationalLike, order: int) -> TruncatedSeries:
     """1/(1 - a*z) = sum a^n z^n."""
+    _check_order(order)
     a = Fraction(a)
     out = [_ONE]
     for _ in range(order):

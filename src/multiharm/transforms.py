@@ -7,7 +7,7 @@ terms of Stirling numbers of the first kind; ``binomial_sum_m1/m2/m3`` are the
 short specializations.  All routes must agree exactly on every input.
 
 Conventions: 0^0 = 1 (so the m = 0 case collapses to (a+b)^n even at a = -b),
-and any sum over an empty range is 0.
+and any sum over an empty range is 0; n < 0 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from multiharm.rational import RationalLike, binomial, factorial
-from multiharm.sequences import harmonic, harmonic_like, harmonic_order, stirling1
+from multiharm.sequences import _check_index, harmonic, harmonic_like, harmonic_order, stirling1
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,6 +39,7 @@ AB_FIXTURES: tuple[tuple[Fraction, Fraction], ...] = (
 
 
 def _powers(x: Fraction, n: int) -> list[Fraction]:
+    _check_index(n)  # every binomial-sum route starts here
     out = [_ONE]
     for _ in range(n):
         out.append(out[-1] * x)
@@ -141,6 +142,7 @@ def binomial_transform(seq: SeqFn, n: int, signed: bool = True) -> Fraction:
     signed transform is an involution: applying it twice returns the original
     sequence.
     """
+    _check_index(n)
     total = _ZERO
     for k in range(n + 1):
         term = binomial(n, k) * Fraction(seq(k))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from multiharm import cli, identities, series
+from multiharm import cli, identities, sequences, series
 from multiharm.identities import IdentityDescriptor
 
 
@@ -129,7 +129,17 @@ def test_verify_bound_on_a_missing_axis_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "cor_id1 has no integer axis for --p-max" in captured.err
+    assert "no integer axis p to bound in cor_id1" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--p-max", "--m-max"])
+def test_verify_tag_bound_on_an_axis_no_tagged_identity_has_is_usage_error(capsys, option):
+    # no section1 identity has a p or an m axis: the bound would be ignored
+    code = cli.main(["verify", "--tag", "section1", option, "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"no integer axis {option[2]} to bound in tag 'section1'" in captured.err
 
 
 def test_verify_tag_filter(capsys):
@@ -383,6 +393,55 @@ def test_table_ceiling_exits_two(capsys, command):
     assert "exceeds the ceiling" in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["seq", "--family", "hyperharmonic", "--p", "10", "--n", "20"],
+    ["transform", "--family", "hyperharmonic", "--p", "10", "--n", "20"],
+    ["gf-check", "--family", "hyperharmonic", "--p", "10", "--order", "20"],
+    ["seq", "--family", "harmonic_order", "--r", "3", "--n", "40"],
+])
+def test_table_ceiling_refuses_before_the_first_row(capsys, monkeypatch, command):
+    # rows 0..8 (or 0..32) are under the ceiling; the last index is not
+    monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
+    for name in ("gf_harmonic_like", "gf_stirling_column", "gf_hyperharmonic", "gf_odd_central"):
+        monkeypatch.setattr(series, name, lambda *args: pytest.fail("a generating function was built"))
+    sequences.clear_caches()
+    hyper = [len(level) for level in sequences._hyper.levels]
+    orders = {r: [len(level) for level in table.levels] for r, table in sequences._harmonic_order.items()}
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exceeds the ceiling of 100 " in captured.err
+    assert [len(level) for level in sequences._hyper.levels] == hyper
+    assert {r: [len(level) for level in table.levels] for r, table in sequences._harmonic_order.items()} == orders
+
+
+@pytest.mark.parametrize("command", [
+    ["seq", "--family", "harmonic", "--n", "-1"],
+    ["transform", "--family", "harmonic", "--n", "-1"],
+    ["transform", "--a", "1", "--b", "1", "--n", "-1"],
+    ["gf-check", "--family", "harmonic_like", "--m", "1", "--order", "-1"],
+    ["gf-check", "--family", "odd_central", "--order", "-1"],
+])
+def test_negative_index_is_refused_by_the_library(capsys, command):
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: (n|order) must be >= 0, got -1\n", captured.err)
+
+
+def test_seq_help_names_the_table_ceiling(capsys, monkeypatch):
+    assert cli.main(["seq", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(n+1)*p > {sequences.TABLE_CEILING}" in help_text
+    assert f"(n+1)*r > {sequences.TABLE_CEILING}" in help_text
+    # read when the parser is built, not when the module is imported
+    monkeypatch.setattr(sequences, "TABLE_CEILING", 4321)
+    assert cli.main(["seq", "--help"]) == 0
+    assert "(n+1)*p > 4321" in " ".join(capsys.readouterr().out.split())
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

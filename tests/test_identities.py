@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multiharm import identities
 from multiharm.identities import (
@@ -77,8 +78,9 @@ def test_overrides_change_only_range_axes():
     assert verify_identity("thm_kollar", {"n": 3, "m": 2}).cases == 4 * 2 * 3
     # main_id1: 8 joint (a, b) pairs, m = 0..1, n = 0..2
     assert verify_identity("main_id1", {"n": 2, "m": 1}).cases == 8 * 2 * 3
-    # a listed axis ignores an override of the same name
-    assert verify_identity("thm_kollar", {"r": 0, "n": 1, "m": 1}).cases == 4
+    # a listed axis takes no bound, so an override of the same name is refused
+    with pytest.raises(ValueError, match="no integer axis r to bound in thm_kollar"):
+        verify_identity("thm_kollar", {"r": 0, "n": 1, "m": 1})
     binding = next(identities.get_identity("main_id1").bindings())
     assert binding == {"a": F(1), "b": F(1), "m": 0, "n": 0}
 
@@ -88,8 +90,85 @@ def test_verify_identity_unknown_id():
         verify_identity("no_such")
 
 
-def test_verify_all_with_unknown_tag_is_empty():
-    assert verify_all(tag="no_such_tag") == []
+def test_verify_all_with_unknown_tag_is_refused():
+    with pytest.raises(ValueError, match="no identity carries tag 'no_such_tag'; tags: section1, "):
+        verify_all(tag="no_such_tag")
+
+
+def test_unknown_identity_error_is_a_value_error_with_a_plain_message():
+    with pytest.raises(UnknownIdentityError) as info:
+        verify_identity("no_such")
+    assert isinstance(info.value, KeyError) and isinstance(info.value, ValueError)
+    assert str(info.value) == "unknown identity id: no_such"
+
+
+def _must_not_evaluate(desc, overrides=None):
+    pytest.fail(f"{desc.id} was evaluated before the run was refused")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: verify_all("section1", {"p": 3}), "no integer axis p to bound in tag 'section1'",
+                 id="tag-without-the-axis"),
+    pytest.param(lambda: verify_all("section1", {"m": 2}), "no integer axis m to bound in tag 'section1'",
+                 id="tag-without-m"),
+    pytest.param(lambda: verify_identity("cor_id1", {"p": 3}), "no integer axis p to bound in cor_id1",
+                 id="id-without-the-axis"),
+    pytest.param(lambda: verify_identity("thm_kollar", {"r": 0, "n": 1, "m": 1}),
+                 "no integer axis r to bound in thm_kollar", id="listed-axis"),
+    pytest.param(lambda: verify_all(overrides={"q": 1}), "no integer axis q to bound in the registry",
+                 id="axis-no-entry-has"),
+    pytest.param(lambda: verify_identity("nosuch"), "unknown identity id: nosuch", id="unknown-id"),
+    pytest.param(lambda: verify_all(tag="nosuch"), "no identity carries tag 'nosuch'", id="unknown-tag"),
+    pytest.param(lambda: verify_all(overrides={"n": 0}), "the grid bounds leave no cases to check for: ",
+                 id="bounds-leave-no-case"),
+    pytest.param(lambda: verify_identity("cor_id1", {"n": -5}), "no cases to check for: cor_id1",
+                 id="id-with-no-case"),
+])
+def test_vacuous_runs_are_refused_before_any_evaluation(monkeypatch, call, message):
+    monkeypatch.setattr(identities, "verify_descriptor", _must_not_evaluate)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_bounds_that_leave_no_case_name_every_such_identity(monkeypatch):
+    monkeypatch.setattr(identities, "verify_descriptor", _must_not_evaluate)
+    with pytest.raises(ValueError) as info:
+        verify_all(overrides={"n": 0})
+    named = str(info.value).split(": ", 1)[1].split(", ")
+    assert len(named) == 30
+    for ident, _, _ in registry_catalog():
+        empty = next(identities.get_identity(ident).bindings({"n": 0}), None) is None
+        assert empty == (ident in named)
+
+
+@settings(max_examples=30, deadline=None)
+@example(tag=None, overrides={"n": 3})  # checks every entry
+@example(tag="section1", overrides={"n": 3, "p": 3})  # refused: section1 has no p axis
+@given(
+    tag=st.sampled_from([None, *registry_tags()]),
+    # n is always bounded, so that no example runs a full default grid
+    overrides=st.fixed_dictionaries(
+        {"n": st.integers(-1, 3)}, optional={"m": st.integers(-1, 3), "p": st.integers(-1, 3)}
+    ),
+)
+def test_a_run_checks_every_selected_case_or_is_refused_unevaluated(tag, overrides):
+    evaluated = []
+
+    def counting(desc, bounds=None):
+        evaluated.append(desc.id)
+        return verify_descriptor(desc, bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "verify_descriptor", counting)
+        try:
+            reports = verify_all(tag, overrides)
+        except ValueError:
+            assert evaluated == []
+            return
+    assert [r.identity for r in reports] == evaluated
+    for report in reports:
+        assert report.cases > 0
+        assert report.cases == len(list(identities.get_identity(report.identity).bindings(overrides)))
 
 
 def test_verify_all_section1():

@@ -140,6 +140,28 @@ def test_table_ceiling_refuses_before_any_table_grows(monkeypatch):
     assert sequences._harmonic_order == orders
 
 
+def _refusal(call, n):
+    try:
+        call(n)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
+    monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
+    clear_caches()
+    for family in FAMILY_NAMES:
+        params = {key: low + 10 for key, low in sequences._FAMILIES[family].minimum.items()}
+        spec = SeqSpec(family, params)
+        hyper = [len(level) for level in sequences._hyper.levels]
+        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 20)}
+        assert [len(level) for level in sequences._hyper.levels] == hyper  # check evaluates nothing
+        assert checked == {n: _refusal(spec.evaluate, n) for n in checked}, family
+        if family in ("hyperharmonic", "harmonic_order"):
+            assert checked[20] is FeasibilityError
+
+
 def test_bruteforce_guard(monkeypatch):
     monkeypatch.setattr(sequences, "BRUTE_FORCE_CEILING", 1000)
     with pytest.raises(FeasibilityError):

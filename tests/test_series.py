@@ -238,3 +238,20 @@ def test_gf_odd_central_matches_central_binomial_products():
     assert gf[3] == F(92, 3)
     for n in range(31):
         assert gf[n] == binomial(2 * n, n) * odd_harmonic(n)
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda: gf_harmonic_like(2, -1), id="gf_harmonic_like"),
+    pytest.param(lambda: gf_stirling_column(1, -3), id="gf_stirling_column"),
+    pytest.param(lambda: gf_hyperharmonic(2, -1), id="gf_hyperharmonic"),
+    pytest.param(lambda: gf_odd_central(-1), id="gf_odd_central"),
+    pytest.param(lambda: geometric(1, -2), id="geometric"),
+    pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
+    pytest.param(lambda: log_one_plus(-1), id="log_one_plus"),
+    pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
+    pytest.param(lambda: TruncatedSeries([1, 2]).truncate(-1), id="truncate"),
+])
+def test_every_constructor_refuses_a_negative_order(route):
+    # an order-0 series is not what a negative order asks for
+    with pytest.raises(ValueError, match="order must be >= 0, got -"):
+        route()

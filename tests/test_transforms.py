@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multiharm.sequences import harmonic, harmonic_like, stirling1
@@ -141,3 +142,18 @@ def test_signed_transform_is_an_involution(seq):
     transformed = [binomial_transform(lambda k: seq[k], n) for n in range(21)]
     for n in range(21):
         assert binomial_transform(lambda k: transformed[k], n) == seq[n]
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda: binomial_sum_direct(1, 1, 0, -1), id="direct"),
+    pytest.param(lambda: binomial_sum_closed(1, 1, 2, -1), id="closed"),
+    pytest.param(lambda: binomial_sum_m1(1, 1, -1), id="m1"),
+    pytest.param(lambda: binomial_sum_m2(1, 1, -1), id="m2"),
+    pytest.param(lambda: binomial_sum_m3(1, 1, -1), id="m3"),
+    pytest.param(lambda: binomial_transform(lambda k: F(1), -1), id="transform"),
+    pytest.param(lambda: binomial_transform(lambda k: F(1), -1, signed=False), id="unsigned-transform"),
+])
+def test_every_route_refuses_a_negative_index(route):
+    # the cross-checked routes share one domain: none of them returns 0 for n < 0
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        route()
