@@ -16,9 +16,11 @@ defaulting to 0; ``--a`` and ``--b`` take exact rationals, negative ones too
 
 Rationals are always printed exactly ("p/q"), with no ceiling on their
 digits; ``--decimal D`` adds an approximate column next to the exact one,
-never instead of it, with D from 1 to ``DECIMAL_MAX`` (10000) digits.  Exit
-status is 0 on success and 1 only when ``verify`` or ``gf-check`` found a
-mismatch.  Every refusal exits 2 with one ``error:`` line on stderr: a usage
+never instead of it, with D from 1 to ``DECIMAL_MAX`` (10000) digits.
+``gf-check --family odd_central`` checks ``C(2n, n) * O_n`` from ``odd_harmonic``.
+
+Exit status is 0 on success and 1 only when ``verify`` or ``gf-check`` found
+a mismatch.  Every refusal exits 2 with one ``error:`` line on stderr: a usage
 or domain error, an option the chosen mode does not read, a ``--decimal``
 outside its range, an ``--output`` file that cannot be written, a parameter
 too large for the stdlib's integer routines (``OverflowError``, for example
@@ -27,8 +29,12 @@ ceiling (``FeasibilityError``), and running out of memory.  ``verify``
 refuses a run that would pass without checking anything, through the library's
 own checks (see :mod:`multiharm.identities`).  ``seq``, ``transform`` and
 ``gf-check`` check their last index against the table ceiling before the first
-row.  If ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths are
-resolved against it.
+row.  Any other exception is a fault in the program: it exits 3 with one
+``error: internal error: <Type>: <message>`` line and no traceback.  Every
+row is computed before the first byte, so a refusal leaves the output empty;
+the text is then written one row (or JSON item) at a time, and only a
+``MemoryError`` while writing can leave partial output (still exit 2).  If
+``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths resolve against it.
 """
 
 from __future__ import annotations
@@ -40,21 +46,22 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from multiharm import identities, sequences, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
-from multiharm.sequences import FAMILY_NAMES, SeqSpec, odd_harmonic
+from multiharm.sequences import FAMILY_NAMES, SeqSpec
 
-#: gf-check family -> (name of its ``series`` generating function, the scale
-#: that turns coefficient n into the sequence value).  The name is looked up
-#: at call time, so a patched ``series`` function is the one called.
+#: gf-check family -> (the sequence family it reads, the name of its
+#: ``series`` generating function, the scale of the sequence value at n, the
+#: scale of coefficient n).  The name is looked up at call time, so a patched
+#: ``series`` function is the one called.
 _GF_CHECKS = {
-    "harmonic_like": ("gf_harmonic_like", lambda n: 1),
-    "stirling1": ("gf_stirling_column", factorial),
-    "hyperharmonic": ("gf_hyperharmonic", lambda n: 1),
+    "harmonic_like": ("harmonic_like", "gf_harmonic_like", lambda n: 1, lambda n: 1),
+    "stirling1": ("stirling1", "gf_stirling_column", lambda n: 1, factorial),
+    "hyperharmonic": ("hyperharmonic", "gf_hyperharmonic", lambda n: 1, lambda n: 1),
+    "odd_central": ("odd_harmonic", "gf_odd_central", lambda n: binomial(2 * n, n), lambda n: 1),
 }
-GF_FAMILIES = (*_GF_CHECKS, "odd_central")
 
 #: Most digits ``--decimal`` accepts.  Far larger values overflow the decimal
 #: context or exhaust memory before a row is printed.
@@ -72,14 +79,25 @@ def _params(args: argparse.Namespace) -> dict[str, int]:
     return {key: value for key in "mkpr" if (value := vars(args).get(key)) is not None}
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one at a time to standard output or ``--output``."""
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     # a relative path joins the directory; an absolute one replaces it
     path = Path(os.environ.get("MULTIHARM_OUTPUT_DIR", ""), args.output)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as out:
+        out.writelines(chunks)
+
+
+def _json_chunks(items: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps(list(items), indent=2)`` and a newline, one item at a time."""
+    sep = "["
+    for item in items:
+        yield sep + "\n  " + json.dumps(item, indent=2).replace("\n", "\n  ")
+        sep = ","
+    yield "[]\n" if sep == "[" else "\n]\n"
 
 
 def _emit_table(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
@@ -88,11 +106,11 @@ def _emit_table(args: argparse.Namespace, header: list[str], rows: list[list]) -
         header = [*header, "approx"]
         rows = [[*row, _approx(row[-1], args.decimal)] for row in rows]
     if args.format == "json":
-        objs = [{key: cell if key == "n" else str(cell) for key, cell in zip(header, row)} for row in rows]
-        text = json.dumps(objs, indent=2) + "\n"
+        objs = ({key: cell if key == "n" else str(cell) for key, cell in zip(header, row)} for row in rows)
+        chunks = _json_chunks(objs)
     else:
-        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-    _emit(args, text)
+        chunks = (",".join(map(str, row)) + "\n" for row in [header, *rows])
+    _emit(args, chunks)
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -108,25 +126,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = [identities.verify_identity(args.id, overrides)]
     else:
         reports = identities.verify_all(args.tag, overrides)
-    _emit(args, json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+    _emit(args, _json_chunks(r.to_json_dict() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_gf_check(args: argparse.Namespace) -> int:
     """Recurrence values against generating-function coefficients for n = 0..order."""
-    params = _params(args)
-    if args.family == "odd_central":
-        if params:
-            raise ValueError(f"family 'odd_central' does not take: {', '.join(params)}")
-        recurrence = [binomial(2 * n, n) * odd_harmonic(n) for n in range(args.order + 1)]
-        gf = series.gf_odd_central(args.order).coeffs
-    else:
-        spec = SeqSpec(args.family, params)
-        spec.check(args.order)
-        name, scale = _GF_CHECKS[args.family]
-        coeffs = getattr(series, name)(*spec.params.values(), args.order)
-        recurrence = [spec.evaluate(n) for n in range(args.order + 1)]
-        gf = [scale(n) * c for n, c in enumerate(coeffs)]
+    family, name, seq_scale, coeff_scale = _GF_CHECKS[args.family]
+    spec = SeqSpec(family, _params(args))
+    spec.check(args.order)
+    coeffs = getattr(series, name)(*spec.params.values(), args.order)
+    recurrence = [seq_scale(n) * spec.evaluate(n) for n in range(args.order + 1)]
+    gf = [coeff_scale(n) * c for n, c in enumerate(coeffs)]
     rows = [[n, rec, coeff, "true" if rec == coeff else "false"]
             for n, (rec, coeff) in enumerate(zip(recurrence, gf))]
     _emit_table(args, ["n", "recurrence_value", "gf_value", "equal"], rows)
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gf = sub.add_parser("gf-check", help="compare recurrence values against GF coefficients")
-    p_gf.add_argument("--family", required=True, choices=GF_FAMILIES)
+    p_gf.add_argument("--family", required=True, choices=tuple(_GF_CHECKS))
     p_gf.add_argument("--order", type=int, required=True, help="truncation order (compare 0..order)")
     _add_options(p_gf, "--m", "--k", "--p", "--format", "--output")
     p_gf.set_defaults(func=cmd_gf_check)
@@ -243,6 +254,9 @@ def _run(argv: Sequence[str]) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in the program, never an identity failure (1) or a refusal (2)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv: Sequence[str] | None = None) -> int:

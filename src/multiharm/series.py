@@ -11,8 +11,10 @@ against the recurrence routes in :mod:`multiharm.sequences`.
 A series stores integer numerators over one positive denominator, always in
 lowest terms, so equal series store equal data and a product, inverse or
 square root is one call into the integer kernels of :mod:`multiharm._kernels`.
-``Fraction`` values appear only at the boundary: the constructor takes them
-in, and indexing, iteration and ``coeffs`` hand them out.
+``Fraction`` values appear only at the boundary: the public constructor takes
+them in, and indexing, iteration and ``coeffs`` hand them out.  Every other
+constructor, and ``compose_mobius``, builds integer numerators (powers of a
+rational come from ``geometric``) and reduces once, in ``_from_integers``.
 
 The one argument substitution is the Moebius substitution
 z -> a*z/(1 - b*z).  No identity in the catalog uses it yet; the tests check
@@ -22,14 +24,11 @@ z -> a*z/(1 - b*z).  No identity in the catalog uses it yet; the tests check
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator
 
 from multiharm import _kernels
-from multiharm.rational import RationalLike, binomial, factorial
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from multiharm.rational import RationalLike, factorial
 
 
 def _check_order(order: int) -> None:
@@ -72,7 +71,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> TruncatedSeries:
-        return cls((1,) + (0,) * order)
+        return cls._from_integers((1,) + (0,) * order, 1)
 
     # -- basic protocol ------------------------------------------------------
 
@@ -107,12 +106,6 @@ class TruncatedSeries:
         if len(self) > 8:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self.order})"
-
-    def truncate(self, order: int) -> TruncatedSeries:
-        _check_order(order)
-        if order >= self.order:
-            return self
-        return self._from_integers(self._nums[: order + 1], self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -186,26 +179,22 @@ class TruncatedSeries:
 
         Uses [z^n] (a*z)^k / (1-b*z)^k = a^k * C(n-1, n-k) * b^(n-k).
         Coefficients of ``self`` beyond its own order are taken as zero, so a
-        polynomial composes exactly.
+        polynomial composes exactly.  With a = p/q and b = r/s, the numerators
+        of ``geometric`` are p^k q^(order-k) and r^j s^(order-j), so every term
+        is an integer over ``den * q^order * s^order``.
         """
-        a = Fraction(a)
-        b = Fraction(b)
         if order is None:
             order = self.order
         _check_order(order)
-        f = self.coeffs
-        a_pow = [_ONE]
-        b_pow = [_ONE]
-        for _ in range(order):
-            a_pow.append(a_pow[-1] * a)
-            b_pow.append(b_pow[-1] * b)
-        out = [f[0]]
+        ga, gb = geometric(a, order), geometric(b, order)
+        fa = [x * y for x, y in zip(self._nums, ga._nums)]  # f_k a^k over den * q^order
+        out = [fa[0] * gb._den]
         for n in range(1, order + 1):
-            acc = _ZERO
-            for k in range(1, min(n, len(f) - 1) + 1):
-                acc += f[k] * a_pow[k] * binomial(n - 1, n - k) * b_pow[n - k]
-            out.append(acc)
-        return TruncatedSeries(out)
+            out.append(sum(
+                fa[k] * comb(n - 1, n - k) * gb._nums[n - k]
+                for k in range(1, min(n, len(fa) - 1) + 1)
+            ))
+        return self._from_integers(out, self._den * ga._den * gb._den)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +203,11 @@ class TruncatedSeries:
 
 def neg_log_one_minus(a: RationalLike, order: int) -> TruncatedSeries:
     """-ln(1 - a*z) = sum_{k>=1} a^k z^k / k, truncated at ``order``."""
-    _check_order(order)
-    a = Fraction(a)
-    out = [_ZERO]
-    power = _ONE
-    for k in range(1, order + 1):
-        power *= a
-        out.append(power / k)
-    return TruncatedSeries(out)
+    g = geometric(a, order)
+    # with a = p/q and L = lcm(1..order): p^k q^(order-k) L/k over L q^order
+    big_l = lcm(*range(1, order + 1))
+    nums = [0] + [g._nums[k] * (big_l // k) for k in range(1, order + 1)]
+    return TruncatedSeries._from_integers(nums, big_l * g._den)
 
 
 def log_one_plus(order: int) -> TruncatedSeries:
@@ -230,13 +216,13 @@ def log_one_plus(order: int) -> TruncatedSeries:
 
 
 def geometric(a: RationalLike, order: int) -> TruncatedSeries:
-    """1/(1 - a*z) = sum a^n z^n."""
+    """1/(1 - a*z) = sum a^n z^n; with a = p/q, numerator n is p^n q^(order-n) over q^order."""
     _check_order(order)
     a = Fraction(a)
-    out = [_ONE]
-    for _ in range(order):
-        out.append(out[-1] * a)
-    return TruncatedSeries(out)
+    nums = [a.denominator**order]
+    for _ in range(order):  # p^n q^(order-n) from p^(n-1) q^(order-n+1): exact division
+        nums.append(nums[-1] // a.denominator * a.numerator)
+    return TruncatedSeries._from_integers(nums, nums[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +240,9 @@ def gf_stirling_column(k: int, order: int) -> TruncatedSeries:
     """ln(1+z)^k / k!; n! times coefficient n is the Stirling number s(n, k)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    _check_order(order)
+    if k > order:  # ln(1+z)^k starts at z^k: every coefficient is 0
+        return TruncatedSeries._from_integers((0,) * (order + 1), 1)
     return (log_one_plus(order) ** k) * Fraction(1, factorial(k))
 
 
@@ -270,5 +259,6 @@ def gf_odd_central(order: int) -> TruncatedSeries:
     Built as (1/2) * (-ln(1-4z)) / sqrt(1-4z), using that 1/sqrt(1-4z)
     generates the central binomial coefficients.
     """
-    one_minus_4z = TruncatedSeries([1, -4] + [0] * max(0, order - 1)).truncate(order)
+    _check_order(order)
+    one_minus_4z = TruncatedSeries._from_integers(([1, -4] + [0] * order)[: order + 1], 1)
     return Fraction(1, 2) * neg_log_one_minus(4, order) * one_minus_4z.sqrt().inverse()

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import io
 import json
 import re
 import sys
@@ -364,8 +365,6 @@ def test_verify_mismatch_of_huge_values_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [
     # math.comb in rational.binomial: min(n - k, k) must not exceed 2**63 - 1
     ["seq", "--family", "hyperharmonic_half", "--p", "99999999999999999999", "--n", "1"],
-    # math.factorial: argument should not exceed 2**63 - 1
-    ["gf-check", "--family", "stirling1", "--k", "99999999999999999999", "--order", "2"],
 ])
 def test_overflow_error_exits_two(capsys, command):
     code = cli.main(command)
@@ -454,3 +453,72 @@ def test_memory_error_exits_two(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("k", ["1000000", "99999999999999999999"])
+def test_gf_check_stirling_column_past_the_order_is_zero(capsys, k):
+    # ln(1+z)^k starts at z^k: no power of the log and no k! is built
+    code, out = run(capsys, "gf-check", "--family", "stirling1", "--k", k, "--order", "2")
+    assert code == 0
+    assert out == "n,recurrence_value,gf_value,equal\n0,0,0,true\n1,0,0,true\n2,0,0,true\n"
+
+
+def test_gf_check_odd_central_takes_no_parameter(capsys):
+    code = cli.main(["gf-check", "--family", "odd_central", "--m", "1", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: family 'odd_harmonic' does not take: m\n"
+
+
+class WriteRecorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_json_is_written_one_item_at_a_time_with_json_dumps_bytes(monkeypatch):
+    for items in ([], [{"n": 0, "value": "1/2"}], [{"n": 0}, {"n": 1, "value": "-3"}]):
+        assert "".join(cli._json_chunks(iter(items))) == json.dumps(items, indent=2) + "\n"
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["seq", "--family", "harmonic", "--n", "3", "--format", "json"]) == 0
+    assert len(out.writes) == 5  # four items and the closing bracket, never one whole text
+    rows = [{"n": n, "value": v} for n, v in enumerate(["0", "1", "3/2", "11/6"])]
+    assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+def test_unexpected_exception_in_gf_check_exits_three(capsys, monkeypatch):
+    def broken(m, order):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(series, "gf_harmonic_like", broken)
+    code = cli.main(["gf-check", "--family", "harmonic_like", "--m", "2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_unexpected_exception_in_an_identity_side_exits_three(capsys, monkeypatch):
+    # neither an identity failure (1) nor a refusal of the input (2)
+    broken = IdentityDescriptor(
+        id="zz_raising_fixture",
+        title="a side that raises",
+        anchor="1/0 = n",
+        grid={"n": range(1, 3)},
+        lhs=lambda n: Fraction(1, 0),
+        rhs=lambda n: Fraction(n),
+    )
+    monkeypatch.setitem(identities._REGISTRY, broken.id, broken)
+    code = cli.main(["verify", "--id", "zz_raising_fixture"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ZeroDivisionError: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -37,8 +37,6 @@ def test_construction_and_order():
     assert len(f) == 3
     with pytest.raises(ValueError):
         TruncatedSeries([])
-    with pytest.raises(ValueError):
-        f.truncate(-1)
 
 
 def test_add_mul_examples():
@@ -149,13 +147,77 @@ def test_results_are_stored_in_lowest_terms():
     negative = [TruncatedSeries([F(-2, 3)]).inverse(), TruncatedSeries([-2, 1]).inverse()]
     assert_canonical(negative)
     assert negative == [TruncatedSeries([F(-3, 2)]), TruncatedSeries([F(-1, 2), F(-1, 4)])]
-    assert TruncatedSeries([1, F(1, 2)]).truncate(0) == TruncatedSeries.one(0)
+    # the integer constructors and compose_mobius reduce their common factors too
+    assert_canonical([neg_log_one_minus(F(-2, 3), 4), geometric(F(3, 2), 3), f.compose_mobius(F(1, 2), F(-1, 3), 3)])
+    assert neg_log_one_minus(0, 2) == TruncatedSeries([0, 0, 0])
 
 
 @settings(max_examples=40)
 @given(unit_head_series(10), st.lists(coeff, min_size=11, max_size=11), coeff)
 def test_random_results_are_stored_in_lowest_terms(f, g, c):
     assert_canonical(canonical_results(f, TruncatedSeries(g), c))
+
+
+# Schoolbook Fraction references for the integer routes of neg_log_one_minus,
+# geometric and compose_mobius.
+
+
+def neg_log_one_minus_reference(a, order):
+    a = F(a)
+    out = [F(0)]
+    power = F(1)
+    for k in range(1, order + 1):
+        power *= a
+        out.append(power / k)
+    return TruncatedSeries(out)
+
+
+def geometric_reference(a, order):
+    out = [F(1)]
+    for _ in range(order):
+        out.append(out[-1] * F(a))
+    return TruncatedSeries(out)
+
+
+def compose_mobius_reference(f, a, b, order):
+    f = f.coeffs
+    out = [f[0]]
+    for n in range(1, order + 1):
+        acc = F(0)
+        for k in range(1, min(n, len(f) - 1) + 1):
+            acc += f[k] * F(a) ** k * binomial(n - 1, n - k) * F(b) ** (n - k)
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@settings(max_examples=60)
+@given(rational, st.integers(min_value=0, max_value=30))
+@example(F(0), 5)
+@example(F(-7, 3), 0)
+def test_neg_log_one_minus_matches_fraction_reference(a, order):
+    assert neg_log_one_minus(a, order) == neg_log_one_minus_reference(a, order)
+
+
+@settings(max_examples=60)
+@given(rational, st.integers(min_value=0, max_value=30))
+@example(F(0), 5)
+@example(F(-7, 3), 0)
+def test_geometric_matches_fraction_reference(a, order):
+    assert geometric(a, order) == geometric_reference(a, order)
+
+
+@settings(max_examples=80)
+@given(st.lists(coeff, min_size=1, max_size=15), rational, rational, st.integers(min_value=0, max_value=12))
+@example([F(1), F(2)], F(0), F(0), 5)  # a = b = 0
+@example([F(0), F(1, 2), F(-3)], F(-2, 3), F(0), 12)  # b = 0, series shorter than the order
+@example([F(3, 4)] * 15, F(0), F(5, 7), 0)  # a = 0, series longer than the order
+@example([F(-1), F(2, 3), F(1, 6), F(-5)], F(-3, 2), F(-4, 5), 9)
+def test_compose_mobius_matches_fraction_reference(c, a, b, order):
+    f = TruncatedSeries(c)
+    assert f.compose_mobius(a, b, order) == compose_mobius_reference(f, a, b, order)
 
 
 def test_neg_log_one_minus_examples():
@@ -249,7 +311,6 @@ def test_gf_odd_central_matches_central_binomial_products():
     pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
     pytest.param(lambda: log_one_plus(-1), id="log_one_plus"),
     pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
-    pytest.param(lambda: TruncatedSeries([1, 2]).truncate(-1), id="truncate"),
 ])
 def test_every_constructor_refuses_a_negative_order(route):
     # an order-0 series is not what a negative order asks for
