@@ -31,15 +31,17 @@ own checks (see :mod:`multiharm.identities`).  ``seq``, ``transform`` and
 ``gf-check`` check their last index against the table ceiling before the first
 row.  Any other exception is a fault in the program: it exits 3 with one
 ``error: internal error: <Type>: <message>`` line and no traceback.  Every
-row is computed before the first byte, so a refusal leaves the output empty;
-the text is then written one row (or JSON item) at a time, and only a
-``MemoryError`` while writing can leave partial output (still exit 2).  If
+exact row is computed before the first byte, so a refusal leaves the output
+empty; the text is then written one row (or JSON item) at a time, with the
+``--decimal`` cell computed as its row is written, and only a ``MemoryError``
+while writing can leave partial output (still exit 2).  If
 ``MULTIHARM_OUTPUT_DIR`` is set, relative ``--output`` paths resolve against it.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -101,15 +103,19 @@ def _json_chunks(items: Iterable[dict]) -> Iterator[str]:
 
 
 def _emit_table(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
-    """Print rows of exact values as CSV or JSON; ``--decimal`` approximates the last column."""
+    """Print rows of exact values as CSV or JSON; ``--decimal`` approximates the last column.
+
+    The approximate cell of a row is computed as that row is written, so the
+    whole column is never held at once.
+    """
     if args.decimal:
         header = [*header, "approx"]
-        rows = [[*row, _approx(row[-1], args.decimal)] for row in rows]
+        rows = ([*row, _approx(row[-1], args.decimal)] for row in rows)
     if args.format == "json":
         objs = ({key: cell if key == "n" else str(cell) for key, cell in zip(header, row)} for row in rows)
         chunks = _json_chunks(objs)
     else:
-        chunks = (",".join(map(str, row)) + "\n" for row in [header, *rows])
+        chunks = (",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))
     _emit(args, chunks)
 
 

@@ -39,7 +39,13 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
 
-from multiharm.rational import RationalLike, binomial as comb, factorial as fact, gen_binomial as gbin
+from multiharm.rational import (
+    RationalLike,
+    binomial as comb,
+    exact_sum as _fsum,
+    factorial as fact,
+    gen_binomial as gbin,
+)
 from multiharm.sequences import (
     fibonacci as fib,
     half_harmonic_offset as hoff,
@@ -61,15 +67,8 @@ from multiharm.transforms import (
     binomial_sum_m3,
 )
 
-_ZERO = Fraction(0)
-
-
 def harm2(n: int) -> Fraction:
     return harmonic_order(n, 2)
-
-
-def _fsum(terms) -> Fraction:
-    return sum(terms, _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +644,11 @@ _REGISTRY = _build_registry({
             lambda r, m, n: _fsum(
                 (-1) ** k
                 * gbin(r - 1, k)
-                * _fsum(comb(k, j - 1) * Fraction(stir(j, m), fact(j)) for j in range(m, k + 2))
+                # the inner sum, every term an integer over (k+1)!
+                * Fraction(
+                    sum(comb(k, j - 1) * stir(j, m) * (fact(k + 1) // fact(j)) for j in range(m, k + 2)),
+                    fact(k + 1),
+                )
                 for k in range(n + 1)
             ),
             lambda r, m, n: (-1) ** n * gbin(r - 1, n) * hlike(n + 1, m) / fact(m)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 #: Accepted wherever a rational scalar is expected.
 RationalLike = Fraction | int
@@ -56,6 +57,21 @@ def gen_binomial(x: RationalLike, k: int) -> Fraction:
     for i in range(k):
         num *= x.numerator - i * x.denominator
     return Fraction(num, den)
+
+
+def exact_sum(terms: Iterable[RationalLike]) -> Fraction:
+    """The exact sum of ints and Fractions, reduced once.
+
+    With ``L`` the lcm of the terms' denominators, every term is the integer
+    ``num * (L // den)`` over ``L``: the numerators are added as integers and
+    the one gcd is taken by the final ``Fraction``.  The result equals
+    ``sum(terms, Fraction(0))`` on every input, in lowest terms with a positive
+    denominator, and is ``Fraction(0)`` for no terms.  ``terms`` is read once,
+    so a generator is fine.
+    """
+    pairs = [(t.numerator, t.denominator) for t in terms]
+    common = math.lcm(*[den for _, den in pairs])
+    return Fraction(sum(num * (common // den) for num, den in pairs), common)
 
 
 def parse_rational(text: str) -> Fraction:

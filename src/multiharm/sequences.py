@@ -23,10 +23,10 @@ compares independent computations.  ``hyperharmonic`` and ``harmonic_order``
 refuse up front, with :class:`FeasibilityError`, a query whose table would
 exceed :data:`TABLE_CEILING`.
 
-All caches are module-level, guarded by one re-entrant lock that the table
-type takes itself, and transparent: a warm cache returns exactly what a
-cold recomputation would.  Values are immutable, so concurrent use never
-changes any returned value.
+All caches are module-level, grown under one re-entrant lock that the table
+type takes itself (reads of existing entries take no lock), and transparent:
+a warm cache returns exactly what a cold recomputation would.  Values are
+immutable, so concurrent use never changes any returned value.
 """
 
 from __future__ import annotations
@@ -73,8 +73,16 @@ class _LevelTable:
     a value is appended only once it is fully computed, and lower levels
     grow first.  A fill interrupted part-way (for example by MemoryError)
     therefore leaves the table consistent, and growing by one index costs
-    one ``step`` per level instead of a recomputation.  :meth:`value` holds
-    the module lock; :func:`clear_caches` holds it around :meth:`clear`.
+    one ``step`` per level instead of a recomputation.
+
+    :meth:`value` reads an existing entry without the lock and takes the
+    module lock only to grow the table; :func:`clear_caches` holds it around
+    :meth:`clear`.  The unlocked read is safe because an entry is appended
+    only once it is complete and is never changed afterwards.  A read that
+    races :meth:`clear` either still sees the entry, which is the correct
+    value (a cleared level keeps its values, it is only unlinked, and level
+    0 is truncated in place), or gets ``IndexError`` and falls through to the
+    locked path, which recomputes it.
     """
 
     def __init__(
@@ -93,6 +101,10 @@ class _LevelTable:
         del self.levels[0][1:]
 
     def value(self, i: int, j: int) -> Fraction | int:
+        try:
+            return self.levels[j][i]
+        except IndexError:
+            pass
         with _lock:
             levels = self.levels
             if j >= len(levels) or i >= len(levels[j]):

@@ -71,6 +71,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> TruncatedSeries:
+        _check_order(order)
         return cls._from_integers((1,) + (0,) * order, 1)
 
     # -- basic protocol ------------------------------------------------------

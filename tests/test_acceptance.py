@@ -5,6 +5,7 @@ tolerance is zero everywhere.  Run with ``pytest -v -s tests/test_acceptance.py`
 to see the one-line verdicts.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -174,6 +175,10 @@ def test_criterion_7_half_integer_machinery():
         assert report.cases == 21 * 21
 
 
+#: SHA-256 of ``multiharm verify`` stdout with every ``"elapsed_ms":`` line removed.
+VERIFY_STDOUT_SHA256 = "d3f69e002107ed76e3502b2ed39dc07bee85960f2b75375e4769a9dd4376017a"
+
+
 def test_criterion_8_verify_output_is_deterministic(capsys):
     with criterion(8, "consecutive verify runs are byte-identical apart from elapsed_ms"):
         assert cli.main(["verify"]) in (0,)
@@ -182,6 +187,9 @@ def test_criterion_8_verify_output_is_deterministic(capsys):
         second = capsys.readouterr().out
         normalize = lambda text: re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": _', text)
         assert normalize(first) == normalize(second)
+        # the printed bytes themselves are pinned, not only their repeatability
+        untimed = "".join(line for line in first.splitlines(keepends=True) if '"elapsed_ms":' not in line)
+        assert hashlib.sha256(untimed.encode()).hexdigest() == VERIFY_STDOUT_SHA256
         assert first != ""  # sanity: something was emitted
         for report in json.loads(first):
             assert report["passed"] is True

@@ -492,6 +492,41 @@ def test_json_is_written_one_item_at_a_time_with_json_dumps_bytes(monkeypatch):
     assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
 
 
+def test_decimal_column_is_computed_as_each_row_is_written(monkeypatch):
+    # the whole approximate column once set peak memory for long tables
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    writes_before = []
+    approx = cli._approx
+
+    def recording_approx(value, digits):
+        writes_before.append(len(out.writes))
+        return approx(value, digits)
+
+    monkeypatch.setattr(cli, "_approx", recording_approx)
+    for fmt in ("csv", "json"):
+        out.writes.clear()
+        writes_before.clear()
+        assert cli.main(["seq", "--family", "harmonic", "--n", "3", "--format", fmt, "--decimal", "5"]) == 0
+        # CSV writes its header first; JSON writes each item with its opening separator
+        assert writes_before == ([1, 2, 3, 4] if fmt == "csv" else [0, 1, 2, 3])
+
+
+def test_decimal_leaves_the_exact_cells_byte_identical(capsys):
+    for fmt in ("csv", "json"):
+        code, plain = run(capsys, "seq", "--family", "harmonic", "--n", "4", "--format", fmt)
+        assert code == 0
+        code, approx = run(capsys, "seq", "--family", "harmonic", "--n", "4", "--format", fmt, "--decimal", "3")
+        assert code == 0
+        if fmt == "csv":
+            assert approx == "n,value,approx\n0,0,0\n1,1,1\n2,3/2,1.5\n3,11/6,1.83\n4,25/12,2.08\n"
+            assert "".join(line.rsplit(",", 1)[0] + "\n" for line in approx.splitlines()) == plain
+        else:
+            rows = json.loads(approx)
+            assert [row.pop("approx") for row in rows] == ["0", "1", "1.5", "1.83", "2.08"]
+            assert json.dumps(rows, indent=2) + "\n" == plain
+
+
 def test_unexpected_exception_in_gf_check_exits_three(capsys, monkeypatch):
     def broken(m, order):
         raise RuntimeError("boom")

@@ -311,6 +311,7 @@ def test_gf_odd_central_matches_central_binomial_products():
     pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
     pytest.param(lambda: log_one_plus(-1), id="log_one_plus"),
     pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
+    pytest.param(lambda: TruncatedSeries.one(-1), id="one"),
 ])
 def test_every_constructor_refuses_a_negative_order(route):
     # an order-0 series is not what a negative order asks for

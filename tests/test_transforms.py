@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiharm.sequences import harmonic, harmonic_like, stirling1
+from multiharm.rational import binomial, exact_sum, factorial
+from multiharm.sequences import harmonic, harmonic_like, harmonic_order, stirling1
 from multiharm.transforms import (
     AB_FIXTURES,
     binomial_sum_closed,
@@ -157,3 +159,133 @@ def test_every_route_refuses_a_negative_index(route):
     # the cross-checked routes share one domain: none of them returns 0 for n < 0
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         route()
+
+
+# ---------------------------------------------------------------------------
+# each route against its literal Fraction form
+#
+# The routes add integer numerators over one common denominator.  These are
+# the same formulas as plain Fraction loops, one reduction per operation; each
+# route is compared with its own loop, never with another route.
+
+
+def _fraction_powers(x, n):
+    out = [F(1)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def direct_reference(a, b, m, n):
+    a_pow, b_pow = _fraction_powers(F(a), n), _fraction_powers(F(b), n)
+    total = F(0)
+    for k in range(n + 1):
+        total += binomial(n, k) * a_pow[k] * b_pow[n - k] * harmonic_like(k, m)
+    return total
+
+
+def closed_reference(a, b, m, n):
+    ab_pow, b_pow = _fraction_powers(F(a) + F(b), n), _fraction_powers(F(b), n)
+    total = F(0)
+    for j in range(m + 1):
+        outer = binomial(m, j) * factorial(m - j)
+        for k in range(n + 1):
+            sign = -1 if (n - k) % 2 else 1
+            total += (
+                outer
+                * harmonic_like(k, j)
+                * ab_pow[k]
+                * F(sign * stirling1(n - k, m - j), factorial(n - k))
+                * b_pow[n - k]
+            )
+    return total
+
+
+def m1_reference(a, b, n):
+    ab_pow, b_pow = _fraction_powers(F(a) + F(b), n), _fraction_powers(F(b), n)
+    correction = F(0)
+    for k in range(n):
+        correction += ab_pow[k] * b_pow[n - k] / (n - k)
+    return harmonic(n) * ab_pow[n] - correction
+
+
+def m2_reference(a, b, n):
+    ab_pow, b_pow = _fraction_powers(F(a) + F(b), n), _fraction_powers(F(b), n)
+    correction = F(0)
+    for k in range(1, n + 1):
+        correction += ab_pow[n - k] * b_pow[k] * (harmonic(k - 1) - harmonic(n - k)) / k
+    return harmonic_like(n, 2) * ab_pow[n] + 2 * correction
+
+
+def m3_reference(a, b, n):
+    ab_pow, b_pow = _fraction_powers(F(a) + F(b), n), _fraction_powers(F(b), n)
+    correction = F(0)
+    for k in range(1, n + 1):
+        hk, hn = harmonic(k - 1), harmonic(n - k)
+        weight = hk * hk - harmonic_order(k - 1, 2) - 2 * hk * hn + hn * hn - harmonic_order(n - k, 2)
+        correction += ab_pow[n - k] * b_pow[k] * weight / k
+    return harmonic_like(n, 3) * ab_pow[n] - 3 * correction
+
+
+# a / b built from a numerator and a nonzero denominator of either sign
+_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(-9, 9).filter(bool))
+
+
+@pytest.mark.parametrize("route, reference", [
+    pytest.param(binomial_sum_direct, direct_reference, id="direct"),
+    pytest.param(binomial_sum_closed, closed_reference, id="closed"),
+    # the specializations have a fixed m; the drawn m is not read
+    pytest.param(lambda a, b, m, n: binomial_sum_m1(a, b, n), lambda a, b, m, n: m1_reference(a, b, n), id="m1"),
+    pytest.param(lambda a, b, m, n: binomial_sum_m2(a, b, n), lambda a, b, m, n: m2_reference(a, b, n), id="m2"),
+    pytest.param(lambda a, b, m, n: binomial_sum_m3(a, b, n), lambda a, b, m, n: m3_reference(a, b, n), id="m3"),
+])
+def test_route_matches_its_fraction_loop(route, reference):
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(_RATIONALS, _RATIONALS), st.integers(0, 4), st.integers(0, 30))
+    @example((F(2, 3), F(-2, 3)), 4, 30)  # a + b = 0
+    @example((F(0), F(-5, 7)), 4, 30)  # a = 0
+    @example((F(-9, 4), F(0)), 4, 30)  # b = 0
+    @example((F(3, -5), F(7, 9)), 4, 0)  # n = 0
+    def check(ab, m, n):
+        assert route(*ab, m, n) == reference(*ab, m, n)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the shared summation primitive
+
+_TERMS = st.lists(
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+    max_size=30,
+)
+
+
+def _matches_fraction_sum(sum_fn):
+    @settings(max_examples=200, deadline=None)
+    @given(_TERMS)
+    @example([])
+    @example([0, F(0), 0])
+    @example([1, F(1, 2), F(-1, 3)])
+    @example([F(5, 6), F(1, 6), -1])
+    def check(terms):
+        total = sum_fn(iter(terms))
+        assert type(total) is Fraction
+        assert total == sum(terms, F(0))
+
+    return check
+
+
+def test_exact_sum_matches_fraction_sum():
+    _matches_fraction_sum(exact_sum)()
+
+
+def test_exact_sum_without_the_scale_fails_the_fraction_sum_check():
+    # mutant: every numerator added over L without the L // den scale
+    def mutant(terms):
+        pairs = [(t.numerator, t.denominator) for t in terms]
+        common = math.lcm(*[den for _, den in pairs])
+        return Fraction(sum(num for num, _ in pairs), common)
+
+    with pytest.raises(AssertionError):
+        _matches_fraction_sum(mutant)()
