@@ -25,11 +25,13 @@ or domain error, an option the chosen mode does not read, a ``--decimal``
 outside its range, an ``--output`` file that cannot be written, a parameter
 too large for the stdlib's integer routines (``OverflowError``, for example
 from ``math.comb`` or ``math.factorial``), a query over a sequence table
-ceiling (``FeasibilityError``), and running out of memory.  ``verify``
-refuses a run that would pass without checking anything, through the library's
-own checks (see :mod:`multiharm.identities`).  ``seq``, ``transform`` and
-``gf-check`` check their last index against the table ceiling before the first
-row.  Any other exception is a fault in the program: it exits 3 with one
+ceiling or a ``gf-check`` over :data:`GF_WORK_CEILING` (``FeasibilityError``),
+and running out of memory.  ``verify`` refuses a run that would pass without
+checking anything, through the library's own checks (see
+:mod:`multiharm.identities`).  ``seq``, ``transform`` and ``gf-check`` check
+their last index against the table ceiling before the first row, and
+``gf-check`` checks its work ceiling before either side runs.  Any other
+exception is a fault in the program: it exits 3 with one
 ``error: internal error: <Type>: <message>`` line and no traceback.  Every
 exact row is computed before the first byte, so a refusal leaves the output
 empty; the text is then written one row (or JSON item) at a time, with the
@@ -52,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 from multiharm import identities, sequences, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
-from multiharm.sequences import FAMILY_NAMES, SeqSpec
+from multiharm.sequences import FAMILY_NAMES, FeasibilityError, SeqSpec
 
 #: gf-check family -> (the sequence family it reads, the name of its
 #: ``series`` generating function, the scale of the sequence value at n, the
@@ -68,6 +70,16 @@ _GF_CHECKS = {
 #: Most digits ``--decimal`` accepts.  Far larger values overflow the decimal
 #: context or exhaust memory before a row is printed.
 DECIMAL_MAX = 10_000
+
+#: Largest estimated work ``gf-check`` accepts: (order + 1)^2 times the power
+#: its generating function takes, which is the family parameter capped at
+#: order + 1 (1 for ``odd_central``).  A product at order N packs N + 1
+#: coefficients of O(N) bits each, and the coefficients of a k-th power are
+#: about k times longer, so the estimate follows the size of the packed
+#: operands.  A power past the order adds no length: ``ln(1+z)^k`` and
+#: ``(-ln(1-z))^m`` vanish up to z^order for k, m > order.  At the ceiling the
+#: slowest family, ``odd_central`` at order 999, takes a few seconds.
+GF_WORK_CEILING = 1_000_000
 
 
 def _approx(value: Fraction, digits: int) -> str:
@@ -136,11 +148,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _check_gf_work(order: int, params: dict[str, int]) -> None:
+    """Refuse a ``gf-check`` whose estimated work exceeds :data:`GF_WORK_CEILING`."""
+    power = min(max([1, *params.values()]), order + 1)
+    if (order + 1) ** 2 * power > GF_WORK_CEILING:
+        raise FeasibilityError(
+            f"(order+1)^2*{power} exceeds the ceiling of {GF_WORK_CEILING} at order={order}"
+        )
+
+
 def cmd_gf_check(args: argparse.Namespace) -> int:
     """Recurrence values against generating-function coefficients for n = 0..order."""
     family, name, seq_scale, coeff_scale = _GF_CHECKS[args.family]
     spec = SeqSpec(family, _params(args))
     spec.check(args.order)
+    _check_gf_work(args.order, spec.params)
     coeffs = getattr(series, name)(*spec.params.values(), args.order)
     recurrence = [seq_scale(n) * spec.evaluate(n) for n in range(args.order + 1)]
     gf = [coeff_scale(n) * c for n, c in enumerate(coeffs)]
@@ -218,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gf = sub.add_parser("gf-check", help="compare recurrence values against GF coefficients")
     p_gf.add_argument("--family", required=True, choices=tuple(_GF_CHECKS))
-    p_gf.add_argument("--order", type=int, required=True, help="truncation order (compare 0..order)")
+    p_gf.add_argument("--order", type=int, required=True,
+                      help="truncation order (compare 0..order); refused if (order+1)^2 times "
+                           f"the family parameter exceeds {GF_WORK_CEILING}")
     _add_options(p_gf, "--m", "--k", "--p", "--format", "--output")
     p_gf.set_defaults(func=cmd_gf_check)
 

@@ -303,8 +303,10 @@ _REGISTRY = _build_registry({
             "inverse transform: Stirling column sums give HL(.,m)",
             "sum_{k=m..n} C(n,k) s(k,m)/k! = HL(n,m)/m!",
             {"m": range(0, 6), "n": range(0, 31)},
-            lambda m, n: _fsum(
-                comb(n, k) * Fraction(stir(k, m), fact(k)) for k in range(m, n + 1)
+            # every term an integer over n!
+            lambda m, n: Fraction(
+                sum(comb(n, k) * stir(k, m) * (fact(n) // fact(k)) for k in range(m, n + 1)),
+                fact(n),
             ),
             lambda m, n: Fraction(hlike(n, m), 1) / fact(m),
         ),
@@ -500,7 +502,11 @@ _REGISTRY = _build_registry({
             {"m": range(0, 5), "n": range(1, 26)},
             lambda m, n: _fsum(
                 harm(k)
-                * _fsum(comb(k - 1, j - 1) * Fraction(stir(j, m), fact(j)) for j in range(m, k + 1))
+                # the inner sum, every term an integer over k!
+                * Fraction(
+                    sum(comb(k - 1, j - 1) * stir(j, m) * (fact(k) // fact(j)) for j in range(m, k + 1)),
+                    fact(k),
+                )
                 for k in range(1, n + 1)
             ),
             lambda m, n: (
@@ -539,9 +545,13 @@ _REGISTRY = _build_registry({
             {"m": range(1, 5), "n": range(1, 26)},
             lambda m, n: _fsum(
                 harm(k)
-                * _fsum(
-                    comb(n - k, j - 1) * Fraction(stir(j, m), fact(j))
-                    for j in range(m, n - k + 2)
+                # the inner sum, every term an integer over (n-k+1)!
+                * Fraction(
+                    sum(
+                        comb(n - k, j - 1) * stir(j, m) * (fact(n - k + 1) // fact(j))
+                        for j in range(m, n - k + 2)
+                    ),
+                    fact(n - k + 1),
                 )
                 for k in range(1, n + 1)
             ),

@@ -11,10 +11,23 @@ against the recurrence routes in :mod:`multiharm.sequences`.
 A series stores integer numerators over one positive denominator, always in
 lowest terms, so equal series store equal data and a product, inverse or
 square root is one call into the integer kernels of :mod:`multiharm._kernels`.
+A square (``f * f``, and so every step of ``f ** m``) hands the kernel the
+same numerator tuple twice, which it packs once and squares.
 ``Fraction`` values appear only at the boundary: the public constructor takes
 them in, and indexing, iteration and ``coeffs`` hand them out.  Every other
 constructor, and ``compose_mobius``, builds integer numerators (powers of a
 rational come from ``geometric``) and reduces once, in ``_from_integers``.
+
+The generating functions are built from three blocks, each one integer
+constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``), ``1/(1 - a z)``
+(``geometric``) and ``(1 - a z)^alpha`` for rational alpha
+(``power_of_one_minus``).  ``gf_hyperharmonic`` and ``gf_odd_central`` take
+their ``(1 - z)^(-p)`` and ``(1 - 4z)^(-1/2)`` from the last, so no
+generating function calls ``inverse`` or ``sqrt``.  ``geometric`` keeps its
+own running product; it equals ``power_of_one_minus(a, -1, order)``.  This
+module reads only :mod:`multiharm.rational` and the kernels, never
+:mod:`multiharm.sequences`, so the series stay independent of the recurrences
+they are compared with.
 
 The one argument substitution is the Moebius substitution
 z -> a*z/(1 - b*z).  No identity in the catalog uses it yet; the tests check
@@ -226,6 +239,23 @@ def geometric(a: RationalLike, order: int) -> TruncatedSeries:
     return TruncatedSeries._from_integers(nums, nums[0])
 
 
+def power_of_one_minus(a: RationalLike, alpha: RationalLike, order: int) -> TruncatedSeries:
+    """(1 - a*z)^alpha = sum C(alpha, n) (-a)^n z^n for rational a and alpha.
+
+    With alpha = u/v and a = p/q, C(alpha, n) (-a)^n is
+    prod_{i<n} (u - i v) (-p)^n / (n! (v q)^n), so over N! (v q)^N, N the
+    order, numerator n is prod_{i<n} (u - i v) (-p)^n (N!/n!) (v q)^(N-n).
+    """
+    _check_order(order)
+    a, alpha = Fraction(a), Fraction(alpha)
+    u, v = alpha.numerator, alpha.denominator
+    step = v * a.denominator
+    nums = [factorial(order) * step**order]
+    for n in range(order):  # n+1 from n: (N!/n!) (v q)^(N-n) is divisible by (n+1) v q
+        nums.append(nums[-1] * ((u - n * v) * -a.numerator) // ((n + 1) * step))
+    return TruncatedSeries._from_integers(nums, nums[0])
+
+
 # ---------------------------------------------------------------------------
 # generating functions of the sequence families
 
@@ -248,18 +278,21 @@ def gf_stirling_column(k: int, order: int) -> TruncatedSeries:
 
 
 def gf_hyperharmonic(p: int, order: int) -> TruncatedSeries:
-    """(-ln(1-z)) / (1-z)^p; coefficient n is the hyperharmonic number of level p >= 1."""
+    """(-ln(1-z)) (1-z)^(-p); coefficient n is the hyperharmonic number of level p >= 1.
+
+    (1-z)^(-p) comes from ``power_of_one_minus`` in one pass, so the series
+    costs one product for every p.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return neg_log_one_minus(1, order) * (geometric(1, order) ** p)
+    return neg_log_one_minus(1, order) * power_of_one_minus(1, -p, order)
 
 
 def gf_odd_central(order: int) -> TruncatedSeries:
     """Series whose coefficient n is C(2n, n) * O_n.
 
-    Built as (1/2) * (-ln(1-4z)) / sqrt(1-4z), using that 1/sqrt(1-4z)
-    generates the central binomial coefficients.
+    Built as (1/2) * (-ln(1-4z)) * (1-4z)^(-1/2): the second factor, from
+    ``power_of_one_minus``, generates the central binomial coefficients, so
+    the series costs one product.
     """
-    _check_order(order)
-    one_minus_4z = TruncatedSeries._from_integers(([1, -4] + [0] * order)[: order + 1], 1)
-    return Fraction(1, 2) * neg_log_one_minus(4, order) * one_minus_4z.sqrt().inverse()
+    return Fraction(1, 2) * neg_log_one_minus(4, order) * power_of_one_minus(4, Fraction(-1, 2), order)

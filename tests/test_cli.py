@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from multiharm import cli, identities, sequences, series
 from multiharm.identities import IdentityDescriptor
+from multiharm.sequences import SeqSpec
 
 
 def run(capsys, *argv):
@@ -448,11 +450,82 @@ def test_memory_error_exits_two(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(series, "gf_harmonic_like", exhausted)
-    code = cli.main(["gf-check", "--family", "harmonic_like", "--m", "4", "--order", "100000"])
+    code = cli.main(["gf-check", "--family", "harmonic_like", "--m", "4", "--order", "200"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+#: The four deep tables CI checks, with the sha256 of each one's stdout.
+DEEP_GF_CHECKS = {
+    "harmonic_like --m 4 --order 200": "b333056533082030add6df749c33c912e506aa87271085538c4ce9d16be3ab72",
+    "stirling1 --k 3 --order 400": "cc99c40f9545523a34526dec46204636ca7d71c039f8ce2b940158e2ac914382",
+    "hyperharmonic --p 20 --order 200": "9d24af92225d28e1df02a3eb0ab7e30b9b913c1420ee8044bf7f672e13cc7a16",
+    "odd_central --order 300": "66e88c4cc0418e62786697919544e3595c610acfa33e1f80d84a93bc95bd119d",
+}
+
+
+@pytest.mark.parametrize("options", list(DEEP_GF_CHECKS))
+def test_deep_gf_check_output_is_pinned(capsys, options):
+    # both sides moving together would still print "true" on every row
+    code, out = run(capsys, "gf-check", "--family", *options.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_GF_CHECKS[options]
+
+
+@pytest.mark.parametrize("command, power", [
+    (["gf-check", "--family", "harmonic_like", "--m", "4", "--order", "5"], 4),
+    (["gf-check", "--family", "stirling1", "--k", "2", "--order", "7"], 2),
+    (["gf-check", "--family", "hyperharmonic", "--p", "3", "--order", "6"], 3),
+    (["gf-check", "--family", "odd_central", "--order", "10"], 1),
+    (["gf-check", "--family", "harmonic_like", "--m", "0", "--order", "10"], 1),
+    # a power past the order is capped at order + 1
+    (["gf-check", "--family", "stirling1", "--k", "1000", "--order", "4"], 5),
+])
+def test_gf_work_ceiling_refuses_before_either_side(capsys, monkeypatch, command, power):
+    monkeypatch.setattr(cli, "GF_WORK_CEILING", 100)
+    for name in ("gf_harmonic_like", "gf_stirling_column", "gf_hyperharmonic", "gf_odd_central"):
+        monkeypatch.setattr(series, name, lambda *args: pytest.fail("a generating function was built"))
+    monkeypatch.setattr(SeqSpec, "evaluate", lambda *args: pytest.fail("a sequence value was computed"))
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    order = int(command[-1])
+    assert captured.err == (
+        f"error: (order+1)^2*{power} exceeds the ceiling of 100 at order={order}\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["gf-check", "--family", "harmonic_like", "--m", "4", "--order", "4"],
+    ["gf-check", "--family", "odd_central", "--order", "9"],
+    ["gf-check", "--family", "stirling1", "--k", "1000", "--order", "3"],
+])
+def test_gf_work_ceiling_accepts_up_to_the_ceiling(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "GF_WORK_CEILING", 100)
+    code, out = run(capsys, *command)
+    assert code == 0
+    assert out.count(",true\n") == int(command[-1]) + 1
+
+
+@pytest.mark.parametrize("options", [
+    *DEEP_GF_CHECKS,  # CI and the deep_tables benchmark
+    "harmonic_like --m 3 --order 40",  # the README examples
+    "odd_central --order 30",
+])
+def test_gf_work_ceiling_accepts_every_documented_order(options):
+    family, *rest = options.split()
+    values = dict(zip(rest[::2], map(int, rest[1::2])))
+    order = values.pop("--order")
+    cli._check_gf_work(order, {key[2:]: value for key, value in values.items()})
+
+
+def test_gf_check_help_names_the_work_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GF_WORK_CEILING", 4321)
+    assert cli.main(["gf-check", "--help"]) == 0
+    assert "exceeds 4321" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("k", ["1000000", "99999999999999999999"])

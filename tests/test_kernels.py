@@ -9,14 +9,17 @@ stay in ``Fraction`` terms.
 """
 
 import inspect
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import comb, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from multiharm import _kernels
 from multiharm.sequences import stirling1
+from multiharm.series import TruncatedSeries
 
 F = Fraction
 _ZERO = F(0)
@@ -149,6 +152,59 @@ def test_cauchy_product_at_the_slot_bound(n, bits, sign_f, sign_g, den):
     ints = _kernels.cauchy_product([sign_f * a] * n, [sign_g] * n, 2 * n)
     assert ints[n - 1] == sign_f * sign_g * n * a
     assert ints == [h * den for h in result]
+
+
+signed = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.just(0),
+    st.integers(min_value=-(10**200), max_value=10**200),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(signed, min_size=1, max_size=40), st.integers(min_value=-1, max_value=90))
+@example([0], 5)  # length 1, all zero
+@example([-3], 0)  # length 1
+@example([0] * 12, 30)  # all zero, order past the length
+@example([0, 0, 5, 0, -7, 0], 14)  # zeros around signed entries
+@example([-(2**63 - 1), 2**63 - 1] * 10, 45)
+def test_cauchy_square_matches_the_general_path(a, order):
+    # ``a is a`` takes the squaring path; the copy makes the general one
+    general = _kernels.cauchy_product(a, list(a), order)
+    assert _kernels.cauchy_product(a, a, order) == general
+    t = tuple(a)  # as TruncatedSeries passes it
+    assert _kernels.cauchy_product(t, t, order) == general
+
+
+def test_cauchy_square_packs_its_vector_once(monkeypatch):
+    packs = []
+    pack = _kernels._pack
+    monkeypatch.setattr(_kernels, "_pack", lambda a, size: packs.append(size) or pack(a, size))
+    a = (3, -1, 4, 0, -5)
+    square = _kernels.cauchy_product(a, a, 8)
+    assert len(packs) == 1
+    assert square == _kernels.cauchy_product(a, list(a), 8) == [
+        int(x) for x in schoolbook_product(a, a, 8)
+    ]
+    assert len(packs) == 3
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=25).flatmap(
+        lambda order: st.lists(coeff, min_size=order + 1, max_size=order + 1)
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+@example([F(0)], 5)
+@example([F(7, 3)], 4)
+@example([F(0), F(-1, 2), F(3)], 5)
+def test_series_power_matches_products_of_copies(c, m):
+    # f ** m squares through one tuple; each factor below is a fresh copy of
+    # f, so every product of the reference takes the general path
+    f = TruncatedSeries(c)
+    copies = [TruncatedSeries(c) for _ in range(m)]
+    assert f**m == reduce(operator.mul, copies)
 
 
 def test_cauchy_product_with_alternating_extremes():

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiharm.rational import binomial, factorial
+from multiharm.rational import binomial, factorial, gen_binomial
 from multiharm.sequences import harmonic_like, hyperharmonic, odd_harmonic, stirling1
 from multiharm.series import (
     TruncatedSeries,
@@ -16,6 +16,7 @@ from multiharm.series import (
     gf_stirling_column,
     log_one_plus,
     neg_log_one_minus,
+    power_of_one_minus,
 )
 from multiharm.transforms import binomial_sum_direct
 
@@ -150,6 +151,11 @@ def test_results_are_stored_in_lowest_terms():
     # the integer constructors and compose_mobius reduce their common factors too
     assert_canonical([neg_log_one_minus(F(-2, 3), 4), geometric(F(3, 2), 3), f.compose_mobius(F(1, 2), F(-1, 3), 3)])
     assert neg_log_one_minus(0, 2) == TruncatedSeries([0, 0, 0])
+    # numerators over N! (v q)^N share factors of N! and of v q
+    assert_canonical([power_of_one_minus(a, alpha, 6)
+                      for a, alpha in [(1, -3), (F(-2, 3), F(-1, 2)), (F(5, 4), F(7, 3)), (0, F(1, 2)), (4, 0)]])
+    assert power_of_one_minus(1, -1, 3) == TruncatedSeries([1, 1, 1, 1])
+    assert power_of_one_minus(F(1, 2), 2, 3) == TruncatedSeries([1, -1, F(1, 4), 0])
 
 
 @settings(max_examples=40)
@@ -207,6 +213,46 @@ def test_neg_log_one_minus_matches_fraction_reference(a, order):
 @example(F(-7, 3), 0)
 def test_geometric_matches_fraction_reference(a, order):
     assert geometric(a, order) == geometric_reference(a, order)
+
+
+def power_of_one_minus_reference(a, alpha, order):
+    return TruncatedSeries([gen_binomial(alpha, n) * (-F(a)) ** n for n in range(order + 1)])
+
+
+exponent = st.one_of(
+    st.integers(min_value=-12, max_value=-1),  # negative integers
+    st.integers(min_value=-9, max_value=9).map(lambda k: F(2 * k + 1, 2)),  # half-integers
+    st.just(F(0)),
+    st.integers(min_value=1, max_value=12),  # positive integers: a polynomial
+    st.fractions(min_value=-7, max_value=7, max_denominator=11),  # other rationals
+)
+
+
+@settings(max_examples=150)
+@given(rational, exponent, st.integers(min_value=0, max_value=15))
+@example(F(0), F(-1, 2), 9)  # a = 0
+@example(F(-5, 3), F(2, 7), 15)  # negative a with a non-unit denominator
+@example(F(1), F(0), 4)  # alpha = 0
+@example(F(3, 2), F(4), 7)  # a polynomial of degree 4
+@example(F(-2, 3), F(-1), 11)  # alpha = -1
+@example(F(4), F(-1, 2), 15)  # the central binomial coefficients
+def test_power_of_one_minus_matches_generalized_binomials(a, alpha, order):
+    series = power_of_one_minus(a, alpha, order)
+    assert series == power_of_one_minus_reference(a, alpha, order)
+    assert_canonical([series])
+    if alpha == -1:
+        assert series == geometric(a, order)
+    if (a, alpha) == (4, F(-1, 2)):
+        assert series.coeffs == tuple(F(binomial(2 * n, n)) for n in range(order + 1))
+
+
+@settings(max_examples=60)
+@given(rational, st.integers(min_value=0, max_value=30))
+@example(F(0), 3)
+@example(F(-7, 3), 0)
+def test_geometric_is_power_of_one_minus_at_minus_one(a, order):
+    # geometric keeps its own running product; both give 1/(1 - a z)
+    assert geometric(a, order) == power_of_one_minus(a, -1, order)
 
 
 @settings(max_examples=80)
@@ -308,6 +354,7 @@ def test_gf_odd_central_matches_central_binomial_products():
     pytest.param(lambda: gf_hyperharmonic(2, -1), id="gf_hyperharmonic"),
     pytest.param(lambda: gf_odd_central(-1), id="gf_odd_central"),
     pytest.param(lambda: geometric(1, -2), id="geometric"),
+    pytest.param(lambda: power_of_one_minus(4, F(-1, 2), -1), id="power_of_one_minus"),
     pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
     pytest.param(lambda: log_one_plus(-1), id="log_one_plus"),
     pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
