@@ -29,7 +29,7 @@ ceiling or a ``gf-check`` over :data:`GF_WORK_CEILING` (``FeasibilityError``),
 and running out of memory.  ``verify`` refuses a run that would pass without
 checking anything, through the library's own checks (see
 :mod:`multiharm.identities`).  ``seq``, ``transform`` and ``gf-check`` check
-their last index against the table ceiling before the first row, and
+their last index against the family's ceiling before the first row, and
 ``gf-check`` checks its work ceiling before either side runs.  Any other
 exception is a fault in the program: it exits 3 with one
 ``error: internal error: <Type>: <message>`` line and no traceback.  Every
@@ -186,17 +186,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if args.signed:
             raise ValueError("--signed applies only to --family mode")
         # S(a, b, m, n) sums harmonic-like numbers of level m, so their family checks m
-        m = SeqSpec("harmonic_like", {"m": 0, **_params(args)}).params["m"]
-        value = transforms.binomial_sum_direct(parse_rational(args.a), parse_rational(args.b), m, args.n)
+        spec = SeqSpec("harmonic_like", {"m": 0, **_params(args)})
+        spec.check(args.n)
+        value = transforms.binomial_sum_direct(
+            parse_rational(args.a), parse_rational(args.b), spec.params["m"], args.n
+        )
         rows = [[args.n, value]]
     _emit_table(args, ["n", "value"], rows)
     return 0
 
 
 _OPTIONS = {
-    "--m": dict(type=int, help="level parameter (harmonic_like; binomial-sum mode, default 0)"),
+    "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and (n+1)^2*m > "
+                               "{hlike_ceiling}; binomial-sum mode, default 0)"),
     "--k": dict(type=int, help="column parameter (stirling1)"),
-    "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}"),
+    "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}, "
+                               "hyperharmonic_half refuses n+p > {half_ceiling}"),
     "--r": dict(type=int, help="order (harmonic_order); refused if (n+1)*r > {ceiling}"),
     "--format": dict(choices=("csv", "json"), default="csv", help="table rendering (default csv)"),
     "--decimal": dict(type=int, metavar="DIGITS",
@@ -207,8 +212,10 @@ _OPTIONS = {
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:  # the ceiling is read now, so --help states the one in force
-        help_text = _OPTIONS[name]["help"].format(ceiling=sequences.TABLE_CEILING)
+    ceilings = dict(ceiling=sequences.TABLE_CEILING, hlike_ceiling=sequences.HARMONIC_LIKE_CEILING,
+                    half_ceiling=sequences.HALF_CEILING)
+    for name in names:  # the ceilings are read now, so --help states the ones in force
+        help_text = _OPTIONS[name]["help"].format(**ceilings)
         parser.add_argument(name, **{**_OPTIONS[name], "help": help_text})
 
 

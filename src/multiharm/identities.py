@@ -34,6 +34,7 @@ Anchor strings state each identity in plain ASCII with this notation:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from time import perf_counter
@@ -217,6 +218,23 @@ def registry_tags() -> tuple[str, ...]:
 
 
 _KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
+
+
+def _kollar_m2_lhs(r: Fraction, n: int) -> Fraction:
+    # sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j, where
+    # with lam = lcm(1..n+1) every inner term is the integer
+    # (-1)^j C(k,j-1) (lam H_{j-1}) (lam/j) over lam^2
+    lam = math.lcm(*range(1, n + 2))
+    lam_h = [lam * h.numerator // h.denominator for h in map(harm, range(n + 1))]
+    return _fsum(
+        (-1) ** k
+        * gbin(r - 1, k)
+        * Fraction(
+            sum((-1) ** j * comb(k, j - 1) * lam_h[j - 1] * (lam // j) for j in range(2, k + 2)),
+            lam * lam,
+        )
+        for k in range(n + 1)
+    )
 
 
 def _cw(k: int, p: int) -> Fraction:
@@ -679,12 +697,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: _fsum(
-                (-1) ** k
-                * gbin(r - 1, k)
-                * _fsum((-1) ** j * comb(k, j - 1) * harm(j - 1) / j for j in range(2, k + 2))
-                for k in range(n + 1)
-            ),
+            _kollar_m2_lhs,
             lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harm2(n + 1)) / 2
             - _fsum((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harm2(k)) for k in range(n + 1)) / 2,
         ),

@@ -19,12 +19,28 @@ Every cached family but Fibonacci (a two-term recurrence, one plain list)
 has its own ``_LevelTable``.  Lucas numbers are read off the Fibonacci list.
 The tables grow in place, one index at a time; none of them reads another
 family's table, the kernels or the series layer, so each cross-check
-compares independent computations.  ``hyperharmonic`` and ``harmonic_order``
-refuse up front, with :class:`FeasibilityError`, a query whose table would
-exceed :data:`TABLE_CEILING`.
+compares independent computations.
+
+A table holds its entries over one integer scale per index, shared by all
+its levels.  ``hyperharmonic`` keeps integer numerators over
+lcm(1..n), so growing a level is integer arithmetic, and a value is reduced
+to a ``Fraction`` only when it is first read: a query reads one level, but
+growing to order p fills the p - 1 levels below it too, and most of their
+cells are never read.  ``stirling1`` is integer already (scale 1).  The
+one-index sums (harmonic, order-r harmonic, odd harmonic, half-integer
+offset) stay at scale 1 and hold reduced ``Fraction``s: their terms have
+small denominators, so each addition is cheap, while reading a sum over
+integers would pay one large gcd per row.  ``harmonic_like`` stays at scale
+1 too: over n! its dense rows at small m read about 50% slower, and over
+lcm(1..n)^m its single large-m values fill many times slower.
+
+Queries that would do too much work are refused up front, with
+:class:`FeasibilityError`: ``hyperharmonic`` and ``harmonic_order`` over
+:data:`TABLE_CEILING`, ``harmonic_like`` over :data:`HARMONIC_LIKE_CEILING`
+and ``hyperharmonic_half`` over :data:`HALF_CEILING`.
 
 All caches are module-level, grown under one re-entrant lock that the table
-type takes itself (reads of existing entries take no lock), and transparent:
+type takes itself (reads of cached values take no lock), and transparent:
 a warm cache returns exactly what a cold recomputation would.  Values are
 immutable, so concurrent use never changes any returned value.
 """
@@ -35,6 +51,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Callable, Mapping
 
 from multiharm import _kernels
@@ -62,77 +79,113 @@ def _check_index(n: int, name: str = "n") -> None:
 class _LevelTable:
     """Memo table for a two-index recurrence, grown in place level by level.
 
-    ``levels[j][i]`` is the value at index i on level j.  Level 0 is
-    ``base(i)``; every level j >= 1 starts at index 0 with ``start`` and
-    continues by ``step(j, i, left, below)``, where ``left`` is the entry at
+    ``levels[j][i]`` is the exact value at index i on level j times
+    ``scales[i]``, an integer scale shared by every level at index i.  A
+    table built without ``ratio`` has scale 1 everywhere, so its entries are
+    the values themselves; with ``ratio``, ``scales[i] = scales[i-1] *
+    ratios[i]``, where ``ratios[i] = ratio(i, scales[i-1])``, and its entries
+    are integer numerators.  Level 0 is ``base(i, scales[i])``; every level
+    j >= 1 starts at index 0 with ``start`` and continues by
+    ``step(j, i, left, below, ratios[i])``, where ``left`` is the entry at
     index i - 1 of level j and ``below`` is level j - 1, already grown at
-    least to index i.  A one-index partial sum is such a table with the
+    least to index i.  A one-index partial sum is a scale-1 table with the
     terms on level 0 and the sums on level 1 (see :func:`_partial_sums`).
 
-    Levels may differ in length, but each one is always a correct prefix:
-    a value is appended only once it is fully computed, and lower levels
-    grow first.  A fill interrupted part-way (for example by MemoryError)
-    therefore leaves the table consistent, and growing by one index costs
-    one ``step`` per level instead of a recomputation.
+    On integer numerators a step is one multiplication and one addition of
+    integers, where a reduced ``Fraction`` addition pays two large gcds.  A
+    query reads one entry of one level, while growing to it fills every
+    level below, so a numerator is reduced to a ``Fraction`` only when it is
+    first read, then kept in ``read[j]`` (a dict from index to value).  A
+    scale-1 table is its own read cache (``read is levels``), so its reads
+    are one list lookup.
 
-    :meth:`value` reads an existing entry without the lock and takes the
-    module lock only to grow the table; :func:`clear_caches` holds it around
-    :meth:`clear`.  The unlocked read is safe because an entry is appended
-    only once it is complete and is never changed afterwards.  A read that
-    races :meth:`clear` either still sees the entry, which is the correct
-    value (a cleared level keeps its values, it is only unlinked, and level
-    0 is truncated in place), or gets ``IndexError`` and falls through to the
-    locked path, which recomputes it.
+    Levels may differ in length, but each one is always a correct prefix:
+    a value is appended only once it is fully computed, and the scales and
+    lower levels grow first.  A fill interrupted part-way (for example by
+    MemoryError) therefore leaves the table consistent, and growing by one
+    index costs one ``step`` per level instead of a recomputation.
+
+    :meth:`value` reads a cached value without the lock and takes the module
+    lock only to grow the table or to reduce an entry; :func:`clear_caches`
+    holds it around :meth:`clear`.  The unlocked read is safe because every
+    cached value is the exact value at its place, is stored only once it is
+    complete, and is never changed afterwards.  A read that races
+    :meth:`clear` either still sees the value, which is correct (a cleared
+    level and its read cache keep their values, they are only unlinked, and
+    level 0 and its cache are emptied in place), or misses and falls through
+    to the locked path, which recomputes it.  Every write to the read cache
+    happens under the lock, so none lands in a table that :meth:`clear` has
+    already reset.
     """
 
     def __init__(
         self,
-        base: Callable[[int], Fraction | int],
+        base: Callable[[int, int], Fraction | int],
         start: Fraction | int,
-        step: Callable[[int, int, Fraction | int, list], Fraction | int],
+        step: Callable[[int, int, Fraction | int, list, int], Fraction | int],
+        ratio: Callable[[int, int], int] | None = None,
     ) -> None:
         self.base = base
         self.start = start
         self.step = step
-        self.levels: list[list] = [[base(0)]]
+        self.ratio = ratio or (lambda i, scale: 1)
+        self.scales = [1]
+        self.ratios = [1]
+        self.levels: list[list] = [[base(0, 1)]]
+        self.read: list = self.levels if ratio is None else [{}]
 
     def clear(self) -> None:
+        if self.read is not self.levels:
+            del self.read[1:]
+            self.read[0].clear()
         del self.levels[1:]
         del self.levels[0][1:]
+        del self.scales[1:]
+        del self.ratios[1:]
 
     def value(self, i: int, j: int) -> Fraction | int:
         try:
-            return self.levels[j][i]
-        except IndexError:
+            return self.read[j][i]
+        except LookupError:
             pass
         with _lock:
-            levels = self.levels
+            levels, read = self.levels, self.read
             if j >= len(levels) or i >= len(levels[j]):
                 self._grow(i + 1, j)
-            return levels[j][i]
+            while len(read) <= j:
+                read.append({})
+            try:
+                return read[j][i]
+            except KeyError:
+                value = read[j][i] = Fraction(levels[j][i], self.scales[i])
+                return value
 
     def _grow(self, size: int, top: int) -> None:
-        levels, step = self.levels, self.step
+        levels, scales, ratios, step = self.levels, self.scales, self.ratios, self.step
+        for i in range(len(scales), size):
+            r = self.ratio(i, scales[-1])
+            ratios[i:] = [r]  # replaces a ratio left by a fill interrupted here
+            scales.append(scales[-1] * r)
         base = levels[0]
         for i in range(len(base), size):
-            base.append(self.base(i))
+            base.append(self.base(i, scales[i]))
         for j in range(1, top + 1):
             if j == len(levels):
                 levels.append([self.start])
             level, below = levels[j], levels[j - 1]
             left = level[-1]
             for i in range(len(level), size):
-                left = step(j, i, left, below)
+                left = step(j, i, left, below, ratios[i])
                 level.append(left)
 
 
-def _partial_sum_step(j: int, n: int, left: Fraction, below: list) -> Fraction:
+def _partial_sum_step(j: int, n: int, left: Fraction, below: list, r: int) -> Fraction:
     return left + below[n]
 
 
 def _partial_sums(term: Callable[[int], Fraction]) -> _LevelTable:
     # index 0 of level 0 is never read: value(1, j) = value(0, j) + value(1, j-1)
-    return _LevelTable(lambda k: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
+    return _LevelTable(lambda k, scale: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +243,13 @@ def half_harmonic_offset(n: int) -> Fraction:
 # multiple harmonic-like numbers
 
 
-def _harmonic_like_step(m: int, n: int, left: Fraction, below: list) -> Fraction:
+def _harmonic_like_step(m: int, n: int, left: Fraction, below: list, r: int) -> Fraction:
     # t(n, m) = t(n-1, m) + m/n * t(n-1, m-1): the coefficient of z^n in
     # L^m, L = -ln(1-z), is m/n times that of z^(n-1) in L^(m-1)/(1-z).
     return left + Fraction(m, n) * below[n - 1]
 
 
-_hlike = _LevelTable(lambda n: _ONE, _ZERO, _harmonic_like_step)
+_hlike = _LevelTable(lambda n, scale: _ONE, _ZERO, _harmonic_like_step)
 
 
 def harmonic_like(n: int, m: int) -> Fraction:
@@ -211,11 +264,14 @@ def harmonic_like(n: int, m: int) -> Fraction:
     It reads neither :func:`stirling1` nor the series layer; the cross-check
     routes are :func:`harmonic_like_convolution`,
     :func:`harmonic_like_bruteforce` and ``series.gf_harmonic_like``.
+    A query with m <= n and (n+1)^2 * m above :data:`HARMONIC_LIKE_CEILING`
+    raises :class:`FeasibilityError`; m > n is 0 at once.
     """
     _check_index(n)
     _check_index(m, "m")
     if m > n:
         return _ZERO
+    _check_harmonic_like_work(n, m)
     return _hlike.value(n, m)
 
 
@@ -238,11 +294,39 @@ BRUTE_FORCE_CEILING = 2_000_000
 TABLE_CEILING = 1_000_000
 
 
+#: Ceiling on (n + 1)^2 * m for a ``harmonic_like`` query with m <= n, read at
+#: call time: the (n + 1) * m cells to fill, times n + 1 for the size of their
+#: entries, whose bit length grows about linearly in n.  Cells alone are no
+#: measure of the work: 250 000 of them take 8 s at (n, m) = (700, 350) and
+#: over 60 s at (2500, 100).  The ceiling admits (700, 350); the heaviest
+#: queries it admits, with m from 10 to 200, take 10 to 13 s on one core.
+HARMONIC_LIKE_CEILING = 175_000_000
+
+#: Ceiling on r + p for a ``hyperharmonic_half`` query, read at call time.
+#: Filling the odd harmonic table up to r + p, and each row's central
+#: binomials C(2(r+p), r+p) and C(2p, p), cost time that grows faster than
+#: linearly in r + p; at the ceiling, the 2001 rows of
+#: ``seq --family hyperharmonic_half --p 2000 --n 2000`` take about 7 s.
+HALF_CEILING = 4_000
+
+
 def _check_table_size(n: int, order: int, name: str) -> None:
     if (n + 1) * order > TABLE_CEILING:
         raise FeasibilityError(
             f"(n+1)*{name} exceeds the ceiling of {TABLE_CEILING} at n={n}, {name}={order}"
         )
+
+
+def _check_harmonic_like_work(n: int, m: int) -> None:
+    if m <= n and (n + 1) ** 2 * m > HARMONIC_LIKE_CEILING:
+        raise FeasibilityError(
+            f"(n+1)^2*m exceeds the ceiling of {HARMONIC_LIKE_CEILING} at n={n}, m={m}"
+        )
+
+
+def _check_half_index(r: int, p: int) -> None:
+    if r + p > HALF_CEILING:
+        raise FeasibilityError(f"r+p exceeds the ceiling of {HALF_CEILING} at r={r}, p={p}")
 
 
 def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
@@ -279,12 +363,12 @@ def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
 # Stirling numbers of the first kind
 
 
-def _stirling_step(k: int, n: int, left: int, below: list) -> int:
+def _stirling_step(k: int, n: int, left: int, below: list, r: int) -> int:
     # s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k)
     return below[n - 1] - (n - 1) * left
 
 
-_stirling = _LevelTable(lambda n: int(n == 0), 0, _stirling_step)
+_stirling = _LevelTable(lambda n, scale: int(n == 0), 0, _stirling_step)
 
 
 def stirling1(n: int, k: int) -> int:
@@ -307,7 +391,19 @@ def stirling1(n: int, k: int) -> int:
 # hyperharmonic numbers
 
 
-_hyper = _partial_sums(lambda n: Fraction(1, n))
+def _lcm_ratio(n: int, scale: int) -> int:
+    # lcm(1..n) / lcm(1..n-1): the prime p when n is a power of p, else 1
+    return n // gcd(n, scale)
+
+
+def _scaled_sum_step(p: int, n: int, left: int, below: list, r: int) -> int:
+    # value(n, p) = value(n-1, p) + value(n, p-1), with value(n-1, p) brought
+    # from scale lcm(1..n-1) up to lcm(1..n)
+    return left * r + below[n]
+
+
+# scale lcm(1..n), so level 0 holds the integers lcm(1..n)/n
+_hyper = _LevelTable(lambda n, scale: scale // n if n else 0, 0, _scaled_sum_step, _lcm_ratio)
 
 
 def hyperharmonic(n: int, p: int) -> Fraction:
@@ -347,9 +443,12 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
 
     Central-binomial form:
     2^(1-2r) * C(2p, p)^-1 * C(2(r+p), r+p) * C(r+p, r) * (O_{r+p} - O_p).
+    A query with r + p above :data:`HALF_CEILING` raises
+    :class:`FeasibilityError`.
     """
     _check_index(r, "r")
     _check_index(p, "p")
+    _check_half_index(r, p)
     return (
         Fraction(2, 4**r)
         * Fraction(binomial(2 * (r + p), r + p), binomial(2 * p, p))
@@ -399,20 +498,21 @@ class _Family:
     evaluate: Callable[..., Fraction | int]
     #: The family's parameters, each with the smallest value it accepts.
     minimum: Mapping[str, int] = field(default_factory=dict)
-    #: The parameter whose product with n + 1 is bounded by TABLE_CEILING.
-    ceiling: str = ""
+    #: ``limit(n, **params)`` raises FeasibilityError for a query over the
+    #: family's ceiling; it grows with n, so checking the last index suffices.
+    limit: Callable[..., None] = lambda n, **params: None
 
 
 _FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
         _Family("harmonic", harmonic),
-        _Family("harmonic_order", harmonic_order, {"r": 1}, ceiling="r"),
+        _Family("harmonic_order", harmonic_order, {"r": 1}, lambda n, r: _check_table_size(n, r, "r")),
         _Family("odd_harmonic", odd_harmonic),
-        _Family("harmonic_like", harmonic_like, {"m": 0}),
+        _Family("harmonic_like", harmonic_like, {"m": 0}, _check_harmonic_like_work),
         _Family("stirling1", stirling1, {"k": 0}),
-        _Family("hyperharmonic", hyperharmonic, {"p": 0}, ceiling="p"),
-        _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}),
+        _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_table_size(n, p, "p")),
+        _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}, _check_half_index),
         _Family("fibonacci", fibonacci),
         _Family("lucas", lucas),
         _Family("half_harmonic_offset", half_harmonic_offset),
@@ -457,10 +557,9 @@ class SeqSpec:
         return _FAMILIES[self.family].evaluate(n, **self.params)
 
     def check(self, n: int) -> None:
-        """Refuse n < 0 or a query over :data:`TABLE_CEILING`, evaluating nothing."""
+        """Refuse n < 0 or a query over the family's ceiling, evaluating nothing."""
         _check_index(n)
-        if name := _FAMILIES[self.family].ceiling:
-            _check_table_size(n, self.params[name], name)
+        _FAMILIES[self.family].limit(n, **self.params)
 
 
 def clear_caches() -> None:

@@ -384,6 +384,9 @@ def test_overflow_error_exits_two(capsys, command):
     ["gf-check", "--family", "hyperharmonic", "--p", "99999999999999999999", "--order", "2"],
     # terms 1/k^r with r times the digits of k
     ["seq", "--family", "harmonic_order", "--r", "99999999999999999999", "--n", "2"],
+    # (n+1)^2 m = 7.5e10 over HARMONIC_LIKE_CEILING; r + p over HALF_CEILING
+    ["seq", "--family", "harmonic_like", "--m", "3000", "--n", "5000"],
+    ["seq", "--family", "hyperharmonic_half", "--p", "1000000", "--n", "1000"],
 ])
 def test_table_ceiling_exits_two(capsys, command):
     code = cli.main(command)
@@ -417,6 +420,40 @@ def test_table_ceiling_refuses_before_the_first_row(capsys, monkeypatch, command
     assert "exceeds the ceiling of 100 " in captured.err
     assert [len(level) for level in sequences._hyper.levels] == hyper
     assert {r: [len(level) for level in table.levels] for r, table in sequences._harmonic_order.items()} == orders
+
+
+@pytest.mark.parametrize("command", [
+    # (n+1)^2 m = 1323 at n = 20, m = 3; rows 0..17 are under the ceiling of 1000
+    ["seq", "--family", "harmonic_like", "--m", "3", "--n", "20"],
+    ["transform", "--family", "harmonic_like", "--m", "3", "--n", "20"],
+    ["transform", "--a", "1", "--b", "1", "--m", "3", "--n", "20"],
+    ["gf-check", "--family", "harmonic_like", "--m", "3", "--order", "20"],
+    # r + p = 30 at the last row; rows 0..15 are under the ceiling of 25
+    ["seq", "--family", "hyperharmonic_half", "--p", "10", "--n", "20"],
+    ["transform", "--family", "hyperharmonic_half", "--p", "10", "--n", "20"],
+])
+def test_family_ceilings_refuse_before_the_first_row(capsys, monkeypatch, command):
+    monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)
+    monkeypatch.setattr(sequences, "HALF_CEILING", 25)
+    monkeypatch.setattr(series, "gf_harmonic_like", lambda *args: pytest.fail("a generating function was built"))
+    sequences.clear_caches()
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .* exceeds the ceiling of (1000|25) at .*\n", captured.err)
+    # neither the harmonic-like nor the odd harmonic table grew
+    assert [len(level) for level in sequences._hlike.levels] == [1]
+    assert [len(level) for level in sequences._odd_harmonic.levels] == [1]
+
+
+def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 8765)
+    monkeypatch.setattr(sequences, "HALF_CEILING", 432)
+    assert cli.main(["seq", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(n+1)^2*m > 8765" in help_text
+    assert "hyperharmonic_half refuses n+p > 432" in help_text
 
 
 @pytest.mark.parametrize("command", [
@@ -464,6 +501,22 @@ DEEP_GF_CHECKS = {
     "hyperharmonic --p 20 --order 200": "9d24af92225d28e1df02a3eb0ab7e30b9b913c1420ee8044bf7f672e13cc7a16",
     "odd_central --order 300": "66e88c4cc0418e62786697919544e3595c610acfa33e1f80d84a93bc95bd119d",
 }
+
+
+#: Three dense ``seq`` tables, with the sha256 of each one's stdout.
+SEQ_TABLES = {
+    "harmonic_like --m 4 --n 300": "295c317fff070b3aedb4a2722f4cb0ea30fd365af8a7d9241e70a2346fdf7758",
+    "hyperharmonic --p 20 --n 300": "fa1b1e03fc49e2c2b50967d05a3435bcfa8d1121dc1c5394fbea6ee9db5f6692",
+    "harmonic --n 500": "cecc8d962461c596fe27f46ad99eaf6f126e3549465e37ce9ddbd990f99e685b",
+}
+
+
+@pytest.mark.parametrize("options", list(SEQ_TABLES))
+def test_dense_seq_output_is_pinned(capsys, options):
+    sequences.clear_caches()
+    code, out = run(capsys, "seq", "--family", *options.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_TABLES[options]
 
 
 @pytest.mark.parametrize("options", list(DEEP_GF_CHECKS))

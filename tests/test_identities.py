@@ -208,3 +208,23 @@ def test_reports_are_deterministic_apart_from_timing():
     b.pop("elapsed_ms")
     assert a == b
 
+
+
+def _kollar_m2_lhs_fraction_loop(r, n):
+    """The left side of thm_kollar_m2 as one reduced Fraction per inner term."""
+    from multiharm.rational import binomial, gen_binomial
+
+    total = F(0)
+    for k in range(n + 1):
+        inner = F(0)
+        for j in range(2, k + 2):
+            inner += (-1) ** j * binomial(k, j - 1) * harmonic(j - 1) / j
+        total += (-1) ** k * gen_binomial(r - 1, k) * inner
+    return total
+
+
+def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
+    desc = identities.get_identity("thm_kollar_m2")
+    for r in (*identities._KOLLAR_R, F(7, 3), F(-5)):
+        for n in range(0, 31):
+            assert desc.lhs(r=r, n=n) == _kollar_m2_lhs_fraction_loop(r, n), (r, n)

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -150,16 +151,35 @@ def _refusal(call, n):
 
 def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
+    monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)  # m = 10: refused from n = 10
+    monkeypatch.setattr(sequences, "HALF_CEILING", 25)  # p = 10: refused from n = 16
     clear_caches()
     for family in FAMILY_NAMES:
         params = {key: low + 10 for key, low in sequences._FAMILIES[family].minimum.items()}
         spec = SeqSpec(family, params)
-        hyper = [len(level) for level in sequences._hyper.levels]
-        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 20)}
-        assert [len(level) for level in sequences._hyper.levels] == hyper  # check evaluates nothing
+        sizes = _table_sizes()
+        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 15, 16, 20)}
+        assert _table_sizes() == sizes  # check evaluates nothing
         assert checked == {n: _refusal(spec.evaluate, n) for n in checked}, family
-        if family in ("hyperharmonic", "harmonic_order"):
+        if family in ("hyperharmonic", "harmonic_order", "harmonic_like", "hyperharmonic_half"):
             assert checked[20] is FeasibilityError
+    assert _refusal(SeqSpec("harmonic_like", {"m": 10}).check, 9) is None  # m > n: all zeros
+    assert _refusal(SeqSpec("harmonic_like", {"m": 10}).check, 10) is FeasibilityError
+    assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 15) is None
+    assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 16) is FeasibilityError
+
+
+def test_harmonic_like_above_its_index_is_zero_past_any_ceiling(monkeypatch):
+    monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 0)
+    assert harmonic_like(10**6, 10**6 + 1) == 0
+    SeqSpec("harmonic_like", {"m": 10**6 + 1}).check(10**6)
+    with pytest.raises(FeasibilityError, match=r"\(n\+1\)\^2\*m exceeds the ceiling of 0 at n=1, m=1"):
+        harmonic_like(1, 1)
+
+
+def _table_sizes():
+    tables = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
+    return [[len(level) for level in table.levels] for table in tables + list(sequences._harmonic_order.values())]
 
 
 def test_bruteforce_guard(monkeypatch):
@@ -299,6 +319,33 @@ def test_interrupted_fill_leaves_table_consistent(monkeypatch, table, route):
     _check_interrupted_fill(monkeypatch, lambda: getattr(sequences, table), route, grid, (10, 2), 50)
 
 
+def test_interrupted_scale_fill_leaves_table_consistent(monkeypatch):
+    # a fill stopped after the ratio at index 20 is stored, before its scale
+    expected = [hyperharmonic_closed(n, 3) for n in range(41)]
+    table = sequences._hyper
+    clear_caches()
+    hyperharmonic(10, 3)
+
+    class FailsAtTwenty(list):
+        armed = True
+
+        def append(self, item):
+            if self.armed and len(self) == 20:
+                self.armed = False
+                raise MemoryError
+            super().append(item)
+
+    monkeypatch.setattr(table, "scales", FailsAtTwenty(table.scales))
+    try:
+        with pytest.raises(MemoryError):
+            hyperharmonic(40, 3)
+        assert (len(table.scales), len(table.ratios)) == (20, 21)
+        assert [hyperharmonic(n, 3) for n in range(41)] == expected
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 _PARTIAL_SUMS = {
     "harmonic": (lambda: sequences._harmonic, harmonic),
     "harmonic_order": (lambda: sequences._harmonic_order[3], lambda n: harmonic_order(n, 3)),
@@ -316,6 +363,7 @@ def test_interrupted_partial_sum_fill_leaves_table_consistent(monkeypatch, famil
 
 
 def test_clear_caches_resets_every_table():
+    clear_caches()
     for name, family in sequences._FAMILIES.items():
         SeqSpec(name, {key: low + 2 for key, low in family.minimum.items()}).evaluate(30)
     harmonic_order(30, 5)
@@ -323,11 +371,111 @@ def test_clear_caches_resets_every_table():
     grown += [sequences._harmonic_order[r] for r in (3, 5)]
     assert len(grown) == 8
     assert all([len(level) for level in table.levels] != [1] for table in grown)
+    assert sequences._hyper.read == [{}, {}, {30: hyperharmonic_closed(30, 2)}]  # only the value read
     # earlier queries may have left tables for other orders r in the dict
     tables = grown + list(sequences._harmonic_order.values())
     clear_caches()
     assert [[len(level) for level in table.levels] for table in tables] == [[1]] * len(tables)
+    assert [(table.scales, table.ratios) for table in tables] == [([1], [1])] * len(tables)
+    # a scale-1 table is its own read cache; the others are emptied
+    assert all(table.read is table.levels or table.read == [{}] for table in tables)
+    assert sequences._hyper.read == [{}]
     assert sequences._fibonacci == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the hyperharmonic table on integer numerators over lcm(1..n)
+
+
+def _hyperharmonic_schoolbook(n, p):
+    """Schoolbook reference: level 0 is 1/k, every level the running sums of
+    the one below, each one a reduced Fraction addition."""
+    level = [Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)]
+    for _ in range(p):
+        total, sums = Fraction(0), []
+        for value in level:
+            total += value
+            sums.append(total)
+        level = sums
+    return level[n]
+
+
+def _hyperharmonic_mismatches(queries, shuffled):
+    """Queries the table answers differently from the schoolbook recurrence:
+    asked cold in order, again warm in shuffled order, then cold once more
+    in the reverse of that order."""
+    expected = {query: _hyperharmonic_schoolbook(*query) for query in queries}
+    clear_caches()
+    answers = [(query, hyperharmonic(*query)) for query in queries]
+    answers += [(query, hyperharmonic(*query)) for query in shuffled]
+    clear_caches()
+    answers += [(query, hyperharmonic(*query)) for query in reversed(shuffled)]
+    return sorted({query for query, value in answers if value != expected[query]})
+
+
+_HYPER_QUERIES = st.lists(st.tuples(st.integers(0, 70), st.integers(1, 12)), min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_HYPER_QUERIES, st.randoms(use_true_random=False))
+@example([(70, 12), (1, 1), (64, 1), (0, 5)], random.Random(0))
+def test_hyperharmonic_table_matches_the_fraction_recurrence(queries, rng):
+    shuffled = rng.sample(queries, len(queries))
+    assert _hyperharmonic_mismatches(queries, shuffled) == []
+
+
+def test_a_step_without_the_scale_ratio_fails_the_differential(monkeypatch):
+    # the entry at index n - 1 is over lcm(1..n-1); added unscaled, every
+    # value from n = 2 on is wrong
+    monkeypatch.setattr(sequences._hyper, "step", lambda p, n, left, below, r: left + below[n])
+    queries = [(1, 3), (2, 1), (10, 4)]
+    assert _hyperharmonic_mismatches(queries, queries) == [(2, 1), (10, 4)]
+    monkeypatch.undo()
+    assert _hyperharmonic_mismatches(queries, queries) == []
+
+
+def test_unlocked_reads_racing_clear_caches_stay_exact():
+    reference = {(n, p): hyperharmonic_closed(n, p) for n in range(41) for p in range(1, 7)}
+    keys = list(reference)
+
+    def reader(seed):
+        rng = random.Random(seed)
+        return all(hyperharmonic(*key) == reference[key] for key in rng.choices(keys, k=400))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside reads, growth and clear
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(reader, seed) for seed in range(4)]
+            while not all(future.done() for future in readers):
+                clear_caches()
+            assert all(future.result(timeout=120) for future in readers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_reduction_racing_clear_caches_lands_before_the_clear(monkeypatch):
+    # The first read of a grown entry reduces it under the module lock, so a
+    # clear_caches() started during the reduction waits for the write into
+    # the read cache, and the cleared table holds nothing afterwards.
+    expected = hyperharmonic_closed(20, 3)
+    clear_caches()
+    hyperharmonic(30, 3)
+    clearer = threading.Thread(target=clear_caches)
+    waited = []
+
+    def reduce(numerator, denominator):
+        clearer.start()
+        clearer.join(0.05)
+        waited.append(clearer.is_alive())
+        return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(sequences, "Fraction", reduce)
+    assert hyperharmonic(20, 3) == expected
+    clearer.join()
+    assert waited == [True]
+    assert sequences._hyper.read == [{}]
+    assert sequences._hyper.levels == [[0]]
 
 
 def test_hyperharmonic_half_examples():
