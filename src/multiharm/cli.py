@@ -19,6 +19,17 @@ digits; ``--decimal D`` adds an approximate column next to the exact one,
 never instead of it, with D from 1 to ``DECIMAL_MAX`` (10000) digits.
 ``gf-check --family odd_central`` checks ``C(2n, n) * O_n`` from ``odd_harmonic``.
 
+Run as a program (the ``multiharm`` script or ``python -m multiharm.cli``,
+that is :func:`main` with no ``argv``), ``verify`` verifies the selected
+identities on up to as many processes as there are usable CPUs: the length of
+``os.sched_getaffinity(0)`` where the OS has it, else ``os.cpu_count()``.
+``--id`` and a selection of one identity stay in one process, and so does
+every call that passes ``argv``, such as ``main(["verify"])``: call that to
+profile ``verify`` in process.  The output is the same bytes either way,
+apart from ``elapsed_ms``, which is the wall time of one identity in
+whichever process verified it, so the values need not add up to the wall
+time of the run.
+
 Exit status is 0 on success and 1 only when ``verify`` or ``gf-check`` found
 a mismatch.  Every refusal exits 2 with one ``error:`` line on stderr: a usage
 or domain error, an option the chosen mode does not read, a ``--decimal``
@@ -32,7 +43,10 @@ checking anything, through the library's own checks (see
 their last index against the family's ceiling before the first row, and
 ``gf-check`` checks its work ceiling before either side runs.  Any other
 exception is a fault in the program: it exits 3 with one
-``error: internal error: <Type>: <message>`` line and no traceback.  Every
+``error: internal error: <Type>: <message>`` line and no traceback.  An
+exception in a forked ``verify`` worker is raised in the parent with its type,
+so it exits with the same status, and a worker that dies without sending its
+reports is an internal error (3); the workers write nothing themselves.  Every
 exact row is computed before the first byte, so a refusal leaves the output
 empty; the text is then written one row (or JSON item) at a time, with the
 ``--decimal`` cell computed as its row is written, and only a ``MemoryError``
@@ -143,7 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.id:
         reports = [identities.verify_identity(args.id, overrides)]
     else:
-        reports = identities.verify_all(args.tag, overrides)
+        reports = identities.verify_all(args.tag, overrides, jobs=args.jobs)
     _emit(args, _json_chunks(r.to_json_dict() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -199,7 +213,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 _OPTIONS = {
     "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and (n+1)^2*m > "
                                "{hlike_ceiling}; binomial-sum mode, default 0)"),
-    "--k": dict(type=int, help="column parameter (stirling1)"),
+    "--k": dict(type=int, help="column parameter (stirling1); refused if "
+                               "(min(k,n)+1)*(n+1)*n*bit_length(n) > {stirling_ceiling}"),
     "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}, "
                                "hyperharmonic_half refuses n+p > {half_ceiling}"),
     "--r": dict(type=int, help="order (harmonic_order); refused if (n+1)*r > {ceiling}"),
@@ -213,7 +228,7 @@ _OPTIONS = {
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
     ceilings = dict(ceiling=sequences.TABLE_CEILING, hlike_ceiling=sequences.HARMONIC_LIKE_CEILING,
-                    half_ceiling=sequences.HALF_CEILING)
+                    half_ceiling=sequences.HALF_CEILING, stirling_ceiling=sequences.STIRLING_CEILING)
     for name in names:  # the ceilings are read now, so --help states the ones in force
         help_text = _OPTIONS[name]["help"].format(**ceilings)
         parser.add_argument(name, **{**_OPTIONS[name], "help": help_text})
@@ -276,9 +291,9 @@ def _join_fractions(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _run(argv: Sequence[str]) -> int:
+def _run(argv: Sequence[str], jobs: int) -> int:
     try:
-        args = build_parser().parse_args(_join_fractions(argv))
+        args = build_parser().parse_args(_join_fractions(argv), argparse.Namespace(jobs=jobs))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -296,17 +311,30 @@ def _run(argv: Sequence[str]) -> int:
         return 3
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the CLI on ``argv``, or on the command line when it is None.
+
+    Only the program itself (no ``argv``) verifies on several processes; a
+    caller passing ``argv`` gets every evaluation in its own process.
+    """
+    jobs = _usable_cpus() if argv is None else 1
     argv = sys.argv[1:] if argv is None else argv
     # Exact output has no digit ceiling: lift CPython's integer-string guard
     # (3.10.7 and later) for this call only, never in the library.
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
-        return _run(argv)
+        return _run(argv, jobs)
     limit = sys.get_int_max_str_digits()
     set_limit(0)
     try:
-        return _run(argv)
+        return _run(argv, jobs)
     finally:
         set_limit(limit)
 

@@ -18,6 +18,11 @@ Both refuse with ``ValueError``, before any evaluation, a run that checks nothin
 asked of it: an unknown id or tag, an override that is no integer axis of any
 selected entry, or overrides that leave one with no grid point.
 
+Entries are verified one by one, each by itself, so a run may split them
+across processes without one route depending on another: ``verify_all(...,
+jobs=N)`` forks up to N - 1 workers (see :func:`_verify_forked`).  Every
+library call is serial in the calling process unless it passes ``jobs``.
+
 Anchor strings state each identity in plain ASCII with this notation:
 
 * ``H_n``       harmonic number, ``H_n^(r)`` the order-r variant
@@ -33,12 +38,15 @@ Anchor strings state each identity in plain ASCII with this notation:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from time import perf_counter
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NoReturn
 
 from multiharm.rational import (
     RationalLike,
@@ -173,7 +181,9 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
         raise UnknownIdentityError(identity_id) from None
 
 
-def _verify(what: str, descs: list[IdentityDescriptor], overrides: Mapping[str, int]) -> list[VerificationReport]:
+def _verify(
+    what: str, descs: list[IdentityDescriptor], overrides: Mapping[str, int], jobs: int = 1
+) -> list[VerificationReport]:
     """Reports for ``descs``, or a ValueError naming ``what`` if the run would check nothing asked."""
     if not descs:
         raise ValueError(f"no identity carries {what}; tags: {', '.join(registry_tags())}")
@@ -183,7 +193,129 @@ def _verify(what: str, descs: list[IdentityDescriptor], overrides: Mapping[str, 
     empty = [d.id for d in descs if next(d.bindings(overrides), None) is None]
     if empty:
         raise ValueError(f"the grid bounds leave no cases to check for: {', '.join(empty)}")
+    jobs = min(jobs, len(descs))
+    # fork() copies only the calling thread, so a process with other threads
+    # (which may hold a lock, the memo tables' among them) is never forked
+    if jobs > 1 and len(descs) <= _MAX_FORKED and hasattr(os, "fork") and threading.active_count() == 1:
+        return _verify_forked(descs, overrides, jobs)
     return [verify_descriptor(desc, overrides) for desc in descs]
+
+
+#: A forked run hands out descriptor indices as single bytes, so it takes at
+#: most this many descriptors; a larger selection is verified serially.
+_MAX_FORKED = 256
+
+
+def _claims(fd: int) -> Iterator[int]:
+    """Descriptor indices claimed from the pipe ``fd``, one byte per read, until it is empty.
+
+    A read of one byte is atomic, so each index goes to exactly one of the
+    processes reading the pipe, whichever asks first.
+    """
+    while claim := os.read(fd, 1):
+        yield claim[0]
+
+
+def _verify_forked(
+    descs: list[IdentityDescriptor], overrides: Mapping[str, int], jobs: int
+) -> list[VerificationReport]:
+    """Reports for ``descs`` from this process and ``jobs - 1`` forked workers.
+
+    Every index is written to one pipe before the workers are forked, and each
+    process claims the next one as it becomes free, so the load balances
+    itself.  A worker sends its reports back pickled, with the exception that
+    stopped it if any, and exits; the reports are returned in the order of
+    ``descs``.  A worker's exception is raised here with the same type (the
+    one at the lowest index, if several raised), and a worker that exits
+    without sending a result raises ``RuntimeError``.  If this process's own
+    share raises, even ``KeyboardInterrupt``, every worker is killed and
+    reaped before the exception propagates; on every path no worker is left.
+    """
+    import pickle
+    import signal
+
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(descs))))  # far below PIPE_BUF, so it never blocks
+    os.close(feed)
+    workers: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(jobs - 1):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result_r)
+                os.close(result_w)
+                raise
+            if pid == 0:
+                _verify_in_worker(claims, result_w, descs, overrides)
+            os.close(result_w)
+            workers[pid] = result_r
+        reports = {i: verify_descriptor(descs[i], overrides) for i in _claims(claims)}
+        errors = []
+        for pid, result_r in list(workers.items()):
+            with open(result_r, "rb", closefd=False) as pipe:  # closed below, once reaped
+                sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            os.close(result_r)
+            if status != 0 or not sent:
+                raise RuntimeError(
+                    f"verify worker {pid} exited with status {os.waitstatus_to_exitcode(status)} "
+                    "without sending its reports"
+                )
+            done, error = pickle.loads(sent)
+            reports.update(done)
+            if error is not None:
+                errors.append(error)
+        if errors:
+            raise min(errors, key=lambda error: error[0])[1]
+        return [reports[i] for i in range(len(descs))]
+    except BaseException:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):  # reaped just before the interruption
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for pid, result_r in workers.items():
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            os.close(result_r)
+
+
+def _verify_in_worker(
+    claims: int, result_w: int, descs: list[IdentityDescriptor], overrides: Mapping[str, int]
+) -> NoReturn:
+    """A forked worker: verify claimed descriptors, send the outcome to ``result_w``, exit.
+
+    It writes nothing to standard output or error.  Every exception, even
+    ``KeyboardInterrupt``, is sent to the parent as ``(index, exception)``
+    (as a ``RuntimeError`` naming it if it does not survive pickling), and
+    ``os._exit`` skips clean-up handlers and the flushing of buffers it
+    inherited.
+    """
+    import pickle
+
+    code = 1
+    try:
+        reports: dict[int, VerificationReport] = {}
+        error = None
+        index = -1
+        try:
+            for index in _claims(claims):
+                reports[index] = verify_descriptor(descs[index], overrides)
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            error = (index, exc)
+        with open(result_w, "wb") as out:
+            out.write(pickle.dumps((reports, error)))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def verify_identity(
@@ -194,11 +326,24 @@ def verify_identity(
 
 
 def verify_all(
-    tag: str | None = None, overrides: Mapping[str, int] | None = None
+    tag: str | None = None, overrides: Mapping[str, int] | None = None, *, jobs: int = 1
 ) -> list[VerificationReport]:
-    """Verify every registered identity (or those carrying ``tag``), sorted by id."""
+    """Verify every registered identity (or those carrying ``tag``), sorted by id.
+
+    With ``jobs`` above 1 the identities are verified on up to that many
+    processes (never more than there are identities): this one and workers
+    forked from it, which claim identities one at a time as they become free.
+    The ``multiharm verify`` program passes its usable CPU count (see
+    :mod:`multiharm.cli`).  The reports are those of the serial run apart
+    from ``elapsed_ms``, which is the wall time of one identity in whichever
+    process verified it, so the values need not add up to the wall time of
+    the run; an exception keeps its type and message.  The run stays serial
+    where ``os.fork`` is missing or other threads are running.  The default,
+    1, verifies every identity in this process, so in-process
+    instrumentation sees every evaluation.
+    """
     descs = [desc for _, desc in sorted(_REGISTRY.items()) if tag is None or desc.section == tag]
-    return _verify("the registry" if tag is None else f"tag {tag!r}", descs, overrides or {})
+    return _verify("the registry" if tag is None else f"tag {tag!r}", descs, overrides or {}, jobs)
 
 
 def registry_catalog() -> list[tuple[str, str, str]]:

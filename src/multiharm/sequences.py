@@ -36,8 +36,9 @@ lcm(1..n)^m its single large-m values fill many times slower.
 
 Queries that would do too much work are refused up front, with
 :class:`FeasibilityError`: ``hyperharmonic`` and ``harmonic_order`` over
-:data:`TABLE_CEILING`, ``harmonic_like`` over :data:`HARMONIC_LIKE_CEILING`
-and ``hyperharmonic_half`` over :data:`HALF_CEILING`.
+:data:`TABLE_CEILING`, ``harmonic_like`` over :data:`HARMONIC_LIKE_CEILING`,
+``stirling1`` over :data:`STIRLING_CEILING` and ``hyperharmonic_half`` over
+:data:`HALF_CEILING`.
 
 All caches are module-level, grown under one re-entrant lock that the table
 type takes itself (reads of cached values take no lock), and transparent:
@@ -310,6 +311,18 @@ HARMONIC_LIKE_CEILING = 175_000_000
 HALF_CEILING = 4_000
 
 
+#: Ceiling on (min(k, n) + 1) * (n + 1) * n * bit_length(n) for a
+#: ``stirling1`` query, read at call time: the columns 0..k (at most n + 1 of
+#: them hold a nonzero entry) of the n + 1 rows the table keeps, times a bound
+#: on the bits of its largest entry, |s(i, j)| <= i! <= n^n < 2^(n *
+#: bit_length(n)).  The table is cheap to fill but keeps every entry (one
+#: column of 8000 rows holds about 45 MB), so a bare cap on n would admit any k.  At the ceiling the 5001 rows of
+#: ``seq --family stirling1 --k 2 --n 5000`` fill in 0.2 s and print in about
+#: 10 s (decimal conversion of the integers), at 49 MB; ``--k 100 --n 950``
+#: takes 0.7 s and 63 MB.
+STIRLING_CEILING = 1_000_000_000
+
+
 def _check_table_size(n: int, order: int, name: str) -> None:
     if (n + 1) * order > TABLE_CEILING:
         raise FeasibilityError(
@@ -321,6 +334,13 @@ def _check_harmonic_like_work(n: int, m: int) -> None:
     if m <= n and (n + 1) ** 2 * m > HARMONIC_LIKE_CEILING:
         raise FeasibilityError(
             f"(n+1)^2*m exceeds the ceiling of {HARMONIC_LIKE_CEILING} at n={n}, m={m}"
+        )
+
+
+def _check_stirling_bits(n: int, k: int) -> None:
+    if (min(k, n) + 1) * (n + 1) * n * n.bit_length() > STIRLING_CEILING:
+        raise FeasibilityError(
+            f"(min(k,n)+1)*(n+1)*n*bit_length(n) exceeds the ceiling of {STIRLING_CEILING} at n={n}, k={k}"
         )
 
 
@@ -378,12 +398,16 @@ def stirling1(n: int, k: int) -> int:
     with s(0, 0) = 1; s(n, k) = 0 for n < k.  Only the columns 0..k asked
     for so far are kept, each grown in place, so a new index costs O(k)
     integer operations and memory is O(n k), not the whole triangle.  The
-    cross-check route is ``series.gf_stirling_column``.
+    cross-check route is ``series.gf_stirling_column``.  A query with k <= n
+    whose table bits, bounded by (k+1) * (n+1) * n * bit_length(n), exceed
+    :data:`STIRLING_CEILING` raises :class:`FeasibilityError`; k > n is 0 at
+    once.
     """
     _check_index(n)
     _check_index(k, "k")
     if k > n:
         return 0
+    _check_stirling_bits(n, k)
     return _stirling.value(n, k)
 
 
@@ -510,7 +534,7 @@ _FAMILIES: dict[str, _Family] = {
         _Family("harmonic_order", harmonic_order, {"r": 1}, lambda n, r: _check_table_size(n, r, "r")),
         _Family("odd_harmonic", odd_harmonic),
         _Family("harmonic_like", harmonic_like, {"m": 0}, _check_harmonic_like_work),
-        _Family("stirling1", stirling1, {"k": 0}),
+        _Family("stirling1", stirling1, {"k": 0}, _check_stirling_bits),
         _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_table_size(n, p, "p")),
         _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}, _check_half_index),
         _Family("fibonacci", fibonacci),

@@ -7,10 +7,14 @@ to see the one-line verdicts.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from multiharm import cli
 from multiharm.identities import (
@@ -193,3 +197,17 @@ def test_criterion_8_verify_output_is_deterministic(capsys):
         assert first != ""  # sanity: something was emitted
         for report in json.loads(first):
             assert report["passed"] is True
+
+
+def test_criterion_8_the_program_prints_the_pinned_bytes():
+    with criterion(8, "the program's verify, on every usable CPU, prints the pinned bytes"):
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "multiharm.cli", "verify"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        untimed = "".join(
+            line for line in done.stdout.splitlines(keepends=True) if '"elapsed_ms":' not in line
+        )
+        assert hashlib.sha256(untimed.encode()).hexdigest() == VERIFY_STDOUT_SHA256

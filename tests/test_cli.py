@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -683,3 +684,56 @@ def test_unexpected_exception_in_an_identity_side_exits_three(capsys, monkeypatc
     assert captured.err.startswith("error: internal error: ZeroDivisionError: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_only_the_program_entry_verifies_on_the_usable_cpus(capsys, monkeypatch):
+    seen = []
+
+    def recording(tag=None, overrides=None, *, jobs=1):
+        seen.append(jobs)
+        return []
+
+    monkeypatch.setattr(identities, "verify_all", recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    assert cli.main(["verify"]) == 0  # in process, as tests and profilers call it
+    monkeypatch.setattr(sys, "argv", ["multiharm", "verify"])
+    assert cli.main() == 0  # the program
+    assert seen == [1, 5]
+    assert capsys.readouterr().out == "[]\n[]\n"
+
+
+def test_usable_cpus_follow_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("command", [
+    # k = 2: (k+1)*(n+1)*n*bit_length(n) is 864 at n = 8 and 6300 at n = 20
+    ["seq", "--family", "stirling1", "--k", "2", "--n", "20"],
+    ["transform", "--family", "stirling1", "--k", "2", "--n", "20"],
+    ["gf-check", "--family", "stirling1", "--k", "2", "--order", "20"],
+])
+def test_stirling_ceiling_refuses_before_the_first_row(capsys, monkeypatch, command):
+    monkeypatch.setattr(sequences, "STIRLING_CEILING", 1000)
+    monkeypatch.setattr(series, "gf_stirling_column", lambda *args: pytest.fail("a generating function was built"))
+    sequences.clear_caches()
+    sizes = [len(level) for level in sequences._stirling.levels]
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .* exceeds the ceiling of 1000 at n=20, k=2\n", captured.err)
+    assert [len(level) for level in sequences._stirling.levels] == sizes
+    assert run(capsys, "seq", "--family", "stirling1", "--k", "2", "--n", "8")[0] == 0
+
+
+def test_seq_help_names_the_stirling_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "STIRLING_CEILING", 97531)
+    assert cli.main(["seq", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(min(k,n)+1)*(n+1)*n*bit_length(n) > 97531" in help_text

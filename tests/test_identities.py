@@ -1,9 +1,15 @@
+import json
+import os
+import select
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiharm import identities
+from multiharm import cli, identities
 from multiharm.identities import (
     IdentityDescriptor,
     UnknownIdentityError,
@@ -228,3 +234,257 @@ def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
     for r in (*identities._KOLLAR_R, F(7, 3), F(-5)):
         for n in range(0, 31):
             assert desc.lhs(r=r, n=n) == _kollar_m2_lhs_fraction_loop(r, n), (r, n)
+
+
+# ---------------------------------------------------------------------------
+# verify_all(jobs=N): forked workers
+
+
+def _untimed(reports):
+    return [{**r.to_json_dict(), "elapsed_ms": None} for r in reports]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Forks:
+    """Counts ``os.fork`` calls.  With ``hold`` set, the parent returns from
+    each fork only once a worker has written a byte through :meth:`mark`."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.hold = False
+        self.parent = os.getpid()
+        self.marks_r, self.marks_w = os.pipe()
+        real_fork = os.fork
+
+        def fork():
+            self.calls += 1
+            pid = real_fork()
+            if pid and self.hold:
+                ready, _, _ = select.select([self.marks_r], [], [], 30)
+                assert ready, "no worker started the held identity"
+                os.read(self.marks_r, 1)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def in_worker(self):
+        return os.getpid() != self.parent
+
+    def mark(self):
+        if self.in_worker():
+            os.write(self.marks_w, b"x")
+
+    def close(self):
+        os.close(self.marks_r)
+        os.close(self.marks_w)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    spy = _Forks(monkeypatch)
+    yield spy
+    spy.close()
+
+
+def _entry(ident, lhs, rhs=lambda n: F(n), section="t"):
+    return IdentityDescriptor(ident, ident, ident, {"n": range(1, 4)}, lhs, rhs, section)
+
+
+def _fine(ident):
+    return _entry(ident, lambda n: F(n))
+
+
+def test_forked_run_equals_the_serial_run_for_the_registry_and_every_tag(forks):
+    for tag in (None, *registry_tags()):
+        forks.calls = 0
+        forked = verify_all(tag, jobs=2)
+        assert forks.calls == 1, tag
+        _no_child_left()
+        assert _untimed(forked) == _untimed(verify_all(tag)), tag
+
+
+def test_more_workers_than_cores_still_return_every_report_once(forks):
+    overrides = {"n": 4}
+    forked = verify_all(overrides=overrides, jobs=8)
+    assert forks.calls == 7
+    _no_child_left()
+    assert _untimed(forked) == _untimed(verify_all(overrides=overrides))
+
+
+def test_a_broken_entry_on_a_workers_share_reports_the_serial_first_failure(monkeypatch, forks):
+    def lhs(n):
+        forks.mark()
+        return F(n + 1) if n >= 2 else F(n)
+
+    entries = [_entry("a_broken", lhs), _fine("b_fine"), _fine("c_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    serial = verify_all()
+    forks.hold = True
+    forked = verify_all(jobs=2)
+    assert forks.calls == 1
+    _no_child_left()
+    assert _untimed(forked) == _untimed(serial)
+    assert forked[0].first_failure == {"binding": {"n": 2}, "lhs": "3", "rhs": "2"}
+
+
+def test_a_raising_entry_on_a_workers_share_raises_the_serial_exception(monkeypatch, forks, capfd):
+    def lhs(n):
+        forks.mark()
+        return F(1, 0)
+
+    entries = [_entry("a_raising", lhs), _fine("b_fine"), _fine("c_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    with pytest.raises(ZeroDivisionError) as serial:
+        verify_all()
+    forks.hold = True
+    with pytest.raises(ZeroDivisionError) as forked:
+        verify_all(jobs=2)
+    assert forks.calls == 1
+    _no_child_left()
+    assert str(forked.value) == str(serial.value)
+    assert capfd.readouterr() == ("", "")  # the worker wrote nothing
+
+
+def test_an_exception_that_cannot_be_pickled_arrives_as_a_runtime_error(monkeypatch, forks):
+    class Local(Exception):  # pickled by reference, which a local class has none of
+        pass
+
+    def lhs(n):
+        forks.mark()
+        raise Local("kept in the message")
+
+    entries = [_entry("a_raising", lhs), _fine("b_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    forks.hold = True
+    with pytest.raises(RuntimeError, match="^Local: kept in the message$"):
+        verify_all(jobs=2)
+    _no_child_left()
+
+
+def test_a_worker_that_dies_without_a_result_raises(monkeypatch, forks):
+    def lhs(n):
+        forks.mark()
+        if forks.in_worker():
+            os._exit(7)
+        pytest.fail("the parent evaluated the held identity")
+
+    entries = [_entry("a_dies", lhs), _fine("b_fine"), _fine("c_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    forks.hold = True
+    with pytest.raises(RuntimeError, match="exited with status 7 without sending its reports"):
+        verify_all(jobs=2)
+    _no_child_left()
+
+
+def test_an_interrupt_in_the_parents_share_kills_and_reaps_every_worker(monkeypatch, forks):
+    never_r, never_w = os.pipe()
+
+    def lhs(n):
+        if forks.in_worker():
+            select.select([never_r], [], [], 20)  # waits until the worker is killed
+        raise KeyboardInterrupt
+
+    # the worker blocks in the first entry it claims, so the parent claims the other
+    entries = [_entry("a_interrupt", lhs), _entry("b_interrupt", lhs)]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify_all(jobs=2)
+    finally:
+        os.close(never_r)
+        os.close(never_w)
+    assert forks.calls == 1
+    _no_child_left()
+    assert time.perf_counter() - start < 10
+
+
+def _refuse_fork():
+    pytest.fail("os.fork was called")
+
+
+def test_a_single_entry_selection_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    entries = [_fine("a_fine"), _entry("b_solo", lambda n: F(n), section="solo")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    assert [r.identity for r in verify_all("solo", jobs=2)] == ["b_solo"]
+
+
+def test_more_identities_than_one_byte_can_index_run_serially(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(identities, "_MAX_FORKED", 2)
+    reports = verify_all("section1", {"n": 3}, jobs=2)
+    assert len(reports) > 2
+    assert _untimed(reports) == _untimed(verify_all("section1", {"n": 3}))
+
+
+def test_a_live_helper_thread_keeps_the_run_serial(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait, args=(30,))
+    helper.start()
+    try:
+        reports = verify_all("section1", {"n": 3}, jobs=2)
+    finally:
+        release.set()
+        helper.join(30)
+    assert not helper.is_alive()
+    assert _untimed(reports) == _untimed(verify_all("section1", {"n": 3}))
+
+
+def _as_program(monkeypatch, *argv, cpus=2):
+    """``multiharm *argv`` as the program runs it, on ``cpus`` usable CPUs."""
+    monkeypatch.setattr(sys, "argv", ["multiharm", *argv])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return cli.main()
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("outcome, code, err", [
+    pytest.param(lambda n: F(n + 1), 1, "", id="mismatch"),
+    pytest.param(lambda n: _raise(ValueError("refused")), 2, "error: refused\n", id="value-error"),
+    pytest.param(lambda n: _raise(MemoryError()), 2, "error: out of memory\n", id="memory-error"),
+    pytest.param(lambda n: F(1, 0), 3, "error: internal error: ZeroDivisionError: ", id="internal-error"),
+    pytest.param(lambda n: os._exit(7), 3, "error: internal error: RuntimeError: verify worker ", id="worker-died"),
+])
+def test_the_forked_program_keeps_the_exit_statuses(monkeypatch, forks, capsys, outcome, code, err):
+    def lhs(n):
+        forks.mark()
+        if not forks.in_worker():
+            pytest.fail("the parent evaluated the held identity")
+        return outcome(n)
+
+    entries = [_entry("a_held", lhs), _fine("b_fine"), _fine("c_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    forks.hold = True
+    assert _as_program(monkeypatch, "verify") == code
+    assert forks.calls == 1
+    _no_child_left()
+    out, errors = capsys.readouterr()
+    assert errors.startswith(err) and errors.count("\n") == (code != 1)
+    if code == 1:
+        assert [r["passed"] for r in json.loads(out)] == [False, True, True]
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--id", "cor_id1", "--n-max", "3"], ["verify", "--tag", "solo"]])
+def test_one_identity_never_forks_even_on_many_cpus(monkeypatch, capsys, argv):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    solo = _entry("zz_solo", lambda n: F(n), section="solo")
+    monkeypatch.setitem(identities._REGISTRY, solo.id, solo)
+    assert _as_program(monkeypatch, *argv, cpus=8) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
+
+
+def test_one_usable_cpu_never_forks(monkeypatch, capsys):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert _as_program(monkeypatch, "verify", "--n-max", "3", cpus=1) == 0
+    assert len(json.loads(capsys.readouterr().out)) == len(registry_catalog())

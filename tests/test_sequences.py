@@ -177,6 +177,27 @@ def test_harmonic_like_above_its_index_is_zero_past_any_ceiling(monkeypatch):
         harmonic_like(1, 1)
 
 
+def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch):
+    # k = 10: (k+1)*(n+1)*n*bit_length(n) is 9240 at n = 14 and 10560 at n = 15
+    monkeypatch.setattr(sequences, "STIRLING_CEILING", 10_000)
+    clear_caches()
+    sizes = _table_sizes()
+    spec = SeqSpec("stirling1", {"k": 10})
+    spec.check(14)
+    with pytest.raises(FeasibilityError, match=r"exceeds the ceiling of 10000 at n=15, k=10"):
+        spec.check(15)
+    with pytest.raises(FeasibilityError):
+        spec.evaluate(15)
+    assert _table_sizes() == sizes  # neither refusal grew a table
+    assert spec.evaluate(14) == factorial(14) * gf_stirling_column(10, 14)[14]
+    # k > n is zero at once, and the check counts only the n + 1 columns there are
+    monkeypatch.setattr(sequences, "STIRLING_CEILING", 0)
+    assert stirling1(9, 10) == 0
+    SeqSpec("stirling1", {"k": 10}).check(0)
+    with pytest.raises(FeasibilityError, match=r"^\(min\(k,n\)\+1\)\*\(n\+1\)\*n\*bit_length\(n\) exceeds"):
+        stirling1(1, 1)
+
+
 def _table_sizes():
     tables = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
     return [[len(level) for level in table.levels] for table in tables + list(sequences._harmonic_order.values())]
