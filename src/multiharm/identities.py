@@ -23,6 +23,17 @@ across processes without one route depending on another: ``verify_all(...,
 jobs=N)`` forks up to N - 1 workers (see :func:`_verify_forked`).  Every
 library call is serial in the calling process unless it passes ``jobs``.
 
+A side is not rebuilt from its first term at every grid point.  A side that
+is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on n is a
+running sum (``_RunningSum``): its partial sums are kept per parameter tuple
+and grown by one term per new n.  An inner sum or weight that recurs across
+the grid is a module-level function cached by exactly the indices its value
+depends on.  The memos follow four rules.  Every term is still the literal
+term of its anchor.  No memo is read by both sides of one identity (one may
+serve the same side of several).  A memo grows only as far as the grids
+asked of it.  Every memo is listed in ``_MEMOS``.  A memo holds exact values
+that never change, so it changes no report, only ``elapsed_ms``.
+
 Anchor strings state each identity in plain ASCII with this notation:
 
 * ``H_n``       harmonic number, ``H_n^(r)`` the order-r variant
@@ -39,8 +50,8 @@ Anchor strings state each identity in plain ASCII with this notation:
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
-import math
 import os
 import threading
 from dataclasses import asdict, dataclass, replace
@@ -337,7 +348,9 @@ def verify_all(
     :mod:`multiharm.cli`).  The reports are those of the serial run apart
     from ``elapsed_ms``, which is the wall time of one identity in whichever
     process verified it, so the values need not add up to the wall time of
-    the run; an exception keeps its type and message.  The run stays serial
+    the run; an exception keeps its type and message.  ``elapsed_ms`` also
+    depends on which identities ran earlier in the same process, since
+    those may have filled memos this one reads.  The run stays serial
     where ``os.fork`` is missing or other threads are running.  The default,
     1, verifies every identity in this process, so in-process
     instrumentation sees every evaluation.
@@ -360,31 +373,99 @@ def registry_tags() -> tuple[str, ...]:
 #
 # Entry evaluators are deliberately written as the literal sums they state,
 # not in terms of each other, so a bug in a shared simplification cannot hide.
+# A memo keeps such a literal sum or term, never a simplification of one, and
+# no memo is read by both sides of one identity (see the module docstring).
 
 
 _KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
 
 
-def _kollar_m2_lhs(r: Fraction, n: int) -> Fraction:
-    # sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j, where
-    # with lam = lcm(1..n+1) every inner term is the integer
-    # (-1)^j C(k,j-1) (lam H_{j-1}) (lam/j) over lam^2
-    lam = math.lcm(*range(1, n + 2))
-    lam_h = [lam * h.numerator // h.denominator for h in map(harm, range(n + 1))]
-    return _fsum(
-        (-1) ** k
-        * gbin(r - 1, k)
-        * Fraction(
-            sum((-1) ** j * comb(k, j - 1) * lam_h[j - 1] * (lam // j) for j in range(2, k + 2)),
-            lam * lam,
-        )
-        for k in range(n + 1)
-    )
-
-
 def _cw(k: int, p: int) -> Fraction:
     # central-binomial weight C(2(k+p), k+p) C(k+p, k) / 4^k
     return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
+
+
+_memo_lock = threading.RLock()
+
+
+class _RunningSum:
+    """A side ``side(n, **params) = sum_{k=start..n} term(k=k, **params)``, kept as running sums.
+
+    The partial sums of each parameter tuple are one list, entry i being the
+    sum of the first i terms, grown in a loop (never by recursion) by one term
+    per new n, so a grid column costs one term per point.  As in
+    ``sequences._LevelTable``, a cached sum is read without the lock, which is
+    taken only to grow a list, and a sum is appended only once it is complete:
+    an interrupted growth leaves a correct prefix, and a read that races
+    :meth:`cache_clear` either sees a correct sum or grows a new list.
+    """
+
+    def __init__(self, term: Callable[..., RationalLike], start: int = 0) -> None:
+        self.term = term
+        self.start = start
+        self.sums: dict[tuple, list[Fraction]] = {}
+
+    def __call__(self, n: int, **params: Any) -> Fraction:
+        key = tuple(sorted(params.items()))
+        i = max(n + 1 - self.start, 0)
+        try:
+            return self.sums[key][i]
+        except LookupError:
+            pass
+        with _memo_lock:
+            sums = self.sums.setdefault(key, [Fraction(0)])
+            total = sums[-1]
+            for k in range(self.start + len(sums) - 1, n + 1):
+                total += self.term(k=k, **params)
+                sums.append(total)
+            return sums[i]
+
+    def cache_clear(self) -> None:
+        with _memo_lock:
+            self.sums.clear()
+
+
+@functools.cache
+def _stirling_steps(s: int, m: int) -> Fraction:
+    # sum_{j=m..s+1} C(s,j-1) s(j,m)/j!, every term an integer over (s+1)!: the
+    # inner sum of thm_kollar (s = k), thm_o107dby (s = k-1) and thm_hnp1 (s = n-k)
+    return Fraction(
+        sum(comb(s, j - 1) * stir(j, m) * (fact(s + 1) // fact(j)) for j in range(m, s + 2)),
+        fact(s + 1),
+    )
+
+
+@functools.cache
+def _harmonic_steps(s: int) -> Fraction:
+    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j: the inner sum of thm_kollar_m2
+    # (s = k) and thm_hnp1_m2 (s = n-k)
+    return _fsum((-1) ** j * comb(s, j - 1) * harm(j - 1) / j for j in range(2, s + 2))
+
+
+@functools.cache
+def _harmonic_tail(s: int) -> Fraction:
+    # sum_{l=1..s} H_{s-l}/l: the inner sum of the right sides of hn3_double,
+    # thm_hnp1_m2 (s = n+1-k) and thm_kk1_m2
+    return _fsum(harm(s - l) / l for l in range(1, s + 1))
+
+
+@functools.cache
+def _hyphar_weight(k: int, p: int) -> Fraction:
+    # C(k+p,k) (H_{k+p} - H_p): the weight of the left sides of the thm_hyphar family
+    return comb(k + p, k) * (harm(k + p) - harm(p))
+
+
+@functools.cache
+def _odd_weight(k: int, p: int) -> Fraction:
+    # C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p)/4^k: the weight of the left sides of
+    # thm_suzj3to, thm_general_p and thm_k_weighted_half
+    return _cw(k, p) * (oddh(k + p) - oddh(p))
+
+
+# the k-sums on the right of the thm_kollar family
+_kollar_rhs_sum = _RunningSum(lambda k, r, m: (-1) ** k * gbin(r, k) * hlike(k, m))
+_kollar_m1_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * harm(k))
+_kollar_m2_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * (harm(k) ** 2 - harm2(k)))
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -413,10 +494,7 @@ _REGISTRY = _build_registry({
             "HL(n,3) = sum_{j=1..n} (1/j) sum_{l=1..n-j} H_{n-j-l}/l",
             {"n": range(0, 41)},
             lambda n: hlike(n, 3),
-            lambda n: _fsum(
-                Fraction(1, j) * _fsum(harm(n - j - l) / l for l in range(1, n - j + 1))
-                for j in range(1, n + 1)
-            ),
+            lambda n: _fsum(Fraction(1, j) * _harmonic_tail(n - j) for j in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "stirling_s_n1",
@@ -663,15 +741,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=m..k} C(k-1,j-1) s(j,m)/j! = "
             "(1/m!) HL(n,m) H_n - (1/m!) sum_{k=1..n} HL(k-1,m)/k",
             {"m": range(0, 5), "n": range(1, 26)},
-            lambda m, n: _fsum(
-                harm(k)
-                # the inner sum, every term an integer over k!
-                * Fraction(
-                    sum(comb(k - 1, j - 1) * stir(j, m) * (fact(k) // fact(j)) for j in range(m, k + 1)),
-                    fact(k),
-                )
-                for k in range(1, n + 1)
-            ),
+            _RunningSum(lambda k, m: harm(k) * _stirling_steps(k - 1, m), start=1),
             lambda m, n: (
                 hlike(n, m) * harm(n) - _fsum(hlike(k - 1, m) / k for k in range(1, n + 1))
             )
@@ -706,18 +776,7 @@ _REGISTRY = _build_registry({
             "reversed-index Stirling double sum reaching HL(n+1,m+1)",
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
             {"m": range(1, 5), "n": range(1, 26)},
-            lambda m, n: _fsum(
-                harm(k)
-                # the inner sum, every term an integer over (n-k+1)!
-                * Fraction(
-                    sum(
-                        comb(n - k, j - 1) * stir(j, m) * (fact(n - k + 1) // fact(j))
-                        for j in range(m, n - k + 2)
-                    ),
-                    fact(n - k + 1),
-                )
-                for k in range(1, n + 1)
-            ),
+            lambda m, n: _fsum(harm(k) * _stirling_steps(n - k, m) for k in range(1, n + 1)),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
         ),
         IdentityDescriptor(
@@ -734,25 +793,16 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _fsum(
-                harm(k)
-                * _fsum(
-                    comb(n - k, j - 1) * (-1) ** j * harm(j - 1) / j for j in range(2, n - k + 2)
-                )
-                for k in range(1, n + 1)
-            ),
+            lambda n: _fsum(harm(k) * _harmonic_steps(n - k) for k in range(1, n + 1)),
             lambda n: Fraction(1, 2)
-            * _fsum(
-                Fraction(1, k) * _fsum(harm(n + 1 - k - j) / j for j in range(1, n + 2 - k))
-                for k in range(1, n + 2)
-            ),
+            * _fsum(Fraction(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
         ),
         IdentityDescriptor(
             "har_helper",
             "partial fraction sums 1/(k(k+p))",
             "sum_{k=1..n} 1/(k(k+p)) = H_n^(2) if p = 0 else (H_n + H_p - H_{n+p})/p",
             {"p": range(0, 6), "n": range(1, 41)},
-            lambda p, n: _fsum(Fraction(1, k * (k + p)) for k in range(1, n + 1)),
+            _RunningSum(lambda k, p: Fraction(1, k * (k + p)), start=1),
             lambda p, n: harm2(n) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
         ),
         IdentityDescriptor(
@@ -799,14 +849,8 @@ _REGISTRY = _build_registry({
             ),
             lambda n: harm(n) ** 2
             - harm2(n)
-            + _fsum(
-                Fraction(1, k) * _fsum(harm(n - k - j) / j for j in range(1, n - k + 1))
-                for k in range(1, n + 1)
-            )
-            - _fsum(
-                Fraction(1, k) * _fsum(harm(n + 1 - k - j) / j for j in range(1, n + 2 - k))
-                for k in range(1, n + 2)
-            ),
+            + _fsum(Fraction(1, k) * _harmonic_tail(n - k) for k in range(1, n + 1))
+            - _fsum(Fraction(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
         ),
         IdentityDescriptor(
             "thm_kollar",
@@ -814,27 +858,17 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=m..k+1} C(k,j-1) s(j,m)/j! = "
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
             {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
-            lambda r, m, n: _fsum(
-                (-1) ** k
-                * gbin(r - 1, k)
-                # the inner sum, every term an integer over (k+1)!
-                * Fraction(
-                    sum(comb(k, j - 1) * stir(j, m) * (fact(k + 1) // fact(j)) for j in range(m, k + 2)),
-                    fact(k + 1),
-                )
-                for k in range(n + 1)
-            ),
+            _RunningSum(lambda k, r, m: (-1) ** k * gbin(r - 1, k) * _stirling_steps(k, m)),
             lambda r, m, n: (-1) ** n * gbin(r - 1, n) * hlike(n + 1, m) / fact(m)
-            - _fsum((-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)) / fact(m),
+            - _kollar_rhs_sum(n, r=r, m=m) / fact(m),
         ),
         IdentityDescriptor(
             "thm_kollar_m1",
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
             {"r": _KOLLAR_R, "n": range(1, 31)},
-            lambda r, n: _fsum(Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1)),
-            lambda r, n: (-1) ** n * gbin(r - 1, n) * harm(n + 1)
-            - _fsum((-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)),
+            _RunningSum(lambda k, r: Fraction((-1) ** k, k + 1) * gbin(r - 1, k)),
+            lambda r, n: (-1) ** n * gbin(r - 1, n) * harm(n + 1) - _kollar_m1_rhs_sum(n, r=r),
         ),
         IdentityDescriptor(
             "thm_kollar_m2",
@@ -842,9 +876,9 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            _kollar_m2_lhs,
+            _RunningSum(lambda k, r: (-1) ** k * gbin(r - 1, k) * _harmonic_steps(k)),
             lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harm2(n + 1)) / 2
-            - _fsum((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harm2(k)) for k in range(n + 1)) / 2,
+            - _kollar_m2_rhs_sum(n, r=r) / 2,
         ),
     ],
     "section4": [
@@ -853,9 +887,7 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution lifts HL level by one",
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
-            lambda m, p, n: _fsum(
-                comb(k + p, k) * hlike(n - k, m) * (harm(k + p) - harm(p)) for k in range(n + 1)
-            ),
+            lambda m, p, n: _fsum(_hyphar_weight(k, p) * hlike(n - k, m) for k in range(n + 1)),
             lambda m, p, n: _fsum(comb(k + p, k) * hlike(n - k, m + 1) for k in range(n + 1)),
         ),
         IdentityDescriptor(
@@ -863,7 +895,7 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution, base case",
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: _fsum(comb(k + p, k) * (harm(k + p) - harm(p)) for k in range(n + 1)),
+            _RunningSum(lambda k, p: _hyphar_weight(k, p)),
             lambda p, n: _fsum(comb(k + p, k) * harm(n - k) for k in range(n + 1)),
         ),
         IdentityDescriptor(
@@ -871,9 +903,7 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution, harmonic case",
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: _fsum(
-                comb(k + p, k) * harm(n - k) * (harm(k + p) - harm(p)) for k in range(n + 1)
-            ),
+            lambda p, n: _fsum(_hyphar_weight(k, p) * harm(n - k) for k in range(n + 1)),
             lambda p, n: _fsum(
                 comb(k + p, k) * (harm(n - k) ** 2 - harm2(n - k)) for k in range(n + 1)
             ),
@@ -949,7 +979,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(1/2^(2n+1)) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 21), "n": range(0, 21)},
-            lambda p, n: _fsum(_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
+            _RunningSum(lambda k, p: _odd_weight(k, p), start=1),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 2 * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1011,9 +1041,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m) (O_{k+p} - O_p) = "
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
-            lambda m, p, n: _fsum(
-                _cw(k, p) * hlike(n - k, m) * (oddh(k + p) - oddh(p)) for k in range(n + 1)
-            ),
+            lambda m, p, n: _fsum(_odd_weight(k, p) * hlike(n - k, m) for k in range(n + 1)),
             lambda m, p, n: Fraction(1, 2)
             * _fsum(_cw(k, p) * hlike(n - k, m + 1) for k in range(n + 1)),
         ),
@@ -1034,7 +1062,7 @@ _REGISTRY = _build_registry({
             "index-weighted hyperharmonic partial sums",
             "sum_{k=1..n} k HH(k,p) = n HH(n,p+1) - HH(n-1,p+2)",
             {"p": range(0, 6), "n": range(1, 31)},
-            lambda p, n: _fsum(k * hyp(k, p) for k in range(1, n + 1)),
+            _RunningSum(lambda k, p: k * hyp(k, p), start=1),
             lambda p, n: n * hyp(n, p + 1) - hyp(n - 1, p + 2),
         ),
         IdentityDescriptor(
@@ -1044,7 +1072,7 @@ _REGISTRY = _build_registry({
             "(n/4^n) C(2(p+1),p+1)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1}) "
             "- (4/4^n) C(2(p+2),p+2)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n-1) (O_{n+p+1} - O_{p+2})",
             {"p": range(0, 6), "n": range(1, 26)},
-            lambda p, n: _fsum(k * _cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(1, n + 1)),
+            _RunningSum(lambda k, p: k * _odd_weight(k, p), start=1),
             lambda p, n: Fraction(n * comb(2 * p, p), 4**n * comb(2 * (p + 1), p + 1))
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1077,10 +1105,10 @@ _REGISTRY = _build_registry({
             "(1/4) C(2n,n)^-1 C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_n) "
             "- (1/4) C(2(p+1),p+1) O_{p+1}",
             {"p": range(0, 6), "n": range(1, 26)},
-            lambda p, n: _fsum(
-                Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k))
-                * (oddh(k + p) - oddh(k))
-                for k in range(1, n + 1)
+            _RunningSum(
+                lambda k, p: Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k))
+                * (oddh(k + p) - oddh(k)),
+                start=1,
             ),
             lambda p, n: Fraction(comb(2 * (n + p + 1), n + p + 1), 4 * comb(2 * n, n))
             * comb(n + p + 1, n)
@@ -1105,3 +1133,18 @@ _REGISTRY = _build_registry({
         ),
     ],
 })
+
+
+#: Every memo of this module, so that all of them can be reset: the running-sum
+#: sides of the registry, the named running sums and the cached inner sums.
+_MEMOS: tuple = (
+    *(side for desc in _REGISTRY.values() for side in (desc.lhs, desc.rhs) if isinstance(side, _RunningSum)),
+    _kollar_rhs_sum,
+    _kollar_m1_rhs_sum,
+    _kollar_m2_rhs_sum,
+    _stirling_steps,
+    _harmonic_steps,
+    _harmonic_tail,
+    _hyphar_weight,
+    _odd_weight,
+)

@@ -16,7 +16,9 @@ exists it is exposed as a separate function so the two can be cross-checked:
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
 Every cached family but Fibonacci (a two-term recurrence, one plain list)
-has its own ``_LevelTable``.  Lucas numbers are read off the Fibonacci list.
+has its own ``_LevelTable``.  Lucas numbers are read off the Fibonacci list,
+and ``hyperharmonic_half`` reads its central binomials C(2i, i) off one list
+grown the same way.
 The tables grow in place, one index at a time; none of them reads another
 family's table, the kernels or the series layer, so each cross-check
 compares independent computations.
@@ -462,6 +464,18 @@ def hyperharmonic_closed(n: int, p: int) -> Fraction:
     return binomial(n + p - 1, n) * (harmonic(n + p - 1) - harmonic(p - 1))
 
 
+_central: list[int] = [1]
+
+
+def _central_binomial(i: int) -> int:
+    """C(2i, i), read from a list grown by C(2i+2, i+1) = C(2i, i) 2(2i+1)/(i+1), an exact division."""
+    with _lock:
+        while len(_central) <= i:
+            j = len(_central) - 1
+            _central.append(_central[-1] * 2 * (2 * j + 1) // (j + 1))
+        return _central[i]
+
+
 def hyperharmonic_half(r: int, p: int) -> Fraction:
     """Hyperharmonic number of half-integer order p + 1/2, index r.
 
@@ -475,7 +489,7 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
     _check_half_index(r, p)
     return (
         Fraction(2, 4**r)
-        * Fraction(binomial(2 * (r + p), r + p), binomial(2 * p, p))
+        * Fraction(_central_binomial(r + p), _central_binomial(p))
         * binomial(r + p, r)
         * (odd_harmonic(r + p) - odd_harmonic(p))
     )
@@ -593,3 +607,4 @@ def clear_caches() -> None:
         for table in (*tables, *_harmonic_order.values()):
             table.clear()
         del _fibonacci[2:]
+        del _central[1:]

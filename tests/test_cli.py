@@ -504,11 +504,12 @@ DEEP_GF_CHECKS = {
 }
 
 
-#: Three dense ``seq`` tables, with the sha256 of each one's stdout.
+#: Four dense ``seq`` tables, with the sha256 of each one's stdout.
 SEQ_TABLES = {
     "harmonic_like --m 4 --n 300": "295c317fff070b3aedb4a2722f4cb0ea30fd365af8a7d9241e70a2346fdf7758",
     "hyperharmonic --p 20 --n 300": "fa1b1e03fc49e2c2b50967d05a3435bcfa8d1121dc1c5394fbea6ee9db5f6692",
     "harmonic --n 500": "cecc8d962461c596fe27f46ad99eaf6f126e3549465e37ce9ddbd990f99e685b",
+    "hyperharmonic_half --p 2000 --n 2000": "6d953c699c7f3e21df1dba3037503356acbe0508386a0c9983421e3e2af879ec",
 }
 
 

@@ -19,7 +19,15 @@ from multiharm.identities import (
     verify_descriptor,
     verify_identity,
 )
-from multiharm.sequences import harmonic, harmonic_order
+from multiharm.rational import binomial, exact_sum, factorial, gen_binomial
+from multiharm.sequences import (
+    harmonic,
+    harmonic_like,
+    harmonic_order,
+    hyperharmonic,
+    odd_harmonic,
+    stirling1,
+)
 
 F = Fraction
 
@@ -234,6 +242,296 @@ def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
     for r in (*identities._KOLLAR_R, F(7, 3), F(-5)):
         for n in range(0, 31):
             assert desc.lhs(r=r, n=n) == _kollar_m2_lhs_fraction_loop(r, n), (r, n)
+
+
+# ---------------------------------------------------------------------------
+# memos: running sums and cached inner sums
+
+
+MEMOS = identities._MEMOS
+
+
+def _reset_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _entries(memo):
+    if isinstance(memo, identities._RunningSum):
+        return sum(map(len, memo.sums.values()))
+    return memo.cache_info().currsize
+
+
+def test_every_memo_is_listed_once():
+    named = [
+        value
+        for value in vars(identities).values()
+        if isinstance(value, identities._RunningSum) or (hasattr(value, "cache_clear") and not isinstance(value, type))
+    ]
+    sides = [
+        side
+        for desc in identities._REGISTRY.values()
+        for side in (desc.lhs, desc.rhs)
+        if isinstance(side, identities._RunningSum)
+    ]
+    assert len({id(memo) for memo in MEMOS}) == len(MEMOS)
+    assert {id(memo) for memo in named + sides} == {id(memo) for memo in MEMOS}
+
+
+@pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
+def test_no_memo_is_read_by_both_sides_of_an_identity(ident):
+    desc = identities.get_identity(ident)
+    read = {}
+    for side in ("lhs", "rhs"):
+        _reset_memos()
+        evaluate = getattr(desc, side)
+        for binding in desc.bindings():
+            evaluate(**binding)
+        read[side] = {i for i, memo in enumerate(MEMOS) if _entries(memo)}
+    assert not read["lhs"] & read["rhs"], [MEMOS[i] for i in read["lhs"] & read["rhs"]]
+
+
+def test_a_running_sum_reaches_a_far_n_in_a_loop():
+    side = identities._RunningSum(lambda k: k, start=1)
+    assert side(5000) == 5000 * 5001 // 2
+    assert side(0) == side(-3) == 0
+    assert len(side.sums[()]) == 5001
+
+
+def test_an_interrupted_running_sum_keeps_a_correct_prefix():
+    fail = {7}
+
+    def term(k, p):
+        if k in fail:
+            fail.clear()
+            raise MemoryError
+        return F(1, k + p)
+
+    side = identities._RunningSum(term)
+    side(3, p=1)
+    with pytest.raises(MemoryError):
+        side(10, p=1)
+    assert side.sums[(("p", 1),)] == [sum((F(1, k + 1) for k in range(i)), F(0)) for i in range(8)]
+    assert side(10, p=1) == sum((F(1, k + 1) for k in range(11)), F(0))
+
+
+def _cw(k, p):
+    return F(binomial(2 * (k + p), k + p) * binomial(k + p, k), 4**k)
+
+
+#: Each side that reads a memo, next to the literal sum it replaced (its
+#: former form, kept as a reference), and the parameters it takes besides n.
+FORMER = {
+    ("thm_kollar", "lhs"): (
+        lambda r, m, n: exact_sum(
+            (-1) ** k
+            * gen_binomial(r - 1, k)
+            * F(
+                sum(binomial(k, j - 1) * stirling1(j, m) * (factorial(k + 1) // factorial(j)) for j in range(m, k + 2)),
+                factorial(k + 1),
+            )
+            for k in range(n + 1)
+        ),
+        "rm",
+    ),
+    ("thm_kollar", "rhs"): (
+        lambda r, m, n: (-1) ** n * gen_binomial(r - 1, n) * harmonic_like(n + 1, m) / factorial(m)
+        - exact_sum((-1) ** k * gen_binomial(r, k) * harmonic_like(k, m) for k in range(n + 1)) / factorial(m),
+        "rm",
+    ),
+    ("thm_kollar_m1", "lhs"): (
+        lambda r, n: exact_sum(F((-1) ** k, k + 1) * gen_binomial(r - 1, k) for k in range(n + 1)),
+        "r",
+    ),
+    ("thm_kollar_m1", "rhs"): (
+        lambda r, n: (-1) ** n * gen_binomial(r - 1, n) * harmonic(n + 1)
+        - exact_sum((-1) ** k * gen_binomial(r, k) * harmonic(k) for k in range(n + 1)),
+        "r",
+    ),
+    ("thm_kollar_m2", "lhs"): (lambda r, n: _kollar_m2_lhs_fraction_loop(r, n), "r"),
+    ("thm_kollar_m2", "rhs"): (
+        lambda r, n: (-1) ** n * gen_binomial(r - 1, n) * (harmonic(n + 1) ** 2 - harmonic_order(n + 1, 2)) / 2
+        - exact_sum(
+            (-1) ** k * gen_binomial(r, k) * (harmonic(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1)
+        )
+        / 2,
+        "r",
+    ),
+    ("hn3_double", "rhs"): (
+        lambda n: exact_sum(
+            F(1, j) * exact_sum(harmonic(n - j - l) / l for l in range(1, n - j + 1)) for j in range(1, n + 1)
+        ),
+        "",
+    ),
+    ("thm_o107dby", "lhs"): (
+        lambda m, n: exact_sum(
+            harmonic(k)
+            * F(
+                sum(binomial(k - 1, j - 1) * stirling1(j, m) * (factorial(k) // factorial(j)) for j in range(m, k + 1)),
+                factorial(k),
+            )
+            for k in range(1, n + 1)
+        ),
+        "m",
+    ),
+    ("thm_hnp1", "lhs"): (
+        lambda m, n: exact_sum(
+            harmonic(k)
+            * F(
+                sum(
+                    binomial(n - k, j - 1) * stirling1(j, m) * (factorial(n - k + 1) // factorial(j))
+                    for j in range(m, n - k + 2)
+                ),
+                factorial(n - k + 1),
+            )
+            for k in range(1, n + 1)
+        ),
+        "m",
+    ),
+    ("thm_hnp1_m2", "lhs"): (
+        lambda n: exact_sum(
+            harmonic(k)
+            * exact_sum(
+                binomial(n - k, j - 1) * (-1) ** j * harmonic(j - 1) / j for j in range(2, n - k + 2)
+            )
+            for k in range(1, n + 1)
+        ),
+        "",
+    ),
+    ("thm_hnp1_m2", "rhs"): (
+        lambda n: F(1, 2)
+        * exact_sum(
+            F(1, k) * exact_sum(harmonic(n + 1 - k - j) / j for j in range(1, n + 2 - k)) for k in range(1, n + 2)
+        ),
+        "",
+    ),
+    ("har_helper", "lhs"): (lambda p, n: exact_sum(F(1, k * (k + p)) for k in range(1, n + 1)), "p"),
+    ("thm_kk1_m2", "rhs"): (
+        lambda n: harmonic(n) ** 2
+        - harmonic_order(n, 2)
+        + exact_sum(F(1, k) * exact_sum(harmonic(n - k - j) / j for j in range(1, n - k + 1)) for k in range(1, n + 1))
+        - exact_sum(
+            F(1, k) * exact_sum(harmonic(n + 1 - k - j) / j for j in range(1, n + 2 - k)) for k in range(1, n + 2)
+        ),
+        "",
+    ),
+    ("thm_hyphar", "lhs"): (
+        lambda m, p, n: exact_sum(
+            binomial(k + p, k) * harmonic_like(n - k, m) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)
+        ),
+        "mp",
+    ),
+    ("thm_hyphar_m0", "lhs"): (
+        lambda p, n: exact_sum(binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)),
+        "p",
+    ),
+    ("thm_hyphar_m1", "lhs"): (
+        lambda p, n: exact_sum(
+            binomial(k + p, k) * harmonic(n - k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)
+        ),
+        "p",
+    ),
+    ("thm_suzj3to", "lhs"): (
+        lambda p, n: exact_sum(_cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)),
+        "p",
+    ),
+    ("thm_general_p", "lhs"): (
+        lambda m, p, n: exact_sum(
+            _cw(k, p) * harmonic_like(n - k, m) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(n + 1)
+        ),
+        "mp",
+    ),
+    ("thm_xld8bhi", "lhs"): (lambda p, n: exact_sum(k * hyperharmonic(k, p) for k in range(1, n + 1)), "p"),
+    ("thm_k_weighted_half", "lhs"): (
+        lambda p, n: exact_sum(
+            k * _cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)
+        ),
+        "p",
+    ),
+    ("thm_yycg1tg", "lhs"): (
+        lambda p, n: exact_sum(
+            F(binomial(2 * (k + p), k + p) * binomial(k + p, k), binomial(2 * k, k))
+            * (odd_harmonic(k + p) - odd_harmonic(k))
+            for k in range(1, n + 1)
+        ),
+        "p",
+    ),
+}
+
+#: Parameters off the registry grids: any small rational r, m and p past their ranges.
+OFF_GRID = {
+    "r": st.fractions(-4, 4, max_denominator=9),
+    "m": st.integers(0, 6),
+    "p": st.integers(0, 9),
+}
+
+#: n in random order, with repeats, descending runs and values past every grid.
+N_QUERIES = st.lists(
+    st.one_of(
+        st.integers(0, 45).map(lambda n: [n]),
+        st.tuples(st.integers(0, 45), st.integers(2, 10)).map(
+            lambda run: list(range(run[0], max(run[0] - run[1], -1), -1))
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda runs: [n for run in runs for n in run])
+
+
+def test_every_side_that_reads_a_memo_has_a_former_form():
+    readers = set()
+    for ident in sorted(identities._REGISTRY):
+        desc = identities.get_identity(ident)
+        for side in ("lhs", "rhs"):
+            _reset_memos()
+            evaluate = getattr(desc, side)
+            for binding in desc.bindings({"n": 3}):
+                evaluate(**binding)
+            if any(_entries(memo) for memo in MEMOS):
+                readers.add((ident, side))
+    assert readers == set(FORMER)
+
+
+@pytest.mark.parametrize("ident, side", sorted(FORMER), ids=[f"{ident}-{side}" for ident, side in sorted(FORMER)])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), queries=N_QUERIES, cold=st.booleans())
+def test_a_side_with_memos_equals_its_former_sum(ident, side, data, queries, cold):
+    former, names = FORMER[ident, side]
+    params = {name: data.draw(OFF_GRID[name], label=name) for name in names}
+    evaluate = getattr(identities.get_identity(ident), side)
+    if cold:
+        _reset_memos()
+    for n in queries:
+        assert evaluate(**params, n=n) == former(**params, n=n), n
+
+
+def test_threads_verifying_identities_with_memos_give_the_serial_reports():
+    ids = sorted({ident for ident, _ in FORMER})
+    _reset_memos()
+    serial = _untimed([verify_identity(ident) for ident in ids])
+    _reset_memos()
+    workers = 4  # more than the cores of a small machine
+    start = threading.Barrier(workers)
+    reports = [None] * workers
+
+    def verify(slot):
+        order = ids if slot % 2 else ids[::-1]
+        start.wait()
+        reports[slot] = {ident: verify_identity(ident) for ident in order}
+
+    threads = [threading.Thread(target=verify, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for done in reports:
+        assert _untimed([done[ident] for ident in ids]) == serial
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,17 @@ def test_hyperharmonic_half_examples():
     assert hyperharmonic_half(3, 0) == Fraction(23, 24)
 
 
+def test_central_binomials_are_read_off_one_list():
+    clear_caches()
+    assert sequences._central == [1]
+    # asked from the top down, then below what the list holds
+    for i in (*range(300, 250, -1), 0, 7, 299):
+        assert sequences._central_binomial(i) == comb(2 * i, i)
+    assert sequences._central == [comb(2 * i, i) for i in range(301)]
+    clear_caches()
+    assert sequences._central == [1]
+
+
 def test_hyperharmonic_half_two_routes_agree():
     for r in range(16):
         for p in range(16):
