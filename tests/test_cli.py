@@ -495,12 +495,15 @@ def test_memory_error_exits_two(capsys, monkeypatch):
     assert captured.err == "error: out of memory\n"
 
 
-#: The four deep tables CI checks, with the sha256 of each one's stdout.
+#: The six deep tables CI checks, with the sha256 of each one's stdout.  The
+#: last two are the largest orders under ``GF_WORK_CEILING``.
 DEEP_GF_CHECKS = {
     "harmonic_like --m 4 --order 200": "b333056533082030add6df749c33c912e506aa87271085538c4ce9d16be3ab72",
     "stirling1 --k 3 --order 400": "cc99c40f9545523a34526dec46204636ca7d71c039f8ce2b940158e2ac914382",
     "hyperharmonic --p 20 --order 200": "9d24af92225d28e1df02a3eb0ab7e30b9b913c1420ee8044bf7f672e13cc7a16",
     "odd_central --order 300": "66e88c4cc0418e62786697919544e3595c610acfa33e1f80d84a93bc95bd119d",
+    "odd_central --order 999": "88dcd1706ca3051e4ff2eec2a95e5a54fdf5f79774e9dfc9e2c3824017cc9eab",
+    "stirling1 --k 3 --order 576": "abb292cd673fd386a2fa4842c9e73fcef74f1a6dcbcd835d547af80d698c6b72",
 }
 
 
@@ -566,7 +569,7 @@ def test_gf_work_ceiling_accepts_up_to_the_ceiling(capsys, monkeypatch, command)
 
 
 @pytest.mark.parametrize("options", [
-    *DEEP_GF_CHECKS,  # CI and the deep_tables benchmark
+    *DEEP_GF_CHECKS,  # CI, and the four of the deep_tables benchmark
     "harmonic_like --m 3 --order 40",  # the README examples
     "odd_central --order 30",
 ])

@@ -8,8 +8,10 @@ exactly.  The kernels are driven through a small Fraction <-> integer adapter
 stay in ``Fraction`` terms.
 """
 
+import decimal
 import inspect
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
@@ -139,8 +141,8 @@ def test_cauchy_product_with_an_all_zero_factor(f, zeros, order):
 )
 def test_cauchy_product_at_the_slot_bound(n, bits, sign_f, sign_g, den):
     # The slot bound n * a * 1 has exactly ``bits`` bits, and the top
-    # coefficient of the product reaches it.  bits = 8k - 1 fills a k-byte
-    # slot up to its sign bit; bits = 8k needs a (k+1)-th byte for the sign.
+    # coefficient of the product reaches it.  bits = 8k - 1 and 8k are the
+    # edges of byte-wide slots; the decimal slot edges are tested below.
     a = (2**bits - 1) // n
     assume(a > 0 and (n * a).bit_length() == bits)
     f = [F(sign_f * a, den)] * n
@@ -174,6 +176,108 @@ def test_cauchy_square_matches_the_general_path(a, order):
     assert _kernels.cauchy_product(a, a, order) == general
     t = tuple(a)  # as TruncatedSeries passes it
     assert _kernels.cauchy_product(t, t, order) == general
+
+
+def reference(a, b, lo, hi):
+    """Coefficients lo..hi-1 of a * b by the schoolbook loop, as integers."""
+    return [int(h) for h in schoolbook_product(a, b, hi - 1)[lo:hi]]
+
+
+#: Sign patterns of the slot-edge vectors, by index.
+SIGNS = {"positive": lambda i: 1, "negative": lambda i: -1, "alternating": lambda i: (-1) ** i}
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=70),
+    st.sampled_from([(1, -1), (1, 0), (5, -1), (5, 0)]),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from(list(SIGNS)),
+    st.sampled_from(list(SIGNS)),
+    st.integers(min_value=0, max_value=62),
+    st.integers(min_value=0, max_value=64),
+)
+@example(3, (1, -1), 9, "negative", "negative", 0, 20)  # hi past len(a) + len(b) - 1
+@example(3, (1, 0), 8, "negative", "positive", 7, 1)
+@example(2, (5, -1), 1, "positive", "negative", 0, 1)
+@example(2, (5, 0), 5, "alternating", "alternating", 3, 9)
+def test_convolve_at_the_decimal_slot_edges(k, edge, n, sign_a, sign_b, lo, span):
+    # The bound n * x * 1 is exactly m * 10**k + c.  A slot has the digits of
+    # twice the bound, so 5*10**k - 1 fills a (k+1)-digit slot to its last
+    # value and 5*10**k needs a (k+2)-th digit; 10**k - 1 and 10**k step the
+    # bound's own digit count.  Unless one vector alternates and the other
+    # does not, the coefficient n - 1 reaches the bound.
+    m, c = edge
+    bound = m * 10**k + c
+    assume(bound % n == 0)
+    a = [SIGNS[sign_a](i) * (bound // n) for i in range(n)]
+    b = [SIGNS[sign_b](i) for i in range(n)]
+    assert _kernels._convolve(a, b, lo, lo + span) == reference(a, b, lo, lo + span)
+    if (sign_a == "alternating") == (sign_b == "alternating"):
+        assert list(map(abs, _kernels._convolve(a, b, n - 1, n))) == [bound]
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(signed, min_size=1, max_size=30),
+    st.lists(signed, min_size=1, max_size=30),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=65),
+    st.integers(min_value=0, max_value=65),
+)
+def test_convolve_windows_match_schoolbook(a, b, negative, square, lo, span):
+    # all-negative vectors, windows with lo > 0 and hi past len(a) + len(b) - 1,
+    # and the squaring path (a is b)
+    if negative:
+        a, b = [-abs(x) for x in a], [-abs(x) for x in b]
+    if square:
+        b = a
+    assert _kernels._convolve(a, b, lo, lo + span) == reference(a, b, lo, lo + span)
+
+
+def test_cauchy_product_past_the_int_string_digit_limit():
+    # Entries with more digits than int <-> str conversion allows by default;
+    # the packing must not go through str(int) or int(str).
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        a = [7**6000, -(3**9000), 11]
+        b = [-(5**7000), 2, 13**4000]
+        with pytest.raises(ValueError):
+            str(7**6000)  # 5072 digits
+        for f, g in ((a, a), (a, b), (b, a)):
+            assert _kernels.cauchy_product(f, g, 6) == reference(f, g, 0, 7)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("a", [
+    [1] * 10,  # the packed vector fits in 25 digits, the product does not
+    [10**30 + 7, -3, 5],  # one entry alone does not fit
+])
+def test_a_product_past_the_exact_context_raises(monkeypatch, a):
+    monkeypatch.setattr(_kernels._EXACT, "prec", 25)
+    for b in (a, list(a)):
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            _kernels.cauchy_product(a, b, 2 * len(a))
+
+
+def test_cauchy_product_leaves_the_thread_context_alone():
+    a, b = [3**80, -(2**90), 7], [-5, 11**40, 0, 1]
+    expected = reference(a, b, 0, 9)
+    before = decimal.getcontext()
+    snapshot = repr(before)  # every setting, flag and trap
+    assert _kernels.cauchy_product(a, b, 8) == expected
+    assert decimal.getcontext() is before and repr(decimal.getcontext()) == snapshot
+    # a thread context that would round or trap changes nothing either
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        inner = repr(ctx)
+        assert _kernels.cauchy_product(a, b, 8) == expected
+        assert _kernels.cauchy_product(a, a, 4) == reference(a, a, 0, 5)
+        assert repr(decimal.getcontext()) == inner
 
 
 def test_cauchy_square_packs_its_vector_once(monkeypatch):
