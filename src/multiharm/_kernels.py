@@ -40,12 +40,11 @@ Each Newton step keeps its iterate as integers over one denominator, divided
 by their gcd.  All arithmetic is exact, so every coefficient equals what the
 schoolbook ``Fraction`` loops give.  The Newton steps call the private
 convolution ``_convolve`` directly, never the public ``cauchy_product``; the
-square ``h^2`` in ``sqrt_series`` takes the squaring path.  No generating
-function calls the Newton kernels any more (``series.power_of_one_minus``
-builds ``(1 - 4z)^(-1/2)`` directly); they stay, with
-``TruncatedSeries.inverse`` and ``.sqrt``, because the benchmark harness
-under ``perfbench/`` reads them by name, until that harness is revised
-(ROADMAP item 1).
+square ``h^2`` in ``sqrt_series`` takes the squaring path.  Nothing in the
+package calls the Newton kernels any more (``series.power_of_one_minus``
+builds ``(1 - 4z)^(-1/2)`` directly); they stay only because the benchmark
+harness under ``perfbench/`` reads them by name, until that harness is
+revised (ROADMAP item 1).
 
 ``harmonic_like_levels`` is only the cross-check route
 ``sequences.harmonic_like_convolution``: the primary

@@ -26,13 +26,15 @@ library call is serial in the calling process unless it passes ``jobs``.
 A side is not rebuilt from its first term at every grid point.  A side that
 is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on n is a
 running sum (``_RunningSum``): its partial sums are kept per parameter tuple
-and grown by one term per new n.  An inner sum or weight that recurs across
-the grid is a module-level function cached by exactly the indices its value
-depends on.  The memos follow four rules.  Every term is still the literal
-term of its anchor.  No memo is read by both sides of one identity (one may
-serve the same side of several).  A memo grows only as far as the grids
-asked of it.  Every memo is listed in ``_MEMOS``.  A memo holds exact values
-that never change, so it changes no report, only ``elapsed_ms``.
+in one ``sequences._partial_sums`` table, the memo-table type of the sequence
+families, grown by one term per new n under ``sequences._lock`` (a cached sum
+is read without it).  An inner sum or weight that recurs across the grid is a
+module-level function cached by exactly the indices its value depends on.
+The memos follow four rules.  Every term is still the literal term of its
+anchor.  No memo is read by both sides of one identity (one may serve the
+same side of several).  A memo grows only as far as the grids asked of it.
+Every memo is listed in ``_MEMOS``.  A memo holds exact values that never
+change, so it changes no report, only ``elapsed_ms``.
 
 Anchor strings state each identity in plain ASCII with this notation:
 
@@ -67,6 +69,8 @@ from multiharm.rational import (
     gen_binomial as gbin,
 )
 from multiharm.sequences import (
+    _LevelTable,
+    _partial_sums,
     fibonacci as fib,
     half_harmonic_offset as hoff,
     harmonic as harm,
@@ -385,44 +389,31 @@ def _cw(k: int, p: int) -> Fraction:
     return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
 
 
-_memo_lock = threading.RLock()
-
-
 class _RunningSum:
     """A side ``side(n, **params) = sum_{k=start..n} term(k=k, **params)``, kept as running sums.
 
-    The partial sums of each parameter tuple are one list, entry i being the
-    sum of the first i terms, grown in a loop (never by recursion) by one term
-    per new n, so a grid column costs one term per point.  As in
-    ``sequences._LevelTable``, a cached sum is read without the lock, which is
-    taken only to grow a list, and a sum is appended only once it is complete:
-    an interrupted growth leaves a correct prefix, and a read that races
-    :meth:`cache_clear` either sees a correct sum or grows a new list.
+    The partial sums of each parameter tuple are one ``sequences._partial_sums``
+    table, its term i being ``term(k=start + i - 1)``, so a grid column costs
+    one term per point, and the table type's rules on growth, interruption
+    and unlocked reads hold here too.  :meth:`cache_clear` only unlinks the
+    tables, so a read that races it either finishes on its old table, which
+    is correct, or grows a new one.
     """
 
     def __init__(self, term: Callable[..., RationalLike], start: int = 0) -> None:
         self.term = term
         self.start = start
-        self.sums: dict[tuple, list[Fraction]] = {}
+        self.tables: dict[tuple, _LevelTable] = {}
 
     def __call__(self, n: int, **params: Any) -> Fraction:
         key = tuple(sorted(params.items()))
-        i = max(n + 1 - self.start, 0)
-        try:
-            return self.sums[key][i]
-        except LookupError:
-            pass
-        with _memo_lock:
-            sums = self.sums.setdefault(key, [Fraction(0)])
-            total = sums[-1]
-            for k in range(self.start + len(sums) - 1, n + 1):
-                total += self.term(k=k, **params)
-                sums.append(total)
-            return sums[i]
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables.setdefault(key, _partial_sums(lambda i: self.term(k=self.start + i - 1, **params)))
+        return table.value(max(n + 1 - self.start, 0), 1)
 
     def cache_clear(self) -> None:
-        with _memo_lock:
-            self.sums.clear()
+        self.tables.clear()
 
 
 @functools.cache
@@ -761,12 +752,9 @@ _REGISTRY = _build_registry({
             "2 sum_{k=1..n} H_k sum_{j=1..k} (-1)^j C(k-1,j-1) H_{j-1}/j = "
             "H_n^3 - H_n^(2) H_n - sum_{k=1..n} (H_{k-1}^2 - H_{k-1}^(2))/k",
             {"n": range(1, 26)},
-            lambda n: 2
-            * _fsum(
-                harm(k)
-                * _fsum((-1) ** j * comb(k - 1, j - 1) * harm(j - 1) / j for j in range(1, k + 1))
-                for k in range(1, n + 1)
-            ),
+            # the inner sum is _harmonic_steps(k - 1), whose sum starts at j = 2:
+            # the j = 1 term of the anchor is 0, since H_0 = 0
+            _RunningSum(lambda k: 2 * harm(k) * _harmonic_steps(k - 1), start=1),
             lambda n: harm(n) ** 3
             - harm2(n) * harm(n)
             - _fsum((harm(k - 1) ** 2 - harm2(k - 1)) / k for k in range(1, n + 1)),

@@ -601,7 +601,13 @@ class SeqSpec:
 
 
 def clear_caches() -> None:
-    """Drop every memo table (cold-start state, mainly for tests)."""
+    """Empty this module's caches (cold-start state, mainly for tests).
+
+    That is each family's table, every order-r harmonic table, and the
+    Fibonacci and central-binomial lists.  The running sums and cached inner
+    sums of :mod:`multiharm.identities` are left as they are; the
+    ``cache_clear`` of each memo in ``identities._MEMOS`` drops those.
+    """
     with _lock:
         tables = (_harmonic, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper)
         for table in (*tables, *_harmonic_order.values()):

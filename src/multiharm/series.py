@@ -9,8 +9,8 @@ family's generating function from scratch so its coefficients can be compared
 against the recurrence routes in :mod:`multiharm.sequences`.
 
 A series stores integer numerators over one positive denominator, always in
-lowest terms, so equal series store equal data and a product, inverse or
-square root is one call into the integer kernels of :mod:`multiharm._kernels`.
+lowest terms, so equal series store equal data and a product is one call into
+the integer kernel ``cauchy_product`` of :mod:`multiharm._kernels`.
 A square (``f * f``, and so every step of ``f ** m``) hands the kernel the
 same numerator tuple twice, which it packs once and squares.
 ``Fraction`` values appear only at the boundary: the public constructor takes
@@ -23,7 +23,7 @@ constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``), ``1/(1 - a z)``
 (``geometric``) and ``(1 - a z)^alpha`` for rational alpha
 (``power_of_one_minus``).  ``gf_hyperharmonic`` and ``gf_odd_central`` take
 their ``(1 - z)^(-p)`` and ``(1 - 4z)^(-1/2)`` from the last, so no
-generating function calls ``inverse`` or ``sqrt``.  ``geometric`` keeps its
+series is ever inverted or square-rooted.  ``geometric`` keeps its
 own running product; it equals ``power_of_one_minus(a, -1, order)``.  This
 module reads only :mod:`multiharm.rational` and the kernels, never
 :mod:`multiharm.sequences`, so the series stay independent of the recurrences
@@ -70,11 +70,9 @@ class TruncatedSeries:
 
     @classmethod
     def _from_integers(cls, nums: Iterable[int], den: int) -> TruncatedSeries:
-        """The series with coefficients nums[n] / den, stored in lowest terms."""
+        """The series with coefficients nums[n] / den, for den > 0, stored in lowest terms."""
         nums = tuple(nums)
         g = gcd(den, *nums)
-        if den < 0:
-            g = -g
         series = object.__new__(cls)
         series._nums = nums if g == 1 else tuple(x // g for x in nums)
         series._den = den // g
@@ -170,19 +168,6 @@ class TruncatedSeries:
             if bit == "1":
                 result = result * self
         return result
-
-    def inverse(self) -> TruncatedSeries:
-        """The series g with self*g = 1 up to the truncation order."""
-        if self._nums[0] == 0:
-            raise ValueError("series with zero constant term has no inverse")
-        b, e = _kernels.invert_series(self._nums)
-        return self._from_integers((x * self._den for x in b), e)
-
-    def sqrt(self) -> TruncatedSeries:
-        """The series g with g*g = self and g(0) = 1; requires self(0) = 1."""
-        if self._nums[0] != self._den:
-            raise ValueError("series sqrt requires constant term 1")
-        return self._from_integers(*_kernels.sqrt_series(self._nums))
 
     # -- argument substitution ----------------------------------------------
 

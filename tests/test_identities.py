@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import select
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -258,7 +260,7 @@ def _reset_memos():
 
 def _entries(memo):
     if isinstance(memo, identities._RunningSum):
-        return sum(map(len, memo.sums.values()))
+        return len(memo.tables)
     return memo.cache_info().currsize
 
 
@@ -295,13 +297,15 @@ def test_a_running_sum_reaches_a_far_n_in_a_loop():
     side = identities._RunningSum(lambda k: k, start=1)
     assert side(5000) == 5000 * 5001 // 2
     assert side(0) == side(-3) == 0
-    assert len(side.sums[()]) == 5001
+    assert len(side.tables[()].levels[1]) == 5001
 
 
 def test_an_interrupted_running_sum_keeps_a_correct_prefix():
     fail = {7}
+    calls = []
 
     def term(k, p):
+        calls.append(k)
         if k in fail:
             fail.clear()
             raise MemoryError
@@ -311,8 +315,37 @@ def test_an_interrupted_running_sum_keeps_a_correct_prefix():
     side(3, p=1)
     with pytest.raises(MemoryError):
         side(10, p=1)
-    assert side.sums[(("p", 1),)] == [sum((F(1, k + 1) for k in range(i)), F(0)) for i in range(8)]
+    # the terms grow first, so the sums level may stop short of the failed term
+    sums = side.tables[(("p", 1),)].levels[1]
+    assert len(sums) >= 5
+    assert sums == [sum((F(1, k + 1) for k in range(i)), F(0)) for i in range(len(sums))]
+    assert calls == list(range(8))
+    calls.clear()
     assert side(10, p=1) == sum((F(1, k + 1) for k in range(11)), F(0))
+    assert calls == [7, 8, 9, 10]  # each missing term once, no stored term again
+
+
+def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
+    kollar = identities.get_identity("thm_kollar")
+    reads = [(side, binding) for side in (kollar.lhs, identities._kollar_rhs_sum) for binding in kollar.bindings()]
+    _reset_memos()
+    serial = [side(**binding) for side, binding in reads]
+    _reset_memos()
+
+    def reader(seed):
+        order = random.Random(seed).sample(range(len(reads)), len(reads))
+        return [i for i in order if reads[i][0](**reads[i][1]) != serial[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside reads, growth and clears
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(reader, seed) for seed in range(4)]
+            while not all(future.done() for future in readers):
+                _reset_memos()
+            assert [future.result(timeout=120) for future in readers] == [[]] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _cw(k, p):
@@ -373,6 +406,14 @@ FORMER = {
             for k in range(1, n + 1)
         ),
         "m",
+    ),
+    ("thm_o107dby_m2", "lhs"): (
+        lambda n: 2
+        * exact_sum(
+            harmonic(k) * exact_sum((-1) ** j * binomial(k - 1, j - 1) * harmonic(j - 1) / j for j in range(1, k + 1))
+            for k in range(1, n + 1)
+        ),
+        "",
     ),
     ("thm_hnp1", "lhs"): (
         lambda m, n: exact_sum(
