@@ -50,7 +50,6 @@ from multiharm.series import (
     gf_hyperharmonic,
     gf_odd_central,
     gf_stirling_column,
-    log_one_plus,
     neg_log_one_minus,
 )
 from multiharm.transforms import (

@@ -244,10 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(decimal=None)  # only seq and transform declare --decimal
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    one_index = ("harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas and harmonic_order "
+                 f"at r = 1 refuse (N+1)^2 > {sequences.ONE_INDEX_CEILING}")
 
     p_seq = sub.add_parser("seq", help="print an exact sequence table")
     p_seq.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
-    p_seq.add_argument("--n", type=int, required=True, help="last index (table covers 0..N)")
+    p_seq.add_argument("--n", type=int, required=True, help=f"last index (table covers 0..N); {one_index}")
     _add_options(p_seq, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_seq.set_defaults(func=cmd_seq)
 
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--signed", action="store_true", help="alternate signs (-1)^k in transform mode")
     p_tr.add_argument("--a", help="scalar a (binomial-sum mode), exact rational like 1/2 or -1/3")
     p_tr.add_argument("--b", help="scalar b (binomial-sum mode)")
-    p_tr.add_argument("--n", type=int, required=True, help="index bound")
+    p_tr.add_argument("--n", type=int, required=True, help=f"index bound; {one_index}")
     _add_options(p_tr, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_tr.set_defaults(func=cmd_transform)
 

@@ -37,10 +37,13 @@ integers would pay one large gcd per row.  ``harmonic_like`` stays at scale
 lcm(1..n)^m its single large-m values fill many times slower.
 
 Queries that would do too much work are refused up front, with
-:class:`FeasibilityError`: ``hyperharmonic`` and ``harmonic_order`` over
-:data:`TABLE_CEILING`, ``harmonic_like`` over :data:`HARMONIC_LIKE_CEILING`,
-``stirling1`` over :data:`STIRLING_CEILING` and ``hyperharmonic_half`` over
-:data:`HALF_CEILING`.
+:class:`FeasibilityError`: the one-index families (``harmonic``,
+``odd_harmonic``, ``half_harmonic_offset``, ``fibonacci``, ``lucas``) over
+:data:`ONE_INDEX_CEILING`, ``hyperharmonic`` and ``harmonic_order`` over
+:data:`TABLE_CEILING` (and ``harmonic_order`` at r = 1, which reads
+``harmonic``, over :data:`ONE_INDEX_CEILING` too), ``harmonic_like`` over
+:data:`HARMONIC_LIKE_CEILING`, ``stirling1`` over :data:`STIRLING_CEILING` and
+``hyperharmonic_half`` over :data:`HALF_CEILING`.
 
 All caches are module-level, grown under one re-entrant lock that the table
 type takes itself (reads of cached values take no lock), and transparent:
@@ -202,8 +205,13 @@ _half_offset = _partial_sums(lambda k: Fraction(2, 2 * k - 1))
 
 
 def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
+    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
+
+    A query with (n+1)^2 above :data:`ONE_INDEX_CEILING` raises
+    :class:`FeasibilityError`, as for every one-index family.
+    """
     _check_index(n)
+    _check_one_index(n)
     return _harmonic.value(n, 1)
 
 
@@ -211,12 +219,13 @@ def harmonic_order(n: int, r: int) -> Fraction:
     """Order-r harmonic number: sum of 1/k^r for k = 1..n.
 
     A query with (n+1)*r above :data:`TABLE_CEILING` raises
-    :class:`FeasibilityError`.
+    :class:`FeasibilityError`, and so does one at r = 1 over the ceiling of
+    :func:`harmonic`, which it reads.
     """
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    _check_table_size(n, r, "r")
+    _check_harmonic_order(n, r)
     if r == 1:
         return harmonic(n)
     table = _harmonic_order.get(r)
@@ -228,6 +237,7 @@ def harmonic_order(n: int, r: int) -> Fraction:
 def odd_harmonic(n: int) -> Fraction:
     """O_n = sum of 1/(2k-1) for k = 1..n, with O_0 = 0."""
     _check_index(n)
+    _check_one_index(n)
     return _odd_harmonic.value(n, 1)
 
 
@@ -239,6 +249,7 @@ def half_harmonic_offset(n: int) -> Fraction:
     Each step adds the exact term 1/(k - 1/2) = 2/(2k - 1).
     """
     _check_index(n)
+    _check_one_index(n)
     return _half_offset.value(n, 1)
 
 
@@ -325,11 +336,31 @@ HALF_CEILING = 4_000
 STIRLING_CEILING = 1_000_000_000
 
 
+#: Ceiling on (n + 1)^2 for a query of a one-index family (``harmonic``,
+#: ``odd_harmonic``, ``half_harmonic_offset``, ``fibonacci``, ``lucas``, and
+#: ``harmonic_order`` at r = 1), read at call time: the table keeps all n + 1
+#: entries, and their size grows about linearly in n.  ``harmonic`` fills
+#: 21, 36 and 93 MB at n = 5000, 10000 and 20000, so n = 10^5 would take
+#: about 2.3 GB; the ceiling admits n up to 31621.
+ONE_INDEX_CEILING = 1_000_000_000
+
+
+def _check_one_index(n: int) -> None:
+    if (n + 1) ** 2 > ONE_INDEX_CEILING:
+        raise FeasibilityError(f"(n+1)^2 exceeds the ceiling of {ONE_INDEX_CEILING} at n={n}")
+
+
 def _check_table_size(n: int, order: int, name: str) -> None:
     if (n + 1) * order > TABLE_CEILING:
         raise FeasibilityError(
             f"(n+1)*{name} exceeds the ceiling of {TABLE_CEILING} at n={n}, {name}={order}"
         )
+
+
+def _check_harmonic_order(n: int, r: int) -> None:
+    _check_table_size(n, r, "r")
+    if r == 1:  # read off the harmonic table
+        _check_one_index(n)
 
 
 def _check_harmonic_like_work(n: int, m: int) -> None:
@@ -511,19 +542,33 @@ def hyperharmonic_half_via_binomial(r: int, p: int) -> Fraction:
 _fibonacci: list[int] = [0, 1]
 
 
-def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1."""
-    _check_index(n)
+def _fibonacci_entry(n: int) -> int:
     with _lock:
         while len(_fibonacci) <= n:
             _fibonacci.append(_fibonacci[-1] + _fibonacci[-2])
         return _fibonacci[n]
 
 
-def lucas(n: int) -> int:
-    """L_n with L_0 = 2, L_1 = 1, as L_n = F_(n-1) + F_(n+1) = 2 F_(n+1) - F_n."""
+def fibonacci(n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1.
+
+    A query with (n+1)^2 above :data:`ONE_INDEX_CEILING` raises
+    :class:`FeasibilityError`.
+    """
     _check_index(n)
-    return 2 * fibonacci(n + 1) - fibonacci(n)
+    _check_one_index(n)
+    return _fibonacci_entry(n)
+
+
+def lucas(n: int) -> int:
+    """L_n with L_0 = 2, L_1 = 1, as L_n = F_(n-1) + F_(n+1) = 2 F_(n+1) - F_n.
+
+    It has the ceiling of :func:`fibonacci` at its own n, though it reads
+    F_(n+1) too.
+    """
+    _check_index(n)
+    _check_one_index(n)
+    return 2 * _fibonacci_entry(n + 1) - _fibonacci_entry(n)
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +589,16 @@ class _Family:
 _FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
-        _Family("harmonic", harmonic),
-        _Family("harmonic_order", harmonic_order, {"r": 1}, lambda n, r: _check_table_size(n, r, "r")),
-        _Family("odd_harmonic", odd_harmonic),
+        _Family("harmonic", harmonic, limit=_check_one_index),
+        _Family("harmonic_order", harmonic_order, {"r": 1}, _check_harmonic_order),
+        _Family("odd_harmonic", odd_harmonic, limit=_check_one_index),
         _Family("harmonic_like", harmonic_like, {"m": 0}, _check_harmonic_like_work),
         _Family("stirling1", stirling1, {"k": 0}, _check_stirling_bits),
         _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_table_size(n, p, "p")),
         _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}, _check_half_index),
-        _Family("fibonacci", fibonacci),
-        _Family("lucas", lucas),
-        _Family("half_harmonic_offset", half_harmonic_offset),
+        _Family("fibonacci", fibonacci, limit=_check_one_index),
+        _Family("lucas", lucas, limit=_check_one_index),
+        _Family("half_harmonic_offset", half_harmonic_offset, limit=_check_one_index),
     )
 }
 

@@ -209,11 +209,6 @@ def neg_log_one_minus(a: RationalLike, order: int) -> TruncatedSeries:
     return TruncatedSeries._from_integers(nums, big_l * g._den)
 
 
-def log_one_plus(order: int) -> TruncatedSeries:
-    """ln(1 + z), obtained from the single log kernel by a = -1 and negation."""
-    return -neg_log_one_minus(-1, order)
-
-
 def geometric(a: RationalLike, order: int) -> TruncatedSeries:
     """1/(1 - a*z) = sum a^n z^n; with a = p/q, numerator n is p^n q^(order-n) over q^order."""
     _check_order(order)
@@ -259,7 +254,8 @@ def gf_stirling_column(k: int, order: int) -> TruncatedSeries:
     _check_order(order)
     if k > order:  # ln(1+z)^k starts at z^k: every coefficient is 0
         return TruncatedSeries._from_integers((0,) * (order + 1), 1)
-    return (log_one_plus(order) ** k) * Fraction(1, factorial(k))
+    # ln(1+z) = -(-ln(1 - (-1) z)), negated before the power is taken
+    return ((-neg_log_one_minus(-1, order)) ** k) * Fraction(1, factorial(k))
 
 
 def gf_hyperharmonic(p: int, order: int) -> TruncatedSeries:

@@ -451,10 +451,39 @@ def test_family_ceilings_refuse_before_the_first_row(capsys, monkeypatch, comman
 def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 8765)
     monkeypatch.setattr(sequences, "HALF_CEILING", 432)
+    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 2109)
     assert cli.main(["seq", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(n+1)^2*m > 8765" in help_text
     assert "hyperharmonic_half refuses n+p > 432" in help_text
+    assert "lucas and harmonic_order at r = 1 refuse (N+1)^2 > 2109" in help_text
+    assert cli.main(["transform", "--help"]) == 0
+    assert "refuse (N+1)^2 > 2109" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", [
+    # (n+1)^2 is about 10^10, over ONE_INDEX_CEILING: the table would take gigabytes
+    ["seq", "--family", "harmonic", "--n", "100000"],
+    ["seq", "--family", "odd_harmonic", "--n", "100000"],
+    ["seq", "--family", "half_harmonic_offset", "--n", "100000"],
+    ["seq", "--family", "fibonacci", "--n", "100000"],
+    ["seq", "--family", "lucas", "--n", "100000"],
+    ["seq", "--family", "harmonic_order", "--r", "1", "--n", "100000"],
+    ["transform", "--family", "harmonic", "--n", "100000"],
+])
+def test_one_index_ceiling_exits_two_at_once(capsys, command):
+    def sizes():
+        tables = (sequences._harmonic, sequences._odd_harmonic, sequences._half_offset)
+        return [len(table.levels[0]) for table in tables] + [len(sequences._fibonacci)]
+
+    sequences.clear_caches()
+    before = sizes()
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: (n+1)^2 exceeds the ceiling of {sequences.ONE_INDEX_CEILING} at n=100000\n"
+    assert sizes() == before  # refused before the first row
 
 
 @pytest.mark.parametrize("command", [

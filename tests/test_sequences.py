@@ -153,20 +153,41 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)  # m = 10: refused from n = 10
     monkeypatch.setattr(sequences, "HALF_CEILING", 25)  # p = 10: refused from n = 16
+    # (n+1)^2: refused from n = 26, over the odd harmonic index r + p <= 25 that hyperharmonic_half reads
+    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 676)
     clear_caches()
     for family in FAMILY_NAMES:
         params = {key: low + 10 for key, low in sequences._FAMILIES[family].minimum.items()}
         spec = SeqSpec(family, params)
         sizes = _table_sizes()
-        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 15, 16, 20)}
+        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 15, 16, 20, 25, 26)}
         assert _table_sizes() == sizes  # check evaluates nothing
         assert checked == {n: _refusal(spec.evaluate, n) for n in checked}, family
         if family in ("hyperharmonic", "harmonic_order", "harmonic_like", "hyperharmonic_half"):
             assert checked[20] is FeasibilityError
+        if family != "stirling1":
+            assert checked[26] is FeasibilityError
     assert _refusal(SeqSpec("harmonic_like", {"m": 10}).check, 9) is None  # m > n: all zeros
     assert _refusal(SeqSpec("harmonic_like", {"m": 10}).check, 10) is FeasibilityError
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 15) is None
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 16) is FeasibilityError
+
+
+def test_one_index_families_refuse_over_their_ceiling_before_any_table_grows(monkeypatch):
+    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 400)  # (n+1)^2: n = 19 is admitted, n = 20 is not
+    clear_caches()
+    routes = [harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas, lambda n: harmonic_order(n, 1)]
+    sizes = (_table_sizes(), list(sequences._fibonacci))
+    for route in routes:
+        with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2 exceeds the ceiling of 400 at n=20$"):
+            route(20)
+    with pytest.raises(FeasibilityError):
+        SeqSpec("harmonic_order", {"r": 1}).check(20)
+    assert (_table_sizes(), list(sequences._fibonacci)) == sizes
+    SeqSpec("harmonic_order", {"r": 1}).check(19)
+    assert harmonic_order(19, 1) == harmonic(19) == sum(Fraction(1, k) for k in range(1, 20))
+    # lucas reads F_20, which fibonacci itself refuses here, but has the ceiling at its own n
+    assert lucas(19) == 9349
 
 
 def test_harmonic_like_above_its_index_is_zero_past_any_ceiling(monkeypatch):

@@ -14,7 +14,6 @@ from multiharm.series import (
     gf_hyperharmonic,
     gf_odd_central,
     gf_stirling_column,
-    log_one_plus,
     neg_log_one_minus,
     power_of_one_minus,
 )
@@ -230,7 +229,6 @@ def test_neg_log_one_minus_examples():
     assert neg_log_one_minus(1, 4).coeffs == (F(0), F(1), F(1, 2), F(1, 3), F(1, 4))
     assert neg_log_one_minus(0, 3) == TruncatedSeries([0, 0, 0, 0])
     assert neg_log_one_minus(4, 3).coeffs == (F(0), F(4), F(8), F(64, 3))
-    assert log_one_plus(4).coeffs == (F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4))
 
 
 def test_pow_examples():
@@ -290,6 +288,8 @@ def test_gf_stirling_column_matches_triangle():
         for n in range(26):
             assert factorial(n) * gf[n] == stirling1(n, k)
     assert gf_stirling_column(0, 6) == TruncatedSeries.one(6)
+    # ln(1+z) itself, from the single log kernel at a = -1
+    assert gf_stirling_column(1, 4).coeffs == (F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4))
 
 
 def test_gf_hyperharmonic_matches_recurrence():
@@ -316,7 +316,6 @@ def test_gf_odd_central_matches_central_binomial_products():
     pytest.param(lambda: geometric(1, -2), id="geometric"),
     pytest.param(lambda: power_of_one_minus(4, F(-1, 2), -1), id="power_of_one_minus"),
     pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
-    pytest.param(lambda: log_one_plus(-1), id="log_one_plus"),
     pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
     pytest.param(lambda: TruncatedSeries.one(-1), id="one"),
 ])

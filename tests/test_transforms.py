@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multiharm import transforms
+from multiharm.identities import verify_identity
 from multiharm.rational import binomial, exact_sum, factorial
 from multiharm.sequences import harmonic, harmonic_like, harmonic_order, stirling1
 from multiharm.transforms import (
@@ -250,6 +252,60 @@ def test_route_matches_its_fraction_loop(route, reference):
         assert route(*ab, m, n) == reference(*ab, m, n)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the helpers the closed routes share
+#
+# A fault in a helper must show in every identity whose closed side reads it:
+# the literal route reads neither helper, so the fault cannot scale both sides
+# of a check alike.
+
+_BINOMIAL_SUM_IDS = ("main_id1", "remark_m1", "cor_id4", "cor_id5")
+_pair_powers = transforms._pair_powers
+_short_form = transforms._short_form
+
+
+def _denominator_times_y(x, y, n):
+    us_pow, rv_pow, scale = _pair_powers(x, y, n)
+    return us_pow, rv_pow, scale * F(y).denominator
+
+
+def _denominator_times_x(x, y, n):
+    us_pow, rv_pow, scale = _pair_powers(x, y, n)
+    return us_pow, rv_pow, scale * F(x).denominator
+
+
+def _swapped_powers(x, y, n):
+    us_pow, rv_pow, scale = _pair_powers(x, y, n)
+    return rv_pow, us_pow, scale
+
+
+def _first_weight_doubled(a, b, m, lead, c, weights):
+    return _short_form(a, b, m, lead, c, [2 * w if k == 0 else w for k, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize("identity_id", _BINOMIAL_SUM_IDS)
+@pytest.mark.parametrize("mutant", [_denominator_times_y, _denominator_times_x, _swapped_powers])
+def test_a_wrong_pair_powers_fails_every_binomial_sum_identity(monkeypatch, mutant, identity_id):
+    assert verify_identity(identity_id).passed
+    monkeypatch.setattr(transforms, "_pair_powers", mutant)
+    assert not verify_identity(identity_id).passed
+
+
+@pytest.mark.parametrize("identity_id", _BINOMIAL_SUM_IDS[1:])
+def test_a_wrong_short_form_fails_every_specialization_identity(monkeypatch, identity_id):
+    monkeypatch.setattr(transforms, "_short_form", _first_weight_doubled)
+    assert not verify_identity(identity_id).passed
+
+
+def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("binomial_sum_direct read a closed-route helper")
+
+    monkeypatch.setattr(transforms, "_pair_powers", forbidden)
+    monkeypatch.setattr(transforms, "_short_form", forbidden)
+    assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 12) == direct_reference(F(1, 2), F(-1, 3), 3, 12)
 
 
 # ---------------------------------------------------------------------------
