@@ -68,7 +68,7 @@ from typing import Iterable, Iterator, Sequence
 
 from multiharm import identities, sequences, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
-from multiharm.sequences import FAMILY_NAMES, FeasibilityError, SeqSpec
+from multiharm.sequences import FAMILY_NAMES, SeqSpec
 
 #: gf-check family -> (the sequence family it reads, the name of its
 #: ``series`` generating function, the scale of the sequence value at n, the
@@ -166,9 +166,7 @@ def _check_gf_work(order: int, params: dict[str, int]) -> None:
     """Refuse a ``gf-check`` whose estimated work exceeds :data:`GF_WORK_CEILING`."""
     power = min(max([1, *params.values()]), order + 1)
     if (order + 1) ** 2 * power > GF_WORK_CEILING:
-        raise FeasibilityError(
-            f"(order+1)^2*{power} exceeds the ceiling of {GF_WORK_CEILING} at order={order}"
-        )
+        sequences._refuse(f"(order+1)^2*{power}", GF_WORK_CEILING, order=order)
 
 
 def cmd_gf_check(args: argparse.Namespace) -> int:
@@ -211,10 +209,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 _OPTIONS = {
-    "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and (n+1)^2*m > "
+    "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and (n+1)^2*max(m,1) > "
                                "{hlike_ceiling}; binomial-sum mode, default 0)"),
-    "--k": dict(type=int, help="column parameter (stirling1); refused if "
-                               "(min(k,n)+1)*(n+1)*n*bit_length(n) > {stirling_ceiling}"),
+    "--k": dict(type=int, help="column parameter (stirling1)"),
     "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}, "
                                "hyperharmonic_half refuses n+p > {half_ceiling}"),
     "--r": dict(type=int, help="order (harmonic_order); refused if (n+1)*r > {ceiling}"),
@@ -228,7 +225,7 @@ _OPTIONS = {
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
     ceilings = dict(ceiling=sequences.TABLE_CEILING, hlike_ceiling=sequences.HARMONIC_LIKE_CEILING,
-                    half_ceiling=sequences.HALF_CEILING, stirling_ceiling=sequences.STIRLING_CEILING)
+                    half_ceiling=sequences.HALF_CEILING)
     for name in names:  # the ceilings are read now, so --help states the ones in force
         help_text = _OPTIONS[name]["help"].format(**ceilings)
         parser.add_argument(name, **{**_OPTIONS[name], "help": help_text})
@@ -244,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(decimal=None)  # only seq and transform declare --decimal
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    one_index = ("harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas and harmonic_order "
-                 f"at r = 1 refuse (N+1)^2 > {sequences.ONE_INDEX_CEILING}")
+    weights = "; ".join(f"{weight} for {families}" for weight, families in sequences._SIZE_WEIGHTS.values())
+    size_rule = f"refused if (n+1)^2*w > {sequences.SIZE_CEILING}, where w is {weights}"
 
     p_seq = sub.add_parser("seq", help="print an exact sequence table")
     p_seq.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
-    p_seq.add_argument("--n", type=int, required=True, help=f"last index (table covers 0..N); {one_index}")
+    p_seq.add_argument("--n", type=int, required=True, help=f"last index n (table covers 0..n); {size_rule}")
     _add_options(p_seq, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_seq.set_defaults(func=cmd_seq)
 
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--signed", action="store_true", help="alternate signs (-1)^k in transform mode")
     p_tr.add_argument("--a", help="scalar a (binomial-sum mode), exact rational like 1/2 or -1/3")
     p_tr.add_argument("--b", help="scalar b (binomial-sum mode)")
-    p_tr.add_argument("--n", type=int, required=True, help=f"index bound; {one_index}")
+    p_tr.add_argument("--n", type=int, required=True, help=f"index bound n; {size_rule}")
     _add_options(p_tr, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_tr.set_defaults(func=cmd_transform)
 

@@ -23,10 +23,11 @@ across processes without one route depending on another: ``verify_all(...,
 jobs=N)`` forks up to N - 1 workers (see :func:`_verify_forked`).  Every
 library call is serial in the calling process unless it passes ``jobs``.
 
-A side is not rebuilt from its first term at every grid point.  A side that
-is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on n is a
-running sum (``_RunningSum``): its partial sums are kept per parameter tuple
-in one ``sequences._partial_sums`` table, the memo-table type of the sequence
+A side that is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on
+n may be a running sum (``_RunningSum``), not rebuilt from its first term at
+every grid point; nine of cheap terms, such as ``warmup_sum_Hk``, are plain
+sums.  A running sum keeps its partial sums per parameter tuple in one
+``sequences._partial_sums`` table, the memo-table type of the sequence
 families, grown by one term per new n under ``sequences._lock`` (a cached sum
 is read without it).  An inner sum or weight that recurs across the grid is a
 module-level function cached by exactly the indices its value depends on.

@@ -36,14 +36,21 @@ integers would pay one large gcd per row.  ``harmonic_like`` stays at scale
 1 too: over n! its dense rows at small m read about 50% slower, and over
 lcm(1..n)^m its single large-m values fill many times slower.
 
-Queries that would do too much work are refused up front, with
-:class:`FeasibilityError`: the one-index families (``harmonic``,
-``odd_harmonic``, ``half_harmonic_offset``, ``fibonacci``, ``lucas``) over
-:data:`ONE_INDEX_CEILING`, ``hyperharmonic`` and ``harmonic_order`` over
-:data:`TABLE_CEILING` (and ``harmonic_order`` at r = 1, which reads
-``harmonic``, over :data:`ONE_INDEX_CEILING` too), ``harmonic_like`` over
-:data:`HARMONIC_LIKE_CEILING`, ``stirling1`` over :data:`STIRLING_CEILING` and
-``hyperharmonic_half`` over :data:`HALF_CEILING`.
+Queries that would take too much memory or time are refused with
+:class:`FeasibilityError` before any table grows.  A table keeps n + 1
+entries of size about linear in n, so one size rule bounds them all: a query
+is refused when (n+1)^2 * w exceeds :data:`SIZE_CEILING`, the weight w being::
+
+    1                    harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas
+    r                    harmonic_order
+    p                    hyperharmonic
+    (k+1)*bit_length(n)  stirling1, for k <= n (k > n is 0 at once)
+
+At small n, where the rule admits any order, ``hyperharmonic`` and
+``harmonic_order`` refuse (n+1) times the order over :data:`TABLE_CEILING`.
+Two ceilings bound time: ``harmonic_like`` refuses (n+1)^2 * max(m, 1) over
+:data:`HARMONIC_LIKE_CEILING` for m <= n, and ``hyperharmonic_half`` r + p
+over :data:`HALF_CEILING`.
 
 All caches are module-level, grown under one re-entrant lock that the table
 type takes itself (reads of cached values take no lock), and transparent:
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 from multiharm import _kernels
 from multiharm.rational import binomial, gen_binomial
@@ -205,27 +212,21 @@ _half_offset = _partial_sums(lambda k: Fraction(2, 2 * k - 1))
 
 
 def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
-
-    A query with (n+1)^2 above :data:`ONE_INDEX_CEILING` raises
-    :class:`FeasibilityError`, as for every one-index family.
-    """
+    """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0, refused over the size rule (see the module docstring)."""
     _check_index(n)
-    _check_one_index(n)
+    _check_size(n)
     return _harmonic.value(n, 1)
 
 
 def harmonic_order(n: int, r: int) -> Fraction:
     """Order-r harmonic number: sum of 1/k^r for k = 1..n.
 
-    A query with (n+1)*r above :data:`TABLE_CEILING` raises
-    :class:`FeasibilityError`, and so does one at r = 1 over the ceiling of
-    :func:`harmonic`, which it reads.
+    Refused over the size rule or :data:`TABLE_CEILING`; at r = 1 it reads :func:`harmonic`.
     """
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    _check_harmonic_order(n, r)
+    _check_order(n, r, "r")
     if r == 1:
         return harmonic(n)
     table = _harmonic_order.get(r)
@@ -237,7 +238,7 @@ def harmonic_order(n: int, r: int) -> Fraction:
 def odd_harmonic(n: int) -> Fraction:
     """O_n = sum of 1/(2k-1) for k = 1..n, with O_0 = 0."""
     _check_index(n)
-    _check_one_index(n)
+    _check_size(n)
     return _odd_harmonic.value(n, 1)
 
 
@@ -249,7 +250,7 @@ def half_harmonic_offset(n: int) -> Fraction:
     Each step adds the exact term 1/(k - 1/2) = 2/(2k - 1).
     """
     _check_index(n)
-    _check_one_index(n)
+    _check_size(n)
     return _half_offset.value(n, 1)
 
 
@@ -278,8 +279,8 @@ def harmonic_like(n: int, m: int) -> Fraction:
     It reads neither :func:`stirling1` nor the series layer; the cross-check
     routes are :func:`harmonic_like_convolution`,
     :func:`harmonic_like_bruteforce` and ``series.gf_harmonic_like``.
-    A query with m <= n and (n+1)^2 * m above :data:`HARMONIC_LIKE_CEILING`
-    raises :class:`FeasibilityError`; m > n is 0 at once.
+    Refused over :data:`HARMONIC_LIKE_CEILING` (see the module docstring);
+    m > n is 0 at once.
     """
     _check_index(n)
     _check_index(m, "m")
@@ -302,16 +303,35 @@ def harmonic_like_convolution(n: int, m: int) -> Fraction:
 #: Default ceiling on how many tuples the brute-force oracle will enumerate.
 BRUTE_FORCE_CEILING = 2_000_000
 
+#: Ceiling on (n + 1)^2 * w, the size rule of the module docstring, read at
+#: call time.  ``harmonic`` fills 21, 36 and 93 MB at n = 5000, 10000 and
+#: 20000, so n = 10^5 would take about 2.3 GB; the ceiling admits n up to
+#: 31621, at 206 MB.  At the ceiling ``harmonic_order(22359, 2)`` takes 1.0 s
+#: and 205 MB, and ``hyperharmonic(18256, 3)`` 0.39 s and 173 MB.  A
+#: ``stirling1`` table is cheap to fill but keeps every entry (one column of
+#: 8000 rows holds about 45 MB), so a bare cap on n would admit any k: the
+#: 5001 rows of ``seq --family stirling1 --k 2 --n 5000`` fill in 0.2 s, at
+#: 49 MB, and print in about 10 s; ``--k 100 --n 950`` takes 0.7 s and 63 MB.
+SIZE_CEILING = 1_000_000_000
+
+#: The size rule's weight w by its parameter, and its families, as refusals and ``--help`` print them.
+_SIZE_WEIGHTS = {
+    "": ("1", "harmonic, odd_harmonic, half_harmonic_offset, fibonacci and lucas"),
+    "r": ("r", "harmonic_order"),
+    "p": ("p", "hyperharmonic"),
+    "k": ("(k+1)*bit_length(n)", "stirling1 with k <= n"),
+}
+
 #: Ceiling on (n + 1) times the order of a ``hyperharmonic`` or
-#: ``harmonic_order`` query, read at call time.  The first grows one table
-#: level per unit of p; the second has terms with r times the digits of k.
+#: ``harmonic_order`` query, read at call time, for small n, where the size
+#: rule admits any order: ``hyperharmonic(2, 10**8)`` would grow 10^8 table
+#: levels, and ``harmonic_order`` has terms with r times the digits of k.
 TABLE_CEILING = 1_000_000
 
-
-#: Ceiling on (n + 1)^2 * m for a ``harmonic_like`` query with m <= n, read at
-#: call time: the (n + 1) * m cells to fill, times n + 1 for the size of their
-#: entries, whose bit length grows about linearly in n.  Cells alone are no
-#: measure of the work: 250 000 of them take 8 s at (n, m) = (700, 350) and
+#: Ceiling on (n + 1)^2 * max(m, 1) for a ``harmonic_like`` query with m <= n,
+#: read at call time: the (n + 1) * max(m, 1) cells to fill (level 0 grows at
+#: m = 0), times n + 1 for the bit length of their entries.  Cells alone are
+#: no measure of the work: 250 000 of them take 8 s at (n, m) = (700, 350) and
 #: over 60 s at (2500, 100).  The ceiling admits (700, 350); the heaviest
 #: queries it admits, with m from 10 to 200, take 10 to 13 s on one core.
 HARMONIC_LIKE_CEILING = 175_000_000
@@ -324,62 +344,40 @@ HARMONIC_LIKE_CEILING = 175_000_000
 HALF_CEILING = 4_000
 
 
-#: Ceiling on (min(k, n) + 1) * (n + 1) * n * bit_length(n) for a
-#: ``stirling1`` query, read at call time: the columns 0..k (at most n + 1 of
-#: them hold a nonzero entry) of the n + 1 rows the table keeps, times a bound
-#: on the bits of its largest entry, |s(i, j)| <= i! <= n^n < 2^(n *
-#: bit_length(n)).  The table is cheap to fill but keeps every entry (one
-#: column of 8000 rows holds about 45 MB), so a bare cap on n would admit any k.  At the ceiling the 5001 rows of
-#: ``seq --family stirling1 --k 2 --n 5000`` fill in 0.2 s and print in about
-#: 10 s (decimal conversion of the integers), at 49 MB; ``--k 100 --n 950``
-#: takes 0.7 s and 63 MB.
-STIRLING_CEILING = 1_000_000_000
+def _refuse(formula: str, ceiling: int, **at: int) -> NoReturn:
+    """Raise the refusal of a query whose ``formula`` exceeds ``ceiling`` at the values ``at``."""
+    where = ", ".join(f"{name}={value}" for name, value in at.items())
+    raise FeasibilityError(f"{formula} exceeds the ceiling of {ceiling} at {where}")
 
 
-#: Ceiling on (n + 1)^2 for a query of a one-index family (``harmonic``,
-#: ``odd_harmonic``, ``half_harmonic_offset``, ``fibonacci``, ``lucas``, and
-#: ``harmonic_order`` at r = 1), read at call time: the table keeps all n + 1
-#: entries, and their size grows about linearly in n.  ``harmonic`` fills
-#: 21, 36 and 93 MB at n = 5000, 10000 and 20000, so n = 10^5 would take
-#: about 2.3 GB; the ceiling admits n up to 31621.
-ONE_INDEX_CEILING = 1_000_000_000
+# Each check is one comparison: the checks run about 200 000 times in one
+# ``verify``, so a refusal's text is built only when it is raised.
+def _check_size(n: int, weight: int = 1, param: str = "", value: int = 0) -> None:
+    if (n + 1) ** 2 * weight > SIZE_CEILING:
+        if not param:
+            _refuse("(n+1)^2", SIZE_CEILING, n=n)
+        _refuse(f"(n+1)^2*{_SIZE_WEIGHTS[param][0]}", SIZE_CEILING, n=n, **{param: value})
 
 
-def _check_one_index(n: int) -> None:
-    if (n + 1) ** 2 > ONE_INDEX_CEILING:
-        raise FeasibilityError(f"(n+1)^2 exceeds the ceiling of {ONE_INDEX_CEILING} at n={n}")
-
-
-def _check_table_size(n: int, order: int, name: str) -> None:
+def _check_order(n: int, order: int, param: str) -> None:
     if (n + 1) * order > TABLE_CEILING:
-        raise FeasibilityError(
-            f"(n+1)*{name} exceeds the ceiling of {TABLE_CEILING} at n={n}, {name}={order}"
-        )
+        _refuse(f"(n+1)*{param}", TABLE_CEILING, n=n, **{param: order})
+    _check_size(n, order, param, order)
 
 
-def _check_harmonic_order(n: int, r: int) -> None:
-    _check_table_size(n, r, "r")
-    if r == 1:  # read off the harmonic table
-        _check_one_index(n)
+def _check_stirling(n: int, k: int) -> None:
+    if k <= n:  # k > n is 0 at once
+        _check_size(n, (k + 1) * n.bit_length(), "k", k)
 
 
 def _check_harmonic_like_work(n: int, m: int) -> None:
-    if m <= n and (n + 1) ** 2 * m > HARMONIC_LIKE_CEILING:
-        raise FeasibilityError(
-            f"(n+1)^2*m exceeds the ceiling of {HARMONIC_LIKE_CEILING} at n={n}, m={m}"
-        )
-
-
-def _check_stirling_bits(n: int, k: int) -> None:
-    if (min(k, n) + 1) * (n + 1) * n * n.bit_length() > STIRLING_CEILING:
-        raise FeasibilityError(
-            f"(min(k,n)+1)*(n+1)*n*bit_length(n) exceeds the ceiling of {STIRLING_CEILING} at n={n}, k={k}"
-        )
+    if m <= n and (n + 1) ** 2 * (m or 1) > HARMONIC_LIKE_CEILING:
+        _refuse("(n+1)^2*max(m,1)", HARMONIC_LIKE_CEILING, n=n, m=m)
 
 
 def _check_half_index(r: int, p: int) -> None:
     if r + p > HALF_CEILING:
-        raise FeasibilityError(f"r+p exceeds the ceiling of {HALF_CEILING} at r={r}, p={p}")
+        _refuse("r+p", HALF_CEILING, r=r, p=p)
 
 
 def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
@@ -431,16 +429,15 @@ def stirling1(n: int, k: int) -> int:
     with s(0, 0) = 1; s(n, k) = 0 for n < k.  Only the columns 0..k asked
     for so far are kept, each grown in place, so a new index costs O(k)
     integer operations and memory is O(n k), not the whole triangle.  The
-    cross-check route is ``series.gf_stirling_column``.  A query with k <= n
-    whose table bits, bounded by (k+1) * (n+1) * n * bit_length(n), exceed
-    :data:`STIRLING_CEILING` raises :class:`FeasibilityError`; k > n is 0 at
-    once.
+    cross-check route is ``series.gf_stirling_column``.  Refused over the
+    size rule, which bounds the bits of the columns kept, as |s(i, j)| <= i!
+    < 2^(n * bit_length(n)); k > n is 0 at once.
     """
     _check_index(n)
     _check_index(k, "k")
     if k > n:
         return 0
-    _check_stirling_bits(n, k)
+    _check_stirling(n, k)
     return _stirling.value(n, k)
 
 
@@ -469,12 +466,12 @@ def hyperharmonic(n: int, p: int) -> Fraction:
     Defined by the recurrence ``value(n, p) = sum_{i=1..n} value(i, p-1)``
     with base level value(n, 0) = 1/n and value(0, p) = 0 for p >= 1.
     value(0, 0) is undefined and raises ValueError.  Levels are filled in a
-    loop, lowest first, so no order p needs deep recursion; a query with
-    (n+1)*p above :data:`TABLE_CEILING` raises :class:`FeasibilityError`.
+    loop, lowest first, so no order p needs deep recursion.  Refused over
+    the size rule or :data:`TABLE_CEILING` (see the module docstring).
     """
     _check_index(n)
     _check_index(p, "p")
-    _check_table_size(n, p, "p")
+    _check_order(n, p, "p")
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -512,8 +509,7 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
 
     Central-binomial form:
     2^(1-2r) * C(2p, p)^-1 * C(2(r+p), r+p) * C(r+p, r) * (O_{r+p} - O_p).
-    A query with r + p above :data:`HALF_CEILING` raises
-    :class:`FeasibilityError`.
+    Refused over :data:`HALF_CEILING` (see the module docstring).
     """
     _check_index(r, "r")
     _check_index(p, "p")
@@ -550,24 +546,20 @@ def _fibonacci_entry(n: int) -> int:
 
 
 def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1.
-
-    A query with (n+1)^2 above :data:`ONE_INDEX_CEILING` raises
-    :class:`FeasibilityError`.
-    """
+    """F_n with F_0 = 0, F_1 = 1, refused over the size rule (see the module docstring)."""
     _check_index(n)
-    _check_one_index(n)
+    _check_size(n)
     return _fibonacci_entry(n)
 
 
 def lucas(n: int) -> int:
     """L_n with L_0 = 2, L_1 = 1, as L_n = F_(n-1) + F_(n+1) = 2 F_(n+1) - F_n.
 
-    It has the ceiling of :func:`fibonacci` at its own n, though it reads
+    It has the size rule of :func:`fibonacci` at its own n, though it reads
     F_(n+1) too.
     """
     _check_index(n)
-    _check_one_index(n)
+    _check_size(n)
     return 2 * _fibonacci_entry(n + 1) - _fibonacci_entry(n)
 
 
@@ -589,16 +581,16 @@ class _Family:
 _FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
-        _Family("harmonic", harmonic, limit=_check_one_index),
-        _Family("harmonic_order", harmonic_order, {"r": 1}, _check_harmonic_order),
-        _Family("odd_harmonic", odd_harmonic, limit=_check_one_index),
+        _Family("harmonic", harmonic, limit=_check_size),
+        _Family("harmonic_order", harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r")),
+        _Family("odd_harmonic", odd_harmonic, limit=_check_size),
         _Family("harmonic_like", harmonic_like, {"m": 0}, _check_harmonic_like_work),
-        _Family("stirling1", stirling1, {"k": 0}, _check_stirling_bits),
-        _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_table_size(n, p, "p")),
+        _Family("stirling1", stirling1, {"k": 0}, _check_stirling),
+        _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p")),
         _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}, _check_half_index),
-        _Family("fibonacci", fibonacci, limit=_check_one_index),
-        _Family("lucas", lucas, limit=_check_one_index),
-        _Family("half_harmonic_offset", half_harmonic_offset, limit=_check_one_index),
+        _Family("fibonacci", fibonacci, limit=_check_size),
+        _Family("lucas", lucas, limit=_check_size),
+        _Family("half_harmonic_offset", half_harmonic_offset, limit=_check_size),
     )
 }
 

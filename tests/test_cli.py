@@ -388,8 +388,21 @@ def test_overflow_error_exits_two(capsys, command):
     # (n+1)^2 m = 7.5e10 over HARMONIC_LIKE_CEILING; r + p over HALF_CEILING
     ["seq", "--family", "harmonic_like", "--m", "3000", "--n", "5000"],
     ["seq", "--family", "hyperharmonic_half", "--p", "1000000", "--n", "1000"],
+    # (n+1)^2 times w = p or r over SIZE_CEILING: these tables would take tens of GB
+    ["seq", "--family", "hyperharmonic", "--p", "3", "--n", "333332"],
+    ["seq", "--family", "harmonic_order", "--r", "2", "--n", "499999"],
+    # m = 0 still grows level 0, and weighs as m = 1; binomial-sum mode defaults to m = 0
+    ["seq", "--family", "harmonic_like", "--m", "0", "--n", "100000000"],
+    ["transform", "--a", "1", "--b", "1", "--n", "20000"],
 ])
 def test_table_ceiling_exits_two(capsys, command):
+    def sizes():
+        tables = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
+        tables += sequences._harmonic_order.values()
+        return [[len(level) for level in table.levels] for table in tables], len(sequences._fibonacci)
+
+    sequences.clear_caches()
+    before = sizes()
     code = cli.main(command)
     captured = capsys.readouterr()
     assert code == 2
@@ -398,6 +411,7 @@ def test_table_ceiling_exits_two(capsys, command):
     assert "exceeds the ceiling" in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert sizes() == before  # refused before any table grew
 
 
 @pytest.mark.parametrize("command", [
@@ -451,18 +465,19 @@ def test_family_ceilings_refuse_before_the_first_row(capsys, monkeypatch, comman
 def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 8765)
     monkeypatch.setattr(sequences, "HALF_CEILING", 432)
-    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 2109)
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 2109)
     assert cli.main(["seq", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "(n+1)^2*m > 8765" in help_text
+    assert "(n+1)^2*max(m,1) > 8765" in help_text
     assert "hyperharmonic_half refuses n+p > 432" in help_text
-    assert "lucas and harmonic_order at r = 1 refuse (N+1)^2 > 2109" in help_text
+    assert ("refused if (n+1)^2*w > 2109, where w is 1 for harmonic, odd_harmonic, half_harmonic_offset, "
+            "fibonacci and lucas; r for harmonic_order; p for hyperharmonic;") in help_text
     assert cli.main(["transform", "--help"]) == 0
-    assert "refuse (N+1)^2 > 2109" in " ".join(capsys.readouterr().out.split())
+    assert "refused if (n+1)^2*w > 2109" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("command", [
-    # (n+1)^2 is about 10^10, over ONE_INDEX_CEILING: the table would take gigabytes
+    # (n+1)^2 is about 10^10, over SIZE_CEILING: the table would take gigabytes
     ["seq", "--family", "harmonic", "--n", "100000"],
     ["seq", "--family", "odd_harmonic", "--n", "100000"],
     ["seq", "--family", "half_harmonic_offset", "--n", "100000"],
@@ -482,7 +497,10 @@ def test_one_index_ceiling_exits_two_at_once(capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: (n+1)^2 exceeds the ceiling of {sequences.ONE_INDEX_CEILING} at n=100000\n"
+    if "harmonic_order" in command:  # the same rule, with w = r = 1
+        assert captured.err == f"error: (n+1)^2*r exceeds the ceiling of {sequences.SIZE_CEILING} at n=100000, r=1\n"
+    else:
+        assert captured.err == f"error: (n+1)^2 exceeds the ceiling of {sequences.SIZE_CEILING} at n=100000\n"
     assert sizes() == before  # refused before the first row
 
 
@@ -746,13 +764,13 @@ def test_usable_cpus_follow_the_affinity_mask_else_the_cpu_count(monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    # k = 2: (k+1)*(n+1)*n*bit_length(n) is 864 at n = 8 and 6300 at n = 20
+    # k = 2: (n+1)^2*(k+1)*bit_length(n) is 972 at n = 8 and 6615 at n = 20
     ["seq", "--family", "stirling1", "--k", "2", "--n", "20"],
     ["transform", "--family", "stirling1", "--k", "2", "--n", "20"],
     ["gf-check", "--family", "stirling1", "--k", "2", "--order", "20"],
 ])
 def test_stirling_ceiling_refuses_before_the_first_row(capsys, monkeypatch, command):
-    monkeypatch.setattr(sequences, "STIRLING_CEILING", 1000)
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 1000)
     monkeypatch.setattr(series, "gf_stirling_column", lambda *args: pytest.fail("a generating function was built"))
     sequences.clear_caches()
     sizes = [len(level) for level in sequences._stirling.levels]
@@ -766,7 +784,8 @@ def test_stirling_ceiling_refuses_before_the_first_row(capsys, monkeypatch, comm
 
 
 def test_seq_help_names_the_stirling_ceiling(capsys, monkeypatch):
-    monkeypatch.setattr(sequences, "STIRLING_CEILING", 97531)
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 97531)
     assert cli.main(["seq", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "(min(k,n)+1)*(n+1)*n*bit_length(n) > 97531" in help_text
+    assert "refused if (n+1)^2*w > 97531" in help_text
+    assert "(k+1)*bit_length(n) for stirling1 with k <= n" in help_text

@@ -154,13 +154,13 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)  # m = 10: refused from n = 10
     monkeypatch.setattr(sequences, "HALF_CEILING", 25)  # p = 10: refused from n = 16
     # (n+1)^2: refused from n = 26, over the odd harmonic index r + p <= 25 that hyperharmonic_half reads
-    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 676)
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 676)
     clear_caches()
     for family in FAMILY_NAMES:
         params = {key: low + 10 for key, low in sequences._FAMILIES[family].minimum.items()}
         spec = SeqSpec(family, params)
         sizes = _table_sizes()
-        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 8, 9, 10, 15, 16, 20, 25, 26)}
+        checked = {n: _refusal(spec.check, n) for n in (-1, 0, 6, 7, 8, 9, 10, 15, 16, 20, 25, 26)}
         assert _table_sizes() == sizes  # check evaluates nothing
         assert checked == {n: _refusal(spec.evaluate, n) for n in checked}, family
         if family in ("hyperharmonic", "harmonic_order", "harmonic_like", "hyperharmonic_half"):
@@ -171,16 +171,25 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
     assert _refusal(SeqSpec("harmonic_like", {"m": 10}).check, 10) is FeasibilityError
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 15) is None
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 16) is FeasibilityError
+    # the size rule refuses these before TABLE_CEILING would: (n+1)^2*p is 640 at n = 7 and 810 at
+    # n = 8 for p = 10, (n+1)^2*r is 539 at n = 6 and 704 at n = 7 for r = 11
+    for spec, n in ((SeqSpec("hyperharmonic", {"p": 10}), 8), (SeqSpec("harmonic_order", {"r": 11}), 7)):
+        spec.check(n - 1)
+        with pytest.raises(FeasibilityError, match=rf"^\(n\+1\)\^2\*[pr] exceeds the ceiling of 676 at n={n}, "):
+            spec.check(n)
 
 
 def test_one_index_families_refuse_over_their_ceiling_before_any_table_grows(monkeypatch):
-    monkeypatch.setattr(sequences, "ONE_INDEX_CEILING", 400)  # (n+1)^2: n = 19 is admitted, n = 20 is not
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 400)  # (n+1)^2: n = 19 is admitted, n = 20 is not
     clear_caches()
-    routes = [harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas, lambda n: harmonic_order(n, 1)]
+    routes = [harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas]
     sizes = (_table_sizes(), list(sequences._fibonacci))
     for route in routes:
         with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2 exceeds the ceiling of 400 at n=20$"):
             route(20)
+    # harmonic_order at r = 1 has the same bound, with w = r
+    with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2\*r exceeds the ceiling of 400 at n=20, r=1$"):
+        harmonic_order(20, 1)
     with pytest.raises(FeasibilityError):
         SeqSpec("harmonic_order", {"r": 1}).check(20)
     assert (_table_sizes(), list(sequences._fibonacci)) == sizes
@@ -194,13 +203,22 @@ def test_harmonic_like_above_its_index_is_zero_past_any_ceiling(monkeypatch):
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 0)
     assert harmonic_like(10**6, 10**6 + 1) == 0
     SeqSpec("harmonic_like", {"m": 10**6 + 1}).check(10**6)
-    with pytest.raises(FeasibilityError, match=r"\(n\+1\)\^2\*m exceeds the ceiling of 0 at n=1, m=1"):
+    with pytest.raises(FeasibilityError, match=r"\(n\+1\)\^2\*max\(m,1\) exceeds the ceiling of 0 at n=1, m=1"):
         harmonic_like(1, 1)
 
 
+def test_harmonic_like_level_zero_is_bounded_like_level_one():
+    # level 0 still grows one entry per index, so m = 0 weighs as m = 1: n = 13227 is the last index admitted
+    for m in (0, 1):
+        spec = SeqSpec("harmonic_like", {"m": m})
+        spec.check(13227)
+        with pytest.raises(FeasibilityError, match=rf"^\(n\+1\)\^2\*max\(m,1\) exceeds .* at n=13228, m={m}$"):
+            spec.check(13228)
+
+
 def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch):
-    # k = 10: (k+1)*(n+1)*n*bit_length(n) is 9240 at n = 14 and 10560 at n = 15
-    monkeypatch.setattr(sequences, "STIRLING_CEILING", 10_000)
+    # k = 10: (n+1)^2*(k+1)*bit_length(n) is 9900 at n = 14 and 11264 at n = 15
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 10_000)
     clear_caches()
     sizes = _table_sizes()
     spec = SeqSpec("stirling1", {"k": 10})
@@ -211,11 +229,12 @@ def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch):
         spec.evaluate(15)
     assert _table_sizes() == sizes  # neither refusal grew a table
     assert spec.evaluate(14) == factorial(14) * gf_stirling_column(10, 14)[14]
-    # k > n is zero at once, and the check counts only the n + 1 columns there are
-    monkeypatch.setattr(sequences, "STIRLING_CEILING", 0)
+    # k > n is zero at once, and the check refuses none of it, as evaluate does not
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 0)
     assert stirling1(9, 10) == 0
     SeqSpec("stirling1", {"k": 10}).check(0)
-    with pytest.raises(FeasibilityError, match=r"^\(min\(k,n\)\+1\)\*\(n\+1\)\*n\*bit_length\(n\) exceeds"):
+    SeqSpec("stirling1", {"k": 10}).check(9)
+    with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2\*\(k\+1\)\*bit_length\(n\) exceeds"):
         stirling1(1, 1)
 
 
