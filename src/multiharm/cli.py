@@ -43,10 +43,11 @@ checking anything, through the library's own checks (see
 their last index against the family's ceiling before the first row, and
 ``gf-check`` checks its work ceiling before either side runs.  Any other
 exception is a fault in the program: it exits 3 with one
-``error: internal error: <Type>: <message>`` line and no traceback.  An
-exception in a forked ``verify`` worker is raised in the parent with its type,
-so it exits with the same status, and a worker that dies without sending its
-reports is an internal error (3); the workers write nothing themselves.  Every
+``error: internal error: <Type>: <message>`` line and no traceback.  A
+forked ``verify`` worker sends back only the reports it finished and writes
+nothing itself; the parent then verifies, in order, every identity that no
+process finished, one that raised or whose worker died, so an exception is
+raised in the parent as in a serial run and exits with the same status.  Every
 exact row is computed before the first byte, so a refusal leaves the output
 empty; the text is then written one row (or JSON item) at a time, with the
 ``--decimal`` cell computed as its row is written, and only a ``MemoryError``

@@ -25,8 +25,8 @@ library call is serial in the calling process unless it passes ``jobs``.
 
 A side that is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on
 n may be a running sum (``_RunningSum``), not rebuilt from its first term at
-every grid point; nine of cheap terms, such as ``warmup_sum_Hk``, are plain
-sums.  A running sum keeps its partial sums per parameter tuple in one
+every grid point; nine sides with cheap terms, such as ``warmup_sum_Hk``,
+are plain sums.  A running sum keeps its partial sums per parameter tuple in one
 ``sequences._partial_sums`` table, the memo-table type of the sequence
 families, grown by one term per new n under ``sequences._lock`` (a cached sum
 is read without it).  An inner sum or weight that recurs across the grid is a
@@ -235,17 +235,20 @@ def _claims(fd: int) -> Iterator[int]:
 def _verify_forked(
     descs: list[IdentityDescriptor], overrides: Mapping[str, int], jobs: int
 ) -> list[VerificationReport]:
-    """Reports for ``descs`` from this process and ``jobs - 1`` forked workers.
+    """Reports for ``descs`` from this process and up to ``jobs - 1`` forked workers.
 
     Every index is written to one pipe before the workers are forked, and each
     process claims the next one as it becomes free, so the load balances
-    itself.  A worker sends its reports back pickled, with the exception that
-    stopped it if any, and exits; the reports are returned in the order of
-    ``descs``.  A worker's exception is raised here with the same type (the
-    one at the lowest index, if several raised), and a worker that exits
-    without sending a result raises ``RuntimeError``.  If this process's own
-    share raises, even ``KeyboardInterrupt``, every worker is killed and
-    reaped before the exception propagates; on every path no worker is left.
+    itself.  If a fork fails, the processes already running claim every
+    index.  A worker sends back the reports it finished, and this process
+    trusts them only if the worker exits with status 0.  The reports are
+    returned in the order of ``descs``, and every index that no process
+    reported is verified here, so an exception is the one the serial run
+    raises, and the share of a process that raised or died is verified
+    again.  This process stops claiming at an ``Exception`` in its own share,
+    as a worker does; at any other, such as ``KeyboardInterrupt``, every
+    worker is killed and reaped before it propagates.  On every path no
+    worker is left.
     """
     import pickle
     import signal
@@ -259,34 +262,27 @@ def _verify_forked(
             result_r, result_w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # no process or memory to spare: the running processes share the rest
                 os.close(result_r)
                 os.close(result_w)
-                raise
+                break
             if pid == 0:
                 _verify_in_worker(claims, result_w, descs, overrides)
             os.close(result_w)
             workers[pid] = result_r
-        reports = {i: verify_descriptor(descs[i], overrides) for i in _claims(claims)}
-        errors = []
+        reports: dict[int, VerificationReport] = {}
+        with contextlib.suppress(Exception):  # as in a worker: the index that raised is verified again below
+            for i in _claims(claims):
+                reports[i] = verify_descriptor(descs[i], overrides)
         for pid, result_r in list(workers.items()):
             with open(result_r, "rb", closefd=False) as pipe:  # closed below, once reaped
                 sent = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del workers[pid]
             os.close(result_r)
-            if status != 0 or not sent:
-                raise RuntimeError(
-                    f"verify worker {pid} exited with status {os.waitstatus_to_exitcode(status)} "
-                    "without sending its reports"
-                )
-            done, error = pickle.loads(sent)
-            reports.update(done)
-            if error is not None:
-                errors.append(error)
-        if errors:
-            raise min(errors, key=lambda error: error[0])[1]
-        return [reports[i] for i in range(len(descs))]
+            if status == 0:  # a worker that died may have sent part of its reports
+                reports.update(pickle.loads(sent))
+        return [reports[i] if i in reports else verify_descriptor(desc, overrides) for i, desc in enumerate(descs)]
     except BaseException:
         for pid in workers:
             with contextlib.suppress(ProcessLookupError):  # reaped just before the interruption
@@ -303,32 +299,24 @@ def _verify_forked(
 def _verify_in_worker(
     claims: int, result_w: int, descs: list[IdentityDescriptor], overrides: Mapping[str, int]
 ) -> NoReturn:
-    """A forked worker: verify claimed descriptors, send the outcome to ``result_w``, exit.
+    """A forked worker: verify claimed descriptors until the claims run out or one
+    raises, send the reports it finished to ``result_w``, exit.
 
-    It writes nothing to standard output or error.  Every exception, even
-    ``KeyboardInterrupt``, is sent to the parent as ``(index, exception)``
-    (as a ``RuntimeError`` naming it if it does not survive pickling), and
-    ``os._exit`` skips clean-up handlers and the flushing of buffers it
-    inherited.
+    It writes nothing to standard output or error and sends no exception: the
+    parent verifies the index that raised again.  It exits with status 0 only
+    once every byte is written, and ``os._exit`` skips clean-up handlers and
+    the flushing of buffers it inherited.
     """
     import pickle
 
     code = 1
     try:
         reports: dict[int, VerificationReport] = {}
-        error = None
-        index = -1
-        try:
+        with contextlib.suppress(BaseException):  # even KeyboardInterrupt: the parent verifies this index again
             for index in _claims(claims):
                 reports[index] = verify_descriptor(descs[index], overrides)
-        except BaseException as exc:
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            error = (index, exc)
         with open(result_w, "wb") as out:
-            out.write(pickle.dumps((reports, error)))
+            out.write(pickle.dumps(reports))
         code = 0
     finally:
         os._exit(code)
@@ -353,11 +341,16 @@ def verify_all(
     :mod:`multiharm.cli`).  The reports are those of the serial run apart
     from ``elapsed_ms``, which is the wall time of one identity in whichever
     process verified it, so the values need not add up to the wall time of
-    the run; an exception keeps its type and message.  ``elapsed_ms`` also
-    depends on which identities ran earlier in the same process, since
-    those may have filled memos this one reads.  The run stays serial
-    where ``os.fork`` is missing or other threads are running.  The default,
-    1, verifies every identity in this process, so in-process
+    the run.  ``elapsed_ms`` also depends on which identities ran earlier in
+    the same process, since those may have filled memos this one reads.
+    Each process stops at the first identity that raises, and a worker sends
+    back only the reports it finished.  This process then verifies, in
+    order, every identity that no process finished, one that raised or whose
+    worker died, so an exception is the serial run's own, raised here.  A
+    ``KeyboardInterrupt`` here kills the workers at once.  The run stays
+    serial where ``os.fork`` is missing or other threads are running, and a
+    failed fork leaves the rest to the processes already running.  The
+    default, 1, verifies every identity in this process, so in-process
     instrumentation sees every evaluation.
     """
     descs = [desc for _, desc in sorted(_REGISTRY.items()) if tag is None or desc.section == tag]

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from multiharm.rational import RationalLike, binomial, exact_sum, factorial
 from multiharm.sequences import _check_index, harmonic, harmonic_like, harmonic_order, stirling1
@@ -47,6 +47,14 @@ AB_FIXTURES: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
+def _binomial_row(n: int) -> Iterator[int]:
+    """C(n, 0), ..., C(n, n), each from the one before by one multiply and one exact division."""
+    c = 1
+    for k in range(n + 1):
+        yield c
+        c = c * (n - k) // (k + 1)
+
+
 def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fraction:
     """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m).
 
@@ -62,8 +70,8 @@ def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fra
     hl = [harmonic_like(k, m) for k in range(n + 1)]
     common = math.lcm(*[t.denominator for t in hl])
     total = sum(
-        binomial(n, k) * ps_pow[k] * rq_pow[n - k] * t.numerator * (common // t.denominator)
-        for k, t in enumerate(hl)
+        c * ps_pow[k] * rq_pow[n - k] * t.numerator * (common // t.denominator)
+        for k, (c, t) in enumerate(zip(_binomial_row(n), hl))
     )
     return Fraction(total, common * (q * s) ** n)
 
@@ -168,6 +176,4 @@ def binomial_transform(seq: Callable[[int], RationalLike], n: int, signed: bool 
     sequence.
     """
     _check_index(n)
-    return exact_sum(
-        (-binomial(n, k) if signed and k % 2 else binomial(n, k)) * Fraction(seq(k)) for k in range(n + 1)
-    )
+    return exact_sum((-c if signed and k % 2 else c) * Fraction(seq(k)) for k, c in enumerate(_binomial_row(n)))

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -789,3 +791,17 @@ def test_seq_help_names_the_stirling_ceiling(capsys, monkeypatch):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "refused if (n+1)^2*w > 97531" in help_text
     assert "(k+1)*bit_length(n) for stirling1 with k <= n" in help_text
+
+
+def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():
+    # the forked verify imports pickle and signal itself; loading them, or a pool, on import
+    # would add to the start-up time and memory of every run
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, multiharm.cli; "
+        "print(sorted({'pickle', 'signal', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

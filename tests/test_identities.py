@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import random
 import select
+import signal
 import sys
 import threading
 import time
@@ -688,7 +690,22 @@ def test_a_raising_entry_on_a_workers_share_raises_the_serial_exception(monkeypa
     assert capfd.readouterr() == ("", "")  # the worker wrote nothing
 
 
-def test_an_exception_that_cannot_be_pickled_arrives_as_a_runtime_error(monkeypatch, forks):
+def test_an_exception_in_the_parents_share_waits_for_the_serial_one_on_a_workers_share(monkeypatch, forks):
+    def refused(n):
+        forks.mark()
+        raise ValueError("refused")
+
+    # the worker claims the first entry; the parent's own share raises a different exception
+    entries = [_entry("a_refused", refused), _entry("b_internal", lambda n: F(1, 0))]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    forks.hold = True
+    with pytest.raises(ValueError, match="^refused$"):
+        verify_all(jobs=2)
+    assert forks.calls == 1
+    _no_child_left()
+
+
+def test_an_exception_that_cannot_be_pickled_is_raised_as_in_the_serial_run(monkeypatch, forks):
     class Local(Exception):  # pickled by reference, which a local class has none of
         pass
 
@@ -699,24 +716,51 @@ def test_an_exception_that_cannot_be_pickled_arrives_as_a_runtime_error(monkeypa
     entries = [_entry("a_raising", lhs), _fine("b_fine")]
     monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
     forks.hold = True
-    with pytest.raises(RuntimeError, match="^Local: kept in the message$"):
+    with pytest.raises(Local, match="^kept in the message$"):
         verify_all(jobs=2)
     _no_child_left()
 
 
-def test_a_worker_that_dies_without_a_result_raises(monkeypatch, forks):
+@pytest.mark.parametrize("die", [
+    pytest.param(lambda: os._exit(7), id="exit-7"),
+    pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), id="sigkill"),
+])
+def test_a_worker_that_dies_leaves_its_share_to_the_parent(monkeypatch, forks, die):
     def lhs(n):
         forks.mark()
         if forks.in_worker():
-            os._exit(7)
-        pytest.fail("the parent evaluated the held identity")
+            die()
+        return F(n)
 
     entries = [_entry("a_dies", lhs), _fine("b_fine"), _fine("c_fine")]
     monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    serial = verify_all()
     forks.hold = True
-    with pytest.raises(RuntimeError, match="exited with status 7 without sending its reports"):
-        verify_all(jobs=2)
+    forked = verify_all(jobs=2)
+    assert forks.calls == 1
     _no_child_left()
+    assert _untimed(forked) == _untimed(serial)
+
+
+def test_a_failed_fork_leaves_its_share_to_the_processes_already_running(monkeypatch, forks):
+    calls = []
+    counted_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counted_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    overrides = {"n": 4}
+    serial = verify_all(overrides=overrides)
+    open_before = sorted(os.listdir("/dev/fd"))
+    forked = verify_all(overrides=overrides, jobs=3)
+    assert len(calls) == 2 and forks.calls == 1
+    _no_child_left()
+    assert sorted(os.listdir("/dev/fd")) == open_before  # the pipe pair of the failed fork is closed
+    assert _untimed(forked) == _untimed(serial)
 
 
 def test_an_interrupt_in_the_parents_share_kills_and_reaps_every_worker(monkeypatch, forks):
@@ -787,18 +831,17 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("outcome, code, err", [
-    pytest.param(lambda n: F(n + 1), 1, "", id="mismatch"),
-    pytest.param(lambda n: _raise(ValueError("refused")), 2, "error: refused\n", id="value-error"),
-    pytest.param(lambda n: _raise(MemoryError()), 2, "error: out of memory\n", id="memory-error"),
-    pytest.param(lambda n: F(1, 0), 3, "error: internal error: ZeroDivisionError: ", id="internal-error"),
-    pytest.param(lambda n: os._exit(7), 3, "error: internal error: RuntimeError: verify worker ", id="worker-died"),
+    pytest.param(lambda n, worker: F(n + 1), 1, "", id="mismatch"),
+    pytest.param(lambda n, worker: _raise(ValueError("refused")), 2, "error: refused\n", id="value-error"),
+    pytest.param(lambda n, worker: _raise(MemoryError()), 2, "error: out of memory\n", id="memory-error"),
+    pytest.param(lambda n, worker: F(1, 0), 3, "error: internal error: ZeroDivisionError: ", id="internal-error"),
+    pytest.param(lambda n, worker: os._exit(7) if worker else F(n), 0, "", id="worker-died"),
 ])
 def test_the_forked_program_keeps_the_exit_statuses(monkeypatch, forks, capsys, outcome, code, err):
+    # the worker claims the held identity first; the parent verifies it again unless the worker reported it
     def lhs(n):
         forks.mark()
-        if not forks.in_worker():
-            pytest.fail("the parent evaluated the held identity")
-        return outcome(n)
+        return outcome(n, forks.in_worker())
 
     entries = [_entry("a_held", lhs), _fine("b_fine"), _fine("c_fine")]
     monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
@@ -807,9 +850,9 @@ def test_the_forked_program_keeps_the_exit_statuses(monkeypatch, forks, capsys, 
     assert forks.calls == 1
     _no_child_left()
     out, errors = capsys.readouterr()
-    assert errors.startswith(err) and errors.count("\n") == (code != 1)
-    if code == 1:
-        assert [r["passed"] for r in json.loads(out)] == [False, True, True]
+    assert errors.startswith(err) and errors.count("\n") == (code > 1)
+    if code < 2:
+        assert [r["passed"] for r in json.loads(out)] == [code == 0, True, True]
     else:
         assert out == ""
 

@@ -30,6 +30,7 @@ def test_fixture_pairs_cover_the_degenerate_regimes():
 
 def test_direct_sum_m0_is_a_plus_b_power():
     assert binomial_sum_direct(2, 1, 0, 3) == 27
+    assert binomial_sum_direct(1, 1, 0, 3000) == 2**3000
     for a, b in AB_FIXTURES:
         for n in range(6):
             assert binomial_sum_direct(a, b, 0, n) == (a + b) ** n
@@ -116,6 +117,7 @@ def test_signed_transform_spot_values():
     assert binomial_transform(harmonic, 3) == F(-1, 3)
     assert binomial_transform(lambda k: harmonic_like(k, 2), 3) == 1
     assert binomial_transform(harmonic, 2, signed=False) == F(7, 2)
+    assert binomial_transform(lambda k: 1, 3000, signed=False) == 2**3000
 
 
 def test_inverse_recovers_preimage_of_signed_transform():
@@ -146,6 +148,14 @@ def test_signed_transform_is_an_involution(seq):
     transformed = [binomial_transform(lambda k: seq[k], n) for n in range(21)]
     for n in range(21):
         assert binomial_transform(lambda k: transformed[k], n) == seq[n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=40), min_size=1, max_size=80), st.booleans())
+def test_transform_matches_its_per_term_comb_sum(seq, signed):
+    n = len(seq) - 1
+    expected = sum((math.comb(n, k) * (-1 if signed and k % 2 else 1) * seq[k] for k in range(n + 1)), F(0))
+    assert binomial_transform(seq.__getitem__, n, signed) == expected
 
 
 @pytest.mark.parametrize("route", [
