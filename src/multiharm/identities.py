@@ -336,22 +336,18 @@ def verify_all(
 
     With ``jobs`` above 1 the identities are verified on up to that many
     processes (never more than there are identities): this one and workers
-    forked from it, which claim identities one at a time as they become free.
-    The ``multiharm verify`` program passes its usable CPU count (see
-    :mod:`multiharm.cli`).  The reports are those of the serial run apart
-    from ``elapsed_ms``, which is the wall time of one identity in whichever
+    forked from it, which claim identities one at a time as they become free
+    (see :func:`_verify_forked`).  The ``multiharm verify`` program passes its
+    usable CPU count (see :mod:`multiharm.cli`).  The reports, and the
+    exception if one is raised, are those of the serial run apart from
+    ``elapsed_ms``, which is the wall time of one identity in whichever
     process verified it, so the values need not add up to the wall time of
     the run.  ``elapsed_ms`` also depends on which identities ran earlier in
-    the same process, since those may have filled memos this one reads.
-    Each process stops at the first identity that raises, and a worker sends
-    back only the reports it finished.  This process then verifies, in
-    order, every identity that no process finished, one that raised or whose
-    worker died, so an exception is the serial run's own, raised here.  A
-    ``KeyboardInterrupt`` here kills the workers at once.  The run stays
-    serial where ``os.fork`` is missing or other threads are running, and a
-    failed fork leaves the rest to the processes already running.  The
-    default, 1, verifies every identity in this process, so in-process
-    instrumentation sees every evaluation.
+    the same process, since those may have filled memos this one reads.  No
+    worker outlives the run.  The run stays serial where ``os.fork`` is
+    missing or other threads are running.  The default, 1, verifies every
+    identity in this process, so in-process instrumentation sees every
+    evaluation.
     """
     descs = [desc for _, desc in sorted(_REGISTRY.items()) if tag is None or desc.section == tag]
     return _verify("the registry" if tag is None else f"tag {tag!r}", descs, overrides or {}, jobs)
