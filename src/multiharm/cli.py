@@ -210,12 +210,13 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 _OPTIONS = {
-    "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and (n+1)^2*max(m,1) > "
-                               "{hlike_ceiling}; binomial-sum mode, default 0)"),
+    "--m": dict(type=int, help="level parameter (harmonic_like, refused if m <= n and {s._HARMONIC_LIKE_WORK} > "
+                               "{s.HARMONIC_LIKE_CEILING}; binomial-sum mode, default 0)"),
     "--k": dict(type=int, help="column parameter (stirling1)"),
-    "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses (n+1)*p > {ceiling}, "
-                               "hyperharmonic_half refuses n+p > {half_ceiling}"),
-    "--r": dict(type=int, help="order (harmonic_order); refused if (n+1)*r > {ceiling}"),
+    "--p": dict(type=int, help="order (hyperharmonic families); hyperharmonic refuses {s._ORDER_WORK}p > "
+                               "{s.TABLE_CEILING}, hyperharmonic_half refuses {s._HALF_WORK} > {s.HALF_CEILING}, "
+                               "where r is the index n"),
+    "--r": dict(type=int, help="order (harmonic_order); refused if {s._ORDER_WORK}r > {s.TABLE_CEILING}"),
     "--format": dict(choices=("csv", "json"), default="csv", help="table rendering (default csv)"),
     "--decimal": dict(type=int, metavar="DIGITS",
                       help=f"add an approximate column with this many digits (1..{DECIMAL_MAX})"),
@@ -225,10 +226,8 @@ _OPTIONS = {
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    ceilings = dict(ceiling=sequences.TABLE_CEILING, hlike_ceiling=sequences.HARMONIC_LIKE_CEILING,
-                    half_ceiling=sequences.HALF_CEILING)
     for name in names:  # the ceilings are read now, so --help states the ones in force
-        help_text = _OPTIONS[name]["help"].format(**ceilings)
+        help_text = _OPTIONS[name]["help"].format(s=sequences)
         parser.add_argument(name, **{**_OPTIONS[name], "help": help_text})
 
 

@@ -70,7 +70,7 @@ from multiharm.rational import (
     gen_binomial as gbin,
 )
 from multiharm.sequences import (
-    _LevelTable,
+    _KeyedTables,
     _partial_sums,
     fibonacci as fib,
     half_harmonic_offset as hoff,
@@ -383,27 +383,21 @@ class _RunningSum:
     """A side ``side(n, **params) = sum_{k=start..n} term(k=k, **params)``, kept as running sums.
 
     The partial sums of each parameter tuple are one ``sequences._partial_sums``
-    table, its term i being ``term(k=start + i - 1)``, so a grid column costs
-    one term per point, and the table type's rules on growth, interruption
-    and unlocked reads hold here too.  :meth:`cache_clear` only unlinks the
-    tables, so a read that races it either finishes on its old table, which
-    is correct, or grows a new one.
+    table, its term i being ``term(k=start + i - 1)``, in one
+    ``sequences._KeyedTables``, so a grid column costs one term per point,
+    and the rules of both table types on growth, interruption, unlocked
+    reads and :meth:`cache_clear` hold here too.
     """
 
     def __init__(self, term: Callable[..., RationalLike], start: int = 0) -> None:
-        self.term = term
         self.start = start
-        self.tables: dict[tuple, _LevelTable] = {}
+        self.tables = _KeyedTables(lambda key: _partial_sums(lambda i: term(k=start + i - 1, **dict(key))))
 
     def __call__(self, n: int, **params: Any) -> Fraction:
-        key = tuple(sorted(params.items()))
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables.setdefault(key, _partial_sums(lambda i: self.term(k=self.start + i - 1, **params)))
-        return table.value(max(n + 1 - self.start, 0), 1)
+        return self.tables[tuple(sorted(params.items()))].value(max(n + 1 - self.start, 0), 1)
 
     def cache_clear(self) -> None:
-        self.tables.clear()
+        self.tables.cache_clear()
 
 
 @functools.cache

@@ -15,10 +15,10 @@ exists it is exposed as a separate function so the two can be cross-checked:
 * ``hyperharmonic_half`` (central-binomial form) vs
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
-Every cached family but Fibonacci (a two-term recurrence, one plain list)
-has its own ``_LevelTable``.  Lucas numbers are read off the Fibonacci list,
-and ``hyperharmonic_half`` reads its central binomials C(2i, i) off one list
-grown the same way.
+Every cached family has its own ``_LevelTable`` (``harmonic_order`` one per
+order r, in a ``_KeyedTables``).  Fibonacci numbers, a two-term recurrence,
+are a one-level table that reads its own prefix, and Lucas numbers are read
+off it; ``hyperharmonic_half`` reads C(2i, i) off another such table.
 The tables grow in place, one index at a time; none of them reads another
 family's table, the kernels or the series layer, so each cross-check
 compares independent computations.
@@ -52,10 +52,10 @@ Two ceilings bound time: ``harmonic_like`` refuses (n+1)^2 * max(m, 1) over
 :data:`HARMONIC_LIKE_CEILING` for m <= n, and ``hyperharmonic_half`` r + p
 over :data:`HALF_CEILING`.
 
-All caches are module-level, grown under one re-entrant lock that the table
-type takes itself (reads of cached values take no lock), and transparent:
-a warm cache returns exactly what a cold recomputation would.  Values are
-immutable, so concurrent use never changes any returned value.
+Every cache is a table listed once in ``_MEMOS``, grown under one re-entrant
+lock that the table type takes itself (reads of cached values take no lock),
+and transparent: a warm cache returns exactly what a cold recomputation
+would.  Values never change, so concurrent use changes no returned value.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Hashable, Mapping, NoReturn
 
 from multiharm import _kernels
 from multiharm.rational import binomial, gen_binomial
@@ -97,12 +97,14 @@ class _LevelTable:
     table built without ``ratio`` has scale 1 everywhere, so its entries are
     the values themselves; with ``ratio``, ``scales[i] = scales[i-1] *
     ratios[i]``, where ``ratios[i] = ratio(i, scales[i-1])``, and its entries
-    are integer numerators.  Level 0 is ``base(i, scales[i])``; every level
-    j >= 1 starts at index 0 with ``start`` and continues by
-    ``step(j, i, left, below, ratios[i])``, where ``left`` is the entry at
-    index i - 1 of level j and ``below`` is level j - 1, already grown at
-    least to index i.  A one-index partial sum is a scale-1 table with the
-    terms on level 0 and the sums on level 1 (see :func:`_partial_sums`).
+    are integer numerators.  Level 0 is ``base(i, scales[i], row)``, ``row``
+    being level 0 up to index i - 1, so a table of one level, with no
+    ``step``, holds a one-index recurrence.  Every level j >= 1 starts at
+    index 0 with ``start`` and continues by ``step(j, i, left, below,
+    ratios[i])``, where ``left`` is the entry at index i - 1 of level j and
+    ``below`` is level j - 1, already grown at least to index i.  A partial
+    sum is a scale-1 table with the terms on level 0 and the sums on level 1
+    (see :func:`_partial_sums`).
 
     On integer numerators a step is one multiplication and one addition of
     integers, where a reduced ``Fraction`` addition pays two large gcds.  A
@@ -120,22 +122,22 @@ class _LevelTable:
 
     :meth:`value` reads a cached value without the lock and takes the module
     lock only to grow the table or to reduce an entry; :func:`clear_caches`
-    holds it around :meth:`clear`.  The unlocked read is safe because every
-    cached value is the exact value at its place, is stored only once it is
-    complete, and is never changed afterwards.  A read that races
-    :meth:`clear` either still sees the value, which is correct (a cleared
-    level and its read cache keep their values, they are only unlinked, and
-    level 0 and its cache are emptied in place), or misses and falls through
-    to the locked path, which recomputes it.  Every write to the read cache
-    happens under the lock, so none lands in a table that :meth:`clear` has
-    already reset.
+    holds it around :meth:`cache_clear`.  The unlocked read is safe because
+    every cached value is the exact value at its place, is stored only once
+    it is complete, and is never changed afterwards.  A read that races
+    :meth:`cache_clear` either still sees the value, which is correct (a
+    cleared level and its read cache keep their values, they are only
+    unlinked, and level 0 and its cache are emptied in place), or misses and
+    falls through to the locked path, which recomputes it.  Every write to
+    the read cache happens under the lock, so none lands in a table that
+    :meth:`cache_clear` has already reset.
     """
 
     def __init__(
         self,
-        base: Callable[[int, int], Fraction | int],
+        base: Callable[[int, int, list], Fraction | int],
         start: Fraction | int,
-        step: Callable[[int, int, Fraction | int, list, int], Fraction | int],
+        step: Callable[[int, int, Fraction | int, list, int], Fraction | int] | None,
         ratio: Callable[[int, int], int] | None = None,
     ) -> None:
         self.base = base
@@ -144,10 +146,10 @@ class _LevelTable:
         self.ratio = ratio or (lambda i, scale: 1)
         self.scales = [1]
         self.ratios = [1]
-        self.levels: list[list] = [[base(0, 1)]]
+        self.levels: list[list] = [[base(0, 1, [])]]
         self.read: list = self.levels if ratio is None else [{}]
 
-    def clear(self) -> None:
+    def cache_clear(self) -> None:
         if self.read is not self.levels:
             del self.read[1:]
             self.read[0].clear()
@@ -181,7 +183,7 @@ class _LevelTable:
             scales.append(scales[-1] * r)
         base = levels[0]
         for i in range(len(base), size):
-            base.append(self.base(i, scales[i]))
+            base.append(self.base(i, scales[i], base))
         for j in range(1, top + 1):
             if j == len(levels):
                 levels.append([self.start])
@@ -198,7 +200,22 @@ def _partial_sum_step(j: int, n: int, left: Fraction, below: list, r: int) -> Fr
 
 def _partial_sums(term: Callable[[int], Fraction]) -> _LevelTable:
     # index 0 of level 0 is never read: value(1, j) = value(0, j) + value(1, j-1)
-    return _LevelTable(lambda k, scale: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
+    return _LevelTable(lambda k, scale, row: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
+
+
+class _KeyedTables(dict):
+    """Memo tables by key, each one made by ``make(key)`` when its key is first read."""
+
+    def __init__(self, make: Callable[[Hashable], _LevelTable]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable) -> _LevelTable:
+        # of two threads that make the same table, both keep the one stored first
+        return self.setdefault(key, self.make(key))
+
+    # only unlinks the tables, so a read racing it finishes on its old table, which is exact, or makes a new one
+    cache_clear = dict.clear
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +223,7 @@ def _partial_sums(term: Callable[[int], Fraction]) -> _LevelTable:
 
 
 _harmonic = _partial_sums(lambda k: Fraction(1, k))
-_harmonic_order: dict[int, _LevelTable] = {}
+_harmonic_order = _KeyedTables(lambda r: _partial_sums(lambda k: Fraction(1, k**r)))
 _odd_harmonic = _partial_sums(lambda k: Fraction(1, 2 * k - 1))
 _half_offset = _partial_sums(lambda k: Fraction(2, 2 * k - 1))
 
@@ -229,10 +246,7 @@ def harmonic_order(n: int, r: int) -> Fraction:
     _check_order(n, r, "r")
     if r == 1:
         return harmonic(n)
-    table = _harmonic_order.get(r)
-    if table is None:
-        table = _harmonic_order.setdefault(r, _partial_sums(lambda k: Fraction(1, k**r)))
-    return table.value(n, 1)
+    return _harmonic_order[r].value(n, 1)
 
 
 def odd_harmonic(n: int) -> Fraction:
@@ -264,7 +278,7 @@ def _harmonic_like_step(m: int, n: int, left: Fraction, below: list, r: int) -> 
     return left + Fraction(m, n) * below[n - 1]
 
 
-_hlike = _LevelTable(lambda n, scale: _ONE, _ZERO, _harmonic_like_step)
+_hlike = _LevelTable(lambda n, scale, row: _ONE, _ZERO, _harmonic_like_step)
 
 
 def harmonic_like(n: int, m: int) -> Fraction:
@@ -343,6 +357,11 @@ HARMONIC_LIKE_CEILING = 175_000_000
 #: ``seq --family hyperharmonic_half --p 2000 --n 2000`` take about 7 s.
 HALF_CEILING = 4_000
 
+#: What each ceiling above bounds, as refusals and ``--help`` print it; ``_ORDER_WORK`` precedes p or r.
+_ORDER_WORK = "(n+1)*"
+_HARMONIC_LIKE_WORK = "(n+1)^2*max(m,1)"
+_HALF_WORK = "r+p"
+
 
 def _refuse(formula: str, ceiling: int, **at: int) -> NoReturn:
     """Raise the refusal of a query whose ``formula`` exceeds ``ceiling`` at the values ``at``."""
@@ -361,7 +380,7 @@ def _check_size(n: int, weight: int = 1, param: str = "", value: int = 0) -> Non
 
 def _check_order(n: int, order: int, param: str) -> None:
     if (n + 1) * order > TABLE_CEILING:
-        _refuse(f"(n+1)*{param}", TABLE_CEILING, n=n, **{param: order})
+        _refuse(_ORDER_WORK + param, TABLE_CEILING, n=n, **{param: order})
     _check_size(n, order, param, order)
 
 
@@ -372,12 +391,12 @@ def _check_stirling(n: int, k: int) -> None:
 
 def _check_harmonic_like_work(n: int, m: int) -> None:
     if m <= n and (n + 1) ** 2 * (m or 1) > HARMONIC_LIKE_CEILING:
-        _refuse("(n+1)^2*max(m,1)", HARMONIC_LIKE_CEILING, n=n, m=m)
+        _refuse(_HARMONIC_LIKE_WORK, HARMONIC_LIKE_CEILING, n=n, m=m)
 
 
 def _check_half_index(r: int, p: int) -> None:
     if r + p > HALF_CEILING:
-        _refuse("r+p", HALF_CEILING, r=r, p=p)
+        _refuse(_HALF_WORK, HALF_CEILING, r=r, p=p)
 
 
 def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
@@ -419,7 +438,7 @@ def _stirling_step(k: int, n: int, left: int, below: list, r: int) -> int:
     return below[n - 1] - (n - 1) * left
 
 
-_stirling = _LevelTable(lambda n, scale: int(n == 0), 0, _stirling_step)
+_stirling = _LevelTable(lambda n, scale, row: int(n == 0), 0, _stirling_step)
 
 
 def stirling1(n: int, k: int) -> int:
@@ -457,7 +476,7 @@ def _scaled_sum_step(p: int, n: int, left: int, below: list, r: int) -> int:
 
 
 # scale lcm(1..n), so level 0 holds the integers lcm(1..n)/n
-_hyper = _LevelTable(lambda n, scale: scale // n if n else 0, 0, _scaled_sum_step, _lcm_ratio)
+_hyper = _LevelTable(lambda n, scale, row: scale // n if n else 0, 0, _scaled_sum_step, _lcm_ratio)
 
 
 def hyperharmonic(n: int, p: int) -> Fraction:
@@ -492,16 +511,8 @@ def hyperharmonic_closed(n: int, p: int) -> Fraction:
     return binomial(n + p - 1, n) * (harmonic(n + p - 1) - harmonic(p - 1))
 
 
-_central: list[int] = [1]
-
-
-def _central_binomial(i: int) -> int:
-    """C(2i, i), read from a list grown by C(2i+2, i+1) = C(2i, i) 2(2i+1)/(i+1), an exact division."""
-    with _lock:
-        while len(_central) <= i:
-            j = len(_central) - 1
-            _central.append(_central[-1] * 2 * (2 * j + 1) // (j + 1))
-        return _central[i]
+# C(2i, i) = C(2i-2, i-1) * 2(2i-1)/i, an exact division; one level, so no step
+_central = _LevelTable(lambda i, scale, row: row[-1] * 2 * (2 * i - 1) // i if i else 1, 0, None)
 
 
 def hyperharmonic_half(r: int, p: int) -> Fraction:
@@ -516,7 +527,7 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
     _check_half_index(r, p)
     return (
         Fraction(2, 4**r)
-        * Fraction(_central_binomial(r + p), _central_binomial(p))
+        * Fraction(_central.value(r + p, 0), _central.value(p, 0))
         * binomial(r + p, r)
         * (odd_harmonic(r + p) - odd_harmonic(p))
     )
@@ -535,21 +546,15 @@ def hyperharmonic_half_via_binomial(r: int, p: int) -> Fraction:
 # Fibonacci / Lucas
 
 
-_fibonacci: list[int] = [0, 1]
-
-
-def _fibonacci_entry(n: int) -> int:
-    with _lock:
-        while len(_fibonacci) <= n:
-            _fibonacci.append(_fibonacci[-1] + _fibonacci[-2])
-        return _fibonacci[n]
+# F_n = F_(n-1) + F_(n-2), read off level 0's own prefix; one level, so no step
+_fibonacci = _LevelTable(lambda n, scale, row: row[-1] + row[-2] if n > 1 else n, 0, None)
 
 
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0, F_1 = 1, refused over the size rule (see the module docstring)."""
     _check_index(n)
     _check_size(n)
-    return _fibonacci_entry(n)
+    return _fibonacci.value(n, 0)
 
 
 def lucas(n: int) -> int:
@@ -560,7 +565,7 @@ def lucas(n: int) -> int:
     """
     _check_index(n)
     _check_size(n)
-    return 2 * _fibonacci_entry(n + 1) - _fibonacci_entry(n)
+    return 2 * _fibonacci.value(n + 1, 0) - _fibonacci.value(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +642,17 @@ class SeqSpec:
         _FAMILIES[self.family].limit(n, **self.params)
 
 
-def clear_caches() -> None:
-    """Empty this module's caches (cold-start state, mainly for tests).
+#: Every memo of this module, each of them emptied by its ``cache_clear()``.
+_MEMOS: tuple = (_harmonic, _harmonic_order, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper, _central,
+                  _fibonacci)
 
-    That is each family's table, every order-r harmonic table, and the
-    Fibonacci and central-binomial lists.  The running sums and cached inner
-    sums of :mod:`multiharm.identities` are left as they are; the
-    ``cache_clear`` of each memo in ``identities._MEMOS`` drops those.
+
+def clear_caches() -> None:
+    """Empty every memo in ``_MEMOS`` (cold-start state, mainly for tests).
+
+    The memos of :mod:`multiharm.identities` are left as they are; each one
+    in ``identities._MEMOS`` is emptied by its own ``cache_clear``.
     """
     with _lock:
-        tables = (_harmonic, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper)
-        for table in (*tables, *_harmonic_order.values()):
-            table.clear()
-        del _fibonacci[2:]
-        del _central[1:]
+        for memo in _MEMOS:
+            memo.cache_clear()

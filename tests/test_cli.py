@@ -397,14 +397,9 @@ def test_overflow_error_exits_two(capsys, command):
     ["seq", "--family", "harmonic_like", "--m", "0", "--n", "100000000"],
     ["transform", "--a", "1", "--b", "1", "--n", "20000"],
 ])
-def test_table_ceiling_exits_two(capsys, command):
-    def sizes():
-        tables = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
-        tables += sequences._harmonic_order.values()
-        return [[len(level) for level in table.levels] for table in tables], len(sequences._fibonacci)
-
+def test_table_ceiling_exits_two(capsys, memo_sizes, command):
     sequences.clear_caches()
-    before = sizes()
+    before = memo_sizes()
     code = cli.main(command)
     captured = capsys.readouterr()
     assert code == 2
@@ -413,7 +408,7 @@ def test_table_ceiling_exits_two(capsys, command):
     assert "exceeds the ceiling" in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
-    assert sizes() == before  # refused before any table grew
+    assert memo_sizes() == before  # refused before any table grew
 
 
 @pytest.mark.parametrize("command", [
@@ -422,21 +417,19 @@ def test_table_ceiling_exits_two(capsys, command):
     ["gf-check", "--family", "hyperharmonic", "--p", "10", "--order", "20"],
     ["seq", "--family", "harmonic_order", "--r", "3", "--n", "40"],
 ])
-def test_table_ceiling_refuses_before_the_first_row(capsys, monkeypatch, command):
+def test_table_ceiling_refuses_before_the_first_row(capsys, monkeypatch, memo_sizes, command):
     # rows 0..8 (or 0..32) are under the ceiling; the last index is not
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     for name in ("gf_harmonic_like", "gf_stirling_column", "gf_hyperharmonic", "gf_odd_central"):
         monkeypatch.setattr(series, name, lambda *args: pytest.fail("a generating function was built"))
     sequences.clear_caches()
-    hyper = [len(level) for level in sequences._hyper.levels]
-    orders = {r: [len(level) for level in table.levels] for r, table in sequences._harmonic_order.items()}
+    before = memo_sizes()
     code = cli.main(command)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "exceeds the ceiling of 100 " in captured.err
-    assert [len(level) for level in sequences._hyper.levels] == hyper
-    assert {r: [len(level) for level in table.levels] for r, table in sequences._harmonic_order.items()} == orders
+    assert memo_sizes() == before
 
 
 @pytest.mark.parametrize("command", [
@@ -471,7 +464,7 @@ def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
     assert cli.main(["seq", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(n+1)^2*max(m,1) > 8765" in help_text
-    assert "hyperharmonic_half refuses n+p > 432" in help_text
+    assert "hyperharmonic_half refuses r+p > 432" in help_text
     assert ("refused if (n+1)^2*w > 2109, where w is 1 for harmonic, odd_harmonic, half_harmonic_offset, "
             "fibonacci and lucas; r for harmonic_order; p for hyperharmonic;") in help_text
     assert cli.main(["transform", "--help"]) == 0
@@ -488,13 +481,9 @@ def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
     ["seq", "--family", "harmonic_order", "--r", "1", "--n", "100000"],
     ["transform", "--family", "harmonic", "--n", "100000"],
 ])
-def test_one_index_ceiling_exits_two_at_once(capsys, command):
-    def sizes():
-        tables = (sequences._harmonic, sequences._odd_harmonic, sequences._half_offset)
-        return [len(table.levels[0]) for table in tables] + [len(sequences._fibonacci)]
-
+def test_one_index_ceiling_exits_two_at_once(capsys, memo_sizes, command):
     sequences.clear_caches()
-    before = sizes()
+    before = memo_sizes()
     code = cli.main(command)
     captured = capsys.readouterr()
     assert code == 2
@@ -503,7 +492,7 @@ def test_one_index_ceiling_exits_two_at_once(capsys, command):
         assert captured.err == f"error: (n+1)^2*r exceeds the ceiling of {sequences.SIZE_CEILING} at n=100000, r=1\n"
     else:
         assert captured.err == f"error: (n+1)^2 exceeds the ceiling of {sequences.SIZE_CEILING} at n=100000\n"
-    assert sizes() == before  # refused before the first row
+    assert memo_sizes() == before  # refused before the first row
 
 
 @pytest.mark.parametrize("command", [
@@ -530,6 +519,23 @@ def test_seq_help_names_the_table_ceiling(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 4321)
     assert cli.main(["seq", "--help"]) == 0
     assert "(n+1)*p > 4321" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("ceiling, option, query", [
+    ("HARMONIC_LIKE_CEILING", "--m", lambda: sequences.harmonic_like(20, 3)),
+    ("TABLE_CEILING", "--p", lambda: sequences.hyperharmonic(20, 10)),
+    ("HALF_CEILING", "--p", lambda: sequences.hyperharmonic_half(20, 10)),
+    ("TABLE_CEILING", "--r", lambda: sequences.harmonic_order(20, 10)),
+])
+def test_help_states_each_ceiling_as_its_refusal_does(capsys, monkeypatch, ceiling, option, query):
+    monkeypatch.setattr(sequences, ceiling, 29)
+    with pytest.raises(sequences.FeasibilityError) as refusal:
+        query()
+    formula = re.fullmatch(r"(.+) exceeds the ceiling of 29 at .+", str(refusal.value))[1]
+    assert cli.main(["seq", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    line = re.search(rf" {option} {option[2:].upper()} (.*?)(?= --|$)", help_text)[1]
+    assert f"{formula} > 29" in line
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

@@ -122,13 +122,12 @@ def test_bruteforce_matches_recurrence_smoke():
             assert harmonic_like_bruteforce(n, m) == harmonic_like(n, m)
 
 
-def test_table_ceiling_refuses_before_any_table_grows(monkeypatch):
+def test_table_ceiling_refuses_before_any_table_grows(monkeypatch, memo_sizes):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     clear_caches()
     assert hyperharmonic(9, 10) == hyperharmonic_closed(9, 10)  # (n+1)*p = 100
     assert harmonic_order(49, 2) == sum(Fraction(1, k * k) for k in range(1, 50))  # (n+1)*r = 100
-    hyper = [len(level) for level in sequences._hyper.levels]
-    orders = dict(sequences._harmonic_order)
+    sizes = memo_sizes()
     for route, n, order in [
         (hyperharmonic, 9, 11),
         (hyperharmonic, 2, 99999999999999999999),
@@ -137,8 +136,7 @@ def test_table_ceiling_refuses_before_any_table_grows(monkeypatch):
     ]:
         with pytest.raises(FeasibilityError, match="exceeds the ceiling of 100"):
             route(n, order)
-    assert [len(level) for level in sequences._hyper.levels] == hyper
-    assert sequences._harmonic_order == orders
+    assert memo_sizes() == sizes
 
 
 def _refusal(call, n):
@@ -149,7 +147,7 @@ def _refusal(call, n):
     return None
 
 
-def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
+def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch, memo_sizes):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)  # m = 10: refused from n = 10
     monkeypatch.setattr(sequences, "HALF_CEILING", 25)  # p = 10: refused from n = 16
@@ -159,9 +157,9 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
     for family in FAMILY_NAMES:
         params = {key: low + 10 for key, low in sequences._FAMILIES[family].minimum.items()}
         spec = SeqSpec(family, params)
-        sizes = _table_sizes()
+        sizes = memo_sizes()
         checked = {n: _refusal(spec.check, n) for n in (-1, 0, 6, 7, 8, 9, 10, 15, 16, 20, 25, 26)}
-        assert _table_sizes() == sizes  # check evaluates nothing
+        assert memo_sizes() == sizes  # check evaluates nothing
         assert checked == {n: _refusal(spec.evaluate, n) for n in checked}, family
         if family in ("hyperharmonic", "harmonic_order", "harmonic_like", "hyperharmonic_half"):
             assert checked[20] is FeasibilityError
@@ -179,11 +177,11 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch):
             spec.check(n)
 
 
-def test_one_index_families_refuse_over_their_ceiling_before_any_table_grows(monkeypatch):
+def test_one_index_families_refuse_over_their_ceiling_before_any_table_grows(monkeypatch, memo_sizes):
     monkeypatch.setattr(sequences, "SIZE_CEILING", 400)  # (n+1)^2: n = 19 is admitted, n = 20 is not
     clear_caches()
     routes = [harmonic, odd_harmonic, half_harmonic_offset, fibonacci, lucas]
-    sizes = (_table_sizes(), list(sequences._fibonacci))
+    sizes = memo_sizes()
     for route in routes:
         with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2 exceeds the ceiling of 400 at n=20$"):
             route(20)
@@ -192,7 +190,7 @@ def test_one_index_families_refuse_over_their_ceiling_before_any_table_grows(mon
         harmonic_order(20, 1)
     with pytest.raises(FeasibilityError):
         SeqSpec("harmonic_order", {"r": 1}).check(20)
-    assert (_table_sizes(), list(sequences._fibonacci)) == sizes
+    assert memo_sizes() == sizes
     SeqSpec("harmonic_order", {"r": 1}).check(19)
     assert harmonic_order(19, 1) == harmonic(19) == sum(Fraction(1, k) for k in range(1, 20))
     # lucas reads F_20, which fibonacci itself refuses here, but has the ceiling at its own n
@@ -216,18 +214,18 @@ def test_harmonic_like_level_zero_is_bounded_like_level_one():
             spec.check(13228)
 
 
-def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch):
+def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch, memo_sizes):
     # k = 10: (n+1)^2*(k+1)*bit_length(n) is 9900 at n = 14 and 11264 at n = 15
     monkeypatch.setattr(sequences, "SIZE_CEILING", 10_000)
     clear_caches()
-    sizes = _table_sizes()
+    sizes = memo_sizes()
     spec = SeqSpec("stirling1", {"k": 10})
     spec.check(14)
     with pytest.raises(FeasibilityError, match=r"exceeds the ceiling of 10000 at n=15, k=10"):
         spec.check(15)
     with pytest.raises(FeasibilityError):
         spec.evaluate(15)
-    assert _table_sizes() == sizes  # neither refusal grew a table
+    assert memo_sizes() == sizes  # neither refusal grew a table
     assert spec.evaluate(14) == factorial(14) * gf_stirling_column(10, 14)[14]
     # k > n is zero at once, and the check refuses none of it, as evaluate does not
     monkeypatch.setattr(sequences, "SIZE_CEILING", 0)
@@ -236,11 +234,6 @@ def test_stirling1_refuses_its_table_bits_before_any_row(monkeypatch):
     SeqSpec("stirling1", {"k": 10}).check(9)
     with pytest.raises(FeasibilityError, match=r"^\(n\+1\)\^2\*\(k\+1\)\*bit_length\(n\) exceeds"):
         stirling1(1, 1)
-
-
-def _table_sizes():
-    tables = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
-    return [[len(level) for level in table.levels] for table in tables + list(sequences._harmonic_order.values())]
 
 
 def test_bruteforce_guard(monkeypatch):
@@ -349,22 +342,22 @@ def test_stirling_column_memory_is_bounded():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def _check_interrupted_fill(monkeypatch, table, route, grid, warm, fail_at):
+def _check_interrupted_fill(monkeypatch, table, route, grid, warm, fail_at, fill="step"):
     clear_caches()
     expected = [route(*args) for args in grid]
     clear_caches()
     route(*warm)
-    step = table().step
+    entry = getattr(table(), fill)
     calls = 0
 
-    def failing_step(*args):
+    def failing_entry(*args):
         nonlocal calls
         calls += 1
         if calls == fail_at:
             raise MemoryError
-        return step(*args)
+        return entry(*args)
 
-    monkeypatch.setattr(table(), "step", failing_step)
+    monkeypatch.setattr(table(), fill, failing_entry)
     with pytest.raises(MemoryError):
         route(*grid[-1])
     monkeypatch.undo()
@@ -423,25 +416,70 @@ def test_interrupted_partial_sum_fill_leaves_table_consistent(monkeypatch, famil
     _check_interrupted_fill(monkeypatch, table, route, grid, (10,), 20)
 
 
-def test_clear_caches_resets_every_table():
+@pytest.mark.parametrize(
+    "table, route", [("_fibonacci", fibonacci), ("_central", lambda n: hyperharmonic_half(n, 0))]
+)
+def test_interrupted_one_level_fill_leaves_a_correct_prefix(monkeypatch, table, route):
+    grid = [(n,) for n in range(41)]
+    # the 20th base entry is part-way through growing level 0 from index 10 to 40
+    _check_interrupted_fill(monkeypatch, lambda: getattr(sequences, table), route, grid, (10,), 20, "base")
+
+
+def test_every_memo_is_listed_once():
+    memos = sequences._MEMOS
+    named = [
+        value
+        for value in vars(sequences).values()
+        if isinstance(value, (sequences._LevelTable, sequences._KeyedTables))
+    ]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    assert {id(memo) for memo in named} == {id(memo) for memo in memos}
+
+
+def test_clear_caches_resets_every_table(memo_sizes):
     clear_caches()
+    cold = memo_sizes()
+    assert cold == [{} if isinstance(memo, sequences._KeyedTables) else [1] for memo in sequences._MEMOS]
     for name, family in sequences._FAMILIES.items():
         SeqSpec(name, {key: low + 2 for key, low in family.minimum.items()}).evaluate(30)
     harmonic_order(30, 5)
-    grown = [value for value in vars(sequences).values() if isinstance(value, sequences._LevelTable)]
-    grown += [sequences._harmonic_order[r] for r in (3, 5)]
-    assert len(grown) == 8
-    assert all([len(level) for level in table.levels] != [1] for table in grown)
+    assert all(grown != size for grown, size in zip(memo_sizes(), cold))
     assert sequences._hyper.read == [{}, {}, {30: hyperharmonic_closed(30, 2)}]  # only the value read
-    # earlier queries may have left tables for other orders r in the dict
-    tables = grown + list(sequences._harmonic_order.values())
+    orders = list(sequences._harmonic_order.values())
     clear_caches()
-    assert [[len(level) for level in table.levels] for table in tables] == [[1]] * len(tables)
+    assert memo_sizes() == cold
+    tables = [memo for memo in sequences._MEMOS if isinstance(memo, sequences._LevelTable)]
     assert [(table.scales, table.ratios) for table in tables] == [([1], [1])] * len(tables)
     # a scale-1 table is its own read cache; the others are emptied
     assert all(table.read is table.levels or table.read == [{}] for table in tables)
-    assert sequences._hyper.read == [{}]
-    assert sequences._fibonacci == [0, 1]
+    # the order-r tables are unlinked, not emptied, so a read racing the clear finishes on its old table
+    assert [[len(level) for level in table.levels] for table in orders] == [[31, 31]] * 2
+
+
+def test_warm_reads_take_no_lock():
+    clear_caches()
+    warm = (fibonacci(50), lucas(50), hyperharmonic_half(5, 5))
+    held, release, read = threading.Event(), threading.Event(), []
+
+    def hold():
+        with sequences._lock:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    reader = threading.Thread(target=lambda: read.append((fibonacci(50), lucas(50), hyperharmonic_half(5, 5))))
+    holder.start()
+    try:
+        assert held.wait(10)
+        reader.start()
+        reader.join(5)
+        assert not reader.is_alive(), "a warm read waited for the lock"
+    finally:
+        release.set()
+        holder.join(10)
+    reader.join(10)
+    assert not holder.is_alive() and not reader.is_alive()
+    assert read == [warm]
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +584,15 @@ def test_hyperharmonic_half_examples():
     assert hyperharmonic_half(3, 0) == Fraction(23, 24)
 
 
-def test_central_binomials_are_read_off_one_list():
+def test_central_binomials_are_read_off_one_table():
     clear_caches()
-    assert sequences._central == [1]
-    # asked from the top down, then below what the list holds
+    assert sequences._central.levels == [[1]]
+    # asked from the top down, then below what the table holds
     for i in (*range(300, 250, -1), 0, 7, 299):
-        assert sequences._central_binomial(i) == comb(2 * i, i)
-    assert sequences._central == [comb(2 * i, i) for i in range(301)]
+        assert sequences._central.value(i, 0) == comb(2 * i, i)
+    assert sequences._central.levels == [[comb(2 * i, i) for i in range(301)]]
     clear_caches()
-    assert sequences._central == [1]
+    assert sequences._central.levels == [[1]]
 
 
 def test_hyperharmonic_half_two_routes_agree():
