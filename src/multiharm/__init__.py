@@ -7,17 +7,12 @@ catalog of combinatorial identities relating them, with zero floating-point
 error.  Every checked quantity has at least two independent computation
 routes (recurrences vs generating-function coefficient extraction, plus a
 brute-force composition oracle for the harmonic-like family).
+
+The identity registry (:mod:`multiharm.identities`), which only ``verify``
+reads, is imported on first access to one of its names here, such as
+``verify_all``; importing the package or :mod:`multiharm.cli` never builds it.
 """
 
-from multiharm.identities import (
-    IdentityDescriptor,
-    UnknownIdentityError,
-    VerificationReport,
-    registry_catalog,
-    registry_tags,
-    verify_all,
-    verify_identity,
-)
 from multiharm.rational import (
     binomial,
     factorial,
@@ -63,3 +58,15 @@ from multiharm.transforms import (
 )
 
 __version__ = "0.1.0"
+
+#: The names of :mod:`multiharm.identities` that the package resolves on first access.
+_IDENTITY_NAMES = {"IdentityDescriptor", "UnknownIdentityError", "VerificationReport", "registry_catalog",
+                   "registry_tags", "verify_all", "verify_identity"}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _IDENTITY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from multiharm import identities
+
+    return getattr(identities, name)

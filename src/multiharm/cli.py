@@ -8,6 +8,9 @@ Subcommands, each with the options it reads::
     multiharm transform  --family F --n N [--m|--k|--p|--r] [--signed] [--format] [--decimal D] [--output]
     multiharm transform  --a A --b B --n N [--m M] [--format] [--decimal D] [--output]
 
+Only ``verify`` imports :mod:`multiharm.identities`, when it runs, so no other
+command builds the identity registry or loads ``dataclasses``.
+
 The family parameters ``--m/--k/--p/--r`` are checked by ``SeqSpec``: a
 family refuses a missing, extra or too small parameter.  The second
 ``transform`` form is binomial-sum mode, ``S(a, b, m, n)`` with ``m``
@@ -67,7 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from multiharm import identities, sequences, series, transforms
+from multiharm import sequences, series, transforms
 from multiharm.rational import binomial, factorial, parse_rational
 from multiharm.sequences import FAMILY_NAMES, SeqSpec
 
@@ -154,6 +157,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from multiharm import identities  # the registry is built here, by the one command that reads it
+
     overrides = {key: bound for key in "nmp" if (bound := vars(args)[f"{key}_max"]) is not None}
     if args.id:
         reports = [identities.verify_identity(args.id, overrides)]
@@ -246,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="print an exact sequence table")
     p_seq.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
-    p_seq.add_argument("--n", type=int, required=True, help=f"last index n (table covers 0..n); {size_rule}")
+    p_seq.add_argument("--n", type=int, required=True, help=f"last index n (table covers 0..n); {size_rule}; "
+                       "printing time grows faster than the output's size (decimal conversion is quadratic)")
     _add_options(p_seq, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_seq.set_defaults(func=cmd_seq)
 

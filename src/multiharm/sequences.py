@@ -61,11 +61,10 @@ would.  Values never change, so concurrent use changes no returned value.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Callable, Hashable, Mapping, NoReturn
+from typing import Callable, Hashable, Mapping, NamedTuple, NoReturn
 
 from multiharm import _kernels
 from multiharm.rational import binomial, gen_binomial
@@ -572,66 +571,76 @@ def lucas(n: int) -> int:
 # named families
 
 
-@dataclass(frozen=True)
-class _Family:
-    name: str
+class _Family(NamedTuple):
     evaluate: Callable[..., Fraction | int]
     #: The family's parameters, each with the smallest value it accepts.
-    minimum: Mapping[str, int] = field(default_factory=dict)
+    minimum: Mapping[str, int] = {}
     #: ``limit(n, **params)`` raises FeasibilityError for a query over the
     #: family's ceiling; it grows with n, so checking the last index suffices.
     limit: Callable[..., None] = lambda n, **params: None
 
 
 _FAMILIES: dict[str, _Family] = {
-    f.name: f
-    for f in (
-        _Family("harmonic", harmonic, limit=_check_size),
-        _Family("harmonic_order", harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r")),
-        _Family("odd_harmonic", odd_harmonic, limit=_check_size),
-        _Family("harmonic_like", harmonic_like, {"m": 0}, _check_harmonic_like_work),
-        _Family("stirling1", stirling1, {"k": 0}, _check_stirling),
-        _Family("hyperharmonic", hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p")),
-        _Family("hyperharmonic_half", hyperharmonic_half, {"p": 0}, _check_half_index),
-        _Family("fibonacci", fibonacci, limit=_check_size),
-        _Family("lucas", lucas, limit=_check_size),
-        _Family("half_harmonic_offset", half_harmonic_offset, limit=_check_size),
-    )
+    "harmonic": _Family(harmonic, limit=_check_size),
+    "harmonic_order": _Family(harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r")),
+    "odd_harmonic": _Family(odd_harmonic, limit=_check_size),
+    "harmonic_like": _Family(harmonic_like, {"m": 0}, _check_harmonic_like_work),
+    "stirling1": _Family(stirling1, {"k": 0}, _check_stirling),
+    "hyperharmonic": _Family(hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p")),
+    "hyperharmonic_half": _Family(hyperharmonic_half, {"p": 0}, _check_half_index),
+    "fibonacci": _Family(fibonacci, limit=_check_size),
+    "lucas": _Family(lucas, limit=_check_size),
+    "half_harmonic_offset": _Family(half_harmonic_offset, limit=_check_size),
 }
 
 #: Stable public vocabulary of sequence family names.
 FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
 class SeqSpec:
     """A named, parameterized sequence family with an evaluation contract.
 
     ``family`` must be one of :data:`FAMILY_NAMES`; ``params`` must supply
     exactly the parameters that family requires (e.g. ``m`` for
     ``harmonic_like``).  Evaluation at an index is deterministic and
-    independent of call order.
+    independent of call order.  A spec is a read-only value: it keeps its own
+    copy of ``params``, equals a spec of the same family and parameters, and
+    refuses assignment to any attribute with ``AttributeError``.
     """
 
     family: str
-    params: Mapping[str, int] = field(default_factory=dict)
+    params: Mapping[str, int]
 
-    def __post_init__(self) -> None:
-        fam = _FAMILIES.get(self.family)
+    def __init__(self, family: str, params: Mapping[str, int] | None = None) -> None:
+        fam = _FAMILIES.get(family)
         if fam is None:
             raise ValueError(
-                f"unknown sequence family {self.family!r}; known: {', '.join(FAMILY_NAMES)}"
+                f"unknown sequence family {family!r}; known: {', '.join(FAMILY_NAMES)}"
             )
-        object.__setattr__(self, "params", dict(self.params))
-        missing = [p for p in fam.minimum if p not in self.params]
-        extra = [p for p in self.params if p not in fam.minimum]
+        params = dict(params or {})
+        missing = [p for p in fam.minimum if p not in params]
+        extra = [p for p in params if p not in fam.minimum]
         if missing:
-            raise ValueError(f"family {self.family!r} requires parameter(s): {', '.join(missing)}")
+            raise ValueError(f"family {family!r} requires parameter(s): {', '.join(missing)}")
         if extra:
-            raise ValueError(f"family {self.family!r} does not take: {', '.join(extra)}")
+            raise ValueError(f"family {family!r} does not take: {', '.join(extra)}")
         for key, low in fam.minimum.items():
-            if self.params[key] < low:
-                raise ValueError(f"family {self.family!r}: parameter {key} must be >= {low}")
+            if params[key] < low:
+                raise ValueError(f"family {family!r}: parameter {key} must be >= {low}")
+        self.__dict__.update(family=family, params=params)
+
+    def __setattr__(self, name: str, value: object = None) -> NoReturn:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(family={self.family!r}, params={self.params!r})"
 
     def evaluate(self, n: int) -> Fraction | int:
         return _FAMILIES[self.family].evaluate(n, **self.params)

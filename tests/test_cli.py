@@ -467,6 +467,9 @@ def test_seq_help_names_the_family_ceilings(capsys, monkeypatch):
     assert "hyperharmonic_half refuses r+p > 432" in help_text
     assert ("refused if (n+1)^2*w > 2109, where w is 1 for harmonic, odd_harmonic, half_harmonic_offset, "
             "fibonacci and lucas; r for harmonic_order; p for hyperharmonic;") in help_text
+    # no ceiling bounds the output, and str() of a big integer is quadratic in its digits
+    n_help = re.search(r" --n N (last index .*?)(?= --|$)", help_text)[1]
+    assert n_help.endswith("; printing time grows faster than the output's size (decimal conversion is quadratic)")
     assert cli.main(["transform", "--help"]) == 0
     assert "refused if (n+1)^2*w > 2109" in " ".join(capsys.readouterr().out.split())
 
@@ -799,15 +802,37 @@ def test_seq_help_names_the_stirling_ceiling(capsys, monkeypatch):
     assert "(k+1)*bit_length(n) for stirling1 with k <= n" in help_text
 
 
-def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():
-    # the forked verify imports pickle and signal itself; loading them, or a pool, on import
-    # would add to the start-up time and memory of every run
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports this checkout's ``multiharm``."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, multiharm.cli; "
-        "print(sorted({'pickle', 'signal', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():
+    # the forked verify imports pickle and signal itself; loading them, or a pool, on import
+    # would add to the start-up time and memory of every run.  Only verify reads the identity
+    # registry and the dataclasses (with inspect) it is built on.
+    for module in ("multiharm.cli", "multiharm.sequences"):
+        probe = (
+            f"import sys, {module}; "
+            "print(sorted({'pickle', 'signal', 'multiprocessing', 'concurrent.futures', 'dataclasses', "
+            "'inspect', 'multiharm.identities'} & set(sys.modules)))"
+        )
+        done = _fresh_python("-c", probe)
+        assert (module, done.returncode, done.stdout, done.stderr) == (module, 0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command, loads_registry", [
+    ("seq --family harmonic --n 10", False),
+    ("transform --a 1 --b 1 --n 10", False),
+    ("gf-check --family harmonic_like --m 2 --order 10", False),
+    ("verify --id cor_id1", True),
+])
+def test_only_verify_imports_the_identity_registry(command, loads_registry):
+    done = _fresh_python("-X", "importtime", "-m", "multiharm.cli", *command.split())
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert done.returncode == 0 and done.stdout
+    assert ("multiharm.identities" in imported) is loads_registry

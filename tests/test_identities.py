@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import multiharm
 from multiharm import cli, identities
 from multiharm.identities import (
     IdentityDescriptor,
@@ -72,6 +73,34 @@ def test_catalog_is_complete_and_well_formed():
 
 def test_catalog_listing_is_stable():
     assert registry_catalog() == registry_catalog()
+
+
+def test_the_package_root_names_the_identity_layer():
+    from multiharm import (
+        IdentityDescriptor,
+        UnknownIdentityError,
+        VerificationReport,
+        registry_catalog,
+        registry_tags,
+        verify_all,
+        verify_identity,
+    )
+
+    imported = {
+        "IdentityDescriptor": IdentityDescriptor,
+        "UnknownIdentityError": UnknownIdentityError,
+        "VerificationReport": VerificationReport,
+        "registry_catalog": registry_catalog,
+        "registry_tags": registry_tags,
+        "verify_all": verify_all,
+        "verify_identity": verify_identity,
+    }
+    for name, value in imported.items():
+        assert value is getattr(multiharm, name) is getattr(identities, name)
+    with pytest.raises(AttributeError):
+        multiharm.no_such_name
+    with pytest.raises(ImportError):
+        from multiharm import no_such_name  # noqa: F401
 
 
 def test_verify_identity_grid_cardinality():

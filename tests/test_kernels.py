@@ -8,6 +8,7 @@ exactly.  The kernels are driven through a small Fraction <-> integer adapter
 stay in ``Fraction`` terms.
 """
 
+import dataclasses
 import decimal
 import inspect
 import operator
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from multiharm import _kernels
-from multiharm.sequences import stirling1
+from multiharm.identities import IdentityDescriptor
+from multiharm.sequences import SeqSpec, stirling1
 from multiharm.series import TruncatedSeries
 
 F = Fraction
@@ -115,6 +117,13 @@ def test_benchmark_reads_backend_and_five_kernels():
     # one module, integer-only series kernels
     assert not hasattr(_kernels, "__path__")
     assert not hasattr(_kernels, "pure") and not hasattr(_kernels, "_to_integers")
+
+
+def test_benchmark_tracer_hooks_are_in_place():
+    # perfbench/tracer.py wraps SeqSpec.__dict__["evaluate"] and passes each
+    # descriptor through dataclasses.replace with its sides wrapped
+    assert inspect.isfunction(vars(SeqSpec)["evaluate"])
+    assert dataclasses.is_dataclass(IdentityDescriptor)
 
 
 @settings(max_examples=150)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -669,16 +671,35 @@ def test_seqspec_families():
 
 
 def test_seqspec_validation():
-    with pytest.raises(ValueError):
-        SeqSpec("no_such_family")
-    with pytest.raises(ValueError):
-        SeqSpec("harmonic_like")  # missing m
-    with pytest.raises(ValueError):
-        SeqSpec("harmonic", {"m": 1})  # extraneous
-    with pytest.raises(ValueError):
-        SeqSpec("harmonic_like", {"m": -1})
-    with pytest.raises(ValueError):
-        SeqSpec("harmonic_order", {"r": 0})
+    for family, params, message in [
+        ("no_such_family", {}, "unknown sequence family 'no_such_family'; known: " + ", ".join(FAMILY_NAMES)),
+        ("harmonic_like", {}, "family 'harmonic_like' requires parameter(s): m"),
+        ("harmonic", {"m": 1, "k": 2}, "family 'harmonic' does not take: m, k"),
+        ("harmonic_like", {"m": -1}, "family 'harmonic_like': parameter m must be >= 0"),
+        ("harmonic_order", {"r": 0}, "family 'harmonic_order': parameter r must be >= 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SeqSpec(family, params)
+        assert str(info.value) == message
+
+
+def test_seqspec_is_a_read_only_value():
+    params = {"m": 2}
+    spec = SeqSpec("harmonic_like", params)
+    params["m"] = 3  # the spec holds its own copy
+    assert (spec.family, spec.params) == ("harmonic_like", {"m": 2})
+    assert spec == SeqSpec(family="harmonic_like", params={"m": 2})
+    assert spec != SeqSpec("harmonic_like", {"m": 3}) and spec != ("harmonic_like", {"m": 2})
+    assert SeqSpec("harmonic") == SeqSpec("harmonic", {})
+    assert repr(spec) == "SeqSpec(family='harmonic_like', params={'m': 2})"
+    assert repr(SeqSpec("harmonic")) == "SeqSpec(family='harmonic', params={})"
+    for name in ("family", "params", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, "harmonic")
+    with pytest.raises(AttributeError):
+        del spec.family
+    assert (spec.family, spec.params) == ("harmonic_like", {"m": 2})
+    assert copy.deepcopy(spec) == spec == pickle.loads(pickle.dumps(spec))
 
 
 def test_cache_transparency():
