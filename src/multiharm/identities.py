@@ -37,6 +37,12 @@ same side of several).  A memo grows only as far as the grids asked of it.
 Every memo is listed in ``_MEMOS``.  A memo holds exact values that never
 change, so it changes no report, only ``elapsed_ms``.
 
+A side that sums products passes each term to ``_fsum``
+(:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
+factors, such as ``(comb(n, k), hlike(k, m))``: the numerators and the
+denominators of the factors are multiplied as integers, so a term makes no
+``Fraction`` product, and the sum is reduced once.
+
 Anchor strings state each identity in plain ASCII with this notation:
 
 * ``H_n``       harmonic number, ``H_n^(r)`` the order-r variant
@@ -91,9 +97,6 @@ from multiharm.transforms import (
     binomial_sum_m2,
     binomial_sum_m3,
 )
-
-def harm2(n: int) -> Fraction:
-    return harmonic_order(n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +417,14 @@ def _stirling_steps(s: int, m: int) -> Fraction:
 def _harmonic_steps(s: int) -> Fraction:
     # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j: the inner sum of thm_kollar_m2
     # (s = k) and thm_hnp1_m2 (s = n-k)
-    return _fsum((-1) ** j * comb(s, j - 1) * harm(j - 1) / j for j in range(2, s + 2))
+    return _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2))
 
 
 @functools.cache
 def _harmonic_tail(s: int) -> Fraction:
     # sum_{l=1..s} H_{s-l}/l: the inner sum of the right sides of hn3_double,
     # thm_hnp1_m2 (s = n+1-k) and thm_kk1_m2
-    return _fsum(harm(s - l) / l for l in range(1, s + 1))
+    return _fsum((harm(s - l), Fraction(1, l)) for l in range(1, s + 1))
 
 
 @functools.cache
@@ -440,7 +443,7 @@ def _odd_weight(k: int, p: int) -> Fraction:
 # the k-sums on the right of the thm_kollar family
 _kollar_rhs_sum = _RunningSum(lambda k, r, m: (-1) ** k * gbin(r, k) * hlike(k, m))
 _kollar_m1_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * harm(k))
-_kollar_m2_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * (harm(k) ** 2 - harm2(k)))
+_kollar_m2_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)))
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -461,7 +464,7 @@ _REGISTRY = _build_registry({
             "HL(n,2) = H_n^2 - H_n^(2)",
             {"n": range(0, 61)},
             lambda n: hlike(n, 2),
-            lambda n: harm(n) ** 2 - harm2(n),
+            lambda n: harm(n) ** 2 - harmonic_order(n, 2),
         ),
         IdentityDescriptor(
             "hn3_double",
@@ -469,7 +472,7 @@ _REGISTRY = _build_registry({
             "HL(n,3) = sum_{j=1..n} (1/j) sum_{l=1..n-j} H_{n-j-l}/l",
             {"n": range(0, 41)},
             lambda n: hlike(n, 3),
-            lambda n: _fsum(Fraction(1, j) * _harmonic_tail(n - j) for j in range(1, n + 1)),
+            lambda n: _fsum((Fraction(1, j), _harmonic_tail(n - j)) for j in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "stirling_s_n1",
@@ -511,7 +514,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,m)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,m) = (-1)^n (m!/n!) s(n,m)",
             {"m": range(0, 6), "n": range(0, 26)},
-            lambda m, n: _fsum((-1) ** k * comb(n, k) * hlike(k, m) for k in range(n + 1)),
+            lambda m, n: _fsum(((-1) ** k, comb(n, k), hlike(k, m)) for k in range(n + 1)),
             lambda m, n: (-1) ** n * Fraction(fact(m), fact(n)) * stir(n, m),
         ),
         IdentityDescriptor(
@@ -532,18 +535,16 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
             {"m": range(0, 5), "n": range(0, 26)},
-            lambda m, n: _fsum(comb(n, k) * hlike(k, m) for k in range(n + 1)),
+            lambda m, n: _fsum((comb(n, k), hlike(k, m)) for k in range(n + 1)),
             lambda m, n: _fsum(
-                comb(m, j)
-                * _fsum(
-                    hlike(k, j)
-                    * (-1) ** (n - k)
-                    * 2**k
-                    * Fraction(fact(m - j), fact(n - k))
-                    * stir(n - k, m - j)
-                    for k in range(n + 1)
+                (
+                    comb(m, j),
+                    hlike(k, j),
+                    (-1) ** (n - k) * 2**k * fact(m - j) * stir(n - k, m - j),
+                    Fraction(1, fact(n - k)),
                 )
                 for j in range(m + 1)
+                for k in range(n + 1)
             ),
         ),
         IdentityDescriptor(
@@ -551,7 +552,7 @@ _REGISTRY = _build_registry({
             "plain binomial transform of harmonic numbers",
             "sum_{k=0..n} C(n,k) H_k = 2^n (H_n - sum_{k=1..n} 1/(2^k k))",
             {"n": range(0, 41)},
-            lambda n: _fsum(comb(n, k) * harm(k) for k in range(n + 1)),
+            lambda n: _fsum((comb(n, k), harm(k)) for k in range(n + 1)),
             lambda n: 2**n * (harm(n) - _fsum(Fraction(1, 2**k * k) for k in range(1, n + 1))),
         ),
         IdentityDescriptor(
@@ -567,11 +568,11 @@ _REGISTRY = _build_registry({
             "plain binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) HL(k,2) = 2^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(2^k k))",
             {"n": range(0, 31)},
-            lambda n: _fsum(comb(n, k) * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum((comb(n, k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: 2**n
             * (
                 hlike(n, 2)
-                + 2 * _fsum((harm(k - 1) - harm(n - k)) / Fraction(2**k * k) for k in range(1, n + 1))
+                + 2 * _fsum((harm(k - 1) - harm(n - k), Fraction(1, 2**k * k)) for k in range(1, n + 1))
             ),
         ),
         IdentityDescriptor(
@@ -579,7 +580,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,2) = (2/n) H_{n-1}",
             {"n": range(1, 41)},
-            lambda n: _fsum((-1) ** k * comb(n, k) * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum(((-1) ** k, comb(n, k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: Fraction(2, n) * harm(n - 1),
         ),
         IdentityDescriptor(
@@ -587,7 +588,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of order-2 harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^(2) = -H_n/n",
             {"n": range(1, 41)},
-            lambda n: _fsum((-1) ** k * comb(n, k) * harm2(k) for k in range(n + 1)),
+            lambda n: _fsum(((-1) ** k, comb(n, k), harmonic_order(k, 2)) for k in range(n + 1)),
             lambda n: -harm(n) / n,
         ),
         IdentityDescriptor(
@@ -595,7 +596,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of squared harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^2 = H_n/n - 2/n^2",
             {"n": range(1, 41)},
-            lambda n: _fsum((-1) ** k * comb(n, k) * harm(k) ** 2 for k in range(n + 1)),
+            lambda n: _fsum(((-1) ** k, comb(n, k), harm(k) ** 2) for k in range(n + 1)),
             lambda n: harm(n) / n - Fraction(2, n * n),
         ),
         IdentityDescriptor(
@@ -603,30 +604,28 @@ _REGISTRY = _build_registry({
             "inverse-transform companion with H_k/k",
             "sum_{k=1..n} C(n,k) (-1)^(k+1) H_k/k = H_n^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum((-1) ** (k + 1) * comb(n, k) * harm(k) / k for k in range(1, n + 1)),
-            lambda n: harm2(n),
+            lambda n: _fsum(((-1) ** (k + 1), comb(n, k), harm(k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: harmonic_order(n, 2),
         ),
         IdentityDescriptor(
             "ex_2k_alt",
             "mixed-weight transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k (-1)^(n-k) HL(k,2) = HL(n,2) + 2 sum_{k=1..n} (-1)^k (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(
-                comb(n, k) * 2**k * (-1) ** (n - k) * hlike(k, 2) for k in range(n + 1)
-            ),
+            lambda n: _fsum((comb(n, k), 2**k, (-1) ** (n - k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: hlike(n, 2)
-            + 2 * _fsum((-1) ** k * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
+            + 2 * _fsum(((-1) ** k, harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "ex_3n",
             "weight-2^k binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k HL(k,2) = 3^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(3^k k))",
             {"n": range(0, 26)},
-            lambda n: _fsum(comb(n, k) * 2**k * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum((comb(n, k), 2**k, hlike(k, 2)) for k in range(n + 1)),
             lambda n: 3**n
             * (
                 hlike(n, 2)
-                + 2 * _fsum((harm(k - 1) - harm(n - k)) / Fraction(3**k * k) for k in range(1, n + 1))
+                + 2 * _fsum((harm(k - 1) - harm(n - k), Fraction(1, 3**k * k)) for k in range(1, n + 1))
             ),
         ),
         IdentityDescriptor(
@@ -634,38 +633,36 @@ _REGISTRY = _build_registry({
             "Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) F_k HL(k,2) = HL(n,2) F_{2n} + 2 sum_{k=1..n} F_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(comb(n, k) * fib(k) * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum((comb(n, k), fib(k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: hlike(n, 2) * fib(2 * n)
-            + 2 * _fsum(fib(2 * (n - k)) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
+            + 2 * _fsum((fib(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "lucas_Hk2",
             "Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) L_k HL(k,2) = HL(n,2) L_{2n} + 2 sum_{k=1..n} L_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(comb(n, k) * luc(k) * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum((comb(n, k), luc(k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: hlike(n, 2) * luc(2 * n)
-            + 2 * _fsum(luc(2 * (n - k)) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
+            + 2 * _fsum((luc(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "fib_alt_Hk2",
             "alternating Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^(k+1) F_k HL(k,2) = HL(n,2) F_n + 2 sum_{k=1..n} F_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(
-                (-1) ** (k + 1) * comb(n, k) * fib(k) * hlike(k, 2) for k in range(n + 1)
-            ),
+            lambda n: _fsum(((-1) ** (k + 1), comb(n, k), fib(k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: hlike(n, 2) * fib(n)
-            + 2 * _fsum(fib(n - k) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
+            + 2 * _fsum((fib(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "lucas_alt_Hk2",
             "alternating Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k L_k HL(k,2) = HL(n,2) L_n + 2 sum_{k=1..n} L_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum((-1) ** k * comb(n, k) * luc(k) * hlike(k, 2) for k in range(n + 1)),
+            lambda n: _fsum(((-1) ** k, comb(n, k), luc(k), hlike(k, 2)) for k in range(n + 1)),
             lambda n: hlike(n, 2) * luc(n)
-            + 2 * _fsum(luc(n - k) * (harm(k - 1) - harm(n - k)) / k for k in range(1, n + 1)),
+            + 2 * _fsum((luc(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "cor_id5",
@@ -682,7 +679,7 @@ _REGISTRY = _build_registry({
             "s(n,3) = (1/2) (-1)^(n-1) (n-1)! (H_{n-1}^2 - H_{n-1}^(2))",
             {"n": range(1, 31)},
             lambda n: stir(n, 3),
-            lambda n: Fraction((-1) ** (n - 1) * fact(n - 1), 2) * (harm(n - 1) ** 2 - harm2(n - 1)),
+            lambda n: Fraction((-1) ** (n - 1) * fact(n - 1), 2) * (harm(n - 1) ** 2 - harmonic_order(n - 1, 2)),
         ),
     ],
     "section3": [
@@ -691,8 +688,8 @@ _REGISTRY = _build_registry({
             "partial sums of H_{k-1}/k",
             "sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k - 1) / k for k in range(1, n + 1)),
-            lambda n: (harm(n) ** 2 - harm2(n)) / 2,
+            lambda n: _fsum((harm(k - 1), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: (harm(n) ** 2 - harmonic_order(n, 2)) / 2,
         ),
         IdentityDescriptor(
             "warmup_sum_Hk",
@@ -707,7 +704,7 @@ _REGISTRY = _build_registry({
             "Fibonacci-harmonic partial sums",
             "sum_{k=1..n} H_k F_k = H_n F_{n+2} - sum_{k=1..n} F_{k+1}/k",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k) * fib(k) for k in range(1, n + 1)),
+            lambda n: _fsum((harm(k), fib(k)) for k in range(1, n + 1)),
             lambda n: harm(n) * fib(n + 2) - _fsum(Fraction(fib(k + 1), k) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
@@ -718,7 +715,7 @@ _REGISTRY = _build_registry({
             {"m": range(0, 5), "n": range(1, 26)},
             _RunningSum(lambda k, m: harm(k) * _stirling_steps(k - 1, m), start=1),
             lambda m, n: (
-                hlike(n, m) * harm(n) - _fsum(hlike(k - 1, m) / k for k in range(1, n + 1))
+                hlike(n, m) * harm(n) - _fsum((hlike(k - 1, m), Fraction(1, k)) for k in range(1, n + 1))
             )
             / fact(m),
         ),
@@ -727,8 +724,8 @@ _REGISTRY = _build_registry({
             "partial sums of H_k/k",
             "sum_{k=1..n} H_k/k = (H_n^2 + H_n^(2))/2",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k) / k for k in range(1, n + 1)),
-            lambda n: (harm(n) ** 2 + harm2(n)) / 2,
+            lambda n: _fsum((harm(k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: (harm(n) ** 2 + harmonic_order(n, 2)) / 2,
         ),
         IdentityDescriptor(
             "thm_o107dby_m2",
@@ -740,15 +737,15 @@ _REGISTRY = _build_registry({
             # the j = 1 term of the anchor is 0, since H_0 = 0
             _RunningSum(lambda k: 2 * harm(k) * _harmonic_steps(k - 1), start=1),
             lambda n: harm(n) ** 3
-            - harm2(n) * harm(n)
-            - _fsum((harm(k - 1) ** 2 - harm2(k - 1)) / k for k in range(1, n + 1)),
+            - harmonic_order(n, 2) * harm(n)
+            - _fsum((harm(k - 1) ** 2 - harmonic_order(k - 1, 2), Fraction(1, k)) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
             "thm_hnp1",
             "reversed-index Stirling double sum reaching HL(n+1,m+1)",
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
             {"m": range(1, 5), "n": range(1, 26)},
-            lambda m, n: _fsum(harm(k) * _stirling_steps(n - k, m) for k in range(1, n + 1)),
+            lambda m, n: _fsum((harm(k), _stirling_steps(n - k, m)) for k in range(1, n + 1)),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
         ),
         IdentityDescriptor(
@@ -756,8 +753,8 @@ _REGISTRY = _build_registry({
             "reversed-denominator harmonic sum",
             "sum_{k=1..n} H_k/(n-k+1) = H_{n+1}^2 - H_{n+1}^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k) / (n - k + 1) for k in range(1, n + 1)),
-            lambda n: harm(n + 1) ** 2 - harm2(n + 1),
+            lambda n: _fsum((harm(k), Fraction(1, n - k + 1)) for k in range(1, n + 1)),
+            lambda n: harm(n + 1) ** 2 - harmonic_order(n + 1, 2),
         ),
         IdentityDescriptor(
             "thm_hnp1_m2",
@@ -765,9 +762,8 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _fsum(harm(k) * _harmonic_steps(n - k) for k in range(1, n + 1)),
-            lambda n: Fraction(1, 2)
-            * _fsum(Fraction(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
+            lambda n: _fsum((harm(k), _harmonic_steps(n - k)) for k in range(1, n + 1)),
+            lambda n: Fraction(1, 2) * _fsum((Fraction(1, k), _harmonic_tail(n + 1 - k)) for k in range(1, n + 2)),
         ),
         IdentityDescriptor(
             "har_helper",
@@ -775,22 +771,22 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} 1/(k(k+p)) = H_n^(2) if p = 0 else (H_n + H_p - H_{n+p})/p",
             {"p": range(0, 6), "n": range(1, 41)},
             _RunningSum(lambda k, p: Fraction(1, k * (k + p)), start=1),
-            lambda p, n: harm2(n) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
+            lambda p, n: harmonic_order(n, 2) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
         ),
         IdentityDescriptor(
             "har_example_p0",
             "harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_k/(k(k+1)) = H_n^(2) - H_n/(n+1)",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k) / (k * (k + 1)) for k in range(1, n + 1)),
-            lambda n: harm2(n) - harm(n) / (n + 1),
+            lambda n: _fsum((harm(k), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda n: harmonic_order(n, 2) - harm(n) / (n + 1),
         ),
         IdentityDescriptor(
             "har_example_p_pos",
             "shifted harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{k+p}/(k(k+1)) = (H_n + H_p - H_{n+p})/p + H_p - H_{n+p}/(n+1)",
             {"p": range(1, 6), "n": range(1, 31)},
-            lambda p, n: _fsum(harm(k + p) / (k * (k + 1)) for k in range(1, n + 1)),
+            lambda p, n: _fsum((harm(k + p), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
             lambda p, n: (harm(n) + harm(p) - harm(n + p)) / p + harm(p) - harm(n + p) / (n + 1),
         ),
         IdentityDescriptor(
@@ -798,7 +794,7 @@ _REGISTRY = _build_registry({
             "reversed harmonic-like numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} HL(n-k,m)/(k(k+1)) = HL(n,m) + HL(n,m+1) - HL(n+1,m+1)",
             {"m": range(0, 5), "n": range(1, 26)},
-            lambda m, n: _fsum(hlike(n - k, m) / Fraction(k * (k + 1)) for k in range(1, n + 1)),
+            lambda m, n: _fsum((hlike(n - k, m), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
             lambda m, n: hlike(n, m) + hlike(n, m + 1) - hlike(n + 1, m + 1),
         ),
         IdentityDescriptor(
@@ -806,8 +802,8 @@ _REGISTRY = _build_registry({
             "reversed harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{n-k}/(k(k+1)) = H_n + H_n^2 - H_n^(2) - H_{n+1}^2 + H_{n+1}^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(n - k) / (k * (k + 1)) for k in range(1, n + 1)),
-            lambda n: harm(n) + harm(n) ** 2 - harm2(n) - harm(n + 1) ** 2 + harm2(n + 1),
+            lambda n: _fsum((harm(n - k), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda n: harm(n) + harm(n) ** 2 - harmonic_order(n, 2) - harm(n + 1) ** 2 + harmonic_order(n + 1, 2),
         ),
         IdentityDescriptor(
             "thm_kk1_m2",
@@ -817,12 +813,12 @@ _REGISTRY = _build_registry({
             "- sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
             lambda n: _fsum(
-                (harm(n - k) ** 2 - harm2(n - k)) / Fraction(k * (k + 1)) for k in range(1, n + 1)
+                (harm(n - k) ** 2 - harmonic_order(n - k, 2), Fraction(1, k * (k + 1))) for k in range(1, n + 1)
             ),
             lambda n: harm(n) ** 2
-            - harm2(n)
-            + _fsum(Fraction(1, k) * _harmonic_tail(n - k) for k in range(1, n + 1))
-            - _fsum(Fraction(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
+            - harmonic_order(n, 2)
+            + _fsum((Fraction(1, k), _harmonic_tail(n - k)) for k in range(1, n + 1))
+            - _fsum((Fraction(1, k), _harmonic_tail(n + 1 - k)) for k in range(1, n + 2)),
         ),
         IdentityDescriptor(
             "thm_kollar",
@@ -849,7 +845,7 @@ _REGISTRY = _build_registry({
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
             _RunningSum(lambda k, r: (-1) ** k * gbin(r - 1, k) * _harmonic_steps(k)),
-            lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harm2(n + 1)) / 2
+            lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harmonic_order(n + 1, 2)) / 2
             - _kollar_m2_rhs_sum(n, r=r) / 2,
         ),
     ],
@@ -859,8 +855,8 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution lifts HL level by one",
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
-            lambda m, p, n: _fsum(_hyphar_weight(k, p) * hlike(n - k, m) for k in range(n + 1)),
-            lambda m, p, n: _fsum(comb(k + p, k) * hlike(n - k, m + 1) for k in range(n + 1)),
+            lambda m, p, n: _fsum((_hyphar_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
+            lambda m, p, n: _fsum((comb(k + p, k), hlike(n - k, m + 1)) for k in range(n + 1)),
         ),
         IdentityDescriptor(
             "thm_hyphar_m0",
@@ -868,17 +864,15 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
             _RunningSum(lambda k, p: _hyphar_weight(k, p)),
-            lambda p, n: _fsum(comb(k + p, k) * harm(n - k) for k in range(n + 1)),
+            lambda p, n: _fsum((comb(k + p, k), harm(n - k)) for k in range(n + 1)),
         ),
         IdentityDescriptor(
             "thm_hyphar_m1",
             "hyperharmonic convolution, harmonic case",
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: _fsum(_hyphar_weight(k, p) * harm(n - k) for k in range(n + 1)),
-            lambda p, n: _fsum(
-                comb(k + p, k) * (harm(n - k) ** 2 - harm2(n - k)) for k in range(n + 1)
-            ),
+            lambda p, n: _fsum((_hyphar_weight(k, p), harm(n - k)) for k in range(n + 1)),
+            lambda p, n: _fsum((comb(k + p, k), harm(n - k) ** 2 - harmonic_order(n - k, 2)) for k in range(n + 1)),
         ),
         IdentityDescriptor(
             "czxfdu7_1",
@@ -962,7 +956,7 @@ _REGISTRY = _build_registry({
             "central-binomial odd-harmonic partial sums",
             "sum_{k=1..n} (O_k/4^k) C(2k,k) = ((n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1)",
             {"n": range(0, 41)},
-            lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * oddh(k) for k in range(1, n + 1)),
+            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(1, n + 1)),
             lambda n: Fraction(n + 1, 2 * 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
         IdentityDescriptor(
@@ -970,32 +964,27 @@ _REGISTRY = _build_registry({
             "central-binomial convolution lifts HL level by one",
             "sum_{k=0..n} C(2k,k) O_k HL(n-k,m)/4^k = (1/2) sum_{k=0..n} C(2k,k) HL(n-k,m+1)/4^k",
             {"m": range(0, 4), "n": range(0, 26)},
-            lambda m, n: _fsum(
-                Fraction(comb(2 * k, k), 4**k) * oddh(k) * hlike(n - k, m) for k in range(n + 1)
-            ),
+            lambda m, n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), hlike(n - k, m)) for k in range(n + 1)),
             lambda m, n: Fraction(1, 2)
-            * _fsum(Fraction(comb(2 * k, k), 4**k) * hlike(n - k, m + 1) for k in range(n + 1)),
+            * _fsum((comb(2 * k, k), Fraction(1, 4**k), hlike(n - k, m + 1)) for k in range(n + 1)),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m0",
             "central-binomial convolution, base case",
             "sum_{k=0..n} C(2k,k) O_k/4^k = (1/2) sum_{k=0..n} C(2k,k) H_{n-k}/4^k",
             {"n": range(0, 41)},
-            lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * oddh(k) for k in range(n + 1)),
-            lambda n: Fraction(1, 2)
-            * _fsum(Fraction(comb(2 * k, k), 4**k) * harm(n - k) for k in range(n + 1)),
+            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(n + 1)),
+            lambda n: Fraction(1, 2) * _fsum((comb(2 * k, k), Fraction(1, 4**k), harm(n - k)) for k in range(n + 1)),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m1",
             "central-binomial convolution, harmonic case",
             "sum_{k=0..n} C(2k,k) O_k H_{n-k}/4^k = (1/2) sum_{k=0..n} C(2k,k) (H_{n-k}^2 - H_{n-k}^(2))/4^k",
             {"n": range(0, 31)},
-            lambda n: _fsum(
-                Fraction(comb(2 * k, k), 4**k) * oddh(k) * harm(n - k) for k in range(n + 1)
-            ),
+            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), harm(n - k)) for k in range(n + 1)),
             lambda n: Fraction(1, 2)
             * _fsum(
-                Fraction(comb(2 * k, k), 4**k) * (harm(n - k) ** 2 - harm2(n - k))
+                (comb(2 * k, k), Fraction(1, 4**k), harm(n - k) ** 2 - harmonic_order(n - k, 2))
                 for k in range(n + 1)
             ),
         ),
@@ -1004,7 +993,7 @@ _REGISTRY = _build_registry({
             "central-binomial harmonic convolution in closed form",
             "sum_{k=0..n} C(2k,k) H_{n-k}/4^k = ((n+1)/4^n) C(2(n+1),n+1) (O_{n+1} - 1)",
             {"n": range(0, 41)},
-            lambda n: _fsum(Fraction(comb(2 * k, k), 4**k) * harm(n - k) for k in range(n + 1)),
+            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), harm(n - k)) for k in range(n + 1)),
             lambda n: Fraction(n + 1, 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
         IdentityDescriptor(
@@ -1013,9 +1002,12 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m) (O_{k+p} - O_p) = "
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
-            lambda m, p, n: _fsum(_odd_weight(k, p) * hlike(n - k, m) for k in range(n + 1)),
+            lambda m, p, n: _fsum((_odd_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
             lambda m, p, n: Fraction(1, 2)
-            * _fsum(_cw(k, p) * hlike(n - k, m + 1) for k in range(n + 1)),
+            * _fsum(
+                (comb(2 * (k + p), k + p), comb(k + p, k), Fraction(1, 4**k), hlike(n - k, m + 1))
+                for k in range(n + 1)
+            ),
         ),
         IdentityDescriptor(
             "thm_general_p_m0",
@@ -1023,7 +1015,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) H_{n-k} = "
             "(1/4^n) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 6), "n": range(0, 26)},
-            lambda p, n: _fsum(_cw(k, p) * harm(n - k) for k in range(n + 1)),
+            lambda p, n: _fsum((_cw(k, p), harm(n - k)) for k in range(n + 1)),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1060,9 +1052,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (k/4^k) C(2k,k) O_k = (n(n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1) "
             "- (n(n+1)/(3*4^n)) C(2(n+1),n+1) (O_{n+1} - 4/3)",
             {"n": range(1, 41)},
-            lambda n: _fsum(
-                Fraction(k * comb(2 * k, k), 4**k) * oddh(k) for k in range(1, n + 1)
-            ),
+            lambda n: _fsum((k, comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(1, n + 1)),
             lambda n: Fraction(n * (n + 1), 2 * 4**n)
             * comb(2 * (n + 1), n + 1)
             * (oddh(n + 1) - 1)

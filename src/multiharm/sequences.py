@@ -130,6 +130,14 @@ class _LevelTable:
     falls through to the locked path, which recomputes it.  Every write to
     the read cache happens under the lock, so none lands in a table that
     :meth:`cache_clear` has already reset.
+
+    :meth:`column` reads a prefix of one level of a scale-1 table, the
+    values at indices 0..n, as one slice, which no other thread can
+    interleave with.  A slice of length n + 1 holds only exact values, as
+    above, so it is returned without the lock.  A shorter one (the level is
+    not grown that far, or :meth:`cache_clear` emptied level 0 in place) is
+    taken again under the lock, once the table has grown to index n on
+    level j.  Every slice is a new list, so changing it changes no table.
     """
 
     def __init__(
@@ -173,6 +181,19 @@ class _LevelTable:
             except KeyError:
                 value = read[j][i] = Fraction(levels[j][i], self.scales[i])
                 return value
+
+    def column(self, n: int, j: int) -> list:
+        """The values at indices 0..n of level j of a scale-1 table, as a new list."""
+        try:
+            values = self.levels[j][: n + 1]
+            if len(values) == n + 1:
+                return values
+        except IndexError:
+            pass
+        with _lock:
+            if j >= len(self.levels) or n >= len(self.levels[j]):
+                self._grow(n + 1, j)
+            return self.levels[j][: n + 1]
 
     def _grow(self, size: int, top: int) -> None:
         levels, scales, ratios, step = self.levels, self.scales, self.ratios, self.step
@@ -301,6 +322,13 @@ def harmonic_like(n: int, m: int) -> Fraction:
         return _ZERO
     _check_harmonic_like_work(n, m)
     return _hlike.value(n, m)
+
+
+def harmonic_like_column(n: int, m: int) -> list[Fraction]:
+    """``[harmonic_like(i, m) for i in range(n + 1)]``, refused only as ``harmonic_like(n, m)`` is:
+    its check bounds every smaller index too, and its read grows the table for one slice."""
+    harmonic_like(n, m)
+    return _hlike.column(n, m) if m <= n else [_ZERO] * (n + 1)
 
 
 def harmonic_like_convolution(n: int, m: int) -> Fraction:
@@ -457,6 +485,13 @@ def stirling1(n: int, k: int) -> int:
         return 0
     _check_stirling(n, k)
     return _stirling.value(n, k)
+
+
+def stirling1_column(n: int, k: int) -> list[int]:
+    """``[stirling1(i, k) for i in range(n + 1)]``, refused only as ``stirling1(n, k)`` is:
+    its check bounds every smaller index too, and its read grows the table for one slice."""
+    stirling1(n, k)
+    return _stirling.column(n, k) if k <= n else [0] * (n + 1)
 
 
 # ---------------------------------------------------------------------------

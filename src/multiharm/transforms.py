@@ -31,7 +31,9 @@ from operator import mul
 from typing import Callable, Iterator
 
 from multiharm.rational import RationalLike, binomial, exact_sum, factorial
-from multiharm.sequences import _check_index, harmonic, harmonic_like, harmonic_order, stirling1
+from multiharm.sequences import (
+    _check_index, harmonic, harmonic_like, harmonic_like_column, harmonic_order, stirling1_column,
+)
 
 #: (a, b) pairs exercising the degenerate and generic regimes of the binomial
 #: sums: equal, opposite, zero on either side, integer and fractional mixes.
@@ -98,23 +100,25 @@ def binomial_sum_closed(a: RationalLike, b: RationalLike, m: int, n: int) -> Fra
     With a + b = u/v and b = r/s, the sum is over L (v s)^n n!, L = lcm of
     the denominators of the t(k, j) read; term (j, k) is the integer weight
     C(m,j) (m-j)! (n!/(n-k)!) (-1)^(n-k) s(n-k, m-j) (u s)^k (r v)^(n-k)
-    times t.num (L // t.den).
+    times t.num (L // t.den).  Level j reads one Stirling column and one
+    harmonic-like column, the latter up to k = n - (m - j) only: s(n-k, m-j)
+    is 0 past it, so the levels j < m - n add nothing.
     """
     us_pow, rv_pow, scale = _pair_powers(Fraction(a) + Fraction(b), b, n)
-    n_fact = factorial(n)
     terms = []  # (integer weight, t(k, j))
-    for j in range(m + 1):
+    for j in range(max(m - n, 0), m + 1):
         outer = binomial(m, j) * factorial(m - j)
-        for k in range(n + 1):
-            st = stirling1(n - k, m - j)
-            if st == 0:
-                continue
-            sign = -1 if (n - k) % 2 else 1
-            weight = outer * sign * st * (n_fact // factorial(n - k)) * us_pow[k] * rv_pow[n - k]
-            terms.append((weight, harmonic_like(k, j)))
+        st = stirling1_column(n, m - j)
+        hl = harmonic_like_column(n - (m - j), j)
+        fall = 1  # n!/(n-k)!
+        for k, t in enumerate(hl):
+            if st[n - k]:
+                sign = -1 if (n - k) % 2 else 1
+                terms.append((outer * sign * st[n - k] * fall * us_pow[k] * rv_pow[n - k], t))
+            fall *= n - k
     common = math.lcm(*[t.denominator for _, t in terms])
     total = sum(w * t.numerator * (common // t.denominator) for w, t in terms)
-    return Fraction(total, common * scale * n_fact)
+    return Fraction(total, common * scale * factorial(n))
 
 
 def _short_form(a: RationalLike, b: RationalLike, m: int, lead: Fraction, c: int, weights: list[int]) -> Fraction:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -23,6 +24,7 @@ from multiharm.sequences import (
     harmonic,
     harmonic_like,
     harmonic_like_bruteforce,
+    harmonic_like_column,
     harmonic_like_convolution,
     harmonic_order,
     hyperharmonic,
@@ -32,6 +34,7 @@ from multiharm.sequences import (
     lucas,
     odd_harmonic,
     stirling1,
+    stirling1_column,
 )
 from multiharm.series import gf_harmonic_like, gf_stirling_column
 
@@ -577,6 +580,93 @@ def test_a_reduction_racing_clear_caches_lands_before_the_clear(monkeypatch):
     assert waited == [True]
     assert sequences._hyper.read == [{}]
     assert sequences._hyper.levels == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# column reads: one check, at the top index, and one slice of a table level
+
+_COLUMNS = [
+    pytest.param(harmonic_like_column, harmonic_like, id="harmonic_like"),
+    pytest.param(stirling1_column, stirling1, id="stirling1"),
+]
+
+
+@pytest.mark.parametrize("column, value", _COLUMNS)
+def test_a_column_equals_the_per_index_reads_on_cold_and_warm_tables(column, value):
+    for n, j in [(0, 0), (6, 0), (6, 2), (0, 3), (4, 6), (12, 12), (30, 1), (40, 4)]:
+        expected = [value(i, j) for i in range(n + 1)]
+        clear_caches()
+        assert column(n, j) == expected  # cold: grown under the lock
+        assert column(n, j) == expected  # warm: one unlocked slice
+        assert column(n // 2, j) == expected[: n // 2 + 1]  # a prefix of a grown level
+        assert [value(i, j) for i in range(n + 1)] == expected  # the per-index reads of what the column grew
+
+
+@pytest.mark.parametrize("column, value", _COLUMNS)
+def test_a_column_is_a_new_list_that_changes_no_later_read(column, value):
+    clear_caches()
+    expected = [value(i, 3) for i in range(21)]
+    clear_caches()
+    for _ in ("cold", "warm"):
+        values = column(20, 3)
+        assert values == expected
+        values[5] = values[20] = 999
+        values.append(999)
+        del values[:3]
+    assert column(20, 3) == expected
+    assert [value(i, 3) for i in range(21)] == expected
+
+
+def test_a_column_over_its_ceiling_is_refused_as_its_top_index_is_before_any_table_grows(monkeypatch, memo_sizes):
+    monkeypatch.setattr(sequences, "HARMONIC_LIKE_CEILING", 1000)  # m = 10: refused from n = 10; m = 0 from n = 31
+    monkeypatch.setattr(sequences, "SIZE_CEILING", 10_000)  # k = 10: refused from n = 15
+    clear_caches()
+    sizes = memo_sizes()
+    refused = [
+        (harmonic_like_column, harmonic_like, 10, 10),
+        (harmonic_like_column, harmonic_like, 31, 0),
+        (stirling1_column, stirling1, 15, 10),
+        (harmonic_like_column, harmonic_like, -1, 2),
+        (harmonic_like_column, harmonic_like, 2, -1),
+        (stirling1_column, stirling1, -1, 2),
+        (stirling1_column, stirling1, 2, -1),
+    ]
+    for column, value, n, j in refused:
+        with pytest.raises(ValueError) as per_index:
+            value(n, j)
+        with pytest.raises(type(per_index.value), match=f"^{re.escape(str(per_index.value))}$"):
+            column(n, j)
+    assert memo_sizes() == sizes
+    # one index lower, or above the index (all zeros), each column is admitted
+    assert harmonic_like_column(9, 10) == [0] * 10
+    assert stirling1_column(9, 10) == [0] * 10
+    assert harmonic_like_column(30, 0) == [1] * 31
+    assert stirling1_column(14, 10)[14] == stirling1(14, 10)
+
+
+def test_column_reads_racing_clear_caches_stay_exact():
+    reference = {
+        (column, n, j): [value(i, j) for i in range(n + 1)]
+        for column, value in [(harmonic_like_column, harmonic_like), (stirling1_column, stirling1)]
+        for n in range(0, 41, 4)
+        for j in range(6)
+    }
+    keys = list(reference)
+
+    def reader(seed):
+        rng = random.Random(seed)
+        return all(column(n, j) == reference[column, n, j] for column, n, j in rng.choices(keys, k=400))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside reads, growth and clear
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(reader, seed) for seed in range(4)]
+            while not all(future.done() for future in readers):
+                clear_caches()
+            assert all(future.result(timeout=120) for future in readers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_hyperharmonic_half_examples():

@@ -321,10 +321,9 @@ def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
 # ---------------------------------------------------------------------------
 # the shared summation primitive
 
-_TERMS = st.lists(
-    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
-    max_size=30,
-)
+_SCALARS = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))
+# a term is a scalar or a tuple of 1 to 4 factors, which exact_sum reads as their product
+_TERMS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=4).map(tuple)), max_size=30)
 
 
 def _matches_fraction_sum(sum_fn):
@@ -334,10 +333,12 @@ def _matches_fraction_sum(sum_fn):
     @example([0, F(0), 0])
     @example([1, F(1, 2), F(-1, 3)])
     @example([F(5, 6), F(1, 6), -1])
+    @example([(F(2, 3),), (F(3, 4), F(-2, 9)), (-1, F(5, 6), 0, F(7, 5)), (F(1, 2), 3, F(-4, 5), F(1, 7))])
+    @example([F(1, 3), (F(1, 6), -2), 5, (F(-3, 10), F(10, 3), F(1, 2))])
     def check(terms):
         total = sum_fn(iter(terms))
         assert type(total) is Fraction
-        assert total == sum(terms, F(0))
+        assert total == sum((math.prod(t) if isinstance(t, tuple) else t for t in terms), F(0))
 
     return check
 
@@ -346,12 +347,36 @@ def test_exact_sum_matches_fraction_sum():
     _matches_fraction_sum(exact_sum)()
 
 
+def _exact_sum_mutant(fraction_of, scaled=True):
+    """exact_sum with ``fraction_of(factors)`` in place of a tuple term's
+    (numerator, denominator), and without the L // den scale if not ``scaled``."""
+    def mutant(terms):
+        pairs = [fraction_of(t) if isinstance(t, tuple) else (t.numerator, t.denominator) for t in terms]
+        common = math.lcm(*[den for _, den in pairs])
+        return Fraction(sum(num * (common // den if scaled else 1) for num, den in pairs), common)
+
+    return mutant
+
+
+def _factor_pair(factors):
+    return math.prod(f.numerator for f in factors), math.prod(f.denominator for f in factors)
+
+
+def test_exact_sum_rebuilt_for_the_mutants_passes_the_fraction_sum_check():
+    _matches_fraction_sum(_exact_sum_mutant(_factor_pair))()
+
+
 def test_exact_sum_without_the_scale_fails_the_fraction_sum_check():
     # mutant: every numerator added over L without the L // den scale
-    def mutant(terms):
-        pairs = [(t.numerator, t.denominator) for t in terms]
-        common = math.lcm(*[den for _, den in pairs])
-        return Fraction(sum(num for num, _ in pairs), common)
+    with pytest.raises(AssertionError):
+        _matches_fraction_sum(_exact_sum_mutant(_factor_pair, scaled=False))()
+
+
+def test_exact_sum_without_one_factors_denominator_fails_the_fraction_sum_check():
+    # mutant: a tuple term's last factor contributes its numerator only
+    def first_denominators(factors):
+        num, _ = _factor_pair(factors)
+        return num, math.prod(f.denominator for f in factors[:-1])
 
     with pytest.raises(AssertionError):
-        _matches_fraction_sum(mutant)()
+        _matches_fraction_sum(_exact_sum_mutant(first_denominators))()
