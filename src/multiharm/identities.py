@@ -23,19 +23,18 @@ across processes without one route depending on another: ``verify_all(...,
 jobs=N)`` forks up to N - 1 workers (see :func:`_verify_forked`).  Every
 library call is serial in the calling process unless it passes ``jobs``.
 
-A side that is a sum ``sum_{k=start..n} t(k)`` whose term does not depend on
-n may be a running sum (``_RunningSum``), not rebuilt from its first term at
-every grid point; nine sides with cheap terms, such as ``warmup_sum_Hk``,
-are plain sums.  A running sum keeps its partial sums per parameter tuple in one
-``sequences._partial_sums`` table, the memo-table type of the sequence
-families, grown by one term per new n under ``sequences._lock`` (a cached sum
-is read without it).  An inner sum or weight that recurs across the grid is a
-module-level function cached by exactly the indices its value depends on.
-The memos follow four rules.  Every term is still the literal term of its
-anchor.  No memo is read by both sides of one identity (one may serve the
-same side of several).  A memo grows only as far as the grids asked of it.
-Every memo is listed in ``_MEMOS``.  A memo holds exact values that never
-change, so it changes no report, only ``elapsed_ms``.
+A side is a point side, called with the bindings of each grid point, or a
+column side, named in the entry's ``columns``: called with the bindings of the
+other axes and a top index n, it returns its values at 0..n in order.  n must
+then be the last grid axis, so the grid is a sequence of runs that differ only
+in n; :func:`verify_descriptor` calls a column side once per run, up to the
+run's last n, and still compares the sides point by point in grid order.  A
+column side is a sum of Cauchy products along n, each a schoolbook convolution
+of integers (``_convolution``), or, where its summand does not depend on n,
+the running sums of ``itertools.accumulate``.  No function of this module is
+called by both sides of one identity.  A weight that a point side reads across
+the grid is cached by exactly its indices and listed in ``_MEMOS``; it holds
+exact values that never change, so it changes no report, only ``elapsed_ms``.
 
 A side that sums products passes each term to ``_fsum``
 (:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
@@ -61,12 +60,15 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import os
 import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, pairwise
+from operator import mul
 from time import perf_counter
-from typing import Any, Callable, Iterator, Mapping, NoReturn
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
 
 from multiharm.rational import (
     RationalLike,
@@ -76,18 +78,18 @@ from multiharm.rational import (
     gen_binomial as gbin,
 )
 from multiharm.sequences import (
-    _KeyedTables,
-    _partial_sums,
     fibonacci as fib,
     half_harmonic_offset as hoff,
     harmonic as harm,
     harmonic_like as hlike,
+    harmonic_like_column,
     harmonic_order,
     hyperharmonic as hyp,
     hyperharmonic_half as hyph,
     lucas as luc,
     odd_harmonic as oddh,
     stirling1 as stir,
+    stirling1_column,
 )
 from multiharm.transforms import (
     AB_FIXTURES,
@@ -108,16 +110,19 @@ class IdentityDescriptor:
     """One catalog entry: two independent evaluators over a parameter grid.
 
     ``section`` is set by the registry from the section an entry is listed
-    under; it is what ``verify_all(tag=...)`` selects on.
+    under; it is what ``verify_all(tag=...)`` selects on.  ``columns`` names
+    the sides, ``"lhs"`` or ``"rhs"``, that are column sides (see the module
+    docstring).
     """
 
     id: str
     title: str
     anchor: str
     grid: Mapping[str | tuple[str, ...], range | tuple[Any, ...]]
-    lhs: Callable[..., RationalLike]
-    rhs: Callable[..., RationalLike]
+    lhs: Callable[..., Any]
+    rhs: Callable[..., Any]
     section: str = ""
+    columns: tuple[str, ...] = ()
 
     def bindings(self, overrides: Mapping[str, int] | None = None) -> Iterator[dict[str, Any]]:
         overrides = overrides or {}
@@ -172,6 +177,22 @@ def _json_value(v: Any) -> Any:
     return v if isinstance(v, int) else str(v)
 
 
+def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[list[dict[str, Any]]]:
+    """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in the last axis."""
+    bindings = desc.bindings(overrides)
+    return (list(run) for _, run in itertools.groupby(bindings, lambda binding: list(binding.values())[:-1]))
+
+
+def _evaluate(desc: IdentityDescriptor, side: str, run: list[dict[str, Any]]) -> Iterable[RationalLike]:
+    """The values of ``desc``'s side ``side`` ("lhs" or "rhs") at each binding of ``run``: a point
+    side is called at each binding, a column side once, with the last binding, whose n is the run's top."""
+    evaluate = getattr(desc, side)
+    if side not in desc.columns:
+        return (evaluate(**binding) for binding in run)
+    column = evaluate(**run[-1])
+    return [column[binding["n"]] for binding in run]
+
+
 def verify_descriptor(
     desc: IdentityDescriptor, overrides: Mapping[str, int] | None = None
 ) -> VerificationReport:
@@ -179,16 +200,17 @@ def verify_descriptor(
     start = perf_counter()
     cases = 0
     first_failure = None
-    for binding in desc.bindings(overrides):
-        cases += 1
-        lhs = Fraction(desc.lhs(**binding))
-        rhs = Fraction(desc.rhs(**binding))
-        if lhs != rhs and first_failure is None:
-            first_failure = {
-                "binding": {k: _json_value(v) for k, v in binding.items()},
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+    for run in _runs(desc, overrides):
+        for binding, lhs, rhs in zip(run, _evaluate(desc, "lhs", run), _evaluate(desc, "rhs", run)):
+            cases += 1
+            lhs = Fraction(lhs)
+            rhs = Fraction(rhs)
+            if lhs != rhs and first_failure is None:
+                first_failure = {
+                    "binding": {k: _json_value(v) for k, v in binding.items()},
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
     elapsed_ms = (perf_counter() - start) * 1000.0
     return VerificationReport(desc.id, desc.anchor, cases, first_failure is None, first_failure, elapsed_ms)
 
@@ -370,8 +392,7 @@ def registry_tags() -> tuple[str, ...]:
 #
 # Entry evaluators are deliberately written as the literal sums they state,
 # not in terms of each other, so a bug in a shared simplification cannot hide.
-# A memo keeps such a literal sum or term, never a simplification of one, and
-# no memo is read by both sides of one identity (see the module docstring).
+# A column side evaluates its anchor's own sums, term by term, along n.
 
 
 _KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
@@ -380,51 +401,6 @@ _KOLLAR_R = (Fraction(3), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3))
 def _cw(k: int, p: int) -> Fraction:
     # central-binomial weight C(2(k+p), k+p) C(k+p, k) / 4^k
     return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
-
-
-class _RunningSum:
-    """A side ``side(n, **params) = sum_{k=start..n} term(k=k, **params)``, kept as running sums.
-
-    The partial sums of each parameter tuple are one ``sequences._partial_sums``
-    table, its term i being ``term(k=start + i - 1)``, in one
-    ``sequences._KeyedTables``, so a grid column costs one term per point,
-    and the rules of both table types on growth, interruption, unlocked
-    reads and :meth:`cache_clear` hold here too.
-    """
-
-    def __init__(self, term: Callable[..., RationalLike], start: int = 0) -> None:
-        self.start = start
-        self.tables = _KeyedTables(lambda key: _partial_sums(lambda i: term(k=start + i - 1, **dict(key))))
-
-    def __call__(self, n: int, **params: Any) -> Fraction:
-        return self.tables[tuple(sorted(params.items()))].value(max(n + 1 - self.start, 0), 1)
-
-    def cache_clear(self) -> None:
-        self.tables.cache_clear()
-
-
-@functools.cache
-def _stirling_steps(s: int, m: int) -> Fraction:
-    # sum_{j=m..s+1} C(s,j-1) s(j,m)/j!, every term an integer over (s+1)!: the
-    # inner sum of thm_kollar (s = k), thm_o107dby (s = k-1) and thm_hnp1 (s = n-k)
-    return Fraction(
-        sum(comb(s, j - 1) * stir(j, m) * (fact(s + 1) // fact(j)) for j in range(m, s + 2)),
-        fact(s + 1),
-    )
-
-
-@functools.cache
-def _harmonic_steps(s: int) -> Fraction:
-    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j: the inner sum of thm_kollar_m2
-    # (s = k) and thm_hnp1_m2 (s = n-k)
-    return _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2))
-
-
-@functools.cache
-def _harmonic_tail(s: int) -> Fraction:
-    # sum_{l=1..s} H_{s-l}/l: the inner sum of the right sides of hn3_double,
-    # thm_hnp1_m2 (s = n+1-k) and thm_kk1_m2
-    return _fsum((harm(s - l), Fraction(1, l)) for l in range(1, s + 1))
 
 
 @functools.cache
@@ -440,10 +416,59 @@ def _odd_weight(k: int, p: int) -> Fraction:
     return _cw(k, p) * (oddh(k + p) - oddh(p))
 
 
-# the k-sums on the right of the thm_kollar family
-_kollar_rhs_sum = _RunningSum(lambda k, r, m: (-1) ** k * gbin(r, k) * hlike(k, m))
-_kollar_m1_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * harm(k))
-_kollar_m2_rhs_sum = _RunningSum(lambda k, r: (-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)))
+def _integers(values: list[RationalLike]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over their least common denominator, and that denominator."""
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _convolution(*pairs: tuple[list[RationalLike], list[RationalLike]]) -> list[Fraction]:
+    """The sum over ``pairs`` (f, g), all of one length, of sum_{k=0..i} f[k] g[i-k] at each index i.
+
+    Each factor goes over one denominator, its integers are convolved
+    schoolbook, the products are added over the lcm of the pairs'
+    denominators, and each value is reduced once.
+    """
+    products = []
+    for f, g in pairs:
+        f, f_den = _integers(f)
+        g, g_den = _integers(g)
+        products.append(([sum(map(mul, f, reversed(g[: i + 1]))) for i in range(len(f))], f_den * g_den))
+    common = math.lcm(*[den for _, den in products])
+    return [Fraction(sum(p[i] * (common // den) for p, den in products), common) for i in range(len(products[0][0]))]
+
+
+def _central_halves(n: int, p: int = 0) -> list[Fraction]:
+    # C(2(k+p),k+p) C(k+p,k)/(2 4^k) for k = 0..n: the weight of the right sides
+    # of thm_general_p and, at p = 0, of the thm_odd_id1 family
+    return [Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 2 * 4**k) for k in range(n + 1)]
+
+
+def _harmonic_tails(n: int) -> list[Fraction]:
+    # sum_{k=1..s} (1/k) sum_{l=1..s-k} H_{s-k-l}/l for s = 0..n: the double sum
+    # of the right sides of hn3_double and thm_kk1_m2, inner sum first
+    reciprocals = [0, *(Fraction(1, k) for k in range(1, n + 1))]
+    return _convolution((reciprocals, _convolution(([harm(i) for i in range(n + 1)], reciprocals))))
+
+
+def _stirling_steps(n: int, m: int) -> list[Fraction]:
+    # sum_{j=m..s+1} C(s,j-1) s(j,m)/j! for s = 0..n, each an integer over
+    # (s+1)!: the inner sum of thm_kollar (s = k), thm_o107dby (s = k-1) and
+    # thm_hnp1 (s = n-k)
+    st = stirling1_column(n + 1, m)
+    facts = list(accumulate(range(1, n + 2), mul, initial=1))
+    return [
+        Fraction(sum(comb(s, j - 1) * st[j] * (facts[s + 1] // facts[j]) for j in range(m, s + 2)), facts[s + 1])
+        for s in range(n + 1)
+    ]
+
+
+def _harmonic_steps(n: int) -> list[Fraction]:
+    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j for s = 0..n: the inner sum of
+    # thm_kollar_m2 (s = k), thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k)
+    return [
+        _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2)) for s in range(n + 1)
+    ]
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -452,6 +477,8 @@ def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[st
         for desc in entries:
             if desc.id in registry:
                 raise ValueError(f"duplicate identity id: {desc.id}")
+            if desc.columns and list(desc.grid)[-1] != "n":
+                raise ValueError(f"column side of {desc.id}, whose last grid axis is not n")
             registry[desc.id] = replace(desc, section=section)
     return registry
 
@@ -472,7 +499,8 @@ _REGISTRY = _build_registry({
             "HL(n,3) = sum_{j=1..n} (1/j) sum_{l=1..n-j} H_{n-j-l}/l",
             {"n": range(0, 41)},
             lambda n: hlike(n, 3),
-            lambda n: _fsum((Fraction(1, j), _harmonic_tail(n - j)) for j in range(1, n + 1)),
+            lambda n: _harmonic_tails(n),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "stirling_s_n1",
@@ -500,6 +528,7 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "m": range(0, 5), "n": range(0, 26)},
             lambda a, b, m, n: binomial_sum_direct(a, b, m, n),
             lambda a, b, m, n: binomial_sum_closed(a, b, m, n),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "remark_m1",
@@ -508,6 +537,7 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 1, n),
             lambda a, b, n: binomial_sum_m1(a, b, n),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "cor_id1",
@@ -536,16 +566,17 @@ _REGISTRY = _build_registry({
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
             {"m": range(0, 5), "n": range(0, 26)},
             lambda m, n: _fsum((comb(n, k), hlike(k, m)) for k in range(n + 1)),
-            lambda m, n: _fsum(
-                (
-                    comb(m, j),
-                    hlike(k, j),
-                    (-1) ** (n - k) * 2**k * fact(m - j) * stir(n - k, m - j),
-                    Fraction(1, fact(n - k)),
-                )
-                for j in range(m + 1)
-                for k in range(n + 1)
+            # level j: the Cauchy product of C(m,j) 2^k HL(k,j) and (-1)^l (m-j)! s(l,m-j)/l!
+            lambda m, n: _convolution(
+                *(
+                    (
+                        [comb(m, j) * 2**k * t for k, t in enumerate(harmonic_like_column(n, j))],
+                        [Fraction((-1) ** l * fact(m - j) * stir(l, m - j), fact(l)) for l in range(n + 1)],
+                    )
+                    for j in range(m + 1)
+                ),
             ),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "classical_Hk",
@@ -562,6 +593,7 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 2, n),
             lambda a, b, n: binomial_sum_m2(a, b, n),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "ex_Hk2_2n",
@@ -672,6 +704,7 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 3, n),
             lambda a, b, n: binomial_sum_m3(a, b, n),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "stirling_s_n3",
@@ -713,11 +746,12 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=m..k} C(k-1,j-1) s(j,m)/j! = "
             "(1/m!) HL(n,m) H_n - (1/m!) sum_{k=1..n} HL(k-1,m)/k",
             {"m": range(0, 5), "n": range(1, 26)},
-            _RunningSum(lambda k, m: harm(k) * _stirling_steps(k - 1, m), start=1),
+            lambda m, n: list(accumulate(map(mul, map(harm, range(1, n + 1)), _stirling_steps(n - 1, m)), initial=0)),
             lambda m, n: (
                 hlike(n, m) * harm(n) - _fsum((hlike(k - 1, m), Fraction(1, k)) for k in range(1, n + 1))
             )
             / fact(m),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_o107dby_m1",
@@ -733,20 +767,25 @@ _REGISTRY = _build_registry({
             "2 sum_{k=1..n} H_k sum_{j=1..k} (-1)^j C(k-1,j-1) H_{j-1}/j = "
             "H_n^3 - H_n^(2) H_n - sum_{k=1..n} (H_{k-1}^2 - H_{k-1}^(2))/k",
             {"n": range(1, 26)},
-            # the inner sum is _harmonic_steps(k - 1), whose sum starts at j = 2:
+            # the inner sum is _harmonic_steps at k - 1, whose sum starts at j = 2:
             # the j = 1 term of the anchor is 0, since H_0 = 0
-            _RunningSum(lambda k: 2 * harm(k) * _harmonic_steps(k - 1), start=1),
+            lambda n: list(
+                accumulate((2 * harm(k) * w for k, w in enumerate(_harmonic_steps(n - 1), 1)), initial=0)
+            ),
             lambda n: harm(n) ** 3
             - harmonic_order(n, 2) * harm(n)
             - _fsum((harm(k - 1) ** 2 - harmonic_order(k - 1, 2), Fraction(1, k)) for k in range(1, n + 1)),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_hnp1",
             "reversed-index Stirling double sum reaching HL(n+1,m+1)",
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
             {"m": range(1, 5), "n": range(1, 26)},
-            lambda m, n: _fsum((harm(k), _stirling_steps(n - k, m)) for k in range(1, n + 1)),
+            # H_0 = 0, so the product may start at k = 0
+            lambda m, n: _convolution(([harm(k) for k in range(n + 1)], _stirling_steps(n, m))),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_hnp1_m1",
@@ -762,16 +801,23 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _fsum((harm(k), _harmonic_steps(n - k)) for k in range(1, n + 1)),
-            lambda n: Fraction(1, 2) * _fsum((Fraction(1, k), _harmonic_tail(n + 1 - k)) for k in range(1, n + 2)),
+            lambda n: _convolution(([harm(k) for k in range(n + 1)], _harmonic_steps(n))),
+            lambda n: Fraction(1, 2)
+            * _fsum(
+                (Fraction(1, k), harm(n + 1 - k - j), Fraction(1, j))
+                for k in range(1, n + 2)
+                for j in range(1, n + 2 - k)
+            ),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "har_helper",
             "partial fraction sums 1/(k(k+p))",
             "sum_{k=1..n} 1/(k(k+p)) = H_n^(2) if p = 0 else (H_n + H_p - H_{n+p})/p",
             {"p": range(0, 6), "n": range(1, 41)},
-            _RunningSum(lambda k, p: Fraction(1, k * (k + p)), start=1),
+            lambda p, n: list(accumulate((Fraction(1, k * (k + p)) for k in range(1, n + 1)), initial=0)),
             lambda p, n: harmonic_order(n, 2) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "har_example_p0",
@@ -815,10 +861,12 @@ _REGISTRY = _build_registry({
             lambda n: _fsum(
                 (harm(n - k) ** 2 - harmonic_order(n - k, 2), Fraction(1, k * (k + 1))) for k in range(1, n + 1)
             ),
-            lambda n: harm(n) ** 2
-            - harmonic_order(n, 2)
-            + _fsum((Fraction(1, k), _harmonic_tail(n - k)) for k in range(1, n + 1))
-            - _fsum((Fraction(1, k), _harmonic_tail(n + 1 - k)) for k in range(1, n + 2)),
+            # the double sums are _harmonic_tails at n and at n + 1
+            lambda n: [
+                harm(i) ** 2 - harmonic_order(i, 2) + tail - next_tail
+                for i, (tail, next_tail) in enumerate(pairwise(_harmonic_tails(n + 1)))
+            ],
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_kollar",
@@ -826,17 +874,26 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=m..k+1} C(k,j-1) s(j,m)/j! = "
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
             {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
-            _RunningSum(lambda k, r, m: (-1) ** k * gbin(r - 1, k) * _stirling_steps(k, m)),
-            lambda r, m, n: (-1) ** n * gbin(r - 1, n) * hlike(n + 1, m) / fact(m)
-            - _kollar_rhs_sum(n, r=r, m=m) / fact(m),
+            lambda r, m, n: list(
+                accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_stirling_steps(n, m)))
+            ),
+            lambda r, m, n: [
+                ((-1) ** i * gbin(r - 1, i) * hlike(i + 1, m) - total) / fact(m)
+                for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)))
+            ],
+            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_kollar_m1",
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
             {"r": _KOLLAR_R, "n": range(1, 31)},
-            _RunningSum(lambda k, r: Fraction((-1) ** k, k + 1) * gbin(r - 1, k)),
-            lambda r, n: (-1) ** n * gbin(r - 1, n) * harm(n + 1) - _kollar_m1_rhs_sum(n, r=r),
+            lambda r, n: list(accumulate(Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1))),
+            lambda r, n: [
+                (-1) ** i * gbin(r - 1, i) * harm(i + 1) - total
+                for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)))
+            ],
+            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_kollar_m2",
@@ -844,9 +901,14 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            _RunningSum(lambda k, r: (-1) ** k * gbin(r - 1, k) * _harmonic_steps(k)),
-            lambda r, n: (-1) ** n * gbin(r - 1, n) * (harm(n + 1) ** 2 - harmonic_order(n + 1, 2)) / 2
-            - _kollar_m2_rhs_sum(n, r=r) / 2,
+            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n)))),
+            lambda r, n: [
+                ((-1) ** i * gbin(r - 1, i) * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
+                for i, total in enumerate(
+                    accumulate((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1))
+                )
+            ],
+            columns=("lhs", "rhs"),
         ),
     ],
     "section4": [
@@ -856,15 +918,17 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
             lambda m, p, n: _fsum((_hyphar_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
-            lambda m, p, n: _fsum((comb(k + p, k), hlike(n - k, m + 1)) for k in range(n + 1)),
+            lambda m, p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], harmonic_like_column(n, m + 1))),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_hyphar_m0",
             "hyperharmonic convolution, base case",
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
-            _RunningSum(lambda k, p: _hyphar_weight(k, p)),
-            lambda p, n: _fsum((comb(k + p, k), harm(n - k)) for k in range(n + 1)),
+            lambda p, n: list(accumulate(_hyphar_weight(k, p) for k in range(n + 1))),
+            lambda p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], [harm(i) for i in range(n + 1)])),
+            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_hyphar_m1",
@@ -872,7 +936,10 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
             {"p": range(0, 6), "n": range(0, 31)},
             lambda p, n: _fsum((_hyphar_weight(k, p), harm(n - k)) for k in range(n + 1)),
-            lambda p, n: _fsum((comb(k + p, k), harm(n - k) ** 2 - harmonic_order(n - k, 2)) for k in range(n + 1)),
+            lambda p, n: _convolution(
+                ([comb(k + p, k) for k in range(n + 1)], [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])
+            ),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "czxfdu7_1",
@@ -945,11 +1012,12 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(1/2^(2n+1)) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 21), "n": range(0, 21)},
-            _RunningSum(lambda k, p: _odd_weight(k, p), start=1),
+            lambda p, n: list(accumulate((_odd_weight(k, p) for k in range(1, n + 1)), initial=0)),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 2 * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(p + 1)),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "oklok93",
@@ -965,8 +1033,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k HL(n-k,m)/4^k = (1/2) sum_{k=0..n} C(2k,k) HL(n-k,m+1)/4^k",
             {"m": range(0, 4), "n": range(0, 26)},
             lambda m, n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), hlike(n - k, m)) for k in range(n + 1)),
-            lambda m, n: Fraction(1, 2)
-            * _fsum((comb(2 * k, k), Fraction(1, 4**k), hlike(n - k, m + 1)) for k in range(n + 1)),
+            lambda m, n: _convolution((_central_halves(n), harmonic_like_column(n, m + 1))),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m0",
@@ -974,7 +1042,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k/4^k = (1/2) sum_{k=0..n} C(2k,k) H_{n-k}/4^k",
             {"n": range(0, 41)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(n + 1)),
-            lambda n: Fraction(1, 2) * _fsum((comb(2 * k, k), Fraction(1, 4**k), harm(n - k)) for k in range(n + 1)),
+            lambda n: _convolution((_central_halves(n), [harm(i) for i in range(n + 1)])),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m1",
@@ -982,11 +1051,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k H_{n-k}/4^k = (1/2) sum_{k=0..n} C(2k,k) (H_{n-k}^2 - H_{n-k}^(2))/4^k",
             {"n": range(0, 31)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), harm(n - k)) for k in range(n + 1)),
-            lambda n: Fraction(1, 2)
-            * _fsum(
-                (comb(2 * k, k), Fraction(1, 4**k), harm(n - k) ** 2 - harmonic_order(n - k, 2))
-                for k in range(n + 1)
-            ),
+            lambda n: _convolution((_central_halves(n), [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "tb6ik5l",
@@ -1003,11 +1069,8 @@ _REGISTRY = _build_registry({
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
             lambda m, p, n: _fsum((_odd_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
-            lambda m, p, n: Fraction(1, 2)
-            * _fsum(
-                (comb(2 * (k + p), k + p), comb(k + p, k), Fraction(1, 4**k), hlike(n - k, m + 1))
-                for k in range(n + 1)
-            ),
+            lambda m, p, n: _convolution((_central_halves(n, p), harmonic_like_column(n, m + 1))),
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_general_p_m0",
@@ -1026,8 +1089,9 @@ _REGISTRY = _build_registry({
             "index-weighted hyperharmonic partial sums",
             "sum_{k=1..n} k HH(k,p) = n HH(n,p+1) - HH(n-1,p+2)",
             {"p": range(0, 6), "n": range(1, 31)},
-            _RunningSum(lambda k, p: k * hyp(k, p), start=1),
+            lambda p, n: list(accumulate((k * hyp(k, p) for k in range(1, n + 1)), initial=0)),
             lambda p, n: n * hyp(n, p + 1) - hyp(n - 1, p + 2),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_k_weighted_half",
@@ -1036,7 +1100,7 @@ _REGISTRY = _build_registry({
             "(n/4^n) C(2(p+1),p+1)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1}) "
             "- (4/4^n) C(2(p+2),p+2)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n-1) (O_{n+p+1} - O_{p+2})",
             {"p": range(0, 6), "n": range(1, 26)},
-            _RunningSum(lambda k, p: k * _odd_weight(k, p), start=1),
+            lambda p, n: list(accumulate((k * _odd_weight(k, p) for k in range(1, n + 1)), initial=0)),
             lambda p, n: Fraction(n * comb(2 * p, p), 4**n * comb(2 * (p + 1), p + 1))
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1045,6 +1109,7 @@ _REGISTRY = _build_registry({
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n - 1)
             * (oddh(n + p + 1) - oddh(p + 2)),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_k_weighted_half_p0",
@@ -1067,15 +1132,20 @@ _REGISTRY = _build_registry({
             "(1/4) C(2n,n)^-1 C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_n) "
             "- (1/4) C(2(p+1),p+1) O_{p+1}",
             {"p": range(0, 6), "n": range(1, 26)},
-            _RunningSum(
-                lambda k, p: Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k))
-                * (oddh(k + p) - oddh(k)),
-                start=1,
+            lambda p, n: list(
+                accumulate(
+                    (
+                        Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k)) * (oddh(k + p) - oddh(k))
+                        for k in range(1, n + 1)
+                    ),
+                    initial=0,
+                )
             ),
             lambda p, n: Fraction(comb(2 * (n + p + 1), n + p + 1), 4 * comb(2 * n, n))
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(n))
             - Fraction(comb(2 * (p + 1), p + 1), 4) * oddh(p + 1),
+            columns=("lhs",),
         ),
         IdentityDescriptor(
             "odd_even_split",
@@ -1097,16 +1167,5 @@ _REGISTRY = _build_registry({
 })
 
 
-#: Every memo of this module, so that all of them can be reset: the running-sum
-#: sides of the registry, the named running sums and the cached inner sums.
-_MEMOS: tuple = (
-    *(side for desc in _REGISTRY.values() for side in (desc.lhs, desc.rhs) if isinstance(side, _RunningSum)),
-    _kollar_rhs_sum,
-    _kollar_m1_rhs_sum,
-    _kollar_m2_rhs_sum,
-    _stirling_steps,
-    _harmonic_steps,
-    _harmonic_tail,
-    _hyphar_weight,
-    _odd_weight,
-)
+#: Every memo of this module, so that all of them can be reset: the cached weights of the point sides.
+_MEMOS: tuple = (_hyphar_weight, _odd_weight)

@@ -8,13 +8,14 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import multiharm
-from multiharm import cli, identities
+from multiharm import _kernels, cli, identities, rational, sequences, series, transforms
 from multiharm.identities import (
     IdentityDescriptor,
     UnknownIdentityError,
@@ -248,6 +249,29 @@ def test_corrupted_evaluator_reports_smallest_failure():
     assert rhs - lhs == F(1, 7)
 
 
+def test_corrupted_column_side_reports_the_smallest_failure():
+    # the same broken twin with the right side as a column over m = 0, 1, so the run of m = 1
+    # starts past the first failure; both sides read m only to make two runs
+    broken = IdentityDescriptor(
+        id="corrupted_column_fixture",
+        title="broken on purpose",
+        anchor="sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2 + [n>=3 and m = 1]/7",
+        grid={"m": range(2), "n": range(1, 11)},
+        lhs=lambda m, n: sum((harmonic(k - 1) / k for k in range(1, n + 1)), F(0)),
+        rhs=lambda m, n: [
+            (harmonic(i) ** 2 - harmonic_order(i, 2)) / 2 + (F(1, 7) if i >= 3 and m == 1 else 0)
+            for i in range(n + 1)
+        ],
+        columns=("rhs",),
+    )
+    report = verify_descriptor(broken)
+    assert not report.passed
+    assert report.cases == 20
+    assert report.first_failure["binding"] == {"m": 1, "n": 3}
+    lhs, rhs = F(report.first_failure["lhs"]), F(report.first_failure["rhs"])
+    assert rhs - lhs == F(1, 7)
+
+
 def test_reports_are_deterministic_apart_from_timing():
     a = verify_identity("czxfdu7_5").to_json_dict()
     b = verify_identity("czxfdu7_5").to_json_dict()
@@ -273,15 +297,17 @@ def _kollar_m2_lhs_fraction_loop(r, n):
 def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
     desc = identities.get_identity("thm_kollar_m2")
     for r in (*identities._KOLLAR_R, F(7, 3), F(-5)):
-        for n in range(0, 31):
-            assert desc.lhs(r=r, n=n) == _kollar_m2_lhs_fraction_loop(r, n), (r, n)
+        assert desc.lhs(r=r, n=30) == [_kollar_m2_lhs_fraction_loop(r, n) for n in range(31)], r
 
 
 # ---------------------------------------------------------------------------
-# memos: running sums and cached inner sums
+# column sides, memos and the independence of the two sides
 
 
 MEMOS = identities._MEMOS
+
+#: Every column side of the registry, as (id, side).
+COLUMN_SIDES = sorted((ident, side) for ident, desc in identities._REGISTRY.items() for side in desc.columns)
 
 
 def _reset_memos():
@@ -289,26 +315,17 @@ def _reset_memos():
         memo.cache_clear()
 
 
-def _entries(memo):
-    if isinstance(memo, identities._RunningSum):
-        return len(memo.tables)
-    return memo.cache_info().currsize
+def _evaluate_side(desc, side, overrides=None):
+    """Every value of one side of ``desc`` over its grid, a column side through the column protocol."""
+    return [value for run in identities._runs(desc, overrides) for value in identities._evaluate(desc, side, run)]
 
 
 def test_every_memo_is_listed_once():
     named = [
-        value
-        for value in vars(identities).values()
-        if isinstance(value, identities._RunningSum) or (hasattr(value, "cache_clear") and not isinstance(value, type))
-    ]
-    sides = [
-        side
-        for desc in identities._REGISTRY.values()
-        for side in (desc.lhs, desc.rhs)
-        if isinstance(side, identities._RunningSum)
+        value for value in vars(identities).values() if hasattr(value, "cache_clear") and not isinstance(value, type)
     ]
     assert len({id(memo) for memo in MEMOS}) == len(MEMOS)
-    assert {id(memo) for memo in named + sides} == {id(memo) for memo in MEMOS}
+    assert {id(memo) for memo in named} == {id(memo) for memo in MEMOS}
 
 
 @pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
@@ -317,75 +334,162 @@ def test_no_memo_is_read_by_both_sides_of_an_identity(ident):
     read = {}
     for side in ("lhs", "rhs"):
         _reset_memos()
-        evaluate = getattr(desc, side)
-        for binding in desc.bindings():
-            evaluate(**binding)
-        read[side] = {i for i, memo in enumerate(MEMOS) if _entries(memo)}
+        _evaluate_side(desc, side)
+        read[side] = {i for i, memo in enumerate(MEMOS) if memo.cache_info().currsize}
     assert not read["lhs"] & read["rhs"], [MEMOS[i] for i in read["lhs"] & read["rhs"]]
 
 
-def test_a_running_sum_reaches_a_far_n_in_a_loop():
-    side = identities._RunningSum(lambda k: k, start=1)
-    assert side(5000) == 5000 * 5001 // 2
-    assert side(0) == side(-3) == 0
-    assert len(side.tables[()].levels[1]) == 5001
+def test_a_column_side_needs_n_as_the_last_axis():
+    def entry(grid):
+        return IdentityDescriptor("e", "e", "e", grid, lambda m, n: [F(0)] * (n + 1), lambda m, n: 0, columns=("lhs",))
+
+    assert identities._build_registry({"t": [entry({"m": range(2), "n": range(3)})]})["e"].section == "t"
+    with pytest.raises(ValueError, match="^column side of e, whose last grid axis is not n$"):
+        identities._build_registry({"t": [entry({"n": range(3), "m": range(2)})]})
 
 
-def test_an_interrupted_running_sum_keeps_a_correct_prefix():
-    fail = {7}
-    calls = []
+# The trace: every Python function each side calls, with every memo and
+# sequence table emptied first, so that a memo or helper read by both sides
+# shows as a function both sides call.  Both sides may call the sequence
+# families with their table machinery, :mod:`multiharm.rational`, and the
+# column driver; a sequence cross-check route, such as hyperharmonic_closed,
+# is a helper like any other.
 
-    def term(k, p):
-        calls.append(k)
-        if k in fail:
-            fail.clear()
-            raise MemoryError
-        return F(1, k + p)
-
-    side = identities._RunningSum(term)
-    side(3, p=1)
-    with pytest.raises(MemoryError):
-        side(10, p=1)
-    # the terms grow first, so the sums level may stop short of the failed term
-    sums = side.tables[(("p", 1),)].levels[1]
-    assert len(sums) >= 5
-    assert sums == [sum((F(1, k + 1) for k in range(i)), F(0)) for i in range(len(sums))]
-    assert calls == list(range(8))
-    calls.clear()
-    assert side(10, p=1) == sum((F(1, k + 1) for k in range(11)), F(0))
-    assert calls == [7, 8, 9, 10]  # each missing term once, no stored term again
+_MODULES = {module.__file__: module.__name__ for module in (identities, sequences, series, transforms, rational,
+                                                           _kernels)}
+_CROSS_CHECKS = {
+    name
+    for name, value in vars(sequences).items()
+    if getattr(value, "__module__", None) == sequences.__name__ and not name.startswith("_")
+    and name not in sequences.FAMILY_NAMES and not name.endswith("_column")
+}
 
 
-def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
-    kollar = identities.get_identity("thm_kollar")
-    reads = [(side, binding) for side in (kollar.lhs, identities._kollar_rhs_sum) for binding in kollar.bindings()]
+def _nested_codes(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _nested_codes(const)
+
+
+_DRIVER = set(_nested_codes(identities._evaluate.__code__))
+
+
+def _traced_calls(desc, side):
+    """(module, code) of each function of multiharm that ``desc``'s side ``side`` calls over its grid."""
+    runs = list(identities._runs(desc, None))
     _reset_memos()
-    serial = [side(**binding) for side, binding in reads]
-    _reset_memos()
+    sequences.clear_caches()
+    codes = set()
 
-    def reader(seed):
-        order = random.Random(seed).sample(range(len(reads)), len(reads))
-        return [i for i in order if reads[i][0](**reads[i][1]) != serial[i]]
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside reads, growth and clears
+    sys.setprofile(profile)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            readers = [pool.submit(reader, seed) for seed in range(4)]
-            while not all(future.done() for future in readers):
-                _reset_memos()
-            assert [future.result(timeout=120) for future in readers] == [[]] * 4
+        for run in runs:
+            list(identities._evaluate(desc, side, run))
     finally:
-        sys.setswitchinterval(interval)
+        sys.setprofile(None)
+    return {(_MODULES[code.co_filename], code) for code in codes if code.co_filename in _MODULES}
+
+
+def _allowed(module, code):
+    if module == "multiharm.sequences":
+        return code.co_name not in _CROSS_CHECKS
+    return module == "multiharm.rational" or code in _DRIVER
+
+
+def _route_overlap(desc):
+    """The functions outside the allow-list that both sides of ``desc`` call, and the sides that read series."""
+    calls = {side: _traced_calls(desc, side) for side in ("lhs", "rhs")}
+    shared = {f"{module}.{code.co_name}" for module, code in calls["lhs"] & calls["rhs"] if not _allowed(module, code)}
+    series_readers = {
+        side for side, called in calls.items() if any(module in ("multiharm.series", "multiharm._kernels")
+                                                      for module, _ in called)
+    }
+    return shared, series_readers
+
+
+@pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
+def test_no_function_is_called_by_both_sides_of_an_identity(ident):
+    shared, series_readers = _route_overlap(identities.get_identity(ident))
+    assert not shared
+    assert len(series_readers) < 2
+
+
+def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
+    # the running sums of thm_hyphar_m0's left side as a product with 1, 1, ...: the right side's helper
+    desc = identities.get_identity("thm_hyphar_m0")
+    weights = identities._hyphar_weight
+    mutant = replace(
+        desc, lhs=lambda p, n: identities._convolution(([weights(k, p) for k in range(n + 1)], [1] * (n + 1)))
+    )
+    assert verify_descriptor(mutant).passed
+    shared, _ = _route_overlap(mutant)
+    assert "multiharm.identities._convolution" in shared
+
+
+def test_two_sides_that_read_series_fail_the_trace():
+    desc = identities.get_identity("hn2_closed")
+    mutant = replace(
+        desc,
+        lhs=lambda n: series.gf_harmonic_like(2, n)[n],
+        rhs=lambda n: series.power_of_one_minus(1, 0, n)[0] * (harmonic(n) ** 2 - harmonic_order(n, 2)),
+    )
+    assert verify_descriptor(mutant).passed
+    assert _route_overlap(mutant)[1] == {"lhs", "rhs"}
 
 
 def _cw(k, p):
     return F(binomial(2 * (k + p), k + p) * binomial(k + p, k), 4**k)
 
 
-#: Each side that reads a memo, next to the literal sum it replaced (its
-#: former form, kept as a reference), and the parameters it takes besides n.
+def _binomial_sum_reference(a, b, m, n):
+    # sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (a+b)^k ((m-j)!/(n-k)!) (-1)^(n-k) b^(n-k) s(n-k,m-j)
+    return exact_sum(
+        binomial(m, j) * harmonic_like(k, j) * (a + b) ** k * F(factorial(m - j), factorial(n - k))
+        * (-b) ** (n - k) * stirling1(n - k, m - j)
+        for j in range(m + 1)
+        for k in range(n + 1)
+    )
+
+
+def _short_form_reference(a, b, n, lead, c, weight):
+    # lead (a+b)^n + c sum_{k=1..n} (a+b)^(n-k) b^k weight(k) / k
+    return lead * (a + b) ** n + c * exact_sum((a + b) ** (n - k) * b**k * weight(k) / k for k in range(1, n + 1))
+
+
+def _harmonic_tail(s):
+    return exact_sum(harmonic(s - l) / l for l in range(1, s + 1))
+
+
+#: Each column side, and each side that reads a memo, next to the literal
+#: per-point sum it replaced (its former form, kept as a reference), and the
+#: parameters it takes besides n.
 FORMER = {
+    ("main_id1", "rhs"): (_binomial_sum_reference, "abm"),
+    ("remark_m1", "rhs"): (
+        lambda a, b, n: harmonic(n) * (a + b) ** n
+        - exact_sum((a + b) ** k * b ** (n - k) / (n - k) for k in range(n)),
+        "ab",
+    ),
+    ("cor_id4", "rhs"): (
+        lambda a, b, n: _short_form_reference(
+            a, b, n, harmonic_like(n, 2), 2, lambda k: harmonic(k - 1) - harmonic(n - k)
+        ),
+        "ab",
+    ),
+    ("cor_id5", "rhs"): (
+        lambda a, b, n: _short_form_reference(
+            a, b, n, harmonic_like(n, 3), -3,
+            lambda k: harmonic(k - 1) ** 2 - harmonic_order(k - 1, 2) - 2 * harmonic(k - 1) * harmonic(n - k)
+            + harmonic(n - k) ** 2 - harmonic_order(n - k, 2),
+        ),
+        "ab",
+    ),
+    ("cor_id3", "rhs"): (lambda m, n: _binomial_sum_reference(F(1), F(1), m, n), "m"),
     ("thm_kollar", "lhs"): (
         lambda r, m, n: exact_sum(
             (-1) ** k
@@ -422,9 +526,7 @@ FORMER = {
         "r",
     ),
     ("hn3_double", "rhs"): (
-        lambda n: exact_sum(
-            F(1, j) * exact_sum(harmonic(n - j - l) / l for l in range(1, n - j + 1)) for j in range(1, n + 1)
-        ),
+        lambda n: exact_sum(F(1, j) * _harmonic_tail(n - j) for j in range(1, n + 1)),
         "",
     ),
     ("thm_o107dby", "lhs"): (
@@ -471,20 +573,15 @@ FORMER = {
         "",
     ),
     ("thm_hnp1_m2", "rhs"): (
-        lambda n: F(1, 2)
-        * exact_sum(
-            F(1, k) * exact_sum(harmonic(n + 1 - k - j) / j for j in range(1, n + 2 - k)) for k in range(1, n + 2)
-        ),
+        lambda n: F(1, 2) * exact_sum(F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
         "",
     ),
     ("har_helper", "lhs"): (lambda p, n: exact_sum(F(1, k * (k + p)) for k in range(1, n + 1)), "p"),
     ("thm_kk1_m2", "rhs"): (
         lambda n: harmonic(n) ** 2
         - harmonic_order(n, 2)
-        + exact_sum(F(1, k) * exact_sum(harmonic(n - k - j) / j for j in range(1, n - k + 1)) for k in range(1, n + 1))
-        - exact_sum(
-            F(1, k) * exact_sum(harmonic(n + 1 - k - j) / j for j in range(1, n + 2 - k)) for k in range(1, n + 2)
-        ),
+        + exact_sum(F(1, k) * _harmonic_tail(n - k) for k in range(1, n + 1))
+        - exact_sum(F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
         "",
     ),
     ("thm_hyphar", "lhs"): (
@@ -493,13 +590,24 @@ FORMER = {
         ),
         "mp",
     ),
+    ("thm_hyphar", "rhs"): (
+        lambda m, p, n: exact_sum(binomial(k + p, k) * harmonic_like(n - k, m + 1) for k in range(n + 1)),
+        "mp",
+    ),
     ("thm_hyphar_m0", "lhs"): (
         lambda p, n: exact_sum(binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)),
         "p",
     ),
+    ("thm_hyphar_m0", "rhs"): (lambda p, n: exact_sum(binomial(k + p, k) * harmonic(n - k) for k in range(n + 1)), "p"),
     ("thm_hyphar_m1", "lhs"): (
         lambda p, n: exact_sum(
             binomial(k + p, k) * harmonic(n - k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)
+        ),
+        "p",
+    ),
+    ("thm_hyphar_m1", "rhs"): (
+        lambda p, n: exact_sum(
+            binomial(k + p, k) * (harmonic(n - k) ** 2 - harmonic_order(n - k, 2)) for k in range(n + 1)
         ),
         "p",
     ),
@@ -507,10 +615,29 @@ FORMER = {
         lambda p, n: exact_sum(_cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)),
         "p",
     ),
+    ("thm_odd_id1", "rhs"): (
+        lambda m, n: exact_sum(binomial(2 * k, k) * harmonic_like(n - k, m + 1) / 4**k for k in range(n + 1)) / 2,
+        "m",
+    ),
+    ("thm_odd_id1_m0", "rhs"): (
+        lambda n: exact_sum(binomial(2 * k, k) * harmonic(n - k) / 4**k for k in range(n + 1)) / 2,
+        "",
+    ),
+    ("thm_odd_id1_m1", "rhs"): (
+        lambda n: exact_sum(
+            binomial(2 * k, k) * (harmonic(n - k) ** 2 - harmonic_order(n - k, 2)) / 4**k for k in range(n + 1)
+        )
+        / 2,
+        "",
+    ),
     ("thm_general_p", "lhs"): (
         lambda m, p, n: exact_sum(
             _cw(k, p) * harmonic_like(n - k, m) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(n + 1)
         ),
+        "mp",
+    ),
+    ("thm_general_p", "rhs"): (
+        lambda m, p, n: exact_sum(_cw(k, p) * harmonic_like(n - k, m + 1) for k in range(n + 1)) / 2,
         "mp",
     ),
     ("thm_xld8bhi", "lhs"): (lambda p, n: exact_sum(k * hyperharmonic(k, p) for k in range(1, n + 1)), "p"),
@@ -530,9 +657,12 @@ FORMER = {
     ),
 }
 
-#: Parameters off the registry grids: any small rational r, m and p past their ranges.
+#: Parameters off the registry grids: any small rational r, a and b, m and p past their ranges.
+_RATIONAL = st.fractions(-4, 4, max_denominator=9)
 OFF_GRID = {
-    "r": st.fractions(-4, 4, max_denominator=9),
+    "r": _RATIONAL,
+    "a": _RATIONAL,
+    "b": _RATIONAL,
     "m": st.integers(0, 6),
     "p": st.integers(0, 9),
 }
@@ -556,25 +686,42 @@ def test_every_side_that_reads_a_memo_has_a_former_form():
         desc = identities.get_identity(ident)
         for side in ("lhs", "rhs"):
             _reset_memos()
-            evaluate = getattr(desc, side)
-            for binding in desc.bindings({"n": 3}):
-                evaluate(**binding)
-            if any(_entries(memo) for memo in MEMOS):
+            _evaluate_side(desc, side, {"n": 3})
+            if any(memo.cache_info().currsize for memo in MEMOS):
                 readers.add((ident, side))
-    assert readers == set(FORMER)
+    assert readers and COLUMN_SIDES
+    assert readers | set(COLUMN_SIDES) <= set(FORMER)
 
 
 @pytest.mark.parametrize("ident, side", sorted(FORMER), ids=[f"{ident}-{side}" for ident, side in sorted(FORMER)])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), queries=N_QUERIES, cold=st.booleans())
 def test_a_side_with_memos_equals_its_former_sum(ident, side, data, queries, cold):
+    """Every column side, and every side that reads a memo, equals the literal per-point sum it replaced."""
     former, names = FORMER[ident, side]
     params = {name: data.draw(OFF_GRID[name], label=name) for name in names}
-    evaluate = getattr(identities.get_identity(ident), side)
+    desc = identities.get_identity(ident)
+    evaluate = getattr(desc, side)
     if cold:
         _reset_memos()
+        sequences.clear_caches()
     for n in queries:
-        assert evaluate(**params, n=n) == former(**params, n=n), n
+        value = evaluate(**params, n=n)
+        if side in desc.columns:
+            assert len(value) == n + 1
+            value = value[n]
+        assert value == former(**params, n=n), n
+
+
+@pytest.mark.parametrize("ident, side", COLUMN_SIDES, ids=[f"{ident}-{side}" for ident, side in COLUMN_SIDES])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), top=st.integers(0, 45))
+def test_a_column_side_extends_its_shorter_columns(ident, side, data, top):
+    params = {name: data.draw(OFF_GRID[name], label=name) for name in FORMER[ident, side][1]}
+    column = getattr(identities.get_identity(ident), side)
+    full = column(**params, n=top)
+    n = data.draw(st.integers(0, top), label="n")
+    assert full[: n + 1] == column(**params, n=n)
 
 
 def test_threads_verifying_identities_with_memos_give_the_serial_reports():
@@ -604,6 +751,35 @@ def test_threads_verifying_identities_with_memos_give_the_serial_reports():
     assert not any(thread.is_alive() for thread in threads)
     for done in reports:
         assert _untimed([done[ident] for ident in ids]) == serial
+
+
+def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
+    # the running sums of thm_kollar, both sides columns, read while the memos and tables they read are emptied
+    kollar = identities.get_identity("thm_kollar")
+    reads = [(side, run[-1]) for side in (kollar.lhs, kollar.rhs) for run in identities._runs(kollar, None)]
+    _reset_memos()
+    serial = [side(**binding) for side, binding in reads]
+
+    def clear():
+        _reset_memos()
+        sequences.clear_caches()
+
+    clear()
+
+    def reader(seed):
+        order = random.Random(seed).sample(range(len(reads)), len(reads))
+        return [i for i in order if reads[i][0](**reads[i][1]) != serial[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside reads, growth and clears
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(reader, seed) for seed in range(4)]
+            while not all(future.done() for future in readers):
+                clear()
+            assert [future.result(timeout=120) for future in readers] == [[]] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +836,8 @@ def forks(monkeypatch):
     spy.close()
 
 
-def _entry(ident, lhs, rhs=lambda n: F(n), section="t"):
-    return IdentityDescriptor(ident, ident, ident, {"n": range(1, 4)}, lhs, rhs, section)
+def _entry(ident, lhs, rhs=lambda n: F(n), section="t", columns=()):
+    return IdentityDescriptor(ident, ident, ident, {"n": range(1, 4)}, lhs, rhs, section, columns)
 
 
 def _fine(ident):
@@ -707,6 +883,24 @@ def test_a_raising_entry_on_a_workers_share_raises_the_serial_exception(monkeypa
         return F(1, 0)
 
     entries = [_entry("a_raising", lhs), _fine("b_fine"), _fine("c_fine")]
+    monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
+    with pytest.raises(ZeroDivisionError) as serial:
+        verify_all()
+    forks.hold = True
+    with pytest.raises(ZeroDivisionError) as forked:
+        verify_all(jobs=2)
+    assert forks.calls == 1
+    _no_child_left()
+    assert str(forked.value) == str(serial.value)
+    assert capfd.readouterr() == ("", "")  # the worker wrote nothing
+
+
+def test_a_raising_column_side_on_a_workers_share_raises_the_serial_exception(monkeypatch, forks, capfd):
+    def lhs(n):
+        forks.mark()
+        return [F(i, n - 3) for i in range(n + 1)]  # raises at the run's top, n = 3
+
+    entries = [_entry("a_raising", lhs, columns=("lhs",)), _fine("b_fine"), _fine("c_fine")]
     monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
     with pytest.raises(ZeroDivisionError) as serial:
         verify_all()

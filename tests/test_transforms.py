@@ -42,75 +42,95 @@ def test_direct_sum_spot_values():
 
 
 def test_closed_form_spot_values():
-    assert binomial_sum_closed(-1, 1, 2, 3) == 1
-    assert binomial_sum_closed(1, 1, 1, 2) == F(7, 2)
+    assert binomial_sum_closed(-1, 1, 2, 3)[3] == 1
+    assert binomial_sum_closed(1, 1, 1, 2)[2] == F(7, 2)
     for a, b in AB_FIXTURES:
-        for n in range(6):
-            assert binomial_sum_closed(a, b, 0, n) == (a + b) ** n
+        assert binomial_sum_closed(a, b, 0, 5) == [(a + b) ** n for n in range(6)]
 
 
 def test_closed_form_matches_direct_smoke_grid():
     for a, b in AB_FIXTURES:
         for m in range(4):
-            for n in range(13):
-                assert binomial_sum_closed(a, b, m, n) == binomial_sum_direct(a, b, m, n)
+            assert binomial_sum_closed(a, b, m, 12) == [binomial_sum_direct(a, b, m, n) for n in range(13)]
 
 
 def test_m1_examples():
-    assert binomial_sum_m1(1, 1, 2) == F(7, 2)
-    assert binomial_sum_m1(1, -1, 3) == binomial_sum_direct(1, -1, 1, 3) == F(1, 3)
+    assert binomial_sum_m1(1, 1, 2)[2] == F(7, 2)
+    assert binomial_sum_m1(1, -1, 3)[3] == binomial_sum_direct(1, -1, 1, 3) == F(1, 3)
     for a in (F(2), F(1, 2), F(-3)):
-        for n in range(8):
-            assert binomial_sum_m1(a, 0, n) == harmonic(n) * a**n
+        assert binomial_sum_m1(a, 0, 7) == [harmonic(n) * a**n for n in range(8)]
 
 
 def test_m2_examples():
-    assert binomial_sum_m2(1, 1, 2) == 1
+    assert binomial_sum_m2(1, 1, 2)[2] == 1
     # (2/n) H_{n-1} at n = 3
-    assert binomial_sum_m2(-1, 1, 3) == F(2, 3) * harmonic(2) == 1
+    assert binomial_sum_m2(-1, 1, 3)[3] == F(2, 3) * harmonic(2) == 1
     for a in (F(2), F(1, 2), F(-3)):
-        for n in range(8):
-            assert binomial_sum_m2(a, 0, n) == harmonic_like(n, 2) * a**n
+        assert binomial_sum_m2(a, 0, 7) == [harmonic_like(n, 2) * a**n for n in range(8)]
 
 
 def test_m3_examples():
     for a in (F(2), F(1, 2), F(-3)):
-        for n in range(8):
-            assert binomial_sum_m3(a, 0, n) == harmonic_like(n, 3) * a**n
-    assert binomial_sum_m3(1, 1, 4) == binomial_sum_direct(1, 1, 3, 4)
+        assert binomial_sum_m3(a, 0, 7) == [harmonic_like(n, 3) * a**n for n in range(8)]
+    assert binomial_sum_m3(1, 1, 4)[4] == binomial_sum_direct(1, 1, 3, 4)
     # alternating case collapses to (-1)^n (3!/n!) s(n,3) at n = 4
     expected = F(6, 24) * stirling1(4, 3)
-    assert binomial_sum_m3(-1, 1, 4) == binomial_sum_direct(-1, 1, 3, 4) == expected == F(-3, 2)
+    assert binomial_sum_m3(-1, 1, 4)[4] == binomial_sum_direct(-1, 1, 3, 4) == expected == F(-3, 2)
 
 
 def test_specializations_match_closed_form_smoke_grid():
     for a, b in AB_FIXTURES:
-        for n in range(13):
-            assert binomial_sum_m1(a, b, n) == binomial_sum_closed(a, b, 1, n)
-            assert binomial_sum_m2(a, b, n) == binomial_sum_closed(a, b, 2, n)
-            assert binomial_sum_m3(a, b, n) == binomial_sum_closed(a, b, 3, n)
+        assert binomial_sum_m1(a, b, 12) == binomial_sum_closed(a, b, 1, 12)
+        assert binomial_sum_m2(a, b, 12) == binomial_sum_closed(a, b, 2, 12)
+        assert binomial_sum_m3(a, b, 12) == binomial_sum_closed(a, b, 3, 12)
 
 
 _SCALARS = st.fractions(min_value=-7, max_value=7, max_denominator=9)
 
+#: The closed routes by m: each returns the column of values at 0..n.
+_COLUMNS = {
+    None: binomial_sum_closed,
+    1: lambda a, b, m, n: binomial_sum_m1(a, b, n),
+    2: lambda a, b, m, n: binomial_sum_m2(a, b, n),
+    3: lambda a, b, m, n: binomial_sum_m3(a, b, n),
+}
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.tuples(_SCALARS, _SCALARS).filter(lambda ab: ab not in AB_FIXTURES),
-    st.integers(0, 4),
-    st.integers(0, 12),
-)
-@example((F(1, 2), F(-1, 2)), 4, 12)  # a + b = 0
-@example((F(0), F(-5, 3)), 3, 12)  # a = 0
-@example((F(-7, 9), F(0)), 2, 12)  # b = 0
-@example((F(7), F(7)), 4, 12)
-def test_routes_agree_off_the_fixture_pairs(ab, m, n):
-    a, b = ab
-    direct = binomial_sum_direct(a, b, m, n)
-    assert binomial_sum_closed(a, b, m, n) == direct
-    specialization = {1: binomial_sum_m1, 2: binomial_sum_m2, 3: binomial_sum_m3}.get(m)
-    if specialization is not None:
-        assert specialization(a, b, n) == direct
+
+def _columns_match_the_literal_sum(columns):
+    """A check that each route of ``columns`` equals ``binomial_sum_direct`` at
+    every index of its column, at (a, b) off the fixture pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(_SCALARS, _SCALARS).filter(lambda ab: ab not in AB_FIXTURES),
+        st.integers(0, 4),
+        st.integers(0, 30),
+    )
+    @example((F(1, 2), F(-1, 2)), 4, 30)  # a + b = 0
+    @example((F(0), F(-5, 3)), 3, 30)  # a = 0
+    @example((F(-7, 9), F(0)), 2, 30)  # b = 0
+    @example((F(-3, 2), F(0)), 3, 30)  # b = 0
+    @example((F(7), F(7)), 4, 12)
+    def check(ab, m, n):
+        a, b = ab
+        direct = [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
+        assert columns[None](a, b, m, n) == direct
+        if m in columns:
+            assert columns[m](a, b, m, n) == direct
+
+    return check
+
+
+def test_routes_agree_off_the_fixture_pairs():
+    _columns_match_the_literal_sum(_COLUMNS)()
+
+
+@pytest.mark.parametrize("m", [None, 1, 2, 3])
+def test_a_column_offset_by_one_index_fails_the_literal_sum_check(m):
+    # mutant: the value at n is the route's value at n + 1
+    shifted = {**_COLUMNS, m: lambda a, b, m_, n: _COLUMNS[m](a, b, m_, n + 1)[1:]}
+    with pytest.raises(AssertionError):
+        _columns_match_the_literal_sum(shifted)()
 
 
 def test_signed_transform_spot_values():
@@ -245,11 +265,12 @@ _RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(-9, 9).filter(bool))
 
 @pytest.mark.parametrize("route, reference", [
     pytest.param(binomial_sum_direct, direct_reference, id="direct"),
-    pytest.param(binomial_sum_closed, closed_reference, id="closed"),
+    # the closed routes return the column 0..n; its last value is compared
+    pytest.param(lambda a, b, m, n: binomial_sum_closed(a, b, m, n)[n], closed_reference, id="closed"),
     # the specializations have a fixed m; the drawn m is not read
-    pytest.param(lambda a, b, m, n: binomial_sum_m1(a, b, n), lambda a, b, m, n: m1_reference(a, b, n), id="m1"),
-    pytest.param(lambda a, b, m, n: binomial_sum_m2(a, b, n), lambda a, b, m, n: m2_reference(a, b, n), id="m2"),
-    pytest.param(lambda a, b, m, n: binomial_sum_m3(a, b, n), lambda a, b, m, n: m3_reference(a, b, n), id="m3"),
+    pytest.param(lambda a, b, m, n: binomial_sum_m1(a, b, n)[n], lambda a, b, m, n: m1_reference(a, b, n), id="m1"),
+    pytest.param(lambda a, b, m, n: binomial_sum_m2(a, b, n)[n], lambda a, b, m, n: m2_reference(a, b, n), id="m2"),
+    pytest.param(lambda a, b, m, n: binomial_sum_m3(a, b, n)[n], lambda a, b, m, n: m3_reference(a, b, n), id="m3"),
 ])
 def test_route_matches_its_fraction_loop(route, reference):
     @settings(max_examples=40, deadline=None)
@@ -277,22 +298,23 @@ _short_form = transforms._short_form
 
 
 def _denominator_times_y(x, y, n):
-    us_pow, rv_pow, scale = _pair_powers(x, y, n)
-    return us_pow, rv_pow, scale * F(y).denominator
+    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
+    return us_pow, rv_pow, [scale * F(y).denominator for scale in vs_pow]
 
 
 def _denominator_times_x(x, y, n):
-    us_pow, rv_pow, scale = _pair_powers(x, y, n)
-    return us_pow, rv_pow, scale * F(x).denominator
+    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
+    return us_pow, rv_pow, [scale * F(x).denominator for scale in vs_pow]
 
 
 def _swapped_powers(x, y, n):
-    us_pow, rv_pow, scale = _pair_powers(x, y, n)
-    return rv_pow, us_pow, scale
+    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
+    return rv_pow, us_pow, vs_pow
 
 
-def _first_weight_doubled(a, b, m, lead, c, weights):
-    return _short_form(a, b, m, lead, c, [2 * w if k == 0 else w for k, w in enumerate(weights)])
+def _first_weight_doubled(a, b, m, lead, c, pairs):
+    # doubles the weight w(n, 1) of every n: the factor y[0] of each pair
+    return _short_form(a, b, m, lead, c, [(x, [2 * y[0], *y[1:]] if y else y) for x, y in pairs])
 
 
 @pytest.mark.parametrize("identity_id", _BINOMIAL_SUM_IDS)
