@@ -32,9 +32,10 @@ run's last n, and still compares the sides point by point in grid order.  A
 column side is a sum of Cauchy products along n, each a schoolbook convolution
 of integers (``_convolution``), or, where its summand does not depend on n,
 the running sums of ``itertools.accumulate``.  No function of this module is
-called by both sides of one identity.  A weight that a point side reads across
-the grid is cached by exactly its indices and listed in ``_MEMOS``; it holds
-exact values that never change, so it changes no report, only ``elapsed_ms``.
+called by both sides of one identity.  A weight or inner sum that a point side
+reads across its grid is cached by exactly its indices and listed in
+``_MEMOS``; it holds exact values that never change, so it changes no report,
+only ``elapsed_ms``.
 
 A side that sums products passes each term to ``_fsum``
 (:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
@@ -446,7 +447,7 @@ def _central_halves(n: int, p: int = 0) -> list[Fraction]:
 
 def _harmonic_tails(n: int) -> list[Fraction]:
     # sum_{k=1..s} (1/k) sum_{l=1..s-k} H_{s-k-l}/l for s = 0..n: the double sum
-    # of the right sides of hn3_double and thm_kk1_m2, inner sum first
+    # of the right sides of hn3_double, thm_hnp1_m2 and thm_kk1_m2, inner sum first
     reciprocals = [0, *(Fraction(1, k) for k in range(1, n + 1))]
     return _convolution((reciprocals, _convolution(([harm(i) for i in range(n + 1)], reciprocals))))
 
@@ -463,12 +464,11 @@ def _stirling_steps(n: int, m: int) -> list[Fraction]:
     ]
 
 
-def _harmonic_steps(n: int) -> list[Fraction]:
-    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j for s = 0..n: the inner sum of
-    # thm_kollar_m2 (s = k), thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k)
-    return [
-        _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2)) for s in range(n + 1)
-    ]
+@functools.cache
+def _harmonic_steps(s: int) -> Fraction:
+    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j: the inner sum of thm_kollar_m2 (s = k),
+    # thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k), whose left side reads it at every point
+    return _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2))
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -767,11 +767,9 @@ _REGISTRY = _build_registry({
             "2 sum_{k=1..n} H_k sum_{j=1..k} (-1)^j C(k-1,j-1) H_{j-1}/j = "
             "H_n^3 - H_n^(2) H_n - sum_{k=1..n} (H_{k-1}^2 - H_{k-1}^(2))/k",
             {"n": range(1, 26)},
-            # the inner sum is _harmonic_steps at k - 1, whose sum starts at j = 2:
+            # the inner sum is _harmonic_steps(k - 1), whose sum starts at j = 2:
             # the j = 1 term of the anchor is 0, since H_0 = 0
-            lambda n: list(
-                accumulate((2 * harm(k) * w for k, w in enumerate(_harmonic_steps(n - 1), 1)), initial=0)
-            ),
+            lambda n: list(accumulate((2 * harm(k) * _harmonic_steps(k - 1) for k in range(1, n + 1)), initial=0)),
             lambda n: harm(n) ** 3
             - harmonic_order(n, 2) * harm(n)
             - _fsum((harm(k - 1) ** 2 - harmonic_order(k - 1, 2), Fraction(1, k)) for k in range(1, n + 1)),
@@ -801,14 +799,10 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _convolution(([harm(k) for k in range(n + 1)], _harmonic_steps(n))),
-            lambda n: Fraction(1, 2)
-            * _fsum(
-                (Fraction(1, k), harm(n + 1 - k - j), Fraction(1, j))
-                for k in range(1, n + 2)
-                for j in range(1, n + 2 - k)
-            ),
-            columns=("lhs",),
+            lambda n: _fsum((harm(k), _harmonic_steps(n - k)) for k in range(1, n + 1)),
+            # the double sum at n + 1
+            lambda n: [tail / 2 for tail in _harmonic_tails(n + 1)[1:]],
+            columns=("rhs",),
         ),
         IdentityDescriptor(
             "har_helper",
@@ -901,7 +895,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n)))),
+            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * _harmonic_steps(k) for k in range(n + 1))),
             lambda r, n: [
                 ((-1) ** i * gbin(r - 1, i) * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
                 for i, total in enumerate(
@@ -1167,5 +1161,6 @@ _REGISTRY = _build_registry({
 })
 
 
-#: Every memo of this module, so that all of them can be reset: the cached weights of the point sides.
-_MEMOS: tuple = (_hyphar_weight, _odd_weight)
+#: Every memo of this module, so that all of them can be reset: the cached weights and inner sums that point
+#: sides read across their grids.
+_MEMOS: tuple = (_harmonic_steps, _hyphar_weight, _odd_weight)

@@ -250,26 +250,30 @@ def test_corrupted_evaluator_reports_smallest_failure():
 
 
 def test_corrupted_column_side_reports_the_smallest_failure():
-    # the same broken twin with the right side as a column over m = 0, 1, so the run of m = 1
-    # starts past the first failure; both sides read m only to make two runs
-    broken = IdentityDescriptor(
-        id="corrupted_column_fixture",
-        title="broken on purpose",
-        anchor="sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2 + [n>=3 and m = 1]/7",
-        grid={"m": range(2), "n": range(1, 11)},
-        lhs=lambda m, n: sum((harmonic(k - 1) / k for k in range(1, n + 1)), F(0)),
-        rhs=lambda m, n: [
-            (harmonic(i) ** 2 - harmonic_order(i, 2)) / 2 + (F(1, 7) if i >= 3 and m == 1 else 0)
-            for i in range(n + 1)
-        ],
-        columns=("rhs",),
-    )
-    report = verify_descriptor(broken)
-    assert not report.passed
-    assert report.cases == 20
-    assert report.first_failure["binding"] == {"m": 1, "n": 3}
-    lhs, rhs = F(report.first_failure["lhs"]), F(report.first_failure["rhs"])
-    assert rhs - lhs == F(1, 7)
+    # the broken twin above with its right side as a column; then over m = 0, 1 with the
+    # corruption at m = 1 only, so the failing run starts after a passing one
+    def rhs(m, n):
+        return [(harmonic(i) ** 2 - harmonic_order(i, 2)) / 2 + (F(1, 7) if i >= 3 and m else 0) for i in range(n + 1)]
+
+    for grid, cases, smallest in [
+        ({"n": range(1, 11)}, 10, {"n": 3}),
+        ({"m": range(2), "n": range(1, 11)}, 20, {"m": 1, "n": 3}),
+    ]:
+        broken = IdentityDescriptor(
+            id="corrupted_column_fixture",
+            title="broken on purpose",
+            anchor="sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2 + [n>=3]/7",
+            grid=grid,
+            lhs=lambda n, m=1: sum((harmonic(k - 1) / k for k in range(1, n + 1)), F(0)),
+            rhs=lambda n, m=1: rhs(m, n),
+            columns=("rhs",),
+        )
+        report = verify_descriptor(broken)
+        assert not report.passed
+        assert report.cases == cases
+        assert report.first_failure["binding"] == smallest
+        lhs, rhs_value = F(report.first_failure["lhs"]), F(report.first_failure["rhs"])
+        assert rhs_value - lhs == F(1, 7)
 
 
 def test_reports_are_deterministic_apart_from_timing():
@@ -689,9 +693,7 @@ def test_every_side_that_reads_a_memo_has_a_former_form():
             _evaluate_side(desc, side, {"n": 3})
             if any(memo.cache_info().currsize for memo in MEMOS):
                 readers.add((ident, side))
-    # thm_hnp1_m2's right side read a memo before column sides replaced the memos, and is a point sum now
-    assert set(FORMER) - readers - set(COLUMN_SIDES) == {("thm_hnp1_m2", "rhs")}
-    assert readers | set(COLUMN_SIDES) <= set(FORMER)
+    assert readers | set(COLUMN_SIDES) == set(FORMER)
 
 
 @pytest.mark.parametrize("ident, side", sorted(FORMER), ids=[f"{ident}-{side}" for ident, side in sorted(FORMER)])
