@@ -23,19 +23,18 @@ across processes without one route depending on another: ``verify_all(...,
 jobs=N)`` forks up to N - 1 workers (see :func:`_verify_forked`).  Every
 library call is serial in the calling process unless it passes ``jobs``.
 
-A side is a point side, called with the bindings of each grid point, or a
-column side, named in the entry's ``columns``: called with the bindings of the
-other axes and a top index n, it returns its values at 0..n in order.  n must
-then be the last grid axis, so the grid is a sequence of runs that differ only
-in n; :func:`verify_descriptor` calls a column side once per run, up to the
-run's last n, and still compares the sides point by point in grid order.  A
-column side is a sum of Cauchy products along n, each a schoolbook convolution
-of integers (``_convolution``), or, where its summand does not depend on n,
-the running sums of ``itertools.accumulate``.  No function of this module is
-called by both sides of one identity.  A weight or inner sum that a point side
-reads across its grid is cached by exactly its indices and listed in
-``_MEMOS``; it holds exact values that never change, so it changes no report,
-only ``elapsed_ms``.
+A side is a point side, which returns its value at the bindings it is called
+with, or a column side, which returns a ``list``: its values at 0..n in order
+for the top index n it is called with.  A side is known by its value alone.
+:func:`verify_descriptor` splits the grid into runs of consecutive bindings
+that differ only in n, calls each side once with a run's last binding, and
+calls a point side again at the run's other bindings; it still compares the
+sides point by point in grid order.  A column side is a sum of Cauchy products
+along n, each a schoolbook convolution of integers (``_convolution``) or one
+``_fsum`` of product tuples per value, or, where its summand does not depend
+on n, the running sums of ``itertools.accumulate``.  No function of this
+module is called by both sides of one identity, and the module keeps no memo:
+a weight or inner sum that a side reads along n is an uncached column helper.
 
 A side that sums products passes each term to ``_fsum``
 (:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
@@ -59,7 +58,6 @@ Anchor strings state each identity in plain ASCII with this notation:
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -111,8 +109,8 @@ class IdentityDescriptor:
     """One catalog entry: two independent evaluators over a parameter grid.
 
     ``section`` is set by the registry from the section an entry is listed
-    under; it is what ``verify_all(tag=...)`` selects on.  ``columns`` names
-    the sides, ``"lhs"`` or ``"rhs"``, that are column sides (see the module
+    under; it is what ``verify_all(tag=...)`` selects on.  ``lhs`` and
+    ``rhs`` are each a point side or a column side (see the module
     docstring).
     """
 
@@ -123,7 +121,6 @@ class IdentityDescriptor:
     lhs: Callable[..., Any]
     rhs: Callable[..., Any]
     section: str = ""
-    columns: tuple[str, ...] = ()
 
     def bindings(self, overrides: Mapping[str, int] | None = None) -> Iterator[dict[str, Any]]:
         overrides = overrides or {}
@@ -179,19 +176,19 @@ def _json_value(v: Any) -> Any:
 
 
 def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[list[dict[str, Any]]]:
-    """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in the last axis."""
+    """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in n."""
     bindings = desc.bindings(overrides)
-    return (list(run) for _, run in itertools.groupby(bindings, lambda binding: list(binding.values())[:-1]))
+    return (list(run) for _, run in itertools.groupby(bindings, lambda b: [v for k, v in b.items() if k != "n"]))
 
 
 def _evaluate(desc: IdentityDescriptor, side: str, run: list[dict[str, Any]]) -> Iterable[RationalLike]:
-    """The values of ``desc``'s side ``side`` ("lhs" or "rhs") at each binding of ``run``: a point
-    side is called at each binding, a column side once, with the last binding, whose n is the run's top."""
+    """The values of ``desc``'s side ``side`` ("lhs" or "rhs") at each binding of ``run``: called with the
+    last binding, whose n is the run's top, a column side returns a list; a point side is called again at the others."""
     evaluate = getattr(desc, side)
-    if side not in desc.columns:
-        return (evaluate(**binding) for binding in run)
-    column = evaluate(**run[-1])
-    return [column[binding["n"]] for binding in run]
+    top = evaluate(**run[-1])
+    if isinstance(top, list):
+        return [top[binding["n"]] for binding in run]
+    return itertools.chain((evaluate(**binding) for binding in run[:-1]), [top])
 
 
 def verify_descriptor(
@@ -369,11 +366,11 @@ def verify_all(
     ``elapsed_ms``, which is the wall time of one identity in whichever
     process verified it, so the values need not add up to the wall time of
     the run.  ``elapsed_ms`` also depends on which identities ran earlier in
-    the same process, since those may have filled memos this one reads.  No
-    worker outlives the run.  The run stays serial where ``os.fork`` is
-    missing or other threads are running.  The default, 1, verifies every
-    identity in this process, so in-process instrumentation sees every
-    evaluation.
+    the same process, since those may have grown the sequence tables this
+    one reads; this module keeps no memo.  No worker outlives the run.  The
+    run stays serial where ``os.fork`` is missing or other threads are
+    running.  The default, 1, verifies every identity in this process, so
+    in-process instrumentation sees every evaluation.
     """
     descs = [desc for _, desc in sorted(_REGISTRY.items()) if tag is None or desc.section == tag]
     return _verify("the registry" if tag is None else f"tag {tag!r}", descs, overrides or {}, jobs)
@@ -404,17 +401,15 @@ def _cw(k: int, p: int) -> Fraction:
     return Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 4**k)
 
 
-@functools.cache
-def _hyphar_weight(k: int, p: int) -> Fraction:
-    # C(k+p,k) (H_{k+p} - H_p): the weight of the left sides of the thm_hyphar family
-    return comb(k + p, k) * (harm(k + p) - harm(p))
+def _hyphar_weights(n: int, p: int) -> list[Fraction]:
+    # C(k+p,k) (H_{k+p} - H_p) for k = 0..n: the weight of the left sides of the thm_hyphar family
+    return [comb(k + p, k) * (harm(k + p) - harm(p)) for k in range(n + 1)]
 
 
-@functools.cache
-def _odd_weight(k: int, p: int) -> Fraction:
-    # C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p)/4^k: the weight of the left sides of
-    # thm_suzj3to, thm_general_p and thm_k_weighted_half
-    return _cw(k, p) * (oddh(k + p) - oddh(p))
+def _odd_weights(n: int, p: int) -> list[Fraction]:
+    # C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p)/4^k for k = 0..n: the weight of the
+    # left sides of thm_suzj3to, thm_general_p and thm_k_weighted_half
+    return [_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(n + 1)]
 
 
 def _integers(values: list[RationalLike]) -> tuple[list[int], int]:
@@ -437,6 +432,12 @@ def _convolution(*pairs: tuple[list[RationalLike], list[RationalLike]]) -> list[
         products.append(([sum(map(mul, f, reversed(g[: i + 1]))) for i in range(len(f))], f_den * g_den))
     common = math.lcm(*[den for _, den in products])
     return [Fraction(sum(p[i] * (common // den) for p, den in products), common) for i in range(len(products[0][0]))]
+
+
+def _products(f: list[RationalLike], g: list[RationalLike]) -> list[Fraction]:
+    # sum_{k=0..i} f[k] g[i-k] at each index i as one _fsum of product tuples: the literal form
+    # of the left sides' Cauchy products, whose right sides are _convolution columns
+    return [_fsum(zip(f, g[i::-1])) for i in range(len(f))]
 
 
 def _central_halves(n: int, p: int = 0) -> list[Fraction]:
@@ -464,11 +465,15 @@ def _stirling_steps(n: int, m: int) -> list[Fraction]:
     ]
 
 
-@functools.cache
-def _harmonic_steps(s: int) -> Fraction:
-    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j: the inner sum of thm_kollar_m2 (s = k),
-    # thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k), whose left side reads it at every point
-    return _fsum(((-1) ** j, comb(s, j - 1), harm(j - 1), Fraction(1, j)) for j in range(2, s + 2))
+def _harmonic_steps(n: int) -> list[Fraction]:
+    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j for s = 0..n, each an integer over
+    # L^2 with L = lcm(1..n+1): the inner sum of thm_kollar_m2 (s = k),
+    # thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k)
+    big = math.lcm(*range(1, n + 2))
+    # (-1)^j (L H_{j-1}) (L/j), an integer, at index j - 1 for j = 1..n+1
+    hs = map(harm, range(n + 1))
+    terms = [(-1) ** j * h.numerator * (big // h.denominator) * (big // j) for j, h in enumerate(hs, 1)]
+    return [Fraction(sum(comb(s, j - 1) * terms[j - 1] for j in range(2, s + 2)), big * big) for s in range(n + 1)]
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -477,8 +482,6 @@ def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[st
         for desc in entries:
             if desc.id in registry:
                 raise ValueError(f"duplicate identity id: {desc.id}")
-            if desc.columns and list(desc.grid)[-1] != "n":
-                raise ValueError(f"column side of {desc.id}, whose last grid axis is not n")
             registry[desc.id] = replace(desc, section=section)
     return registry
 
@@ -500,7 +503,6 @@ _REGISTRY = _build_registry({
             {"n": range(0, 41)},
             lambda n: hlike(n, 3),
             lambda n: _harmonic_tails(n),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "stirling_s_n1",
@@ -528,7 +530,6 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "m": range(0, 5), "n": range(0, 26)},
             lambda a, b, m, n: binomial_sum_direct(a, b, m, n),
             lambda a, b, m, n: binomial_sum_closed(a, b, m, n),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "remark_m1",
@@ -537,7 +538,6 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 1, n),
             lambda a, b, n: binomial_sum_m1(a, b, n),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "cor_id1",
@@ -576,7 +576,6 @@ _REGISTRY = _build_registry({
                     for j in range(m + 1)
                 ),
             ),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "classical_Hk",
@@ -593,7 +592,6 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 2, n),
             lambda a, b, n: binomial_sum_m2(a, b, n),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "ex_Hk2_2n",
@@ -704,7 +702,6 @@ _REGISTRY = _build_registry({
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
             lambda a, b, n: binomial_sum_direct(a, b, 3, n),
             lambda a, b, n: binomial_sum_m3(a, b, n),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "stirling_s_n3",
@@ -751,7 +748,6 @@ _REGISTRY = _build_registry({
                 hlike(n, m) * harm(n) - _fsum((hlike(k - 1, m), Fraction(1, k)) for k in range(1, n + 1))
             )
             / fact(m),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_o107dby_m1",
@@ -767,13 +763,12 @@ _REGISTRY = _build_registry({
             "2 sum_{k=1..n} H_k sum_{j=1..k} (-1)^j C(k-1,j-1) H_{j-1}/j = "
             "H_n^3 - H_n^(2) H_n - sum_{k=1..n} (H_{k-1}^2 - H_{k-1}^(2))/k",
             {"n": range(1, 26)},
-            # the inner sum is _harmonic_steps(k - 1), whose sum starts at j = 2:
+            # the inner sum at k is _harmonic_steps(n - 1)[k - 1], whose sum starts at j = 2:
             # the j = 1 term of the anchor is 0, since H_0 = 0
-            lambda n: list(accumulate((2 * harm(k) * _harmonic_steps(k - 1) for k in range(1, n + 1)), initial=0)),
+            lambda n: list(accumulate((2 * harm(k) * w for k, w in enumerate(_harmonic_steps(n - 1), 1)), initial=0)),
             lambda n: harm(n) ** 3
             - harmonic_order(n, 2) * harm(n)
             - _fsum((harm(k - 1) ** 2 - harmonic_order(k - 1, 2), Fraction(1, k)) for k in range(1, n + 1)),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_hnp1",
@@ -783,7 +778,6 @@ _REGISTRY = _build_registry({
             # H_0 = 0, so the product may start at k = 0
             lambda m, n: _convolution(([harm(k) for k in range(n + 1)], _stirling_steps(n, m))),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_hnp1_m1",
@@ -799,10 +793,10 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=2..n-k+1} C(n-k,j-1) (-1)^j H_{j-1}/j = "
             "(1/2) sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _fsum((harm(k), _harmonic_steps(n - k)) for k in range(1, n + 1)),
+            # H_0 = 0, so each product may start at k = 0
+            lambda n: _products([harm(k) for k in range(n + 1)], _harmonic_steps(n)),
             # the double sum at n + 1
             lambda n: [tail / 2 for tail in _harmonic_tails(n + 1)[1:]],
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "har_helper",
@@ -811,7 +805,6 @@ _REGISTRY = _build_registry({
             {"p": range(0, 6), "n": range(1, 41)},
             lambda p, n: list(accumulate((Fraction(1, k * (k + p)) for k in range(1, n + 1)), initial=0)),
             lambda p, n: harmonic_order(n, 2) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "har_example_p0",
@@ -860,7 +853,6 @@ _REGISTRY = _build_registry({
                 harm(i) ** 2 - harmonic_order(i, 2) + tail - next_tail
                 for i, (tail, next_tail) in enumerate(pairwise(_harmonic_tails(n + 1)))
             ],
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_kollar",
@@ -875,7 +867,6 @@ _REGISTRY = _build_registry({
                 ((-1) ** i * gbin(r - 1, i) * hlike(i + 1, m) - total) / fact(m)
                 for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)))
             ],
-            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_kollar_m1",
@@ -887,7 +878,6 @@ _REGISTRY = _build_registry({
                 (-1) ** i * gbin(r - 1, i) * harm(i + 1) - total
                 for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)))
             ],
-            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_kollar_m2",
@@ -895,14 +885,13 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * _harmonic_steps(k) for k in range(n + 1))),
+            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n)))),
             lambda r, n: [
                 ((-1) ** i * gbin(r - 1, i) * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
                 for i, total in enumerate(
                     accumulate((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1))
                 )
             ],
-            columns=("lhs", "rhs"),
         ),
     ],
     "section4": [
@@ -911,29 +900,26 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution lifts HL level by one",
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
-            lambda m, p, n: _fsum((_hyphar_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
+            lambda m, p, n: _products(_hyphar_weights(n, p), harmonic_like_column(n, m)),
             lambda m, p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], harmonic_like_column(n, m + 1))),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_hyphar_m0",
             "hyperharmonic convolution, base case",
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: list(accumulate(_hyphar_weight(k, p) for k in range(n + 1))),
+            lambda p, n: list(accumulate(_hyphar_weights(n, p))),
             lambda p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], [harm(i) for i in range(n + 1)])),
-            columns=("lhs", "rhs"),
         ),
         IdentityDescriptor(
             "thm_hyphar_m1",
             "hyperharmonic convolution, harmonic case",
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: _fsum((_hyphar_weight(k, p), harm(n - k)) for k in range(n + 1)),
+            lambda p, n: _products(_hyphar_weights(n, p), [harm(k) for k in range(n + 1)]),
             lambda p, n: _convolution(
                 ([comb(k + p, k) for k in range(n + 1)], [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])
             ),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "czxfdu7_1",
@@ -1006,12 +992,11 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(1/2^(2n+1)) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 21), "n": range(0, 21)},
-            lambda p, n: list(accumulate((_odd_weight(k, p) for k in range(1, n + 1)), initial=0)),
+            lambda p, n: list(accumulate(_odd_weights(n, p)[1:], initial=0)),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 2 * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(p + 1)),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "oklok93",
@@ -1028,7 +1013,6 @@ _REGISTRY = _build_registry({
             {"m": range(0, 4), "n": range(0, 26)},
             lambda m, n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), hlike(n - k, m)) for k in range(n + 1)),
             lambda m, n: _convolution((_central_halves(n), harmonic_like_column(n, m + 1))),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m0",
@@ -1037,7 +1021,6 @@ _REGISTRY = _build_registry({
             {"n": range(0, 41)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(n + 1)),
             lambda n: _convolution((_central_halves(n), [harm(i) for i in range(n + 1)])),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m1",
@@ -1046,7 +1029,6 @@ _REGISTRY = _build_registry({
             {"n": range(0, 31)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), harm(n - k)) for k in range(n + 1)),
             lambda n: _convolution((_central_halves(n), [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "tb6ik5l",
@@ -1062,9 +1044,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m) (O_{k+p} - O_p) = "
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
-            lambda m, p, n: _fsum((_odd_weight(k, p), hlike(n - k, m)) for k in range(n + 1)),
+            lambda m, p, n: _products(_odd_weights(n, p), harmonic_like_column(n, m)),
             lambda m, p, n: _convolution((_central_halves(n, p), harmonic_like_column(n, m + 1))),
-            columns=("rhs",),
         ),
         IdentityDescriptor(
             "thm_general_p_m0",
@@ -1085,7 +1066,6 @@ _REGISTRY = _build_registry({
             {"p": range(0, 6), "n": range(1, 31)},
             lambda p, n: list(accumulate((k * hyp(k, p) for k in range(1, n + 1)), initial=0)),
             lambda p, n: n * hyp(n, p + 1) - hyp(n - 1, p + 2),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_k_weighted_half",
@@ -1094,7 +1074,7 @@ _REGISTRY = _build_registry({
             "(n/4^n) C(2(p+1),p+1)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1}) "
             "- (4/4^n) C(2(p+2),p+2)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n-1) (O_{n+p+1} - O_{p+2})",
             {"p": range(0, 6), "n": range(1, 26)},
-            lambda p, n: list(accumulate((k * _odd_weight(k, p) for k in range(1, n + 1)), initial=0)),
+            lambda p, n: list(accumulate((k * w for k, w in enumerate(_odd_weights(n, p)) if k), initial=0)),
             lambda p, n: Fraction(n * comb(2 * p, p), 4**n * comb(2 * (p + 1), p + 1))
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1103,7 +1083,6 @@ _REGISTRY = _build_registry({
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n - 1)
             * (oddh(n + p + 1) - oddh(p + 2)),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "thm_k_weighted_half_p0",
@@ -1139,7 +1118,6 @@ _REGISTRY = _build_registry({
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(n))
             - Fraction(comb(2 * (p + 1), p + 1), 4) * oddh(p + 1),
-            columns=("lhs",),
         ),
         IdentityDescriptor(
             "odd_even_split",
@@ -1160,7 +1138,3 @@ _REGISTRY = _build_registry({
     ],
 })
 
-
-#: Every memo of this module, so that all of them can be reset: the cached weights and inner sums that point
-#: sides read across their grids.
-_MEMOS: tuple = (_harmonic_steps, _hyphar_weight, _odd_weight)

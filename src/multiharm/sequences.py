@@ -16,9 +16,10 @@ exists it is exposed as a separate function so the two can be cross-checked:
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
 Every cached family has its own ``_LevelTable`` (``harmonic_order`` one per
-order r, in a ``_KeyedTables``).  Fibonacci numbers, a two-term recurrence,
-are a one-level table that reads its own prefix, and Lucas numbers are read
-off it; ``hyperharmonic_half`` reads C(2i, i) off another such table.
+order r, in a ``_KeyedTables``).  The one-index partial sums and the
+Fibonacci numbers, a two-term recurrence, are one-level tables that read
+their own prefix, and Lucas numbers are read off the Fibonacci table;
+``hyperharmonic_half`` reads C(2i, i) off another such table.
 The tables grow in place, one index at a time; none of them reads another
 family's table, the kernels or the series layer, so each cross-check
 compares independent computations.
@@ -102,8 +103,7 @@ class _LevelTable:
     index 0 with ``start`` and continues by ``step(j, i, left, below,
     ratios[i])``, where ``left`` is the entry at index i - 1 of level j and
     ``below`` is level j - 1, already grown at least to index i.  A partial
-    sum is a scale-1 table with the terms on level 0 and the sums on level 1
-    (see :func:`_partial_sums`).
+    sum is a one-level scale-1 table (see :func:`_partial_sums`).
 
     On integer numerators a step is one multiplication and one addition of
     integers, where a reduced ``Fraction`` addition pays two large gcds.  A
@@ -214,13 +214,9 @@ class _LevelTable:
                 level.append(left)
 
 
-def _partial_sum_step(j: int, n: int, left: Fraction, below: list, r: int) -> Fraction:
-    return left + below[n]
-
-
 def _partial_sums(term: Callable[[int], Fraction]) -> _LevelTable:
-    # index 0 of level 0 is never read: value(1, j) = value(0, j) + value(1, j-1)
-    return _LevelTable(lambda k, scale, row: term(k) if k else _ZERO, _ZERO, _partial_sum_step)
+    # S_k = S_(k-1) + term(k), read off level 0's own prefix; one level, so no step
+    return _LevelTable(lambda k, scale, row: row[-1] + term(k) if k else _ZERO, _ZERO, None)
 
 
 class _KeyedTables(dict):
@@ -252,7 +248,7 @@ def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0, refused over the size rule (see the module docstring)."""
     _check_index(n)
     _check_size(n)
-    return _harmonic.value(n, 1)
+    return _harmonic.value(n, 0)
 
 
 def harmonic_order(n: int, r: int) -> Fraction:
@@ -266,14 +262,14 @@ def harmonic_order(n: int, r: int) -> Fraction:
     _check_order(n, r, "r")
     if r == 1:
         return harmonic(n)
-    return _harmonic_order[r].value(n, 1)
+    return _harmonic_order[r].value(n, 0)
 
 
 def odd_harmonic(n: int) -> Fraction:
     """O_n = sum of 1/(2k-1) for k = 1..n, with O_0 = 0."""
     _check_index(n)
     _check_size(n)
-    return _odd_harmonic.value(n, 1)
+    return _odd_harmonic.value(n, 0)
 
 
 def half_harmonic_offset(n: int) -> Fraction:
@@ -285,7 +281,7 @@ def half_harmonic_offset(n: int) -> Fraction:
     """
     _check_index(n)
     _check_size(n)
-    return _half_offset.value(n, 1)
+    return _half_offset.value(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +688,7 @@ _MEMOS: tuple = (_harmonic, _harmonic_order, _odd_harmonic, _half_offset, _hlike
 
 
 def clear_caches() -> None:
-    """Empty every memo in ``_MEMOS`` (cold-start state, mainly for tests).
-
-    The memos of :mod:`multiharm.identities` are left as they are; each one
-    in ``identities._MEMOS`` is emptied by its own ``cache_clear``.
-    """
+    """Empty every memo in ``_MEMOS`` (cold-start state, mainly for tests); no other module keeps one."""
     with _lock:
         for memo in _MEMOS:
             memo.cache_clear()

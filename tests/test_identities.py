@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import os
@@ -266,7 +267,6 @@ def test_corrupted_column_side_reports_the_smallest_failure():
             grid=grid,
             lhs=lambda n, m=1: sum((harmonic(k - 1) / k for k in range(1, n + 1)), F(0)),
             rhs=lambda n, m=1: rhs(m, n),
-            columns=("rhs",),
         )
         report = verify_descriptor(broken)
         assert not report.passed
@@ -305,18 +305,18 @@ def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
 
 
 # ---------------------------------------------------------------------------
-# column sides, memos and the independence of the two sides
+# column sides and the independence of the two sides
 
 
-MEMOS = identities._MEMOS
+def _is_column(desc, side):
+    """Whether the side ``side`` of ``desc`` is a column side, by its value at the first grid point."""
+    return isinstance(getattr(desc, side)(**next(desc.bindings())), list)
+
 
 #: Every column side of the registry, as (id, side).
-COLUMN_SIDES = sorted((ident, side) for ident, desc in identities._REGISTRY.items() for side in desc.columns)
-
-
-def _reset_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+COLUMN_SIDES = sorted(
+    (ident, side) for ident, desc in identities._REGISTRY.items() for side in ("lhs", "rhs") if _is_column(desc, side)
+)
 
 
 def _evaluate_side(desc, side, overrides=None):
@@ -324,36 +324,49 @@ def _evaluate_side(desc, side, overrides=None):
     return [value for run in identities._runs(desc, overrides) for value in identities._evaluate(desc, side, run)]
 
 
-def test_every_memo_is_listed_once():
-    named = [
-        value for value in vars(identities).values() if hasattr(value, "cache_clear") and not isinstance(value, type)
-    ]
-    assert len({id(memo) for memo in MEMOS}) == len(MEMOS)
-    assert {id(memo) for memo in named} == {id(memo) for memo in MEMOS}
+def _stored():
+    """What a call could change in each module-level value of identities: a container's contents, a cache's size."""
+    return {
+        name: copy.copy(value) if isinstance(value, (dict, list, set))
+        else value.cache_info().currsize if hasattr(value, "cache_info") else value
+        for name, value in vars(identities).items()
+        if not name.startswith("__")
+    }
 
 
 @pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
 def test_no_memo_is_read_by_both_sides_of_an_identity(ident):
+    # identities keeps no memo: evaluating both sides over the grid stores nothing in the module, so
+    # no value that one side stores can be read by the other
     desc = identities.get_identity(ident)
-    read = {}
+    before = _stored()
     for side in ("lhs", "rhs"):
-        _reset_memos()
         _evaluate_side(desc, side)
-        read[side] = {i for i, memo in enumerate(MEMOS) if memo.cache_info().currsize}
-    assert not read["lhs"] & read["rhs"], [MEMOS[i] for i in read["lhs"] & read["rhs"]]
+    assert _stored() == before
 
 
-def test_a_column_side_needs_n_as_the_last_axis():
-    def entry(grid):
-        return IdentityDescriptor("e", "e", "e", grid, lambda m, n: [F(0)] * (n + 1), lambda m, n: 0, columns=("lhs",))
+def test_a_column_side_on_a_grid_with_n_first_gives_the_report_of_its_point_twin():
+    # every run of the grid {"n": ..., "m": ...} is one binding; m = 1 corrupts the right side from n = 3 on
+    def twins(corrupt):
+        def column(n, m):
+            return [(harmonic(i) ** 2 - harmonic_order(i, 2)) / 2 + (F(1, 7) if i >= 3 and m and corrupt else 0)
+                    for i in range(n + 1)]
 
-    assert identities._build_registry({"t": [entry({"m": range(2), "n": range(3)})]})["e"].section == "t"
-    with pytest.raises(ValueError, match="^column side of e, whose last grid axis is not n$"):
-        identities._build_registry({"t": [entry({"n": range(3), "m": range(2)})]})
+        def lhs(n, m):
+            return exact_sum((harmonic(k - 1), F(1, k)) for k in range(1, n + 1))
+
+        grid = {"n": range(1, 11), "m": range(2)}
+        return [IdentityDescriptor("e", "e", "e", grid, lhs, rhs) for rhs in (lambda n, m: column(n, m)[n], column)]
+
+    for corrupt, first_failure in [(False, None), (True, {"n": 3, "m": 1})]:
+        point, column = (verify_descriptor(twin).to_json_dict() for twin in twins(corrupt))
+        assert {**point, "elapsed_ms": None} == {**column, "elapsed_ms": None}
+        assert column["cases"] == 20
+        assert (column["first_failure"] or {}).get("binding") == first_failure
 
 
-# The trace: every Python function each side calls, with every memo and
-# sequence table emptied first, so that a memo or helper read by both sides
+# The trace: every Python function each side calls, with every sequence
+# table emptied first, so that a helper read by both sides
 # shows as a function both sides call.  Both sides may call the sequence
 # families with their table machinery, :mod:`multiharm.rational`, and the
 # column driver; a sequence cross-check route, such as hyperharmonic_closed,
@@ -382,7 +395,6 @@ _DRIVER = set(_nested_codes(identities._evaluate.__code__))
 def _traced_calls(desc, side):
     """(module, code) of each function of multiharm that ``desc``'s side ``side`` calls over its grid."""
     runs = list(identities._runs(desc, None))
-    _reset_memos()
     sequences.clear_caches()
     codes = set()
 
@@ -426,10 +438,7 @@ def test_no_function_is_called_by_both_sides_of_an_identity(ident):
 def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
     # the running sums of thm_hyphar_m0's left side as a product with 1, 1, ...: the right side's helper
     desc = identities.get_identity("thm_hyphar_m0")
-    weights = identities._hyphar_weight
-    mutant = replace(
-        desc, lhs=lambda p, n: identities._convolution(([weights(k, p) for k in range(n + 1)], [1] * (n + 1)))
-    )
+    mutant = replace(desc, lhs=lambda p, n: identities._convolution((identities._hyphar_weights(n, p), [1] * (n + 1))))
     assert verify_descriptor(mutant).passed
     shared, _ = _route_overlap(mutant)
     assert "multiharm.identities._convolution" in shared
@@ -469,9 +478,8 @@ def _harmonic_tail(s):
     return exact_sum(harmonic(s - l) / l for l in range(1, s + 1))
 
 
-#: Each column side, and each side that reads a memo, next to the literal
-#: per-point sum it replaced (its former form, kept as a reference), and the
-#: parameters it takes besides n.
+#: Each column side next to the literal per-point sum it replaced (its former
+#: form, kept as a reference), and the parameters it takes besides n.
 FORMER = {
     ("main_id1", "rhs"): (_binomial_sum_reference, "abm"),
     ("remark_m1", "rhs"): (
@@ -684,36 +692,24 @@ N_QUERIES = st.lists(
 ).map(lambda runs: [n for run in runs for n in run])
 
 
-def test_every_side_that_reads_a_memo_has_a_former_form():
-    readers = set()
-    for ident in sorted(identities._REGISTRY):
-        desc = identities.get_identity(ident)
-        for side in ("lhs", "rhs"):
-            _reset_memos()
-            _evaluate_side(desc, side, {"n": 3})
-            if any(memo.cache_info().currsize for memo in MEMOS):
-                readers.add((ident, side))
-    assert readers | set(COLUMN_SIDES) == set(FORMER)
+def test_former_is_exactly_the_column_sides():
+    assert set(COLUMN_SIDES) == set(FORMER)
 
 
 @pytest.mark.parametrize("ident, side", sorted(FORMER), ids=[f"{ident}-{side}" for ident, side in sorted(FORMER)])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), queries=N_QUERIES, cold=st.booleans())
 def test_a_side_with_memos_equals_its_former_sum(ident, side, data, queries, cold):
-    """Every column side, and every side that reads a memo, equals the literal per-point sum it replaced."""
+    """Every column side equals the literal per-point sum it replaced."""
     former, names = FORMER[ident, side]
     params = {name: data.draw(OFF_GRID[name], label=name) for name in names}
-    desc = identities.get_identity(ident)
-    evaluate = getattr(desc, side)
+    column = getattr(identities.get_identity(ident), side)
     if cold:
-        _reset_memos()
         sequences.clear_caches()
     for n in queries:
-        value = evaluate(**params, n=n)
-        if side in desc.columns:
-            assert len(value) == n + 1
-            value = value[n]
-        assert value == former(**params, n=n), n
+        values = column(**params, n=n)
+        assert len(values) == n + 1
+        assert values[n] == former(**params, n=n), n
 
 
 @pytest.mark.parametrize("ident, side", COLUMN_SIDES, ids=[f"{ident}-{side}" for ident, side in COLUMN_SIDES])
@@ -729,9 +725,9 @@ def test_a_column_side_extends_its_shorter_columns(ident, side, data, top):
 
 def test_threads_verifying_identities_with_memos_give_the_serial_reports():
     ids = sorted({ident for ident, _ in FORMER})
-    _reset_memos()
+    sequences.clear_caches()
     serial = _untimed([verify_identity(ident) for ident in ids])
-    _reset_memos()
+    sequences.clear_caches()
     workers = 4  # more than the cores of a small machine
     start = threading.Barrier(workers)
     reports = [None] * workers
@@ -757,17 +753,12 @@ def test_threads_verifying_identities_with_memos_give_the_serial_reports():
 
 
 def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
-    # the running sums of thm_kollar, both sides columns, read while the memos and tables they read are emptied
+    # the running sums of thm_kollar, both sides columns, read while the tables they read are emptied
     kollar = identities.get_identity("thm_kollar")
     reads = [(side, run[-1]) for side in (kollar.lhs, kollar.rhs) for run in identities._runs(kollar, None)]
-    _reset_memos()
+    sequences.clear_caches()
     serial = [side(**binding) for side, binding in reads]
-
-    def clear():
-        _reset_memos()
-        sequences.clear_caches()
-
-    clear()
+    sequences.clear_caches()
 
     def reader(seed):
         order = random.Random(seed).sample(range(len(reads)), len(reads))
@@ -779,7 +770,7 @@ def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
         with ThreadPoolExecutor(max_workers=4) as pool:
             readers = [pool.submit(reader, seed) for seed in range(4)]
             while not all(future.done() for future in readers):
-                clear()
+                sequences.clear_caches()
             assert [future.result(timeout=120) for future in readers] == [[]] * 4
     finally:
         sys.setswitchinterval(interval)
@@ -839,8 +830,8 @@ def forks(monkeypatch):
     spy.close()
 
 
-def _entry(ident, lhs, rhs=lambda n: F(n), section="t", columns=()):
-    return IdentityDescriptor(ident, ident, ident, {"n": range(1, 4)}, lhs, rhs, section, columns)
+def _entry(ident, lhs, rhs=lambda n: F(n), section="t"):
+    return IdentityDescriptor(ident, ident, ident, {"n": range(1, 4)}, lhs, rhs, section)
 
 
 def _fine(ident):
@@ -903,7 +894,7 @@ def test_a_raising_column_side_on_a_workers_share_raises_the_serial_exception(mo
         forks.mark()
         return [F(i, n - 3) for i in range(n + 1)]  # raises at the run's top, n = 3
 
-    entries = [_entry("a_raising", lhs, columns=("lhs",)), _fine("b_fine"), _fine("c_fine")]
+    entries = [_entry("a_raising", lhs), _fine("b_fine"), _fine("c_fine")]
     monkeypatch.setattr(identities, "_REGISTRY", {e.id: e for e in entries})
     with pytest.raises(ZeroDivisionError) as serial:
         verify_all()
