@@ -25,17 +25,18 @@ family's table, the kernels or the series layer, so each cross-check
 compares independent computations.
 
 A table holds its entries over one integer scale per index, shared by all
-its levels.  ``hyperharmonic`` keeps integer numerators over
-lcm(1..n), so growing a level is integer arithmetic, and a value is reduced
-to a ``Fraction`` only when it is first read: a query reads one level, but
-growing to order p fills the p - 1 levels below it too, and most of their
-cells are never read.  ``stirling1`` is integer already (scale 1).  The
-one-index sums (harmonic, order-r harmonic, odd harmonic, half-integer
-offset) stay at scale 1 and hold reduced ``Fraction``s: their terms have
+its levels.  ``hyperharmonic`` keeps integer numerators over lcm(1..n), so
+a step is one integer multiplication and addition, where a reduced
+``Fraction`` addition pays two large gcds, and a value is reduced to a
+``Fraction`` only when it is read: growing to order p fills the p - 1
+levels below it too, and most of their cells are never read.  Every other
+table is at scale 1.  ``stirling1``, ``fibonacci`` and the central binomials
+are integers.  The one-index sums (harmonic, order-r harmonic, odd
+harmonic, half-integer offset) hold reduced ``Fraction``s: their terms have
 small denominators, so each addition is cheap, while reading a sum over
-integers would pay one large gcd per row.  ``harmonic_like`` stays at scale
-1 too: over n! its dense rows at small m read about 50% slower, and over
-lcm(1..n)^m its single large-m values fill many times slower.
+integers would pay one large gcd per row.  ``harmonic_like`` holds
+``Fraction``s too: over n! its dense rows at small m read about 50% slower,
+and over lcm(1..n)^m its single large-m values fill many times slower.
 
 Queries that would take too much memory or time are refused with
 :class:`FeasibilityError` before any table grows.  A table keeps n + 1
@@ -53,10 +54,9 @@ Two ceilings bound time: ``harmonic_like`` refuses (n+1)^2 * max(m, 1) over
 :data:`HARMONIC_LIKE_CEILING` for m <= n, and ``hyperharmonic_half`` r + p
 over :data:`HALF_CEILING`.
 
-Every cache is a table listed once in ``_MEMOS``, grown under one re-entrant
-lock that the table type takes itself (reads of cached values take no lock),
-and transparent: a warm cache returns exactly what a cold recomputation
-would.  Values never change, so concurrent use changes no returned value.
+Every cache is a table listed once in ``_MEMOS``, shared between threads by
+the one locking rule of ``_LevelTable``, and transparent: a warm cache
+returns exactly what a cold recomputation would.
 """
 
 from __future__ import annotations
@@ -96,22 +96,15 @@ class _LevelTable:
     ``scales[i]``, an integer scale shared by every level at index i.  A
     table built without ``ratio`` has scale 1 everywhere, so its entries are
     the values themselves; with ``ratio``, ``scales[i] = scales[i-1] *
-    ratios[i]``, where ``ratios[i] = ratio(i, scales[i-1])``, and its entries
-    are integer numerators.  Level 0 is ``base(i, scales[i], row)``, ``row``
-    being level 0 up to index i - 1, so a table of one level, with no
-    ``step``, holds a one-index recurrence.  Every level j >= 1 starts at
-    index 0 with ``start`` and continues by ``step(j, i, left, below,
-    ratios[i])``, where ``left`` is the entry at index i - 1 of level j and
-    ``below`` is level j - 1, already grown at least to index i.  A partial
-    sum is a one-level scale-1 table (see :func:`_partial_sums`).
-
-    On integer numerators a step is one multiplication and one addition of
-    integers, where a reduced ``Fraction`` addition pays two large gcds.  A
-    query reads one entry of one level, while growing to it fills every
-    level below, so a numerator is reduced to a ``Fraction`` only when it is
-    first read, then kept in ``read[j]`` (a dict from index to value).  A
-    scale-1 table is its own read cache (``read is levels``), so its reads
-    are one list lookup.
+    ratios[i]``, where ``ratios[i] = ratio(i, scales[i-1])``, its entries
+    are integer numerators, and every read reduces one to a ``Fraction``.
+    Level 0 is ``base(i, scales[i], row)``, ``row`` being level 0 up to
+    index i - 1, so a table of one level, with no ``step``, holds a
+    one-index recurrence.  Every level j >= 1 starts at index 0 with
+    ``start`` and continues by ``step(j, i, left, below, ratios[i])``, where
+    ``left`` is the entry at index i - 1 of level j and ``below`` is level
+    j - 1, already grown at least to index i.  A partial sum is a one-level
+    scale-1 table (see :func:`_partial_sums`).
 
     Levels may differ in length, but each one is always a correct prefix:
     a value is appended only once it is fully computed, and the scales and
@@ -119,25 +112,13 @@ class _LevelTable:
     MemoryError) therefore leaves the table consistent, and growing by one
     index costs one ``step`` per level instead of a recomputation.
 
-    :meth:`value` reads a cached value without the lock and takes the module
-    lock only to grow the table or to reduce an entry; :func:`clear_caches`
-    holds it around :meth:`cache_clear`.  The unlocked read is safe because
-    every cached value is the exact value at its place, is stored only once
-    it is complete, and is never changed afterwards.  A read that races
-    :meth:`cache_clear` either still sees the value, which is correct (a
-    cleared level and its read cache keep their values, they are only
-    unlinked, and level 0 and its cache are emptied in place), or misses and
-    falls through to the locked path, which recomputes it.  Every write to
-    the read cache happens under the lock, so none lands in a table that
-    :meth:`cache_clear` has already reset.
-
-    :meth:`column` reads a prefix of one level of a scale-1 table, the
-    values at indices 0..n, as one slice, which no other thread can
-    interleave with.  A slice of length n + 1 holds only exact values, as
-    above, so it is returned without the lock.  A shorter one (the level is
-    not grown that far, or :meth:`cache_clear` emptied level 0 in place) is
-    taken again under the lock, once the table has grown to index n on
-    level j.  Every slice is a new list, so changing it changes no table.
+    One locking rule: a table grows, is sliced by :meth:`column` and is
+    emptied by :meth:`cache_clear` (through :func:`clear_caches`) only under
+    the module lock, while :meth:`value` reads an entry and its scale without
+    it.  A stored entry or scale is exact and never changed, and a clear
+    only unlinks the upper levels and empties level 0 and the scales in
+    place, so a read racing it either gets exact values or an
+    ``IndexError``, and then grows the table under the lock and reads again.
     """
 
     def __init__(
@@ -150,16 +131,12 @@ class _LevelTable:
         self.base = base
         self.start = start
         self.step = step
-        self.ratio = ratio or (lambda i, scale: 1)
+        self.ratio = ratio
         self.scales = [1]
         self.ratios = [1]
         self.levels: list[list] = [[base(0, 1, [])]]
-        self.read: list = self.levels if ratio is None else [{}]
 
     def cache_clear(self) -> None:
-        if self.read is not self.levels:
-            del self.read[1:]
-            self.read[0].clear()
         del self.levels[1:]
         del self.levels[0][1:]
         del self.scales[1:]
@@ -167,38 +144,25 @@ class _LevelTable:
 
     def value(self, i: int, j: int) -> Fraction | int:
         try:
-            return self.read[j][i]
-        except LookupError:
-            pass
-        with _lock:
-            levels, read = self.levels, self.read
-            if j >= len(levels) or i >= len(levels[j]):
-                self._grow(i + 1, j)
-            while len(read) <= j:
-                read.append({})
-            try:
-                return read[j][i]
-            except KeyError:
-                value = read[j][i] = Fraction(levels[j][i], self.scales[i])
-                return value
-
-    def column(self, n: int, j: int) -> list:
-        """The values at indices 0..n of level j of a scale-1 table, as a new list."""
-        try:
-            values = self.levels[j][: n + 1]
-            if len(values) == n + 1:
-                return values
+            if self.ratio is None:
+                return self.levels[j][i]
+            return Fraction(self.levels[j][i], self.scales[i])
         except IndexError:
             pass
         with _lock:
-            if j >= len(self.levels) or n >= len(self.levels[j]):
-                self._grow(n + 1, j)
+            self._grow(i + 1, j)
+            return self.value(i, j)
+
+    def column(self, n: int, j: int) -> list:
+        """The values at indices 0..n of level j of a scale-1 table, as a new list."""
+        with _lock:
+            self._grow(n + 1, j)
             return self.levels[j][: n + 1]
 
     def _grow(self, size: int, top: int) -> None:
-        levels, scales, ratios, step = self.levels, self.scales, self.ratios, self.step
+        levels, scales, ratios, ratio, step = self.levels, self.scales, self.ratios, self.ratio, self.step
         for i in range(len(scales), size):
-            r = self.ratio(i, scales[-1])
+            r = ratio(i, scales[-1]) if ratio else 1
             ratios[i:] = [r]  # replaces a ratio left by a fill interrupted here
             scales.append(scales[-1] * r)
         base = levels[0]
@@ -566,9 +530,11 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
 def hyperharmonic_half_via_binomial(r: int, p: int) -> Fraction:
     """Independent route for :func:`hyperharmonic_half`:
     C(r+p-1/2, r) * 2 * (O_{r+p} - O_p), via the generalized binomial.
+    Refused as :func:`hyperharmonic_half` is, before the O(r) binomial.
     """
     _check_index(r, "r")
     _check_index(p, "p")
+    _check_half_index(r, p)
     return gen_binomial(Fraction(2 * (r + p) - 1, 2), r) * 2 * (odd_harmonic(r + p) - odd_harmonic(p))
 
 

@@ -455,6 +455,31 @@ def test_two_sides_that_read_series_fail_the_trace():
     assert _route_overlap(mutant)[1] == {"lhs", "rhs"}
 
 
+# ---------------------------------------------------------------------------
+# the mutation matrix: a wrong value of any family fails at least one entry
+
+#: The column read of each family that has one.
+_FAMILY_COLUMNS = {"harmonic_like": "harmonic_like_column", "stirling1": "stirling1_column"}
+
+
+@pytest.mark.parametrize("family", sequences.FAMILY_NAMES)
+def test_a_wrong_value_of_any_family_fails_an_entry(monkeypatch, family):
+    # 1/1000 added at index 3, on the grid of every entry that reads the
+    # family, under every name a module reads it by, per index and by column
+    def mutate(original, mutant):
+        for module in (sequences, transforms, identities):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, mutant)
+
+    value = getattr(sequences, family)
+    mutate(value, lambda n, *params: value(n, *params) + (F(1, 1000) if n == 3 else 0))
+    if family in _FAMILY_COLUMNS:
+        column = getattr(sequences, _FAMILY_COLUMNS[family])
+        mutate(column, lambda n, j: [v + F(1, 1000) if i == 3 else v for i, v in enumerate(column(n, j))])
+    assert any(not report.passed for report in verify_all())
+
+
 def _cw(k, p):
     return F(binomial(2 * (k + p), k + p) * binomial(k + p, k), 4**k)
 

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -455,21 +456,18 @@ def test_clear_caches_resets_every_table(memo_sizes):
         SeqSpec(name, {key: low + 2 for key, low in family.minimum.items()}).evaluate(30)
     harmonic_order(30, 5)
     assert all(grown != size for grown, size in zip(memo_sizes(), cold))
-    assert sequences._hyper.read == [{}, {}, {30: hyperharmonic_closed(30, 2)}]  # only the value read
     orders = list(sequences._harmonic_order.values())
     clear_caches()
     assert memo_sizes() == cold
     tables = [memo for memo in sequences._MEMOS if isinstance(memo, sequences._LevelTable)]
     assert [(table.scales, table.ratios) for table in tables] == [([1], [1])] * len(tables)
-    # a scale-1 table is its own read cache; the others are emptied
-    assert all(table.read is table.levels or table.read == [{}] for table in tables)
     # the order-r tables are unlinked, not emptied, so a read racing the clear finishes on its old table
     assert [[len(level) for level in table.levels] for table in orders] == [[31]] * 2
 
 
 def test_warm_reads_take_no_lock():
     clear_caches()
-    warm = (fibonacci(50), lucas(50), hyperharmonic_half(5, 5))
+    warm = (fibonacci(50), lucas(50), hyperharmonic_half(5, 5), hyperharmonic(20, 3))
     held, release, read = threading.Event(), threading.Event(), []
 
     def hold():
@@ -478,7 +476,9 @@ def test_warm_reads_take_no_lock():
             release.wait(60)
 
     holder = threading.Thread(target=hold)
-    reader = threading.Thread(target=lambda: read.append((fibonacci(50), lucas(50), hyperharmonic_half(5, 5))))
+    reader = threading.Thread(
+        target=lambda: read.append((fibonacci(50), lucas(50), hyperharmonic_half(5, 5), hyperharmonic(20, 3)))
+    )
     holder.start()
     try:
         assert held.wait(10)
@@ -564,10 +564,10 @@ def test_unlocked_reads_racing_clear_caches_stay_exact():
         sys.setswitchinterval(interval)
 
 
-def test_a_reduction_racing_clear_caches_lands_before_the_clear(monkeypatch):
-    # The first read of a grown entry reduces it under the module lock, so a
-    # clear_caches() started during the reduction waits for the write into
-    # the read cache, and the cleared table holds nothing afterwards.
+def test_a_scaled_read_racing_clear_caches_returns_the_exact_value(monkeypatch):
+    # A warm read reduces its entry over its scale without the lock, so a
+    # clear_caches() started during the reduction finishes at once; the read
+    # still returns the exact value, and the cleared table holds nothing.
     expected = hyperharmonic_closed(20, 3)
     clear_caches()
     hyperharmonic(30, 3)
@@ -576,15 +576,13 @@ def test_a_reduction_racing_clear_caches_lands_before_the_clear(monkeypatch):
 
     def reduce(numerator, denominator):
         clearer.start()
-        clearer.join(0.05)
+        clearer.join(10)
         waited.append(clearer.is_alive())
         return Fraction(numerator, denominator)
 
     monkeypatch.setattr(sequences, "Fraction", reduce)
     assert hyperharmonic(20, 3) == expected
-    clearer.join()
-    assert waited == [True]
-    assert sequences._hyper.read == [{}]
+    assert waited == [False]
     assert sequences._hyper.levels == [[0]]
 
 
@@ -603,7 +601,7 @@ def test_a_column_equals_the_per_index_reads_on_cold_and_warm_tables(column, val
         expected = [value(i, j) for i in range(n + 1)]
         clear_caches()
         assert column(n, j) == expected  # cold: grown under the lock
-        assert column(n, j) == expected  # warm: one unlocked slice
+        assert column(n, j) == expected  # warm: one slice of the grown level
         assert column(n // 2, j) == expected[: n // 2 + 1]  # a prefix of a grown level
         assert [value(i, j) for i in range(n + 1)] == expected  # the per-index reads of what the column grew
 
@@ -710,6 +708,21 @@ def test_hyperharmonic_half_two_routes_agree():
 def test_hyperharmonic_half_routes_agree_past_the_registry_grid(rp):
     r, p = rp
     assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p)
+
+
+def test_the_binomial_route_of_hyperharmonic_half_is_refused_as_the_primary_is(memo_sizes):
+    # without its own check, the O(r) generalized binomial at r = 200000 ran
+    # for longer than 20 s before the odd harmonic table refused the query
+    clear_caches()
+    sizes = memo_sizes()
+    for r, p in [(sequences.HALF_CEILING + 1, 0), (200_000, 0)]:
+        with pytest.raises(FeasibilityError) as primary:
+            hyperharmonic_half(r, p)
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match=f"^{re.escape(str(primary.value))}$"):
+            hyperharmonic_half_via_binomial(r, p)
+        assert time.perf_counter() - start < 1.0
+    assert memo_sizes() == sizes
 
 
 def test_hyperharmonic_half_ladder_relations():
