@@ -30,9 +30,9 @@ for the top index n it is called with.  A side is known by its value alone.
 that differ only in n, calls each side once with a run's last binding, and
 calls a point side again at the run's other bindings; it still compares the
 sides point by point in grid order.  A column side is a sum of Cauchy products
-along n, each a schoolbook convolution of integers (``_convolution``) or one
-``_fsum`` of product tuples per value, or, where its summand does not depend
-on n, the running sums of ``itertools.accumulate``.  No function of this
+along n, taken by ``transforms.cauchy_column`` or as one ``_fsum`` of product
+tuples per value, or, where its summand does not depend on n, the running
+sums of ``itertools.accumulate``.  No function of this
 module is called by both sides of one identity, and the module keeps no memo:
 a weight or inner sum that a side reads along n is an uncached column helper.
 
@@ -97,6 +97,8 @@ from multiharm.transforms import (
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
+    cauchy_column,
+    integer_form,
 )
 
 
@@ -406,51 +408,35 @@ def _hyphar_weights(n: int, p: int) -> list[Fraction]:
     return [comb(k + p, k) * (harm(k + p) - harm(p)) for k in range(n + 1)]
 
 
+def _hyphar_binomials(n: int, p: int) -> tuple[list[int], int]:
+    # C(k+p,k) for k = 0..n, as integers over 1: the weight of the right sides of the thm_hyphar family
+    return [comb(k + p, k) for k in range(n + 1)], 1
+
+
 def _odd_weights(n: int, p: int) -> list[Fraction]:
     # C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p)/4^k for k = 0..n: the weight of the
     # left sides of thm_suzj3to, thm_general_p and thm_k_weighted_half
     return [_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(n + 1)]
 
 
-def _integers(values: list[RationalLike]) -> tuple[list[int], int]:
-    """The numerators of ``values`` over their least common denominator, and that denominator."""
-    common = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (common // v.denominator) for v in values], common
-
-
-def _convolution(*pairs: tuple[list[RationalLike], list[RationalLike]]) -> list[Fraction]:
-    """The sum over ``pairs`` (f, g), all of one length, of sum_{k=0..i} f[k] g[i-k] at each index i.
-
-    Each factor goes over one denominator, its integers are convolved
-    schoolbook, the products are added over the lcm of the pairs'
-    denominators, and each value is reduced once.
-    """
-    products = []
-    for f, g in pairs:
-        f, f_den = _integers(f)
-        g, g_den = _integers(g)
-        products.append(([sum(map(mul, f, reversed(g[: i + 1]))) for i in range(len(f))], f_den * g_den))
-    common = math.lcm(*[den for _, den in products])
-    return [Fraction(sum(p[i] * (common // den) for p, den in products), common) for i in range(len(products[0][0]))]
-
-
 def _products(f: list[RationalLike], g: list[RationalLike]) -> list[Fraction]:
     # sum_{k=0..i} f[k] g[i-k] at each index i as one _fsum of product tuples: the literal form
-    # of the left sides' Cauchy products, whose right sides are _convolution columns
+    # of the left sides' Cauchy products, whose right sides are cauchy_column columns
     return [_fsum(zip(f, g[i::-1])) for i in range(len(f))]
 
 
-def _central_halves(n: int, p: int = 0) -> list[Fraction]:
-    # C(2(k+p),k+p) C(k+p,k)/(2 4^k) for k = 0..n: the weight of the right sides
-    # of thm_general_p and, at p = 0, of the thm_odd_id1 family
-    return [Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), 2 * 4**k) for k in range(n + 1)]
+def _central_halves(n: int, p: int = 0) -> tuple[list[int], int]:
+    # C(2(k+p),k+p) C(k+p,k)/(2 4^k) for k = 0..n, as integers over 2 4^n: the weight
+    # of the right sides of thm_general_p and, at p = 0, of the thm_odd_id1 family
+    return [comb(2 * (k + p), k + p) * comb(k + p, k) * 4 ** (n - k) for k in range(n + 1)], 2 * 4**n
 
 
 def _harmonic_tails(n: int) -> list[Fraction]:
     # sum_{k=1..s} (1/k) sum_{l=1..s-k} H_{s-k-l}/l for s = 0..n: the double sum
     # of the right sides of hn3_double, thm_hnp1_m2 and thm_kk1_m2, inner sum first
-    reciprocals = [0, *(Fraction(1, k) for k in range(1, n + 1))]
-    return _convolution((reciprocals, _convolution(([harm(i) for i in range(n + 1)], reciprocals))))
+    reciprocals = integer_form([0, *(Fraction(1, k) for k in range(1, n + 1))])
+    inner = cauchy_column(1, 1, (integer_form([harm(i) for i in range(n + 1)]), reciprocals))
+    return cauchy_column(1, 1, (reciprocals, integer_form(inner)))
 
 
 def _stirling_steps(n: int, m: int) -> list[Fraction]:
@@ -566,16 +552,8 @@ _REGISTRY = _build_registry({
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
             {"m": range(0, 5), "n": range(0, 26)},
             lambda m, n: _fsum((comb(n, k), hlike(k, m)) for k in range(n + 1)),
-            # level j: the Cauchy product of C(m,j) 2^k HL(k,j) and (-1)^l (m-j)! s(l,m-j)/l!
-            lambda m, n: _convolution(
-                *(
-                    (
-                        [comb(m, j) * 2**k * t for k, t in enumerate(harmonic_like_column(n, j))],
-                        [Fraction((-1) ** l * fact(m - j) * stir(l, m - j), fact(l)) for l in range(n + 1)],
-                    )
-                    for j in range(m + 1)
-                ),
-            ),
+            # the main theorem at a = b = 1
+            lambda m, n: binomial_sum_closed(1, 1, m, n),
         ),
         IdentityDescriptor(
             "classical_Hk",
@@ -776,7 +754,9 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
             {"m": range(1, 5), "n": range(1, 26)},
             # H_0 = 0, so the product may start at k = 0
-            lambda m, n: _convolution(([harm(k) for k in range(n + 1)], _stirling_steps(n, m))),
+            lambda m, n: cauchy_column(
+                1, 1, (integer_form([harm(k) for k in range(n + 1)]), integer_form(_stirling_steps(n, m)))
+            ),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
         ),
         IdentityDescriptor(
@@ -901,7 +881,9 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) HL(n-k,m) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 6), "n": range(0, 26)},
             lambda m, p, n: _products(_hyphar_weights(n, p), harmonic_like_column(n, m)),
-            lambda m, p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], harmonic_like_column(n, m + 1))),
+            lambda m, p, n: cauchy_column(
+                1, 1, (_hyphar_binomials(n, p), integer_form(harmonic_like_column(n, m + 1)))
+            ),
         ),
         IdentityDescriptor(
             "thm_hyphar_m0",
@@ -909,7 +891,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
             lambda p, n: list(accumulate(_hyphar_weights(n, p))),
-            lambda p, n: _convolution(([comb(k + p, k) for k in range(n + 1)], [harm(i) for i in range(n + 1)])),
+            lambda p, n: cauchy_column(1, 1, (_hyphar_binomials(n, p), integer_form([harm(i) for i in range(n + 1)]))),
         ),
         IdentityDescriptor(
             "thm_hyphar_m1",
@@ -917,8 +899,10 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(k+p,k) H_{n-k} (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) (H_{n-k}^2 - H_{n-k}^(2))",
             {"p": range(0, 6), "n": range(0, 31)},
             lambda p, n: _products(_hyphar_weights(n, p), [harm(k) for k in range(n + 1)]),
-            lambda p, n: _convolution(
-                ([comb(k + p, k) for k in range(n + 1)], [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])
+            lambda p, n: cauchy_column(
+                1,
+                1,
+                (_hyphar_binomials(n, p), integer_form([harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])),
             ),
         ),
         IdentityDescriptor(
@@ -1012,7 +996,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k HL(n-k,m)/4^k = (1/2) sum_{k=0..n} C(2k,k) HL(n-k,m+1)/4^k",
             {"m": range(0, 4), "n": range(0, 26)},
             lambda m, n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), hlike(n - k, m)) for k in range(n + 1)),
-            lambda m, n: _convolution((_central_halves(n), harmonic_like_column(n, m + 1))),
+            lambda m, n: cauchy_column(1, 1, (_central_halves(n), integer_form(harmonic_like_column(n, m + 1)))),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m0",
@@ -1020,7 +1004,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k/4^k = (1/2) sum_{k=0..n} C(2k,k) H_{n-k}/4^k",
             {"n": range(0, 41)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(n + 1)),
-            lambda n: _convolution((_central_halves(n), [harm(i) for i in range(n + 1)])),
+            lambda n: cauchy_column(1, 1, (_central_halves(n), integer_form([harm(i) for i in range(n + 1)]))),
         ),
         IdentityDescriptor(
             "thm_odd_id1_m1",
@@ -1028,7 +1012,9 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(2k,k) O_k H_{n-k}/4^k = (1/2) sum_{k=0..n} C(2k,k) (H_{n-k}^2 - H_{n-k}^(2))/4^k",
             {"n": range(0, 31)},
             lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), harm(n - k)) for k in range(n + 1)),
-            lambda n: _convolution((_central_halves(n), [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)])),
+            lambda n: cauchy_column(
+                1, 1, (_central_halves(n), integer_form([harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)]))
+            ),
         ),
         IdentityDescriptor(
             "tb6ik5l",
@@ -1045,7 +1031,7 @@ _REGISTRY = _build_registry({
             "(1/2) sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) HL(n-k,m+1)",
             {"m": range(0, 4), "p": range(0, 5), "n": range(0, 21)},
             lambda m, p, n: _products(_odd_weights(n, p), harmonic_like_column(n, m)),
-            lambda m, p, n: _convolution((_central_halves(n, p), harmonic_like_column(n, m + 1))),
+            lambda m, p, n: cauchy_column(1, 1, (_central_halves(n, p), integer_form(harmonic_like_column(n, m + 1)))),
         ),
         IdentityDescriptor(
             "thm_general_p_m0",

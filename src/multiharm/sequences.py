@@ -495,9 +495,11 @@ def hyperharmonic(n: int, p: int) -> Fraction:
 def hyperharmonic_closed(n: int, p: int) -> Fraction:
     """Cross-check route for :func:`hyperharmonic`:
     value(n, p) = C(n+p-1, n) * (H_{n+p-1} - H_{p-1}) for p >= 1.
+    Refused as :func:`hyperharmonic` is, before the binomial.
     """
     _check_index(n)
     _check_index(p, "p")
+    _check_order(n, p, "p")
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")

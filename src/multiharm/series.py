@@ -15,8 +15,8 @@ A square (``f * f``, and so every step of ``f ** m``) hands the kernel the
 same numerator tuple twice, which it packs once and squares.
 ``Fraction`` values appear only at the boundary: the public constructor takes
 them in, and indexing, iteration and ``coeffs`` hand them out.  Every other
-constructor, and ``compose_mobius``, builds integer numerators (powers of a
-rational come from ``geometric``) and reduces once, in ``_from_integers``.
+constructor builds integer numerators (powers of a rational come from
+``geometric``) and reduces once, in ``_from_integers``.
 
 The generating functions are built from three blocks, each one integer
 constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``), ``1/(1 - a z)``
@@ -28,16 +28,12 @@ own running product; it equals ``power_of_one_minus(a, -1, order)``.  This
 module reads only :mod:`multiharm.rational` and the kernels, never
 :mod:`multiharm.sequences`, so the series stay independent of the recurrences
 they are compared with.
-
-The one argument substitution is the Moebius substitution
-z -> a*z/(1 - b*z).  No identity in the catalog uses it yet; the tests check
-``compose_mobius`` against the binomial sums of :mod:`multiharm.transforms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from multiharm import _kernels
@@ -168,32 +164,6 @@ class TruncatedSeries:
             if bit == "1":
                 result = result * self
         return result
-
-    # -- argument substitution ----------------------------------------------
-
-    def compose_mobius(
-        self, a: RationalLike, b: RationalLike, order: int | None = None
-    ) -> TruncatedSeries:
-        """Substitute z -> a*z/(1 - b*z), truncated at ``order``.
-
-        Uses [z^n] (a*z)^k / (1-b*z)^k = a^k * C(n-1, n-k) * b^(n-k).
-        Coefficients of ``self`` beyond its own order are taken as zero, so a
-        polynomial composes exactly.  With a = p/q and b = r/s, the numerators
-        of ``geometric`` are p^k q^(order-k) and r^j s^(order-j), so every term
-        is an integer over ``den * q^order * s^order``.
-        """
-        if order is None:
-            order = self.order
-        _check_order(order)
-        ga, gb = geometric(a, order), geometric(b, order)
-        fa = [x * y for x, y in zip(self._nums, ga._nums)]  # f_k a^k over den * q^order
-        out = [fa[0] * gb._den]
-        for n in range(1, order + 1):
-            out.append(sum(
-                fa[k] * comb(n - 1, n - k) * gb._nums[n - k]
-                for k in range(1, min(n, len(fa) - 1) + 1)
-            ))
-        return self._from_integers(out, self._den * ga._den * gb._den)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,15 @@ is the literal sum at one n; ``binomial_sum_closed`` is the independent closed
 form in terms of Stirling numbers of the first kind; ``binomial_sum_m1/m2/m3``
 are the short specializations.  All routes must agree exactly on every input.
 The closed routes return a column, the values at n = 0..n_max in order, each a
-sum of Cauchy products along n taken as schoolbook convolutions of integers.
+sum of Cauchy products along n taken by :func:`cauchy_column`, whose docstring
+states the one integer form of those products; the identity registry takes its
+convolutions there too.
 
-Each route adds integer numerators over one common denominator and reduces
-each value once, at the end: with a = p/q and b = r/s it scales its terms by
-a power of q s (or of v s, for a + b = u/v), by the lcm of the denominators
-of the harmonic-like numbers it reads, and, where it weights by H_j or
-H_j^(2), by a power of lcm(1..n).
-
-The literal route shares nothing with the closed routes but the sequences
-layer and the stdlib, so a fault in the closed routes' integer form cannot
-scale both sides of a check alike.  The closed routes share ``_pair_powers``,
-the integer form of (a + b, b), and the specializations share ``_short_form``,
-the corollary shape; none of them is checked against another.
+The literal route adds its own integers over one common denominator and
+reduces once.  It shares nothing with the closed routes but the sequences
+layer and the stdlib, so a fault in ``cauchy_column`` cannot scale both sides
+of a check alike.  The registry checks each closed route against the literal
+route only.
 
 Conventions: 0^0 = 1 (so the m = 0 case collapses to (a+b)^n even at a = -b),
 and any sum over an empty range is 0; n < 0 raises ``ValueError``.
@@ -80,15 +76,42 @@ def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fra
     return Fraction(total, common * (q * s) ** n)
 
 
-def _pair_powers(x: RationalLike, y: RationalLike, n: int) -> tuple[list[int], ...]:
-    """The closed routes' integer form of x = u/v and y = r/s: the powers 0..n
-    of u s, of r v and of v s, so x^k y^(i-k) = (u s)^k (r v)^(i-k) / (v s)^i.
+def integer_form(values: list[RationalLike]) -> tuple[list[int], int]:
+    """``values`` as a factor of :func:`cauchy_column`: their numerators over their least common denominator,
+    and that denominator."""
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def cauchy_column(x: RationalLike, y: RationalLike, *pairs: tuple[tuple[list[int], int], ...]) -> list[Fraction]:
+    """The sum over ``pairs`` (f, g) of sum_{k=0..i} f[k] x^k g[i-k] y^(i-k), at every index i = 0..n.
+
+    This is the one integer form of the Cauchy products along n that the
+    closed routes and the identity registry take.  Each factor is integers
+    over one denominator, as :func:`integer_form` gives it: f has n + 1
+    entries, and g at most that many, the missing ones being 0.  With x = u/v
+    and y = r/s, x^k y^l = (u s)^k (r v)^l / (v s)^i for k + l = i, so at
+    index i a pair (f, f_den), (g, g_den) is the schoolbook dot product of the
+    integers f[k] (u s)^k and g[l] (r v)^l over f_den g_den (v s)^i.  Output i
+    adds the pairs' dot products over L (v s)^i, L the lcm of their
+    f_den g_den, and is reduced once.
     """
-    _check_index(n)
     x = Fraction(x)
     y = Fraction(y)
-    u, v, r, s = x.numerator, x.denominator, y.numerator, y.denominator
-    return tuple(list(accumulate(repeat(base, n), mul, initial=1)) for base in (u * s, r * v, v * s))
+    n = len(pairs[0][0][0]) - 1
+    us_pow, rv_pow, vs_pow = (
+        list(accumulate(repeat(base, n), mul, initial=1))
+        for base in (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+    )
+    common = math.lcm(*[f_den * g_den for (_, f_den), (_, g_den) in pairs])
+    totals = [0] * (n + 1)
+    for (f, f_den), (g, g_den) in pairs:
+        scale = common // (f_den * g_den)
+        left = list(map(mul, f, us_pow))
+        right = list(map(mul, g, rv_pow))
+        for i in range(n + 1):
+            totals[i] += scale * sum(map(mul, reversed(left[: i + 1]), right))
+    return [Fraction(total, common * vs) for total, vs in zip(totals, vs_pow)]
 
 
 def binomial_sum_closed(a: RationalLike, b: RationalLike, m: int, n: int) -> list[Fraction]:
@@ -98,97 +121,74 @@ def binomial_sum_closed(a: RationalLike, b: RationalLike, m: int, n: int) -> lis
     sum_{j=0..m} C(m,j) sum_{k=0..i} t(k,j) (a+b)^k (m-j)!/(i-k)! (-1)^(i-k)
         b^(i-k) s(i-k, m-j)
 
-    Level j is the Cauchy product of t(k,j) (a+b)^k and (-b)^l s(l,m-j)/l!.
-    With a + b = u/v, b = r/s and L the lcm of the denominators of the t(k, j)
-    read, output i is an integer over L (v s)^i n!: the schoolbook
-    convolution of the integers t.num (L // t.den) (u s)^k and
-    C(m,j) (m-j)! (-1)^l s(l, m-j) (n!/l!) (r v)^l, summed over the levels
-    and reduced once.  Level j reads one Stirling column and one
-    harmonic-like column, the latter up to k = n - (m - j) only: s(l, m-j)
+    Level j is the Cauchy product of t(k,j) (a+b)^k and
+    C(m,j) (m-j)! s(l, m-j) (-b)^l / l!, the latter as integers over n!.
+    Level j reads one Stirling column and one harmonic-like column; s(l, m-j)
     is 0 for l < m - j, so the levels j < m - n add nothing.
     """
-    us_pow, rv_pow, vs_pow = _pair_powers(Fraction(a) + Fraction(b), b, n)
-    levels = range(max(m - n, 0), m + 1)
-    hl = {j: harmonic_like_column(n - (m - j), j) for j in levels}
-    common = math.lcm(*[t.denominator for column in hl.values() for t in column])
+    _check_index(n)
     falling = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n!/l! at index l
-    totals = [0] * (n + 1)
-    for j in levels:
-        low = m - j
-        outer = binomial(m, j) * factorial(low)
-        left = [t.numerator * (common // t.denominator) * us_pow[k] for k, t in enumerate(hl[j])]
-        st = stirling1_column(n, low)
-        right = [(-outer if l % 2 else outer) * st[l] * falling[l] * rv_pow[l] for l in range(n + 1)]
-        for i in range(low, n + 1):
-            totals[i] += sum(map(mul, left, reversed(right[low : i + 1])))
-    return [Fraction(total, common * scale * falling[0]) for total, scale in zip(totals, vs_pow)]
+    pairs = []
+    for j in range(max(m - n, 0), m + 1):
+        outer = binomial(m, j) * factorial(m - j)
+        stirling = [outer * s * f for s, f in zip(stirling1_column(n, m - j), falling)]
+        pairs.append((integer_form(harmonic_like_column(n, j)), (stirling, falling[0])))
+    return cauchy_column(Fraction(a) + Fraction(b), -Fraction(b), *pairs)
 
 
-def _short_form(a: RationalLike, b: RationalLike, m: int, lead: list[Fraction], c: int, pairs: list) -> list[Fraction]:
-    """The m-th specialization at every index i = 0..n, n = len(lead) - 1:
-    lead[i] (a+b)^i + c sum_{k=1..i} (a+b)^(i-k) b^k w(i,k) / k, where the
-    weight w(i,k) is the sum over ``pairs`` (x, y) of x[i-k] y[k-1].
-
-    With a + b = u/v, b = r/s and Λ = lcm(1..n), each lead[i]'s denominator
-    divides Λ^m and the x[i-k] y[k-1] summed are the integer Λ^(m-1) w(i,k),
-    so both parts of output i are integers over Λ^m (v s)^i.  The correction
-    sum is, for each pair, the schoolbook convolution of the integers
-    (u s)^j x[j] and (r v)^k (Λ/k) y[k-1].
-    """
-    n = len(lead) - 1
-    us_pow, rv_pow, vs_pow = _pair_powers(Fraction(a) + Fraction(b), b, n)
-    lam = math.lcm(*range(1, n + 1))
-    corrections = [0] * (n + 1)
-    for x, y in pairs:
-        left = list(map(mul, us_pow, x))
-        right = [p * w * (lam // k) for k, (p, w) in enumerate(zip(rv_pow[1:], y), 1)]
-        for i in range(1, n + 1):
-            corrections[i] += sum(map(mul, left, reversed(right[:i])))
-    lam_m = lam**m
-    return [
-        Fraction(t.numerator * (lam_m // t.denominator) * power + c * correction, lam_m * scale)
-        for t, power, correction, scale in zip(lead, us_pow, corrections, vs_pow)
-    ]
+def _divided(nums: list[int], den: int) -> tuple[list[int], int]:
+    # 0, w[0]/1, w[1]/2, ..., w[n-1]/n for w[l] = nums[l]/den, over den lcm(1..n):
+    # the b^l / l factor of a specialization's correction sum
+    lam = math.lcm(*range(1, len(nums) + 1))
+    return [0, *(w * (lam // l) for l, w in enumerate(nums, 1))], den * lam
 
 
 def binomial_sum_m1(a: RationalLike, b: RationalLike, n: int) -> list[Fraction]:
     """m = 1 specialization at every index i = 0..n:
     H_i (a+b)^i - sum_{k=1..i} (a+b)^(i-k) b^k / k.
-
-    Λ = lcm(1..n) is a multiple of H_i's denominator, and every weight is 1.
     """
-    return _short_form(a, b, 1, [harmonic(i) for i in range(n + 1)], -1, [([1] * n, [1] * n)])
+    _check_index(n)
+    return cauchy_column(
+        Fraction(a) + Fraction(b),
+        b,
+        # the lead term: a product with g = 1, 0, 0, ...
+        (integer_form([harmonic(i) for i in range(n + 1)]), ([1], 1)),
+        (([1] * (n + 1), 1), _divided([-1] * n, 1)),
+    )
 
 
 def binomial_sum_m2(a: RationalLike, b: RationalLike, n: int) -> list[Fraction]:
     """m = 2 specialization at every index i = 0..n:
     t(i,2) (a+b)^i + 2 sum_{k=1..i} (a+b)^(i-k) b^k (H_{k-1} - H_{i-k}) / k.
-
-    With Λ = lcm(1..n), Λ H_j is an integer for j <= n and t(i,2) =
-    H_i^2 - H_i^(2) has a denominator dividing Λ^2.
     """
-    lam = math.lcm(*range(1, n + 1))
-    lam_h = [h.numerator * (lam // h.denominator) for h in map(harmonic, range(n))]
-    ones = [1] * n
-    return _short_form(a, b, 2, harmonic_like_column(n, 2), 2, [(ones, lam_h), ([-h for h in lam_h], ones)])
+    _check_index(n)
+    h, h_den = integer_form([harmonic(i) for i in range(n + 1)])
+    return cauchy_column(
+        Fraction(a) + Fraction(b),
+        b,
+        (integer_form(harmonic_like_column(n, 2)), ([1], 1)),
+        (([1] * (n + 1), 1), _divided([2 * v for v in h[:n]], h_den)),
+        (([-2 * v for v in h], h_den), _divided([1] * n, 1)),
+    )
 
 
 def binomial_sum_m3(a: RationalLike, b: RationalLike, n: int) -> list[Fraction]:
     """m = 3 specialization at every index i = 0..n: t(i,3) (a+b)^i minus three
     times the correction sum with weights (H_{k-1} - H_{i-k})^2 - H_{k-1}^(2) -
     H_{i-k}^(2) = A_{k-1} - 2 H_{k-1} H_{i-k} + A_{i-k}, where A_j = H_j^2 - H_j^(2).
-
-    With Λ = lcm(1..n), Λ H_j and Λ^2 H_j^(2) are integers for j <= n, so a
-    weight times Λ^2 is an integer; t(i,3) = 3! e_3(1, 1/2, ..., 1/i) has a
-    denominator dividing Λ^3.
     """
-    lam = math.lcm(*range(1, n + 1))
-    lam_h = [h.numerator * (lam // h.denominator) for h in map(harmonic, range(n))]
-    lam2_h2 = [h.numerator * (lam**2 // h.denominator) for h in (harmonic_order(j, 2) for j in range(n))]
-    lam2_a = [h * h - h2 for h, h2 in zip(lam_h, lam2_h2)]
-    ones = [1] * n
-    pairs = [(ones, lam2_a), (lam_h, [-2 * h for h in lam_h]), (lam2_a, ones)]
-    return _short_form(a, b, 3, harmonic_like_column(n, 3), -3, pairs)
+    _check_index(n)
+    h = [harmonic(i) for i in range(n + 1)]
+    sq, sq_den = integer_form([v * v - harmonic_order(i, 2) for i, v in enumerate(h)])  # A_i
+    h, h_den = integer_form(h)
+    return cauchy_column(
+        Fraction(a) + Fraction(b),
+        b,
+        (integer_form(harmonic_like_column(n, 3)), ([1], 1)),
+        (([1] * (n + 1), 1), _divided([-3 * v for v in sq[:n]], sq_den)),
+        ((h, h_den), _divided([6 * v for v in h[:n]], h_den)),
+        ((sq, sq_den), _divided([-3] * n, 1)),
+    )
 
 
 def binomial_transform(seq: Callable[[int], RationalLike], n: int, signed: bool = True) -> Fraction:

@@ -438,10 +438,12 @@ def test_no_function_is_called_by_both_sides_of_an_identity(ident):
 def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
     # the running sums of thm_hyphar_m0's left side as a product with 1, 1, ...: the right side's helper
     desc = identities.get_identity("thm_hyphar_m0")
-    mutant = replace(desc, lhs=lambda p, n: identities._convolution((identities._hyphar_weights(n, p), [1] * (n + 1))))
+    mutant = replace(desc, lhs=lambda p, n: transforms.cauchy_column(
+        1, 1, (transforms.integer_form(identities._hyphar_weights(n, p)), ([1] * (n + 1), 1))
+    ))
     assert verify_descriptor(mutant).passed
     shared, _ = _route_overlap(mutant)
-    assert "multiharm.identities._convolution" in shared
+    assert "multiharm.transforms.cauchy_column" in shared
 
 
 def test_two_sides_that_read_series_fail_the_trace():

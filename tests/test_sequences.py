@@ -725,6 +725,21 @@ def test_the_binomial_route_of_hyperharmonic_half_is_refused_as_the_primary_is(m
     assert memo_sizes() == sizes
 
 
+def test_the_closed_route_of_hyperharmonic_is_refused_as_the_primary_is(memo_sizes):
+    # without its own check, (300000, 300000) spent seconds on the binomial before
+    # the harmonic table refused the query, and (10**6, 10**6) ran past 30 s
+    clear_caches()
+    sizes = memo_sizes()
+    for n, p in [(300_000, 300_000), (10**6, 10**6)]:
+        with pytest.raises(FeasibilityError) as primary:
+            hyperharmonic(n, p)
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match=f"^{re.escape(str(primary.value))}$"):
+            hyperharmonic_closed(n, p)
+        assert time.perf_counter() - start < 1.0
+    assert memo_sizes() == sizes
+
+
 def test_hyperharmonic_half_ladder_relations():
     # the half-integer family obeys the same ladder recurrences as the
     # integer-order family: partial sums raise the order by one, and the

@@ -17,7 +17,7 @@ from multiharm.series import (
     neg_log_one_minus,
     power_of_one_minus,
 )
-from multiharm.transforms import binomial_sum_direct
+from multiharm.transforms import AB_FIXTURES, binomial_sum_closed
 
 F = Fraction
 
@@ -107,8 +107,8 @@ def test_results_are_stored_in_lowest_terms():
     assert_canonical(canonical_results(f, g, 2))
     assert f + g == TruncatedSeries([1, 1])
     assert f * f == TruncatedSeries([1, 1])
-    # the integer constructors and compose_mobius reduce their common factors too
-    assert_canonical([neg_log_one_minus(F(-2, 3), 4), geometric(F(3, 2), 3), f.compose_mobius(F(1, 2), F(-1, 3), 3)])
+    # the integer constructors reduce their common factors too
+    assert_canonical([neg_log_one_minus(F(-2, 3), 4), geometric(F(3, 2), 3)])
     assert neg_log_one_minus(0, 2) == TruncatedSeries([0, 0, 0])
     # numerators over N! (v q)^N share factors of N! and of v q
     assert_canonical([power_of_one_minus(a, alpha, 6)
@@ -123,8 +123,8 @@ def test_random_results_are_stored_in_lowest_terms(f, g, c):
     assert_canonical(canonical_results(f, TruncatedSeries(g), c))
 
 
-# Schoolbook Fraction references for the integer routes of neg_log_one_minus,
-# geometric and compose_mobius.
+# Schoolbook Fraction references for the integer routes of neg_log_one_minus
+# and geometric.
 
 
 def neg_log_one_minus_reference(a, order):
@@ -141,17 +141,6 @@ def geometric_reference(a, order):
     out = [F(1)]
     for _ in range(order):
         out.append(out[-1] * F(a))
-    return TruncatedSeries(out)
-
-
-def compose_mobius_reference(f, a, b, order):
-    f = f.coeffs
-    out = [f[0]]
-    for n in range(1, order + 1):
-        acc = F(0)
-        for k in range(1, min(n, len(f) - 1) + 1):
-            acc += f[k] * F(a) ** k * binomial(n - 1, n - k) * F(b) ** (n - k)
-        out.append(acc)
     return TruncatedSeries(out)
 
 
@@ -214,17 +203,6 @@ def test_geometric_is_power_of_one_minus_at_minus_one(a, order):
     assert geometric(a, order) == power_of_one_minus(a, -1, order)
 
 
-@settings(max_examples=80)
-@given(st.lists(coeff, min_size=1, max_size=15), rational, rational, st.integers(min_value=0, max_value=12))
-@example([F(1), F(2)], F(0), F(0), 5)  # a = b = 0
-@example([F(0), F(1, 2), F(-3)], F(-2, 3), F(0), 12)  # b = 0, series shorter than the order
-@example([F(3, 4)] * 15, F(0), F(5, 7), 0)  # a = 0, series longer than the order
-@example([F(-1), F(2, 3), F(1, 6), F(-5)], F(-3, 2), F(-4, 5), 9)
-def test_compose_mobius_matches_fraction_reference(c, a, b, order):
-    f = TruncatedSeries(c)
-    assert f.compose_mobius(a, b, order) == compose_mobius_reference(f, a, b, order)
-
-
 def test_neg_log_one_minus_examples():
     assert neg_log_one_minus(1, 4).coeffs == (F(0), F(1), F(1, 2), F(1, 3), F(1, 4))
     assert neg_log_one_minus(0, 3) == TruncatedSeries([0, 0, 0, 0])
@@ -241,34 +219,14 @@ def test_pow_examples():
         f**-1
 
 
-def test_compose_mobius_examples():
-    z = TruncatedSeries([0, 1])
-    assert z.compose_mobius(1, 1, 4).coeffs == (F(0), F(1), F(1), F(1), F(1))
-    f = TruncatedSeries([F(2), F(-1, 3), F(5), F(7, 2)])
-    assert f.compose_mobius(1, 0) == f
-
-
-def test_compose_mobius_matches_binomial_sum():
-    # 1/(1-bz) * gf(a z / (1-b z)) has coefficients sum C(n,k) a^k b^(n-k) H_k
-    a, b = F(2), F(3)
-    order = 12
-    gf = gf_harmonic_like(1, order)
-    composed = geometric(b, order) * gf.compose_mobius(a, b, order)
-    for n in range(order + 1):
-        assert composed[n] == binomial_sum_direct(a, b, 1, n)
-
-
-def test_compose_mobius_nesting():
-    # z -> a2 z/(1-b2 z) after z -> a1 z/(1-b1 z) is z -> a1 a2 z/(1-(b2+a2 b1) z)
-    order = 12
-    f = gf_harmonic_like(2, order)
-    for (a1, b1), (a2, b2) in [
-        ((F(2), F(3)), (F(1, 2), F(-1, 3))),
-        ((F(-1), F(1, 2)), (F(3), F(2))),
-    ]:
-        nested = f.compose_mobius(a1, b1, order).compose_mobius(a2, b2, order)
-        direct = f.compose_mobius(a1 * a2, b2 + a2 * b1, order)
-        assert nested == direct
+def test_the_product_form_of_the_main_theorem_equals_the_closed_form():
+    # -ln(1 - z)^m / (1 - z) at z -> a z/(1 - b z), times 1/(1 - b z), is
+    # (-ln(1 - (a+b) z) + ln(1 - b z))^m / (1 - (a+b) z): its coefficients are S(a, b, m, n)
+    order = 30
+    for a, b in AB_FIXTURES:
+        for m in range(5):
+            product = (neg_log_one_minus(a + b, order) - neg_log_one_minus(b, order)) ** m * geometric(a + b, order)
+            assert list(product.coeffs) == binomial_sum_closed(a, b, m, order)
 
 
 def test_gf_harmonic_like_matches_recurrence():
@@ -316,7 +274,6 @@ def test_gf_odd_central_matches_central_binomial_products():
     pytest.param(lambda: geometric(1, -2), id="geometric"),
     pytest.param(lambda: power_of_one_minus(4, F(-1, 2), -1), id="power_of_one_minus"),
     pytest.param(lambda: neg_log_one_minus(1, -2), id="neg_log_one_minus"),
-    pytest.param(lambda: TruncatedSeries([1, 2]).compose_mobius(1, 1, order=-1), id="compose_mobius"),
     pytest.param(lambda: TruncatedSeries.one(-1), id="one"),
 ])
 def test_every_constructor_refuses_a_negative_order(route):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiharm import transforms
+from multiharm import identities, transforms
 from multiharm.identities import verify_identity
 from multiharm.rational import binomial, exact_sum, factorial
 from multiharm.sequences import harmonic, harmonic_like, harmonic_order, stirling1
@@ -286,57 +286,113 @@ def test_route_matches_its_fraction_loop(route, reference):
 
 
 # ---------------------------------------------------------------------------
-# the helpers the closed routes share
+# the one Cauchy-product helper
 #
-# A fault in a helper must show in every identity whose closed side reads it:
-# the literal route reads neither helper, so the fault cannot scale both sides
-# of a check alike.
+# A fault in cauchy_column must show in every identity a side of which reads
+# it: the literal route and the left sides do not read it, so the fault cannot
+# scale both sides of a check alike.
 
-_BINOMIAL_SUM_IDS = ("main_id1", "remark_m1", "cor_id4", "cor_id5")
-_pair_powers = transforms._pair_powers
-_short_form = transforms._short_form
+_cauchy_column = transforms.cauchy_column
 
-
-def _denominator_times_y(x, y, n):
-    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
-    return us_pow, rv_pow, [scale * F(y).denominator for scale in vs_pow]
-
-
-def _denominator_times_x(x, y, n):
-    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
-    return us_pow, rv_pow, [scale * F(x).denominator for scale in vs_pow]
+#: The entries a side of which reads cauchy_column.
+_HELPER_READERS = (
+    "main_id1", "remark_m1", "cor_id3", "cor_id4", "cor_id5", "hn3_double", "thm_hnp1", "thm_hnp1_m2", "thm_kk1_m2",
+    "thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1", "thm_odd_id1", "thm_odd_id1_m0", "thm_odd_id1_m1", "thm_general_p",
+)
+#: The readers that take the product of two plain sequences, x = y = 1.
+_UNIT_READERS = _HELPER_READERS[5:]
 
 
-def _swapped_powers(x, y, n):
-    us_pow, rv_pow, vs_pow = _pair_powers(x, y, n)
-    return rv_pow, us_pow, vs_pow
+def _use_helper(monkeypatch, helper):
+    # under both names the routes and the registry read it by
+    for module in (transforms, identities):
+        monkeypatch.setattr(module, "cauchy_column", helper)
 
 
-def _first_weight_doubled(a, b, m, lead, c, pairs):
-    # doubles the weight w(n, 1) of every n: the factor y[0] of each pair
-    return _short_form(a, b, m, lead, c, [(x, [2 * y[0], *y[1:]] if y else y) for x, y in pairs])
+def _factor_pairs(n):
+    # one to three pairs (f, g): f of n + 1 entries, g of 1 to n + 1, ints or fractions
+    entry = st.one_of(st.integers(-9, 9), _RATIONALS)
+    factor = st.lists(entry, min_size=n + 1, max_size=n + 1)
+    return st.lists(st.tuples(factor, st.lists(entry, min_size=1, max_size=n + 1)), min_size=1, max_size=3)
 
 
-@pytest.mark.parametrize("identity_id", _BINOMIAL_SUM_IDS)
-@pytest.mark.parametrize("mutant", [_denominator_times_y, _denominator_times_x, _swapped_powers])
-def test_a_wrong_pair_powers_fails_every_binomial_sum_identity(monkeypatch, mutant, identity_id):
-    assert verify_identity(identity_id).passed
-    monkeypatch.setattr(transforms, "_pair_powers", mutant)
-    assert not verify_identity(identity_id).passed
+@settings(max_examples=80, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.integers(0, 12).flatmap(_factor_pairs))
+@example(F(0), F(0), [([1, 2, 3], [4, 5, 6])])  # 0^0 = 1
+@example(F(-2, 3), F(5, 7), [([F(1, 2), 0, F(-3, 4)], [1]), ([0, 1, F(1, 3)], [0, F(2, 5), 7])])
+def test_cauchy_column_matches_its_fraction_loop(x, y, pairs):
+    n = len(pairs[0][0]) - 1
+    expected = [
+        sum((f[k] * x**k * g[i - k] * y ** (i - k) for f, g in pairs for k in range(i + 1) if i - k < len(g)), F(0))
+        for i in range(n + 1)
+    ]
+    assert _cauchy_column(x, y, *((transforms.integer_form(f), transforms.integer_form(g)) for f, g in pairs)) == expected
 
 
-@pytest.mark.parametrize("identity_id", _BINOMIAL_SUM_IDS[1:])
-def test_a_wrong_short_form_fails_every_specialization_identity(monkeypatch, identity_id):
-    monkeypatch.setattr(transforms, "_short_form", _first_weight_doubled)
-    assert not verify_identity(identity_id).passed
+def test_the_helper_readers_are_listed_and_pass(monkeypatch):
+    readers = set()
+    for ident in identities._REGISTRY:
+        def recording(*args, ident=ident):
+            readers.add(ident)
+            return _cauchy_column(*args)
+
+        _use_helper(monkeypatch, recording)
+        assert verify_identity(ident).passed
+    assert readers == set(_HELPER_READERS)
+
+
+def _first_nonzero(nums, change):
+    # nums with ``change`` applied to its first nonzero entry, if it has one
+    k = next((k for k, v in enumerate(nums) if v), None)
+    return nums if k is None else [*nums[:k], change(nums[k]), *nums[k + 1:]]
+
+
+def _denominator_times_y(x, y, *pairs):
+    # each pair's denominator times the denominator of its y side at l = 1, g_den s for y = r/s
+    return _cauchy_column(x, y, *((f, (g, den * den * F(y).denominator)) for f, (g, den) in pairs))
+
+
+def _denominator_times_x(x, y, *pairs):
+    # each pair's denominator times the denominator of its x side at k = 1, f_den v for x = u/v
+    return _cauchy_column(x, y, *(((f, den * den * F(x).denominator), g) for (f, den), g in pairs))
+
+
+def _swapped_powers(x, y, *pairs):
+    return _cauchy_column(y, x, *pairs)
+
+
+def _one_term_short(x, y, *pairs):
+    # the first nonzero term of each x factor left out
+    return _cauchy_column(x, y, *(((_first_nonzero(f, lambda v: 0), den), g) for (f, den), g in pairs))
+
+
+def _first_weight_doubled(x, y, *pairs):
+    # the first nonzero weight of each y factor doubled
+    return _cauchy_column(x, y, *((f, (_first_nonzero(g, lambda v: 2 * v), den)) for f, (g, den) in pairs))
+
+
+@pytest.mark.parametrize("identity_id", _HELPER_READERS)
+@pytest.mark.parametrize("mutant, unchanged", [
+    pytest.param(_denominator_times_y, (), id="den_y"),
+    # the x factor C(k+p, k) of the thm_hyphar family is an integer and x = 1: there is no denominator to multiply by
+    pytest.param(_denominator_times_x, ("thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1"), id="den_x"),
+    # at x = y = 1 every power is 1
+    pytest.param(_swapped_powers, _UNIT_READERS, id="swap"),
+    pytest.param(_one_term_short, (), id="short"),
+    pytest.param(_first_weight_doubled, (), id="double"),
+])
+def test_a_wrong_cauchy_column_fails_each_reader(monkeypatch, mutant, unchanged, identity_id):
+    # each mutant fails every reader whose factors it changes, and the others pass under it
+    _use_helper(monkeypatch, mutant)
+    assert verify_identity(identity_id).passed is (identity_id in unchanged)
 
 
 def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
     def forbidden(*args):
         raise AssertionError("binomial_sum_direct read a closed-route helper")
 
-    monkeypatch.setattr(transforms, "_pair_powers", forbidden)
-    monkeypatch.setattr(transforms, "_short_form", forbidden)
+    monkeypatch.setattr(transforms, "cauchy_column", forbidden)
+    monkeypatch.setattr(transforms, "integer_form", forbidden)
     assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 12) == direct_reference(F(1, 2), F(-1, 3), 3, 12)
 
 
