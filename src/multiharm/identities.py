@@ -30,17 +30,27 @@ for the top index n it is called with.  A side is known by its value alone.
 that differ only in n, calls each side once with a run's last binding, and
 calls a point side again at the run's other bindings; it still compares the
 sides point by point in grid order.  A column side is a sum of Cauchy products
-along n, taken by ``transforms.cauchy_column`` or as one ``_fsum`` of product
-tuples per value, or, where its summand does not depend on n, the running
-sums of ``itertools.accumulate``.  No function of this
-module is called by both sides of one identity, and the module keeps no memo:
-a weight or inner sum that a side reads along n is an uncached column helper.
+along n taken by ``transforms.cauchy_column``, the running sums of
+``itertools.accumulate``, or a literal integer column.  Every left side whose
+anchor sums O(n) terms per point is a literal integer column: once per run it
+reads each sequence (one ``*_column`` read where the family has one), takes
+one lcm, the powers it needs and one list of integer numerators, and then
+each value costs one integer dot product and one ``Fraction``.  There are
+four of them: the literal binomial sum
+(``transforms.binomial_sum_direct_column``), the binomial transforms
+sum_k C(i,k) x_k of a list x that depends on k only (``_binomial_transforms``),
+the convolutions (``_products``), and the running sums of a summand that does
+not depend on n (``_running_sums``).  Each takes its own common denominator
+(``_numerators``), never ``transforms.integer_form``, which the right sides
+take.  No function of this module is called by both sides of one identity,
+and the module keeps no memo: a weight or inner sum that a side reads along n
+is an uncached column helper.
 
-A side that sums products passes each term to ``_fsum``
+A point side that sums products passes each term to ``_fsum``
 (:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
-factors, such as ``(comb(n, k), hlike(k, m))``: the numerators and the
-denominators of the factors are multiplied as integers, so a term makes no
-``Fraction`` product, and the sum is reduced once.
+factors, such as ``(fib(n - k), harm(k - 1) - harm(n - k), Fraction(1, k))``:
+the numerators and the denominators of the factors are multiplied as
+integers, so a term makes no ``Fraction`` product, and the sum is reduced once.
 
 Anchor strings state each identity in plain ASCII with this notation:
 
@@ -65,7 +75,7 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from operator import mul
+from operator import add, mul
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
 
@@ -93,7 +103,7 @@ from multiharm.sequences import (
 from multiharm.transforms import (
     AB_FIXTURES,
     binomial_sum_closed,
-    binomial_sum_direct,
+    binomial_sum_direct_column,
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
@@ -193,6 +203,11 @@ def _evaluate(desc: IdentityDescriptor, side: str, run: list[dict[str, Any]]) ->
     return itertools.chain((evaluate(**binding) for binding in run[:-1]), [top])
 
 
+#: The value types that ``verify_descriptor`` compares as they are: an int and a Fraction compare
+#: exactly, and ``str`` of an int is that of its Fraction.  Any other value is converted first.
+_EXACT = (int, Fraction)
+
+
 def verify_descriptor(
     desc: IdentityDescriptor, overrides: Mapping[str, int] | None = None
 ) -> VerificationReport:
@@ -203,13 +218,15 @@ def verify_descriptor(
     for run in _runs(desc, overrides):
         for binding, lhs, rhs in zip(run, _evaluate(desc, "lhs", run), _evaluate(desc, "rhs", run)):
             cases += 1
-            lhs = Fraction(lhs)
-            rhs = Fraction(rhs)
+            if type(lhs) not in _EXACT:
+                lhs = Fraction(lhs)
+            if type(rhs) not in _EXACT:
+                rhs = Fraction(rhs)
             if lhs != rhs and first_failure is None:
                 first_failure = {
                     "binding": {k: _json_value(v) for k, v in binding.items()},
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
+                    "lhs": str(Fraction(lhs)),
+                    "rhs": str(Fraction(rhs)),
                 }
     elapsed_ms = (perf_counter() - start) * 1000.0
     return VerificationReport(desc.id, desc.anchor, cases, first_failure is None, first_failure, elapsed_ms)
@@ -419,10 +436,39 @@ def _odd_weights(n: int, p: int) -> list[Fraction]:
     return [_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(n + 1)]
 
 
+def _numerators(values: list[RationalLike]) -> tuple[list[int], int]:
+    # values as integers over their lcm, for the left sides' literal columns below; the right
+    # sides take transforms.integer_form, so no function is called by both sides of an entry
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _binomial_transforms(x: list[RationalLike]) -> list[Fraction]:
+    # sum_{k=0..i} C(i,k) x[k] at each index i: row i of Pascal's triangle dotted with the numerators of x
+    nums, common = _numerators(x)
+    values, row = [], [1]
+    for _ in nums:
+        values.append(Fraction(sum(map(mul, row, nums)), common))
+        row = [1, *map(add, row, row[1:]), 1]
+    return values
+
+
 def _products(f: list[RationalLike], g: list[RationalLike]) -> list[Fraction]:
-    # sum_{k=0..i} f[k] g[i-k] at each index i as one _fsum of product tuples: the literal form
-    # of the left sides' Cauchy products, whose right sides are cauchy_column columns
-    return [_fsum(zip(f, g[i::-1])) for i in range(len(f))]
+    # sum_{k=0..i} f[k] g[i-k] at each index i, one integer dot product of the numerators of f and g:
+    # the literal form of the left sides' Cauchy products, whose right sides are cauchy_column columns
+    (f, f_den), (g, g_den) = _numerators(f), _numerators(g)
+    return [Fraction(sum(map(mul, f, g[i::-1])), f_den * g_den) for i in range(len(f))]
+
+
+def _running_sums(terms: list[RationalLike]) -> list[Fraction]:
+    # sum_{k=0..i} terms[k] at each index i, as integers over one lcm
+    nums, common = _numerators(terms)
+    return [Fraction(total, common) for total in accumulate(nums)]
+
+
+def _kk1_weights(n: int) -> list[Fraction]:
+    # 0, then 1/(k(k+1)) for k = 1..n: the weight of the left sides of the thm_kk1 family
+    return [Fraction(0), *(Fraction(1, k * (k + 1)) for k in range(1, n + 1))]
 
 
 def _central_halves(n: int, p: int = 0) -> tuple[list[int], int]:
@@ -514,7 +560,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) a^k b^(n-k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (a+b)^k ((m-j)!/(n-k)!) (-1)^(n-k) b^(n-k) s(n-k,m-j)",
             {("a", "b"): AB_FIXTURES, "m": range(0, 5), "n": range(0, 26)},
-            lambda a, b, m, n: binomial_sum_direct(a, b, m, n),
+            lambda a, b, m, n: binomial_sum_direct_column(a, b, m, n),
             lambda a, b, m, n: binomial_sum_closed(a, b, m, n),
         ),
         IdentityDescriptor(
@@ -522,7 +568,7 @@ _REGISTRY = _build_registry({
             "m=1 closed form of the binomial sum",
             "sum_{k=0..n} C(n,k) a^k b^(n-k) H_k = H_n (a+b)^n - sum_{k=0..n-1} (a+b)^k b^(n-k)/(n-k)",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct(a, b, 1, n),
+            lambda a, b, n: binomial_sum_direct_column(a, b, 1, n),
             lambda a, b, n: binomial_sum_m1(a, b, n),
         ),
         IdentityDescriptor(
@@ -530,7 +576,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,m)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,m) = (-1)^n (m!/n!) s(n,m)",
             {"m": range(0, 6), "n": range(0, 26)},
-            lambda m, n: _fsum(((-1) ** k, comb(n, k), hlike(k, m)) for k in range(n + 1)),
+            lambda m, n: _binomial_transforms([(-1) ** k * v for k, v in enumerate(harmonic_like_column(n, m))]),
             lambda m, n: (-1) ** n * Fraction(fact(m), fact(n)) * stir(n, m),
         ),
         IdentityDescriptor(
@@ -538,11 +584,8 @@ _REGISTRY = _build_registry({
             "inverse transform: Stirling column sums give HL(.,m)",
             "sum_{k=m..n} C(n,k) s(k,m)/k! = HL(n,m)/m!",
             {"m": range(0, 6), "n": range(0, 31)},
-            # every term an integer over n!
-            lambda m, n: Fraction(
-                sum(comb(n, k) * stir(k, m) * (fact(n) // fact(k)) for k in range(m, n + 1)),
-                fact(n),
-            ),
+            # s(k,m) = 0 for k < m, so the transform may start at k = 0
+            lambda m, n: _binomial_transforms([Fraction(v, fact(k)) for k, v in enumerate(stirling1_column(n, m))]),
             lambda m, n: Fraction(hlike(n, m), 1) / fact(m),
         ),
         IdentityDescriptor(
@@ -551,7 +594,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
             {"m": range(0, 5), "n": range(0, 26)},
-            lambda m, n: _fsum((comb(n, k), hlike(k, m)) for k in range(n + 1)),
+            lambda m, n: _binomial_transforms(harmonic_like_column(n, m)),
             # the main theorem at a = b = 1
             lambda m, n: binomial_sum_closed(1, 1, m, n),
         ),
@@ -560,7 +603,7 @@ _REGISTRY = _build_registry({
             "plain binomial transform of harmonic numbers",
             "sum_{k=0..n} C(n,k) H_k = 2^n (H_n - sum_{k=1..n} 1/(2^k k))",
             {"n": range(0, 41)},
-            lambda n: _fsum((comb(n, k), harm(k)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([harm(k) for k in range(n + 1)]),
             lambda n: 2**n * (harm(n) - _fsum(Fraction(1, 2**k * k) for k in range(1, n + 1))),
         ),
         IdentityDescriptor(
@@ -568,7 +611,7 @@ _REGISTRY = _build_registry({
             "m=2 closed form of the binomial sum",
             "S(a,b,2,n) = HL(n,2) (a+b)^n + 2 sum_{k=1..n} (a+b)^(n-k) b^k (H_{k-1} - H_{n-k})/k",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct(a, b, 2, n),
+            lambda a, b, n: binomial_sum_direct_column(a, b, 2, n),
             lambda a, b, n: binomial_sum_m2(a, b, n),
         ),
         IdentityDescriptor(
@@ -576,7 +619,7 @@ _REGISTRY = _build_registry({
             "plain binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) HL(k,2) = 2^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(2^k k))",
             {"n": range(0, 31)},
-            lambda n: _fsum((comb(n, k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms(harmonic_like_column(n, 2)),
             lambda n: 2**n
             * (
                 hlike(n, 2)
@@ -588,7 +631,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,2) = (2/n) H_{n-1}",
             {"n": range(1, 41)},
-            lambda n: _fsum(((-1) ** k, comb(n, k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([(-1) ** k * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: Fraction(2, n) * harm(n - 1),
         ),
         IdentityDescriptor(
@@ -596,7 +639,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of order-2 harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^(2) = -H_n/n",
             {"n": range(1, 41)},
-            lambda n: _fsum(((-1) ** k, comb(n, k), harmonic_order(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([(-1) ** k * harmonic_order(k, 2) for k in range(n + 1)]),
             lambda n: -harm(n) / n,
         ),
         IdentityDescriptor(
@@ -604,7 +647,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of squared harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^2 = H_n/n - 2/n^2",
             {"n": range(1, 41)},
-            lambda n: _fsum(((-1) ** k, comb(n, k), harm(k) ** 2) for k in range(n + 1)),
+            lambda n: _binomial_transforms([(-1) ** k * harm(k) ** 2 for k in range(n + 1)]),
             lambda n: harm(n) / n - Fraction(2, n * n),
         ),
         IdentityDescriptor(
@@ -612,7 +655,7 @@ _REGISTRY = _build_registry({
             "inverse-transform companion with H_k/k",
             "sum_{k=1..n} C(n,k) (-1)^(k+1) H_k/k = H_n^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum(((-1) ** (k + 1), comb(n, k), harm(k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: _binomial_transforms([0, *((-1) ** (k + 1) * harm(k) / k for k in range(1, n + 1))]),
             lambda n: harmonic_order(n, 2),
         ),
         IdentityDescriptor(
@@ -620,7 +663,13 @@ _REGISTRY = _build_registry({
             "mixed-weight transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k (-1)^(n-k) HL(k,2) = HL(n,2) + 2 sum_{k=1..n} (-1)^k (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum((comb(n, k), 2**k, (-1) ** (n - k), hlike(k, 2)) for k in range(n + 1)),
+            # (-1)^(n-k) = (-1)^n (-1)^k
+            lambda n: [
+                (-1) ** i * v
+                for i, v in enumerate(
+                    _binomial_transforms([(-2) ** k * v for k, v in enumerate(harmonic_like_column(n, 2))])
+                )
+            ],
             lambda n: hlike(n, 2)
             + 2 * _fsum(((-1) ** k, harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
@@ -629,7 +678,7 @@ _REGISTRY = _build_registry({
             "weight-2^k binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k HL(k,2) = 3^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(3^k k))",
             {"n": range(0, 26)},
-            lambda n: _fsum((comb(n, k), 2**k, hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([2**k * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: 3**n
             * (
                 hlike(n, 2)
@@ -641,7 +690,7 @@ _REGISTRY = _build_registry({
             "Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) F_k HL(k,2) = HL(n,2) F_{2n} + 2 sum_{k=1..n} F_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum((comb(n, k), fib(k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: hlike(n, 2) * fib(2 * n)
             + 2 * _fsum((fib(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
@@ -650,7 +699,7 @@ _REGISTRY = _build_registry({
             "Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) L_k HL(k,2) = HL(n,2) L_{2n} + 2 sum_{k=1..n} L_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum((comb(n, k), luc(k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: hlike(n, 2) * luc(2 * n)
             + 2 * _fsum((luc(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
@@ -659,7 +708,9 @@ _REGISTRY = _build_registry({
             "alternating Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^(k+1) F_k HL(k,2) = HL(n,2) F_n + 2 sum_{k=1..n} F_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(((-1) ** (k + 1), comb(n, k), fib(k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms(
+                [(-1) ** (k + 1) * fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]
+            ),
             lambda n: hlike(n, 2) * fib(n)
             + 2 * _fsum((fib(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
@@ -668,7 +719,7 @@ _REGISTRY = _build_registry({
             "alternating Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k L_k HL(k,2) = HL(n,2) L_n + 2 sum_{k=1..n} L_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _fsum(((-1) ** k, comb(n, k), luc(k), hlike(k, 2)) for k in range(n + 1)),
+            lambda n: _binomial_transforms([(-1) ** k * luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: hlike(n, 2) * luc(n)
             + 2 * _fsum((luc(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
         ),
@@ -678,7 +729,7 @@ _REGISTRY = _build_registry({
             "S(a,b,3,n) = HL(n,3) (a+b)^n - 3 sum_{k=1..n} (a+b)^(n-k) b^k "
             "(H_{k-1}^2 - H_{k-1}^(2) - 2 H_{k-1} H_{n-k} + H_{n-k}^2 - H_{n-k}^(2))/k",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct(a, b, 3, n),
+            lambda a, b, n: binomial_sum_direct_column(a, b, 3, n),
             lambda a, b, n: binomial_sum_m3(a, b, n),
         ),
         IdentityDescriptor(
@@ -696,7 +747,7 @@ _REGISTRY = _build_registry({
             "partial sums of H_{k-1}/k",
             "sum_{k=1..n} H_{k-1}/k = (H_n^2 - H_n^(2))/2",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(k - 1), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: _running_sums([0, *(harm(k - 1) / k for k in range(1, n + 1))]),
             lambda n: (harm(n) ** 2 - harmonic_order(n, 2)) / 2,
         ),
         IdentityDescriptor(
@@ -704,7 +755,7 @@ _REGISTRY = _build_registry({
             "partial sums of harmonic numbers",
             "sum_{k=1..n} H_k = (n+1) H_n - n",
             {"n": range(1, 41)},
-            lambda n: _fsum(harm(k) for k in range(1, n + 1)),
+            lambda n: _running_sums([harm(k) for k in range(n + 1)]),
             lambda n: (n + 1) * harm(n) - n,
         ),
         IdentityDescriptor(
@@ -712,7 +763,7 @@ _REGISTRY = _build_registry({
             "Fibonacci-harmonic partial sums",
             "sum_{k=1..n} H_k F_k = H_n F_{n+2} - sum_{k=1..n} F_{k+1}/k",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(k), fib(k)) for k in range(1, n + 1)),
+            lambda n: _running_sums([harm(k) * fib(k) for k in range(n + 1)]),
             lambda n: harm(n) * fib(n + 2) - _fsum(Fraction(fib(k + 1), k) for k in range(1, n + 1)),
         ),
         IdentityDescriptor(
@@ -732,7 +783,7 @@ _REGISTRY = _build_registry({
             "partial sums of H_k/k",
             "sum_{k=1..n} H_k/k = (H_n^2 + H_n^(2))/2",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: _running_sums([0, *(harm(k) / k for k in range(1, n + 1))]),
             lambda n: (harm(n) ** 2 + harmonic_order(n, 2)) / 2,
         ),
         IdentityDescriptor(
@@ -764,7 +815,7 @@ _REGISTRY = _build_registry({
             "reversed-denominator harmonic sum",
             "sum_{k=1..n} H_k/(n-k+1) = H_{n+1}^2 - H_{n+1}^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(k), Fraction(1, n - k + 1)) for k in range(1, n + 1)),
+            lambda n: _products([harm(k) for k in range(n + 1)], [Fraction(1, j + 1) for j in range(n + 1)]),
             lambda n: harm(n + 1) ** 2 - harmonic_order(n + 1, 2),
         ),
         IdentityDescriptor(
@@ -791,7 +842,7 @@ _REGISTRY = _build_registry({
             "harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_k/(k(k+1)) = H_n^(2) - H_n/(n+1)",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(k), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda n: _running_sums([0, *(harm(k) / (k * (k + 1)) for k in range(1, n + 1))]),
             lambda n: harmonic_order(n, 2) - harm(n) / (n + 1),
         ),
         IdentityDescriptor(
@@ -799,7 +850,7 @@ _REGISTRY = _build_registry({
             "shifted harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{k+p}/(k(k+1)) = (H_n + H_p - H_{n+p})/p + H_p - H_{n+p}/(n+1)",
             {"p": range(1, 6), "n": range(1, 31)},
-            lambda p, n: _fsum((harm(k + p), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda p, n: _running_sums([0, *(harm(k + p) / (k * (k + 1)) for k in range(1, n + 1))]),
             lambda p, n: (harm(n) + harm(p) - harm(n + p)) / p + harm(p) - harm(n + p) / (n + 1),
         ),
         IdentityDescriptor(
@@ -807,7 +858,7 @@ _REGISTRY = _build_registry({
             "reversed harmonic-like numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} HL(n-k,m)/(k(k+1)) = HL(n,m) + HL(n,m+1) - HL(n+1,m+1)",
             {"m": range(0, 5), "n": range(1, 26)},
-            lambda m, n: _fsum((hlike(n - k, m), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda m, n: _products(_kk1_weights(n), harmonic_like_column(n, m)),
             lambda m, n: hlike(n, m) + hlike(n, m + 1) - hlike(n + 1, m + 1),
         ),
         IdentityDescriptor(
@@ -815,7 +866,7 @@ _REGISTRY = _build_registry({
             "reversed harmonic numbers against the 1/(k(k+1)) kernel",
             "sum_{k=1..n} H_{n-k}/(k(k+1)) = H_n + H_n^2 - H_n^(2) - H_{n+1}^2 + H_{n+1}^(2)",
             {"n": range(1, 41)},
-            lambda n: _fsum((harm(n - k), Fraction(1, k * (k + 1))) for k in range(1, n + 1)),
+            lambda n: _products(_kk1_weights(n), [harm(i) for i in range(n + 1)]),
             lambda n: harm(n) + harm(n) ** 2 - harmonic_order(n, 2) - harm(n + 1) ** 2 + harmonic_order(n + 1, 2),
         ),
         IdentityDescriptor(
@@ -825,9 +876,7 @@ _REGISTRY = _build_registry({
             "+ sum_{k=1..n} (1/k) sum_{j=1..n-k} H_{n-k-j}/j "
             "- sum_{k=1..n+1} (1/k) sum_{j=1..n+1-k} H_{n+1-k-j}/j",
             {"n": range(1, 26)},
-            lambda n: _fsum(
-                (harm(n - k) ** 2 - harmonic_order(n - k, 2), Fraction(1, k * (k + 1))) for k in range(1, n + 1)
-            ),
+            lambda n: _products(_kk1_weights(n), [harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)]),
             # the double sums are _harmonic_tails at n and at n + 1
             lambda n: [
                 harm(i) ** 2 - harmonic_order(i, 2) + tail - next_tail
@@ -987,7 +1036,7 @@ _REGISTRY = _build_registry({
             "central-binomial odd-harmonic partial sums",
             "sum_{k=1..n} (O_k/4^k) C(2k,k) = ((n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1)",
             {"n": range(0, 41)},
-            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(1, n + 1)),
+            lambda n: _running_sums(_odd_weights(n, 0)),
             lambda n: Fraction(n + 1, 2 * 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
         IdentityDescriptor(
@@ -995,7 +1044,7 @@ _REGISTRY = _build_registry({
             "central-binomial convolution lifts HL level by one",
             "sum_{k=0..n} C(2k,k) O_k HL(n-k,m)/4^k = (1/2) sum_{k=0..n} C(2k,k) HL(n-k,m+1)/4^k",
             {"m": range(0, 4), "n": range(0, 26)},
-            lambda m, n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), hlike(n - k, m)) for k in range(n + 1)),
+            lambda m, n: _products(_odd_weights(n, 0), harmonic_like_column(n, m)),
             lambda m, n: cauchy_column(1, 1, (_central_halves(n), integer_form(harmonic_like_column(n, m + 1)))),
         ),
         IdentityDescriptor(
@@ -1003,7 +1052,7 @@ _REGISTRY = _build_registry({
             "central-binomial convolution, base case",
             "sum_{k=0..n} C(2k,k) O_k/4^k = (1/2) sum_{k=0..n} C(2k,k) H_{n-k}/4^k",
             {"n": range(0, 41)},
-            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(n + 1)),
+            lambda n: _running_sums(_odd_weights(n, 0)),
             lambda n: cauchy_column(1, 1, (_central_halves(n), integer_form([harm(i) for i in range(n + 1)]))),
         ),
         IdentityDescriptor(
@@ -1011,7 +1060,7 @@ _REGISTRY = _build_registry({
             "central-binomial convolution, harmonic case",
             "sum_{k=0..n} C(2k,k) O_k H_{n-k}/4^k = (1/2) sum_{k=0..n} C(2k,k) (H_{n-k}^2 - H_{n-k}^(2))/4^k",
             {"n": range(0, 31)},
-            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), oddh(k), harm(n - k)) for k in range(n + 1)),
+            lambda n: _products(_odd_weights(n, 0), [harm(i) for i in range(n + 1)]),
             lambda n: cauchy_column(
                 1, 1, (_central_halves(n), integer_form([harm(i) ** 2 - harmonic_order(i, 2) for i in range(n + 1)]))
             ),
@@ -1021,7 +1070,9 @@ _REGISTRY = _build_registry({
             "central-binomial harmonic convolution in closed form",
             "sum_{k=0..n} C(2k,k) H_{n-k}/4^k = ((n+1)/4^n) C(2(n+1),n+1) (O_{n+1} - 1)",
             {"n": range(0, 41)},
-            lambda n: _fsum((comb(2 * k, k), Fraction(1, 4**k), harm(n - k)) for k in range(n + 1)),
+            lambda n: _products(
+                [Fraction(comb(2 * k, k), 4**k) for k in range(n + 1)], [harm(i) for i in range(n + 1)]
+            ),
             lambda n: Fraction(n + 1, 4**n) * comb(2 * (n + 1), n + 1) * (oddh(n + 1) - 1),
         ),
         IdentityDescriptor(
@@ -1039,7 +1090,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) H_{n-k} = "
             "(1/4^n) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 6), "n": range(0, 26)},
-            lambda p, n: _fsum((_cw(k, p), harm(n - k)) for k in range(n + 1)),
+            lambda p, n: _products([_cw(k, p) for k in range(n + 1)], [harm(i) for i in range(n + 1)]),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1076,7 +1127,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (k/4^k) C(2k,k) O_k = (n(n+1)/2^(2n+1)) C(2(n+1),n+1) (O_{n+1} - 1) "
             "- (n(n+1)/(3*4^n)) C(2(n+1),n+1) (O_{n+1} - 4/3)",
             {"n": range(1, 41)},
-            lambda n: _fsum((k, comb(2 * k, k), Fraction(1, 4**k), oddh(k)) for k in range(1, n + 1)),
+            lambda n: _running_sums([k * w for k, w in enumerate(_odd_weights(n, 0))]),
             lambda n: Fraction(n * (n + 1), 2 * 4**n)
             * comb(2 * (n + 1), n + 1)
             * (oddh(n + 1) - 1)

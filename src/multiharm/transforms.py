@@ -2,7 +2,10 @@
 
 The central object is S(a, b, m, n) = sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m)
 where t(k, m) is the multiple harmonic-like number.  ``binomial_sum_direct``
-is the literal sum at one n; ``binomial_sum_closed`` is the independent closed
+is the literal sum at one n, O(n) terms; ``binomial_sum_direct_column`` is the
+same sum at every index 0..n, by the same code (``_literal_sums``), which
+reads the harmonic-like values and takes their lcm and the powers of a and b
+once for the whole column.  ``binomial_sum_closed`` is the independent closed
 form in terms of Stirling numbers of the first kind; ``binomial_sum_m1/m2/m3``
 are the short specializations.  All routes must agree exactly on every input.
 The closed routes return a column, the values at n = 0..n_max in order, each a
@@ -10,11 +13,11 @@ sum of Cauchy products along n taken by :func:`cauchy_column`, whose docstring
 states the one integer form of those products; the identity registry takes its
 convolutions there too.
 
-The literal route adds its own integers over one common denominator and
-reduces once.  It shares nothing with the closed routes but the sequences
-layer and the stdlib, so a fault in ``cauchy_column`` cannot scale both sides
-of a check alike.  The registry checks each closed route against the literal
-route only.
+The literal route, in both forms, adds its own integers over one common
+denominator and reduces each value once.  It shares nothing with the closed
+routes but the sequences layer and the stdlib, so a fault in ``cauchy_column``
+cannot scale both sides of a check alike.  The registry checks each closed
+route against the column form of the literal route only.
 
 Conventions: 0^0 = 1 (so the m = 0 case collapses to (a+b)^n even at a = -b),
 and any sum over an empty range is 0; n < 0 raises ``ValueError``.
@@ -26,11 +29,11 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from multiharm.rational import RationalLike, binomial, exact_sum, factorial
 from multiharm.sequences import (
-    _check_index, harmonic, harmonic_like, harmonic_like_column, harmonic_order, stirling1_column,
+    _check_index, harmonic, harmonic_like_column, harmonic_order, stirling1_column,
 )
 
 #: (a, b) pairs exercising the degenerate and generic regimes of the binomial
@@ -55,25 +58,39 @@ def _binomial_row(n: int) -> Iterator[int]:
         c = c * (n - k) // (k + 1)
 
 
-def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fraction:
-    """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m).
+def _literal_sums(a: RationalLike, b: RationalLike, m: int, n: int, indices: Iterable[int]) -> list[Fraction]:
+    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) t(k, m) at each index i of ``indices``, none above n.
 
-    With a = p/q and b = r/s, the sum is over L (q s)^n, L = lcm of the
-    denominators of t(k, m); term k is C(n,k) (p s)^k (r q)^(n-k) t.num (L // t.den).
+    With a = p/q and b = r/s, value i is over L (q s)^i, L = lcm of the
+    denominators of t(k, m) for k <= n; term k is C(i,k) (r q)^(i-k) times the
+    integer w[k] = (p s)^k t.num (L // t.den).  The harmonic-like column, L,
+    the powers and w are built once for all the indices, and each value is one
+    integer dot product reduced once.
     """
     _check_index(n)
     a = Fraction(a)
     b = Fraction(b)
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    ps_pow = list(accumulate(repeat(p * s, n), mul, initial=1))
-    rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
-    hl = [harmonic_like(k, m) for k in range(n + 1)]
+    hl = harmonic_like_column(n, m)
     common = math.lcm(*[t.denominator for t in hl])
-    total = sum(
-        c * ps_pow[k] * rq_pow[n - k] * t.numerator * (common // t.denominator)
-        for k, (c, t) in enumerate(zip(_binomial_row(n), hl))
-    )
-    return Fraction(total, common * (q * s) ** n)
+    ps_pow = accumulate(repeat(p * s, n), mul, initial=1)
+    weighted = [t.numerator * (common // t.denominator) * w for t, w in zip(hl, ps_pow)]
+    rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
+    return [
+        Fraction(sum(map(mul, map(mul, _binomial_row(i), weighted), rq_pow[i::-1])), common * (q * s) ** i)
+        for i in indices
+    ]
+
+
+def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fraction:
+    """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m), in O(n) terms."""
+    return _literal_sums(a, b, m, n, [n])[0]
+
+
+def binomial_sum_direct_column(a: RationalLike, b: RationalLike, m: int, n: int) -> list[Fraction]:
+    """``[binomial_sum_direct(a, b, m, i) for i in range(n + 1)]``, by the same code, which reads the
+    harmonic-like column and takes the lcm and the powers once for the whole column."""
+    return _literal_sums(a, b, m, n, range(n + 1))
 
 
 def integer_form(values: list[RationalLike]) -> tuple[list[int], int]:

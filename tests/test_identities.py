@@ -28,10 +28,12 @@ from multiharm.identities import (
 )
 from multiharm.rational import binomial, exact_sum, factorial, gen_binomial
 from multiharm.sequences import (
+    fibonacci,
     harmonic,
     harmonic_like,
     harmonic_order,
     hyperharmonic,
+    lucas,
     odd_harmonic,
     stirling1,
 )
@@ -228,7 +230,8 @@ def test_verify_all_section1():
 
 def test_oklok93_spot_value():
     desc = identities.get_identity("oklok93")
-    assert desc.lhs(n=1) == desc.rhs(n=1) == F(1, 2)
+    # the left side is a column side: its values at n = 0, 1
+    assert desc.lhs(n=1) == [0, desc.rhs(n=1)] == [0, F(1, 2)]
 
 
 def test_corrupted_evaluator_reports_smallest_failure():
@@ -274,6 +277,24 @@ def test_corrupted_column_side_reports_the_smallest_failure():
         assert report.first_failure["binding"] == smallest
         lhs, rhs_value = F(report.first_failure["lhs"]), F(report.first_failure["rhs"])
         assert rhs_value - lhs == F(1, 7)
+
+
+def test_an_int_side_and_a_fraction_side_compare_exactly_and_print_as_fractions():
+    # sides returning int and Fraction are compared as they are; the failure strings are those of
+    # their Fractions, and a value of any other type is converted to a Fraction first
+    def entry(lhs, rhs):
+        return IdentityDescriptor("mixed", "mixed", "mixed", {"n": range(0, 6)}, lhs, rhs)
+
+    assert verify_descriptor(entry(lambda n: n * n, lambda n: F(n * n))).passed
+    for lhs, rhs, strings in [
+        (lambda n: n * n, lambda n: F(n * n) + (F(1, 3) if n == 4 else 0), ("16", "49/3")),
+        (lambda n: F(-n, 3) * 3, lambda n: -n - (n == 4), ("-4", "-5")),
+        (lambda n: 0.25 if n == 4 else F(n), lambda n: F(n), ("1/4", "4")),
+        (lambda n: n == 4 or n, lambda n: F(n), ("1", "4")),
+    ]:
+        report = verify_descriptor(entry(lhs, rhs))
+        assert report.cases == 6 and not report.passed
+        assert report.first_failure == {"binding": {"n": 4}, "lhs": strings[0], "rhs": strings[1]}
 
 
 def test_reports_are_deterministic_apart_from_timing():
@@ -693,6 +714,121 @@ FORMER = {
             for k in range(1, n + 1)
         ),
         "p",
+    ),
+    # the literal binomial sums
+    ("main_id1", "lhs"): (lambda a, b, m, n: transforms.binomial_sum_direct(a, b, m, n), "abm"),
+    ("remark_m1", "lhs"): (lambda a, b, n: transforms.binomial_sum_direct(a, b, 1, n), "ab"),
+    ("cor_id4", "lhs"): (lambda a, b, n: transforms.binomial_sum_direct(a, b, 2, n), "ab"),
+    ("cor_id5", "lhs"): (lambda a, b, n: transforms.binomial_sum_direct(a, b, 3, n), "ab"),
+    # the binomial transforms
+    ("cor_id1", "lhs"): (
+        lambda m, n: exact_sum(((-1) ** k, binomial(n, k), harmonic_like(k, m)) for k in range(n + 1)),
+        "m",
+    ),
+    ("cor_id2", "lhs"): (
+        lambda m, n: F(
+            sum(binomial(n, k) * stirling1(k, m) * (factorial(n) // factorial(k)) for k in range(m, n + 1)),
+            factorial(n),
+        ),
+        "m",
+    ),
+    ("cor_id3", "lhs"): (lambda m, n: exact_sum((binomial(n, k), harmonic_like(k, m)) for k in range(n + 1)), "m"),
+    ("classical_Hk", "lhs"): (lambda n: exact_sum((binomial(n, k), harmonic(k)) for k in range(n + 1)), ""),
+    ("ex_Hk2_2n", "lhs"): (lambda n: exact_sum((binomial(n, k), harmonic_like(k, 2)) for k in range(n + 1)), ""),
+    ("ex_alt_Hk2", "lhs"): (
+        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("ex_alt_Hk2sq", "lhs"): (
+        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic_order(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("ex_alt_Hksq", "lhs"): (
+        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic(k) ** 2) for k in range(n + 1)),
+        "",
+    ),
+    ("ex_inv_HkOverK", "lhs"): (
+        lambda n: exact_sum(((-1) ** (k + 1), binomial(n, k), harmonic(k), F(1, k)) for k in range(1, n + 1)),
+        "",
+    ),
+    ("ex_2k_alt", "lhs"): (
+        lambda n: exact_sum((binomial(n, k), 2**k, (-1) ** (n - k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("ex_3n", "lhs"): (lambda n: exact_sum((binomial(n, k), 2**k, harmonic_like(k, 2)) for k in range(n + 1)), ""),
+    ("fib_Hk2", "lhs"): (
+        lambda n: exact_sum((binomial(n, k), fibonacci(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("lucas_Hk2", "lhs"): (
+        lambda n: exact_sum((binomial(n, k), lucas(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("fib_alt_Hk2", "lhs"): (
+        lambda n: exact_sum(((-1) ** (k + 1), binomial(n, k), fibonacci(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    ("lucas_alt_Hk2", "lhs"): (
+        lambda n: exact_sum(((-1) ** k, binomial(n, k), lucas(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        "",
+    ),
+    # the convolutions
+    ("thm_general_p_m0", "lhs"): (lambda p, n: exact_sum((_cw(k, p), harmonic(n - k)) for k in range(n + 1)), "p"),
+    ("tb6ik5l", "lhs"): (
+        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), harmonic(n - k)) for k in range(n + 1)),
+        "",
+    ),
+    ("thm_odd_id1", "lhs"): (
+        lambda m, n: exact_sum(
+            (binomial(2 * k, k), F(1, 4**k), odd_harmonic(k), harmonic_like(n - k, m)) for k in range(n + 1)
+        ),
+        "m",
+    ),
+    ("thm_odd_id1_m1", "lhs"): (
+        lambda n: exact_sum(
+            (binomial(2 * k, k), F(1, 4**k), odd_harmonic(k), harmonic(n - k)) for k in range(n + 1)
+        ),
+        "",
+    ),
+    ("thm_kk1", "lhs"): (
+        lambda m, n: exact_sum((harmonic_like(n - k, m), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        "m",
+    ),
+    ("thm_kk1_m1", "lhs"): (
+        lambda n: exact_sum((harmonic(n - k), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        "",
+    ),
+    ("thm_kk1_m2", "lhs"): (
+        lambda n: exact_sum(
+            (harmonic(n - k) ** 2 - harmonic_order(n - k, 2), F(1, k * (k + 1))) for k in range(1, n + 1)
+        ),
+        "",
+    ),
+    ("thm_hnp1_m1", "lhs"): (lambda n: exact_sum((harmonic(k), F(1, n - k + 1)) for k in range(1, n + 1)), ""),
+    # the running sums
+    ("oklok93", "lhs"): (
+        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(1, n + 1)),
+        "",
+    ),
+    ("thm_odd_id1_m0", "lhs"): (
+        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(n + 1)),
+        "",
+    ),
+    ("har_example_p0", "lhs"): (
+        lambda n: exact_sum((harmonic(k), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        "",
+    ),
+    ("har_example_p_pos", "lhs"): (
+        lambda p, n: exact_sum((harmonic(k + p), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        "p",
+    ),
+    ("warmup_Hprev_over_k", "lhs"): (lambda n: exact_sum((harmonic(k - 1), F(1, k)) for k in range(1, n + 1)), ""),
+    ("warmup_sum_Hk", "lhs"): (lambda n: exact_sum(harmonic(k) for k in range(1, n + 1)), ""),
+    ("warmup_fib_harmonic", "lhs"): (lambda n: exact_sum((harmonic(k), fibonacci(k)) for k in range(1, n + 1)), ""),
+    ("thm_o107dby_m1", "lhs"): (lambda n: exact_sum((harmonic(k), F(1, k)) for k in range(1, n + 1)), ""),
+    ("thm_k_weighted_half_p0", "lhs"): (
+        lambda n: exact_sum((k, binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(1, n + 1)),
+        "",
     ),
 }
 

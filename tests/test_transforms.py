@@ -7,11 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from multiharm import identities, transforms
 from multiharm.identities import verify_identity
 from multiharm.rational import binomial, exact_sum, factorial
-from multiharm.sequences import harmonic, harmonic_like, harmonic_order, stirling1
+from multiharm.sequences import harmonic, harmonic_like, harmonic_like_column, harmonic_order, stirling1
 from multiharm.transforms import (
     AB_FIXTURES,
     binomial_sum_closed,
     binomial_sum_direct,
+    binomial_sum_direct_column,
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
@@ -125,6 +126,39 @@ def test_routes_agree_off_the_fixture_pairs():
     _columns_match_the_literal_sum(_COLUMNS)()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(_SCALARS, _SCALARS).filter(lambda ab: ab not in AB_FIXTURES),
+    st.integers(0, 4),
+    st.integers(0, 30),
+)
+@example((F(1, 2), F(-1, 2)), 4, 30)  # a + b = 0
+@example((F(-7, 9), F(0)), 3, 30)  # b = 0
+@example((F(0), F(0)), 2, 5)
+def test_the_column_form_of_the_literal_sum_is_the_literal_sum_at_every_index(ab, m, n):
+    a, b = ab
+    assert binomial_sum_direct_column(a, b, m, n) == [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
+
+
+def test_the_literal_route_reads_one_harmonic_like_column_and_one_binomial_row(monkeypatch):
+    # the point route stays O(n): one read of the n + 1 harmonic-like values, and the terms of row n only
+    reads, rows = [], []
+    binomial_row = transforms._binomial_row
+
+    def column(n, m):
+        reads.append((n, m))
+        return harmonic_like_column(n, m)
+
+    def row(n):
+        rows.append(n)
+        return binomial_row(n)
+
+    monkeypatch.setattr(transforms, "harmonic_like_column", column)
+    monkeypatch.setattr(transforms, "_binomial_row", row)
+    assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 40) == direct_reference(F(1, 2), F(-1, 3), 3, 40)
+    assert reads == [(40, 3)] and rows == [40]
+
+
 @pytest.mark.parametrize("m", [None, 1, 2, 3])
 def test_a_column_offset_by_one_index_fails_the_literal_sum_check(m):
     # mutant: the value at n is the route's value at n + 1
@@ -180,6 +214,7 @@ def test_transform_matches_its_per_term_comb_sum(seq, signed):
 
 @pytest.mark.parametrize("route", [
     pytest.param(lambda: binomial_sum_direct(1, 1, 0, -1), id="direct"),
+    pytest.param(lambda: binomial_sum_direct_column(1, 1, 0, -1), id="direct-column"),
     pytest.param(lambda: binomial_sum_closed(1, 1, 2, -1), id="closed"),
     pytest.param(lambda: binomial_sum_m1(1, 1, -1), id="m1"),
     pytest.param(lambda: binomial_sum_m2(1, 1, -1), id="m2"),
@@ -389,11 +424,14 @@ def test_a_wrong_cauchy_column_fails_each_reader(monkeypatch, mutant, unchanged,
 
 def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("binomial_sum_direct read a closed-route helper")
+        raise AssertionError("the literal route read a closed-route helper")
 
     monkeypatch.setattr(transforms, "cauchy_column", forbidden)
     monkeypatch.setattr(transforms, "integer_form", forbidden)
     assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 12) == direct_reference(F(1, 2), F(-1, 3), 3, 12)
+    assert binomial_sum_direct_column(F(1, 2), F(-1, 3), 3, 12) == [
+        direct_reference(F(1, 2), F(-1, 3), 3, i) for i in range(13)
+    ]
 
 
 # ---------------------------------------------------------------------------
