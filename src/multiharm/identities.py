@@ -432,7 +432,8 @@ def _hyphar_binomials(n: int, p: int) -> tuple[list[int], int]:
 
 def _odd_weights(n: int, p: int) -> list[Fraction]:
     # C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p)/4^k for k = 0..n: the weight of the
-    # left sides of thm_suzj3to, thm_general_p and thm_k_weighted_half
+    # left sides of thm_suzj3to, thm_general_p and thm_k_weighted_half, and at
+    # p = 0, C(2k,k) O_k/4^k, of oklok93, the thm_odd_id1 family and thm_k_weighted_half_p0
     return [_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(n + 1)]
 
 

@@ -32,8 +32,10 @@ from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from multiharm.rational import RationalLike, binomial, exact_sum, factorial
-from multiharm.sequences import (
-    _check_index, harmonic, harmonic_like_column, harmonic_order, stirling1_column,
+# harmonic_like is not called here; it stays importable as transforms.harmonic_like, which the
+# benchmark's tracer self-test (perfbench/test_perfbench.py) reads
+from multiharm.sequences import (  # noqa: F401
+    _check_index, harmonic, harmonic_like, harmonic_like_column, harmonic_order, stirling1_column,
 )
 
 #: (a, b) pairs exercising the degenerate and generic regimes of the binomial
