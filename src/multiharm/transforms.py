@@ -79,7 +79,7 @@ def _literal_sums(a: RationalLike, b: RationalLike, m: int, n: int, indices: Ite
     weighted = [t.numerator * (common // t.denominator) * w for t, w in zip(hl, ps_pow)]
     rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
     return [
-        Fraction(sum(map(mul, map(mul, _binomial_row(i), weighted), rq_pow[i::-1])), common * (q * s) ** i)
+        Fraction(sum(map(mul, map(mul, _binomial_row(i), rq_pow[i::-1]), weighted)), common * (q * s) ** i)
         for i in indices
     ]
 
