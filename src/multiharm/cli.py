@@ -39,13 +39,15 @@ or domain error, an option the chosen mode does not read, a ``--decimal``
 outside its range, an ``--output`` file that cannot be written, a parameter
 too large for the stdlib's integer routines (``OverflowError``, for example
 from ``math.comb`` or ``math.factorial``), a query over a sequence table
-ceiling or a ``gf-check`` over :data:`GF_WORK_CEILING` (``FeasibilityError``),
-and running out of memory.  ``verify`` refuses a run that would pass without
+ceiling, a ``gf-check`` over :data:`GF_WORK_CEILING` or a ``transform
+--family`` over :data:`TRANSFORM_WORK_CEILING` (``FeasibilityError``), and
+running out of memory.  ``verify`` refuses a run that would pass without
 checking anything, through the library's own checks (see
 :mod:`multiharm.identities`).  ``seq``, ``transform`` and ``gf-check`` check
-their last index against the family's ceiling before the first row, and
-``gf-check`` checks its work ceiling before either side runs.  Any other
-exception is a fault in the program: it exits 3 with one
+their last index against the family's ceiling before the first row;
+``gf-check`` checks its work ceiling before either side runs, and
+``transform --family`` its own before the first row.  Any other exception
+is a fault in the program: it exits 3 with one
 ``error: internal error: <Type>: <message>`` line and no traceback.  A
 forked ``verify`` worker sends back only the reports it finished and writes
 nothing itself; the parent then verifies, in order, every identity that no
@@ -98,6 +100,13 @@ DECIMAL_MAX = 10_000
 #: ``(-ln(1-z))^m`` vanish up to z^order for k, m > order.  At the ceiling the
 #: slowest family, ``odd_central`` at order 999, takes a few seconds.
 GF_WORK_CEILING = 1_000_000
+
+#: Largest (n+1)^2 ``transform --family`` accepts: its rows 0..n sum 1 to
+#: n + 1 terms each, so the work grows with (n+1)^2 times the cost of a term,
+#: which a family parameter raises as it lengthens the values.  At the
+#: ceiling the slowest family at its smallest parameter, ``hyperharmonic_half``
+#: at p = 0 and n = 999, takes about 5 s; ``harmonic`` takes about 2.5 s.
+TRANSFORM_WORK_CEILING = 1_000_000
 
 
 def _approx(value: Fraction, digits: int) -> str:
@@ -196,7 +205,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
             raise ValueError("--family and --a/--b are mutually exclusive")
         spec = SeqSpec(args.family, _params(args))
         spec.check(args.n)
-        rows = [[n, transforms.binomial_transform(spec.evaluate, n, signed=args.signed)]
+        if (args.n + 1) ** 2 > TRANSFORM_WORK_CEILING:
+            sequences._refuse("(n+1)^2", TRANSFORM_WORK_CEILING, n=args.n)
+        values = [spec.evaluate(k) for k in range(args.n + 1)]
+        rows = [[n, transforms.binomial_transform(values.__getitem__, n, signed=args.signed)]
                 for n in range(args.n + 1)]
     elif args.a is None or args.b is None:
         raise ValueError("transform needs either --family or both --a and --b (binomial-sum mode)")
@@ -278,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--signed", action="store_true", help="alternate signs (-1)^k in transform mode")
     p_tr.add_argument("--a", help="scalar a (binomial-sum mode), exact rational like 1/2 or -1/3")
     p_tr.add_argument("--b", help="scalar b (binomial-sum mode)")
-    p_tr.add_argument("--n", type=int, required=True, help=f"index bound n; {size_rule}")
+    p_tr.add_argument("--n", type=int, required=True, help=f"index bound n; {size_rule}; --family mode is also "
+                      f"refused if (n+1)^2 > {TRANSFORM_WORK_CEILING}")
     _add_options(p_tr, "--m", "--k", "--p", "--r", "--format", "--decimal", "--output")
     p_tr.set_defaults(func=cmd_transform)
 

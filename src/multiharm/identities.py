@@ -29,28 +29,24 @@ for the top index n it is called with.  A side is known by its value alone.
 :func:`verify_descriptor` splits the grid into runs of consecutive bindings
 that differ only in n, calls each side once with a run's last binding, and
 calls a point side again at the run's other bindings; it still compares the
-sides point by point in grid order.  A column side is a sum of Cauchy products
-along n taken by ``transforms.cauchy_column``, the running sums of
-``itertools.accumulate``, or a literal integer column.  Every left side whose
-anchor sums O(n) terms per point is a literal integer column: once per run it
-reads each sequence (one ``*_column`` read where the family has one), takes
-one lcm, the powers it needs and one list of integer numerators, and then
-each value costs one integer dot product and one ``Fraction``.  There are
-four of them: the literal binomial sum
-(``transforms.binomial_sum_direct_column``), the binomial transforms
-sum_k C(i,k) x_k of a list x that depends on k only (``_binomial_transforms``),
-the convolutions (``_products``), and the running sums of a summand that does
-not depend on n (``_running_sums``).  Each takes its own common denominator
-(``_numerators``), never ``transforms.integer_form``, which the right sides
-take.  No function of this module is called by both sides of one identity,
-and the module keeps no memo: a weight or inner sum that a side reads along n
-is an uncached column helper.
+sides point by point in grid order.
 
-A point side that sums products passes each term to ``_fsum``
-(:func:`multiharm.rational.exact_sum`) as a tuple of its anchor's literal
-factors, such as ``(fib(n - k), harm(k - 1) - harm(n - k), Fraction(1, k))``:
-the numerators and the denominators of the factors are multiplied as
-integers, so a term makes no ``Fraction`` product, and the sum is reduced once.
+Each side sums in one form.  Every left side whose anchor sums O(n) terms per
+point is a literal integer column: once per run it reads each sequence (one
+``*_column`` read where the family has one), takes one lcm, the powers it
+needs and one list of integer numerators, and then each value costs one
+integer dot product and one ``Fraction``.  There are four of them: the
+literal binomial sum (``transforms.binomial_sum_direct_column``), the
+binomial transforms sum_k C(i,k) x_k of a list x that depends on k only
+(``_binomial_transforms``), the convolutions (``_products``), and the running
+sums of a summand that does not depend on n (``_running_sums``).  Each takes
+its own common denominator (``_numerators``).  Every right side is a closed
+form at a point or a column of Cauchy products along n taken by
+``transforms.cauchy_column`` over factors in ``transforms.integer_form``: the
+closed binomial sums at fixed a and b, the convolutions, and the running sums
+as products with 1, 1, ... (``_prefix_sums``).  No function of this module is
+called by both sides of one identity, and the module keeps no memo: a weight
+or inner sum that a side reads along n is an uncached column helper.
 
 Anchor strings state each identity in plain ASCII with this notation:
 
@@ -82,7 +78,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
 from multiharm.rational import (
     RationalLike,
     binomial as comb,
-    exact_sum as _fsum,
     factorial as fact,
     gen_binomial as gbin,
 )
@@ -109,6 +104,7 @@ from multiharm.transforms import (
     binomial_sum_m3,
     cauchy_column,
     integer_form,
+    weighted_m2,
 )
 
 
@@ -478,6 +474,12 @@ def _central_halves(n: int, p: int = 0) -> tuple[list[int], int]:
     return [comb(2 * (k + p), k + p) * comb(k + p, k) * 4 ** (n - k) for k in range(n + 1)], 2 * 4**n
 
 
+def _prefix_sums(terms: list[RationalLike]) -> list[Fraction]:
+    # sum_{k=0..i} terms[k] at each index i, as the Cauchy product of 1, 1, ... with terms: the running
+    # sums of the right sides, whose left sides take _running_sums
+    return cauchy_column(1, 1, (([1] * len(terms), 1), integer_form(terms)))
+
+
 def _harmonic_tails(n: int) -> list[Fraction]:
     # sum_{k=1..s} (1/k) sum_{l=1..s-k} H_{s-k-l}/l for s = 0..n: the double sum
     # of the right sides of hn3_double, thm_hnp1_m2 and thm_kk1_m2, inner sum first
@@ -605,7 +607,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) H_k = 2^n (H_n - sum_{k=1..n} 1/(2^k k))",
             {"n": range(0, 41)},
             lambda n: _binomial_transforms([harm(k) for k in range(n + 1)]),
-            lambda n: 2**n * (harm(n) - _fsum(Fraction(1, 2**k * k) for k in range(1, n + 1))),
+            # the m = 1 specialization at a = b = 1
+            lambda n: binomial_sum_m1(1, 1, n),
         ),
         IdentityDescriptor(
             "cor_id4",
@@ -621,11 +624,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) HL(k,2) = 2^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(2^k k))",
             {"n": range(0, 31)},
             lambda n: _binomial_transforms(harmonic_like_column(n, 2)),
-            lambda n: 2**n
-            * (
-                hlike(n, 2)
-                + 2 * _fsum((harm(k - 1) - harm(n - k), Fraction(1, 2**k * k)) for k in range(1, n + 1))
-            ),
+            # the m = 2 specialization at a = b = 1
+            lambda n: binomial_sum_m2(1, 1, n),
         ),
         IdentityDescriptor(
             "ex_alt_Hk2",
@@ -671,8 +671,8 @@ _REGISTRY = _build_registry({
                     _binomial_transforms([(-2) ** k * v for k, v in enumerate(harmonic_like_column(n, 2))])
                 )
             ],
-            lambda n: hlike(n, 2)
-            + 2 * _fsum(((-1) ** k, harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
+            # the m = 2 specialization at a = 2, b = -1
+            lambda n: binomial_sum_m2(2, -1, n),
         ),
         IdentityDescriptor(
             "ex_3n",
@@ -680,11 +680,8 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) 2^k HL(k,2) = 3^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(3^k k))",
             {"n": range(0, 26)},
             lambda n: _binomial_transforms([2**k * v for k, v in enumerate(harmonic_like_column(n, 2))]),
-            lambda n: 3**n
-            * (
-                hlike(n, 2)
-                + 2 * _fsum((harm(k - 1) - harm(n - k), Fraction(1, 3**k * k)) for k in range(1, n + 1))
-            ),
+            # the m = 2 specialization at a = 2, b = 1
+            lambda n: binomial_sum_m2(2, 1, n),
         ),
         IdentityDescriptor(
             "fib_Hk2",
@@ -692,8 +689,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) F_k HL(k,2) = HL(n,2) F_{2n} + 2 sum_{k=1..n} F_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
             lambda n: _binomial_transforms([fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
-            lambda n: hlike(n, 2) * fib(2 * n)
-            + 2 * _fsum((fib(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: weighted_m2(1, 1, [fib(2 * i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
             "lucas_Hk2",
@@ -701,8 +697,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) L_k HL(k,2) = HL(n,2) L_{2n} + 2 sum_{k=1..n} L_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
             lambda n: _binomial_transforms([luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
-            lambda n: hlike(n, 2) * luc(2 * n)
-            + 2 * _fsum((luc(2 * (n - k)), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: weighted_m2(1, 1, [luc(2 * i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
             "fib_alt_Hk2",
@@ -712,8 +707,7 @@ _REGISTRY = _build_registry({
             lambda n: _binomial_transforms(
                 [(-1) ** (k + 1) * fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]
             ),
-            lambda n: hlike(n, 2) * fib(n)
-            + 2 * _fsum((fib(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: weighted_m2(1, 1, [fib(i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
             "lucas_alt_Hk2",
@@ -721,8 +715,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) (-1)^k L_k HL(k,2) = HL(n,2) L_n + 2 sum_{k=1..n} L_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
             lambda n: _binomial_transforms([(-1) ** k * luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
-            lambda n: hlike(n, 2) * luc(n)
-            + 2 * _fsum((luc(n - k), harm(k - 1) - harm(n - k), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: weighted_m2(1, 1, [luc(i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
             "cor_id5",
@@ -765,7 +758,10 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k F_k = H_n F_{n+2} - sum_{k=1..n} F_{k+1}/k",
             {"n": range(1, 41)},
             lambda n: _running_sums([harm(k) * fib(k) for k in range(n + 1)]),
-            lambda n: harm(n) * fib(n + 2) - _fsum(Fraction(fib(k + 1), k) for k in range(1, n + 1)),
+            lambda n: [
+                harm(i) * fib(i + 2) - total
+                for i, total in enumerate(_prefix_sums([0, *(Fraction(fib(k + 1), k) for k in range(1, n + 1))]))
+            ],
         ),
         IdentityDescriptor(
             "thm_o107dby",
@@ -773,11 +769,11 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=m..k} C(k-1,j-1) s(j,m)/j! = "
             "(1/m!) HL(n,m) H_n - (1/m!) sum_{k=1..n} HL(k-1,m)/k",
             {"m": range(0, 5), "n": range(1, 26)},
-            lambda m, n: list(accumulate(map(mul, map(harm, range(1, n + 1)), _stirling_steps(n - 1, m)), initial=0)),
-            lambda m, n: (
-                hlike(n, m) * harm(n) - _fsum((hlike(k - 1, m), Fraction(1, k)) for k in range(1, n + 1))
-            )
-            / fact(m),
+            lambda m, n: _running_sums([0, *map(mul, map(harm, range(1, n + 1)), _stirling_steps(n - 1, m))]),
+            lambda m, n: [
+                (hlike(i, m) * harm(i) - total) / fact(m)
+                for i, total in enumerate(_prefix_sums([0, *(hlike(k - 1, m) / k for k in range(1, n + 1))]))
+            ],
         ),
         IdentityDescriptor(
             "thm_o107dby_m1",
@@ -795,10 +791,13 @@ _REGISTRY = _build_registry({
             {"n": range(1, 26)},
             # the inner sum at k is _harmonic_steps(n - 1)[k - 1], whose sum starts at j = 2:
             # the j = 1 term of the anchor is 0, since H_0 = 0
-            lambda n: list(accumulate((2 * harm(k) * w for k, w in enumerate(_harmonic_steps(n - 1), 1)), initial=0)),
-            lambda n: harm(n) ** 3
-            - harmonic_order(n, 2) * harm(n)
-            - _fsum((harm(k - 1) ** 2 - harmonic_order(k - 1, 2), Fraction(1, k)) for k in range(1, n + 1)),
+            lambda n: _running_sums([0, *(2 * harm(k) * w for k, w in enumerate(_harmonic_steps(n - 1), 1))]),
+            lambda n: [
+                harm(i) ** 3 - harmonic_order(i, 2) * harm(i) - total
+                for i, total in enumerate(
+                    _prefix_sums([0, *((harm(k - 1) ** 2 - harmonic_order(k - 1, 2)) / k for k in range(1, n + 1))])
+                )
+            ],
         ),
         IdentityDescriptor(
             "thm_hnp1",
@@ -835,7 +834,7 @@ _REGISTRY = _build_registry({
             "partial fraction sums 1/(k(k+p))",
             "sum_{k=1..n} 1/(k(k+p)) = H_n^(2) if p = 0 else (H_n + H_p - H_{n+p})/p",
             {"p": range(0, 6), "n": range(1, 41)},
-            lambda p, n: list(accumulate((Fraction(1, k * (k + p)) for k in range(1, n + 1)), initial=0)),
+            lambda p, n: _running_sums([0, *(Fraction(1, k * (k + p)) for k in range(1, n + 1))]),
             lambda p, n: harmonic_order(n, 2) if p == 0 else (harm(n) + harm(p) - harm(n + p)) / p,
         ),
         IdentityDescriptor(
@@ -890,12 +889,12 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=m..k+1} C(k,j-1) s(j,m)/j! = "
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
             {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
-            lambda r, m, n: list(
-                accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_stirling_steps(n, m)))
+            lambda r, m, n: _running_sums(
+                [(-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_stirling_steps(n, m))]
             ),
             lambda r, m, n: [
                 ((-1) ** i * gbin(r - 1, i) * hlike(i + 1, m) - total) / fact(m)
-                for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)))
+                for i, total in enumerate(_prefix_sums([(-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)]))
             ],
         ),
         IdentityDescriptor(
@@ -903,10 +902,10 @@ _REGISTRY = _build_registry({
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
             {"r": _KOLLAR_R, "n": range(1, 31)},
-            lambda r, n: list(accumulate(Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1))),
+            lambda r, n: _running_sums([Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1)]),
             lambda r, n: [
                 (-1) ** i * gbin(r - 1, i) * harm(i + 1) - total
-                for i, total in enumerate(accumulate((-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)))
+                for i, total in enumerate(_prefix_sums([(-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)]))
             ],
         ),
         IdentityDescriptor(
@@ -915,11 +914,11 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: list(accumulate((-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n)))),
+            lambda r, n: _running_sums([(-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n))]),
             lambda r, n: [
                 ((-1) ** i * gbin(r - 1, i) * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
                 for i, total in enumerate(
-                    accumulate((-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1))
+                    _prefix_sums([(-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1)])
                 )
             ],
         ),
@@ -940,7 +939,7 @@ _REGISTRY = _build_registry({
             "hyperharmonic convolution, base case",
             "sum_{k=0..n} C(k+p,k) (H_{k+p} - H_p) = sum_{k=0..n} C(k+p,k) H_{n-k}",
             {"p": range(0, 6), "n": range(0, 31)},
-            lambda p, n: list(accumulate(_hyphar_weights(n, p))),
+            lambda p, n: _running_sums(_hyphar_weights(n, p)),
             lambda p, n: cauchy_column(1, 1, (_hyphar_binomials(n, p), integer_form([harm(i) for i in range(n + 1)]))),
         ),
         IdentityDescriptor(
@@ -1026,7 +1025,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} (1/4^k) C(2(k+p),k+p) C(k+p,k) (O_{k+p} - O_p) = "
             "(1/2^(2n+1)) ((p+1)/(2p+1)) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1})",
             {"p": range(0, 21), "n": range(0, 21)},
-            lambda p, n: list(accumulate(_odd_weights(n, p)[1:], initial=0)),
+            lambda p, n: _running_sums([0, *_odd_weights(n, p)[1:]]),
             lambda p, n: Fraction(p + 1, (2 * p + 1) * 2 * 4**n)
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1102,7 +1101,7 @@ _REGISTRY = _build_registry({
             "index-weighted hyperharmonic partial sums",
             "sum_{k=1..n} k HH(k,p) = n HH(n,p+1) - HH(n-1,p+2)",
             {"p": range(0, 6), "n": range(1, 31)},
-            lambda p, n: list(accumulate((k * hyp(k, p) for k in range(1, n + 1)), initial=0)),
+            lambda p, n: _running_sums([0, *(k * hyp(k, p) for k in range(1, n + 1))]),
             lambda p, n: n * hyp(n, p + 1) - hyp(n - 1, p + 2),
         ),
         IdentityDescriptor(
@@ -1112,7 +1111,7 @@ _REGISTRY = _build_registry({
             "(n/4^n) C(2(p+1),p+1)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_{p+1}) "
             "- (4/4^n) C(2(p+2),p+2)^-1 C(2p,p) C(2(n+p+1),n+p+1) C(n+p+1,n-1) (O_{n+p+1} - O_{p+2})",
             {"p": range(0, 6), "n": range(1, 26)},
-            lambda p, n: list(accumulate((k * w for k, w in enumerate(_odd_weights(n, p)) if k), initial=0)),
+            lambda p, n: _running_sums([k * w for k, w in enumerate(_odd_weights(n, p))]),
             lambda p, n: Fraction(n * comb(2 * p, p), 4**n * comb(2 * (p + 1), p + 1))
             * comb(2 * (n + p + 1), n + p + 1)
             * comb(n + p + 1, n)
@@ -1143,15 +1142,13 @@ _REGISTRY = _build_registry({
             "(1/4) C(2n,n)^-1 C(2(n+p+1),n+p+1) C(n+p+1,n) (O_{n+p+1} - O_n) "
             "- (1/4) C(2(p+1),p+1) O_{p+1}",
             {"p": range(0, 6), "n": range(1, 26)},
-            lambda p, n: list(
-                accumulate(
-                    (
-                        Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k)) * (oddh(k + p) - oddh(k))
-                        for k in range(1, n + 1)
-                    ),
-                    initial=0,
-                )
-            ),
+            lambda p, n: _running_sums([
+                0,
+                *(
+                    Fraction(comb(2 * (k + p), k + p) * comb(k + p, k), comb(2 * k, k)) * (oddh(k + p) - oddh(k))
+                    for k in range(1, n + 1)
+                ),
+            ]),
             lambda p, n: Fraction(comb(2 * (n + p + 1), n + p + 1), 4 * comb(2 * n, n))
             * comb(n + p + 1, n)
             * (oddh(n + p + 1) - oddh(n))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 #: Accepted wherever a rational scalar is expected.
 RationalLike = Fraction | int
@@ -57,34 +56,6 @@ def gen_binomial(x: RationalLike, k: int) -> Fraction:
     for i in range(k):
         num *= x.numerator - i * x.denominator
     return Fraction(num, den)
-
-
-def exact_sum(terms: Iterable[RationalLike | tuple[RationalLike, ...]]) -> Fraction:
-    """The exact sum of ints and Fractions, reduced once.
-
-    A term may also be a tuple of ints and Fractions, its factors, which
-    stands for their product: the product of their numerators over the
-    product of their denominators, unreduced, so it takes no gcd of its own.
-    With ``L`` the lcm of the terms' denominators, every term is the integer
-    ``num * (L // den)`` over ``L``: the numerators are added as integers and
-    the one gcd is taken by the final ``Fraction``.  The result equals
-    ``sum(terms, Fraction(0))``, with ``math.prod`` of each tuple in its
-    place, on every input, in lowest terms with a positive denominator, and
-    is ``Fraction(0)`` for no terms.  ``terms`` is read once, so a generator
-    is fine.
-    """
-    pairs = []
-    for t in terms:
-        if isinstance(t, tuple):
-            num = den = 1
-            for factor in t:
-                num *= factor.numerator
-                den *= factor.denominator
-            pairs.append((num, den))
-        else:
-            pairs.append((t.numerator, t.denominator))
-    common = math.lcm(*[den for _, den in pairs])
-    return Fraction(sum(num * (common // den) for num, den in pairs), common)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -7,11 +7,12 @@ same sum at every index 0..n, by the same code (``_literal_sums``), which
 reads the harmonic-like values and takes their lcm and the powers of a and b
 once for the whole column.  ``binomial_sum_closed`` is the independent closed
 form in terms of Stirling numbers of the first kind; ``binomial_sum_m1/m2/m3``
-are the short specializations.  All routes must agree exactly on every input.
-The closed routes return a column, the values at n = 0..n_max in order, each a
-sum of Cauchy products along n taken by :func:`cauchy_column`, whose docstring
-states the one integer form of those products; the identity registry takes its
-convolutions there too.
+are the short specializations, and ``weighted_m2`` is the m = 2 one with a
+list of integer weights in place of the powers of a + b.  All routes must
+agree exactly on every input.  The closed routes return a column, the values
+at n = 0..n_max in order, each a sum of Cauchy products along n taken by
+:func:`cauchy_column`, whose docstring states the one integer form of those
+products; the identity registry takes its right sides' products there too.
 
 The literal route, in both forms, adds its own integers over one common
 denominator and reduces each value once.  It shares nothing with the closed
@@ -31,7 +32,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
-from multiharm.rational import RationalLike, binomial, exact_sum, factorial
+from multiharm.rational import RationalLike, binomial, factorial
 # harmonic_like is not called here; it stays importable as transforms.harmonic_like, which the
 # benchmark's tracer self-test (perfbench/test_perfbench.py) reads
 from multiharm.sequences import (  # noqa: F401
@@ -181,13 +182,23 @@ def binomial_sum_m2(a: RationalLike, b: RationalLike, n: int) -> list[Fraction]:
     t(i,2) (a+b)^i + 2 sum_{k=1..i} (a+b)^(i-k) b^k (H_{k-1} - H_{i-k}) / k.
     """
     _check_index(n)
+    return weighted_m2(Fraction(a) + Fraction(b), b, [1] * (n + 1))
+
+
+def weighted_m2(x: RationalLike, y: RationalLike, w: list[int]) -> list[Fraction]:
+    """t(i,2) w[i] x^i + 2 sum_{k=1..i} w[i-k] x^(i-k) y^k (H_{k-1} - H_{i-k}) / k at every index i = 0..n,
+    for n + 1 integer weights w: :func:`binomial_sum_m2` at w = 1, 1, ..., and the right sides of the
+    identity registry's Fibonacci- and Lucas-weighted transforms at x = y = 1.
+    """
+    n = len(w) - 1
     h, h_den = integer_form([harmonic(i) for i in range(n + 1)])
     return cauchy_column(
-        Fraction(a) + Fraction(b),
-        b,
-        (integer_form(harmonic_like_column(n, 2)), ([1], 1)),
-        (([1] * (n + 1), 1), _divided([2 * v for v in h[:n]], h_den)),
-        (([-2 * v for v in h], h_den), _divided([1] * n, 1)),
+        x,
+        y,
+        # the lead term: a product with g = 1, 0, 0, ...
+        (integer_form([v * t for v, t in zip(w, harmonic_like_column(n, 2))]), ([1], 1)),
+        ((w, 1), _divided([2 * v for v in h[:n]], h_den)),
+        (([-2 * u * v for u, v in zip(w, h)], h_den), _divided([1] * n, 1)),
     )
 
 
@@ -218,4 +229,6 @@ def binomial_transform(seq: Callable[[int], RationalLike], n: int, signed: bool 
     sequence.
     """
     _check_index(n)
-    return exact_sum((-c if signed and k % 2 else c) * Fraction(seq(k)) for k, c in enumerate(_binomial_row(n)))
+    nums, common = integer_form([seq(k) for k in range(n + 1)])
+    row = ((-c if signed and k % 2 else c) for k, c in enumerate(_binomial_row(n)))
+    return Fraction(sum(map(mul, row, nums)), common)

@@ -396,6 +396,8 @@ def test_overflow_error_exits_two(capsys, command):
     # m = 0 still grows level 0, and weighs as m = 1; binomial-sum mode defaults to m = 0
     ["seq", "--family", "harmonic_like", "--m", "0", "--n", "100000000"],
     ["transform", "--a", "1", "--b", "1", "--n", "20000"],
+    # within the size rule, but the rows of transform --family would sum (n+1)^2 = 4 * 10^8 terms
+    ["transform", "--family", "harmonic", "--n", "20000"],
 ])
 def test_table_ceiling_exits_two(capsys, memo_sizes, command):
     sequences.clear_caches()
@@ -642,6 +644,19 @@ def test_gf_check_help_names_the_work_ceiling(capsys, monkeypatch):
     monkeypatch.setattr(cli, "GF_WORK_CEILING", 4321)
     assert cli.main(["gf-check", "--help"]) == 0
     assert "exceeds 4321" in " ".join(capsys.readouterr().out.split())
+
+
+def test_transform_work_ceiling_admits_up_to_the_ceiling_and_is_in_the_help(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "TRANSFORM_WORK_CEILING", 100)
+    code, out = run(capsys, "transform", "--family", "fibonacci", "--n", "9")
+    assert code == 0
+    assert out.count("\n") == 11
+    assert cli.main(["transform", "--family", "fibonacci", "--n", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: (n+1)^2 exceeds the ceiling of 100 at n=10\n")
+    # binomial-sum mode sums one row and has no such ceiling
+    assert run(capsys, "transform", "--a", "1", "--b", "1", "--n", "10")[0] == 0
+    assert cli.main(["transform", "--help"]) == 0
+    assert "--family mode is also refused if (n+1)^2 > 100" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("k", ["1000000", "99999999999999999999"])

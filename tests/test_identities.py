@@ -26,7 +26,7 @@ from multiharm.identities import (
     verify_descriptor,
     verify_identity,
 )
-from multiharm.rational import binomial, exact_sum, factorial, gen_binomial
+from multiharm.rational import binomial, factorial, gen_binomial
 from multiharm.sequences import (
     fibonacci,
     harmonic,
@@ -374,7 +374,7 @@ def test_a_column_side_on_a_grid_with_n_first_gives_the_report_of_its_point_twin
                     for i in range(n + 1)]
 
         def lhs(n, m):
-            return exact_sum((harmonic(k - 1), F(1, k)) for k in range(1, n + 1))
+            return sum((harmonic(k - 1) * F(1, k) for k in range(1, n + 1)), F(0))
 
         grid = {"n": range(1, 11), "m": range(2)}
         return [IdentityDescriptor("e", "e", "e", grid, lhs, rhs) for rhs in (lambda n, m: column(n, m)[n], column)]
@@ -457,14 +457,21 @@ def test_no_function_is_called_by_both_sides_of_an_identity(ident):
 
 
 def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
-    # the running sums of thm_hyphar_m0's left side as a product with 1, 1, ...: the right side's helper
     desc = identities.get_identity("thm_hyphar_m0")
-    mutant = replace(desc, lhs=lambda p, n: transforms.cauchy_column(
-        1, 1, (transforms.integer_form(identities._hyphar_weights(n, p)), ([1] * (n + 1), 1))
-    ))
-    assert verify_descriptor(mutant).passed
-    shared, _ = _route_overlap(mutant)
-    assert "multiharm.transforms.cauchy_column" in shared
+    mutants = {
+        # the running sums of the left side as a product with 1, 1, ...: the right side's helper
+        "multiharm.transforms.cauchy_column": replace(desc, lhs=lambda p, n: transforms.cauchy_column(
+            1, 1, (transforms.integer_form(identities._hyphar_weights(n, p)), ([1] * (n + 1), 1))
+        )),
+        # the right side as the left side's running sums, by the left side's helper
+        "multiharm.identities._running_sums": replace(desc, rhs=lambda p, n: identities._running_sums(
+            [binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)]
+        )),
+    }
+    for helper, mutant in mutants.items():
+        assert verify_descriptor(mutant).passed
+        shared, _ = _route_overlap(mutant)
+        assert helper in shared
 
 
 def test_two_sides_that_read_series_fail_the_trace():
@@ -485,9 +492,14 @@ def test_two_sides_that_read_series_fail_the_trace():
 _FAMILY_COLUMNS = {"harmonic_like": "harmonic_like_column", "stirling1": "stirling1_column"}
 
 
-@pytest.mark.parametrize("family", sequences.FAMILY_NAMES)
-def test_a_wrong_value_of_any_family_fails_an_entry(monkeypatch, family):
-    # 1/1000 added at index 3, on the grid of every entry that reads the
+@pytest.mark.parametrize("family, index", [
+    # index 3 keeps the family alone as its id
+    *(pytest.param(family, 3, id=family) for family in sequences.FAMILY_NAMES),
+    # at 15 the hyperharmonic families fail one entry each; at 20 hyperharmonic_half would fail none
+    *(pytest.param(family, 15, id=f"{family}-15") for family in sequences.FAMILY_NAMES),
+])
+def test_a_wrong_value_of_any_family_fails_an_entry(monkeypatch, family, index):
+    # 1/1000 added at ``index``, on the grid of every entry that reads the
     # family, under every name a module reads it by, per index and by column
     def mutate(original, mutant):
         for module in (sequences, transforms, identities):
@@ -496,10 +508,10 @@ def test_a_wrong_value_of_any_family_fails_an_entry(monkeypatch, family):
                     monkeypatch.setattr(module, name, mutant)
 
     value = getattr(sequences, family)
-    mutate(value, lambda n, *params: value(n, *params) + (F(1, 1000) if n == 3 else 0))
+    mutate(value, lambda n, *params: value(n, *params) + (F(1, 1000) if n == index else 0))
     if family in _FAMILY_COLUMNS:
         column = getattr(sequences, _FAMILY_COLUMNS[family])
-        mutate(column, lambda n, j: [v + F(1, 1000) if i == 3 else v for i, v in enumerate(column(n, j))])
+        mutate(column, lambda n, j: [v + F(1, 1000) if i == index else v for i, v in enumerate(column(n, j))])
     assert any(not report.passed for report in verify_all())
 
 
@@ -509,21 +521,21 @@ def _cw(k, p):
 
 def _binomial_sum_reference(a, b, m, n):
     # sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (a+b)^k ((m-j)!/(n-k)!) (-1)^(n-k) b^(n-k) s(n-k,m-j)
-    return exact_sum(
+    return sum((
         binomial(m, j) * harmonic_like(k, j) * (a + b) ** k * F(factorial(m - j), factorial(n - k))
         * (-b) ** (n - k) * stirling1(n - k, m - j)
         for j in range(m + 1)
         for k in range(n + 1)
-    )
+    ), F(0))
 
 
 def _short_form_reference(a, b, n, lead, c, weight):
     # lead (a+b)^n + c sum_{k=1..n} (a+b)^(n-k) b^k weight(k) / k
-    return lead * (a + b) ** n + c * exact_sum((a + b) ** (n - k) * b**k * weight(k) / k for k in range(1, n + 1))
+    return lead * (a + b) ** n + c * sum(((a + b) ** (n - k) * b**k * weight(k) / k for k in range(1, n + 1)), F(0))
 
 
 def _harmonic_tail(s):
-    return exact_sum(harmonic(s - l) / l for l in range(1, s + 1))
+    return sum((harmonic(s - l) / l for l in range(1, s + 1)), F(0))
 
 
 #: Each column side next to the literal per-point sum it replaced (its former
@@ -532,7 +544,7 @@ FORMER = {
     ("main_id1", "rhs"): (_binomial_sum_reference, "abm"),
     ("remark_m1", "rhs"): (
         lambda a, b, n: harmonic(n) * (a + b) ** n
-        - exact_sum((a + b) ** k * b ** (n - k) / (n - k) for k in range(n)),
+        - sum(((a + b) ** k * b ** (n - k) / (n - k) for k in range(n)), F(0)),
         "ab",
     ),
     ("cor_id4", "rhs"): (
@@ -551,7 +563,7 @@ FORMER = {
     ),
     ("cor_id3", "rhs"): (lambda m, n: _binomial_sum_reference(F(1), F(1), m, n), "m"),
     ("thm_kollar", "lhs"): (
-        lambda r, m, n: exact_sum(
+        lambda r, m, n: sum((
             (-1) ** k
             * gen_binomial(r - 1, k)
             * F(
@@ -559,57 +571,57 @@ FORMER = {
                 factorial(k + 1),
             )
             for k in range(n + 1)
-        ),
+        ), F(0)),
         "rm",
     ),
     ("thm_kollar", "rhs"): (
         lambda r, m, n: (-1) ** n * gen_binomial(r - 1, n) * harmonic_like(n + 1, m) / factorial(m)
-        - exact_sum((-1) ** k * gen_binomial(r, k) * harmonic_like(k, m) for k in range(n + 1)) / factorial(m),
+        - sum(((-1) ** k * gen_binomial(r, k) * harmonic_like(k, m) for k in range(n + 1)), F(0)) / factorial(m),
         "rm",
     ),
     ("thm_kollar_m1", "lhs"): (
-        lambda r, n: exact_sum(F((-1) ** k, k + 1) * gen_binomial(r - 1, k) for k in range(n + 1)),
+        lambda r, n: sum((F((-1) ** k, k + 1) * gen_binomial(r - 1, k) for k in range(n + 1)), F(0)),
         "r",
     ),
     ("thm_kollar_m1", "rhs"): (
         lambda r, n: (-1) ** n * gen_binomial(r - 1, n) * harmonic(n + 1)
-        - exact_sum((-1) ** k * gen_binomial(r, k) * harmonic(k) for k in range(n + 1)),
+        - sum(((-1) ** k * gen_binomial(r, k) * harmonic(k) for k in range(n + 1)), F(0)),
         "r",
     ),
     ("thm_kollar_m2", "lhs"): (lambda r, n: _kollar_m2_lhs_fraction_loop(r, n), "r"),
     ("thm_kollar_m2", "rhs"): (
         lambda r, n: (-1) ** n * gen_binomial(r - 1, n) * (harmonic(n + 1) ** 2 - harmonic_order(n + 1, 2)) / 2
-        - exact_sum(
+        - sum((
             (-1) ** k * gen_binomial(r, k) * (harmonic(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1)
-        )
+        ), F(0))
         / 2,
         "r",
     ),
     ("hn3_double", "rhs"): (
-        lambda n: exact_sum(F(1, j) * _harmonic_tail(n - j) for j in range(1, n + 1)),
+        lambda n: sum((F(1, j) * _harmonic_tail(n - j) for j in range(1, n + 1)), F(0)),
         "",
     ),
     ("thm_o107dby", "lhs"): (
-        lambda m, n: exact_sum(
+        lambda m, n: sum((
             harmonic(k)
             * F(
                 sum(binomial(k - 1, j - 1) * stirling1(j, m) * (factorial(k) // factorial(j)) for j in range(m, k + 1)),
                 factorial(k),
             )
             for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "m",
     ),
     ("thm_o107dby_m2", "lhs"): (
         lambda n: 2
-        * exact_sum(
-            harmonic(k) * exact_sum((-1) ** j * binomial(k - 1, j - 1) * harmonic(j - 1) / j for j in range(1, k + 1))
+        * sum((
+            harmonic(k) * sum(((-1) ** j * binomial(k - 1, j - 1) * harmonic(j - 1) / j for j in range(1, k + 1)), F(0))
             for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "",
     ),
     ("thm_hnp1", "lhs"): (
-        lambda m, n: exact_sum(
+        lambda m, n: sum((
             harmonic(k)
             * F(
                 sum(
@@ -619,101 +631,169 @@ FORMER = {
                 factorial(n - k + 1),
             )
             for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "m",
     ),
     ("thm_hnp1_m2", "lhs"): (
-        lambda n: exact_sum(
+        lambda n: sum((
             harmonic(k)
-            * exact_sum(
+            * sum((
                 binomial(n - k, j - 1) * (-1) ** j * harmonic(j - 1) / j for j in range(2, n - k + 2)
-            )
+            ), F(0))
             for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "",
     ),
     ("thm_hnp1_m2", "rhs"): (
-        lambda n: F(1, 2) * exact_sum(F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
+        lambda n: F(1, 2) * sum((F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)), F(0)),
         "",
     ),
-    ("har_helper", "lhs"): (lambda p, n: exact_sum(F(1, k * (k + p)) for k in range(1, n + 1)), "p"),
+    ("har_helper", "lhs"): (lambda p, n: sum((F(1, k * (k + p)) for k in range(1, n + 1)), F(0)), "p"),
     ("thm_kk1_m2", "rhs"): (
         lambda n: harmonic(n) ** 2
         - harmonic_order(n, 2)
-        + exact_sum(F(1, k) * _harmonic_tail(n - k) for k in range(1, n + 1))
-        - exact_sum(F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)),
+        + sum((F(1, k) * _harmonic_tail(n - k) for k in range(1, n + 1)), F(0))
+        - sum((F(1, k) * _harmonic_tail(n + 1 - k) for k in range(1, n + 2)), F(0)),
         "",
     ),
     ("thm_hyphar", "lhs"): (
-        lambda m, p, n: exact_sum(
+        lambda m, p, n: sum((
             binomial(k + p, k) * harmonic_like(n - k, m) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)
-        ),
+        ), F(0)),
         "mp",
     ),
     ("thm_hyphar", "rhs"): (
-        lambda m, p, n: exact_sum(binomial(k + p, k) * harmonic_like(n - k, m + 1) for k in range(n + 1)),
+        lambda m, p, n: sum((binomial(k + p, k) * harmonic_like(n - k, m + 1) for k in range(n + 1)), F(0)),
         "mp",
     ),
     ("thm_hyphar_m0", "lhs"): (
-        lambda p, n: exact_sum(binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)),
+        lambda p, n: sum((binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)), F(0)),
         "p",
     ),
-    ("thm_hyphar_m0", "rhs"): (lambda p, n: exact_sum(binomial(k + p, k) * harmonic(n - k) for k in range(n + 1)), "p"),
+    ("thm_hyphar_m0", "rhs"): (
+        lambda p, n: sum((binomial(k + p, k) * harmonic(n - k) for k in range(n + 1)), F(0)),
+        "p",
+    ),
     ("thm_hyphar_m1", "lhs"): (
-        lambda p, n: exact_sum(
+        lambda p, n: sum((
             binomial(k + p, k) * harmonic(n - k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)
-        ),
+        ), F(0)),
         "p",
     ),
     ("thm_hyphar_m1", "rhs"): (
-        lambda p, n: exact_sum(
+        lambda p, n: sum((
             binomial(k + p, k) * (harmonic(n - k) ** 2 - harmonic_order(n - k, 2)) for k in range(n + 1)
-        ),
+        ), F(0)),
         "p",
     ),
     ("thm_suzj3to", "lhs"): (
-        lambda p, n: exact_sum(_cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)),
+        lambda p, n: sum((_cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)), F(0)),
         "p",
     ),
     ("thm_odd_id1", "rhs"): (
-        lambda m, n: exact_sum(binomial(2 * k, k) * harmonic_like(n - k, m + 1) / 4**k for k in range(n + 1)) / 2,
+        lambda m, n: sum((binomial(2 * k, k) * harmonic_like(n - k, m + 1) / 4**k for k in range(n + 1)), F(0)) / 2,
         "m",
     ),
     ("thm_odd_id1_m0", "rhs"): (
-        lambda n: exact_sum(binomial(2 * k, k) * harmonic(n - k) / 4**k for k in range(n + 1)) / 2,
+        lambda n: sum((binomial(2 * k, k) * harmonic(n - k) / 4**k for k in range(n + 1)), F(0)) / 2,
         "",
     ),
     ("thm_odd_id1_m1", "rhs"): (
-        lambda n: exact_sum(
+        lambda n: sum((
             binomial(2 * k, k) * (harmonic(n - k) ** 2 - harmonic_order(n - k, 2)) / 4**k for k in range(n + 1)
-        )
+        ), F(0))
         / 2,
         "",
     ),
     ("thm_general_p", "lhs"): (
-        lambda m, p, n: exact_sum(
+        lambda m, p, n: sum((
             _cw(k, p) * harmonic_like(n - k, m) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(n + 1)
-        ),
+        ), F(0)),
         "mp",
     ),
     ("thm_general_p", "rhs"): (
-        lambda m, p, n: exact_sum(_cw(k, p) * harmonic_like(n - k, m + 1) for k in range(n + 1)) / 2,
+        lambda m, p, n: sum((_cw(k, p) * harmonic_like(n - k, m + 1) for k in range(n + 1)), F(0)) / 2,
         "mp",
     ),
-    ("thm_xld8bhi", "lhs"): (lambda p, n: exact_sum(k * hyperharmonic(k, p) for k in range(1, n + 1)), "p"),
+    ("thm_xld8bhi", "lhs"): (lambda p, n: sum((k * hyperharmonic(k, p) for k in range(1, n + 1)), F(0)), "p"),
     ("thm_k_weighted_half", "lhs"): (
-        lambda p, n: exact_sum(
+        lambda p, n: sum((
             k * _cw(k, p) * (odd_harmonic(k + p) - odd_harmonic(p)) for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "p",
     ),
     ("thm_yycg1tg", "lhs"): (
-        lambda p, n: exact_sum(
+        lambda p, n: sum((
             F(binomial(2 * (k + p), k + p) * binomial(k + p, k), binomial(2 * k, k))
             * (odd_harmonic(k + p) - odd_harmonic(k))
             for k in range(1, n + 1)
-        ),
+        ), F(0)),
         "p",
+    ),
+    # the right sides that were point sums
+    ("classical_Hk", "rhs"): (
+        lambda n: 2**n * (harmonic(n) - sum((F(1, 2**k * k) for k in range(1, n + 1)), F(0))),
+        "",
+    ),
+    ("ex_Hk2_2n", "rhs"): (
+        lambda n: 2**n
+        * (
+            harmonic_like(n, 2)
+            + 2 * sum(((harmonic(k - 1) - harmonic(n - k)) * F(1, 2**k * k) for k in range(1, n + 1)), F(0))
+        ),
+        "",
+    ),
+    ("ex_2k_alt", "rhs"): (
+        lambda n: harmonic_like(n, 2)
+        + 2 * sum(((-1) ** k * (harmonic(k - 1) - harmonic(n - k)) * F(1, k) for k in range(1, n + 1)), F(0)),
+        "",
+    ),
+    ("ex_3n", "rhs"): (
+        lambda n: 3**n
+        * (
+            harmonic_like(n, 2)
+            + 2 * sum(((harmonic(k - 1) - harmonic(n - k)) * F(1, 3**k * k) for k in range(1, n + 1)), F(0))
+        ),
+        "",
+    ),
+    ("fib_Hk2", "rhs"): (
+        lambda n: harmonic_like(n, 2) * fibonacci(2 * n)
+        + 2 * sum((
+            fibonacci(2 * (n - k)) * (harmonic(k - 1) - harmonic(n - k)) * F(1, k) for k in range(1, n + 1)
+        ), F(0)),
+        "",
+    ),
+    ("lucas_Hk2", "rhs"): (
+        lambda n: harmonic_like(n, 2) * lucas(2 * n)
+        + 2 * sum((lucas(2 * (n - k)) * (harmonic(k - 1) - harmonic(n - k)) * F(1, k) for k in range(1, n + 1)), F(0)),
+        "",
+    ),
+    ("fib_alt_Hk2", "rhs"): (
+        lambda n: harmonic_like(n, 2) * fibonacci(n)
+        + 2 * sum((fibonacci(n - k) * (harmonic(k - 1) - harmonic(n - k)) * F(1, k) for k in range(1, n + 1)), F(0)),
+        "",
+    ),
+    ("lucas_alt_Hk2", "rhs"): (
+        lambda n: harmonic_like(n, 2) * lucas(n)
+        + 2 * sum((lucas(n - k) * (harmonic(k - 1) - harmonic(n - k)) * F(1, k) for k in range(1, n + 1)), F(0)),
+        "",
+    ),
+    ("warmup_fib_harmonic", "rhs"): (
+        lambda n: harmonic(n) * fibonacci(n + 2) - sum((F(fibonacci(k + 1), k) for k in range(1, n + 1)), F(0)),
+        "",
+    ),
+    ("thm_o107dby", "rhs"): (
+        lambda m, n: (
+            harmonic_like(n, m) * harmonic(n) - sum((harmonic_like(k - 1, m) * F(1, k) for k in range(1, n + 1)), F(0))
+        )
+        / factorial(m),
+        "m",
+    ),
+    ("thm_o107dby_m2", "rhs"): (
+        lambda n: harmonic(n) ** 3
+        - harmonic_order(n, 2) * harmonic(n)
+        - sum(((harmonic(k - 1) ** 2 - harmonic_order(k - 1, 2)) * F(1, k) for k in range(1, n + 1)), F(0)),
+        "",
     ),
     # the literal binomial sums
     ("main_id1", "lhs"): (lambda a, b, m, n: transforms.binomial_sum_direct(a, b, m, n), "abm"),
@@ -722,7 +802,7 @@ FORMER = {
     ("cor_id5", "lhs"): (lambda a, b, n: transforms.binomial_sum_direct(a, b, 3, n), "ab"),
     # the binomial transforms
     ("cor_id1", "lhs"): (
-        lambda m, n: exact_sum(((-1) ** k, binomial(n, k), harmonic_like(k, m)) for k in range(n + 1)),
+        lambda m, n: sum(((-1) ** k * binomial(n, k) * harmonic_like(k, m) for k in range(n + 1)), F(0)),
         "m",
     ),
     ("cor_id2", "lhs"): (
@@ -732,102 +812,104 @@ FORMER = {
         ),
         "m",
     ),
-    ("cor_id3", "lhs"): (lambda m, n: exact_sum((binomial(n, k), harmonic_like(k, m)) for k in range(n + 1)), "m"),
-    ("classical_Hk", "lhs"): (lambda n: exact_sum((binomial(n, k), harmonic(k)) for k in range(n + 1)), ""),
-    ("ex_Hk2_2n", "lhs"): (lambda n: exact_sum((binomial(n, k), harmonic_like(k, 2)) for k in range(n + 1)), ""),
+    ("cor_id3", "lhs"): (lambda m, n: sum((binomial(n, k) * harmonic_like(k, m) for k in range(n + 1)), F(0)), "m"),
+    ("classical_Hk", "lhs"): (lambda n: sum((binomial(n, k) * harmonic(k) for k in range(n + 1)), F(0)), ""),
+    ("ex_Hk2_2n", "lhs"): (lambda n: sum((binomial(n, k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)), ""),
     ("ex_alt_Hk2", "lhs"): (
-        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum(((-1) ** k * binomial(n, k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
     ("ex_alt_Hk2sq", "lhs"): (
-        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic_order(k, 2)) for k in range(n + 1)),
+        lambda n: sum(((-1) ** k * binomial(n, k) * harmonic_order(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
     ("ex_alt_Hksq", "lhs"): (
-        lambda n: exact_sum(((-1) ** k, binomial(n, k), harmonic(k) ** 2) for k in range(n + 1)),
+        lambda n: sum(((-1) ** k * binomial(n, k) * harmonic(k) ** 2 for k in range(n + 1)), F(0)),
         "",
     ),
     ("ex_inv_HkOverK", "lhs"): (
-        lambda n: exact_sum(((-1) ** (k + 1), binomial(n, k), harmonic(k), F(1, k)) for k in range(1, n + 1)),
+        lambda n: sum(((-1) ** (k + 1) * binomial(n, k) * harmonic(k) * F(1, k) for k in range(1, n + 1)), F(0)),
         "",
     ),
     ("ex_2k_alt", "lhs"): (
-        lambda n: exact_sum((binomial(n, k), 2**k, (-1) ** (n - k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum((binomial(n, k) * 2**k * (-1) ** (n - k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
-    ("ex_3n", "lhs"): (lambda n: exact_sum((binomial(n, k), 2**k, harmonic_like(k, 2)) for k in range(n + 1)), ""),
+    ("ex_3n", "lhs"): (lambda n: sum((binomial(n, k) * 2**k * harmonic_like(k, 2) for k in range(n + 1)), F(0)), ""),
     ("fib_Hk2", "lhs"): (
-        lambda n: exact_sum((binomial(n, k), fibonacci(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum((binomial(n, k) * fibonacci(k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
     ("lucas_Hk2", "lhs"): (
-        lambda n: exact_sum((binomial(n, k), lucas(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum((binomial(n, k) * lucas(k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
     ("fib_alt_Hk2", "lhs"): (
-        lambda n: exact_sum(((-1) ** (k + 1), binomial(n, k), fibonacci(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum((
+            (-1) ** (k + 1) * binomial(n, k) * fibonacci(k) * harmonic_like(k, 2) for k in range(n + 1)
+        ), F(0)),
         "",
     ),
     ("lucas_alt_Hk2", "lhs"): (
-        lambda n: exact_sum(((-1) ** k, binomial(n, k), lucas(k), harmonic_like(k, 2)) for k in range(n + 1)),
+        lambda n: sum(((-1) ** k * binomial(n, k) * lucas(k) * harmonic_like(k, 2) for k in range(n + 1)), F(0)),
         "",
     ),
     # the convolutions
-    ("thm_general_p_m0", "lhs"): (lambda p, n: exact_sum((_cw(k, p), harmonic(n - k)) for k in range(n + 1)), "p"),
+    ("thm_general_p_m0", "lhs"): (lambda p, n: sum((_cw(k, p) * harmonic(n - k) for k in range(n + 1)), F(0)), "p"),
     ("tb6ik5l", "lhs"): (
-        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), harmonic(n - k)) for k in range(n + 1)),
+        lambda n: sum((binomial(2 * k, k) * F(1, 4**k) * harmonic(n - k) for k in range(n + 1)), F(0)),
         "",
     ),
     ("thm_odd_id1", "lhs"): (
-        lambda m, n: exact_sum(
-            (binomial(2 * k, k), F(1, 4**k), odd_harmonic(k), harmonic_like(n - k, m)) for k in range(n + 1)
-        ),
+        lambda m, n: sum((
+            binomial(2 * k, k) * F(1, 4**k) * odd_harmonic(k) * harmonic_like(n - k, m) for k in range(n + 1)
+        ), F(0)),
         "m",
     ),
     ("thm_odd_id1_m1", "lhs"): (
-        lambda n: exact_sum(
-            (binomial(2 * k, k), F(1, 4**k), odd_harmonic(k), harmonic(n - k)) for k in range(n + 1)
-        ),
+        lambda n: sum((
+            binomial(2 * k, k) * F(1, 4**k) * odd_harmonic(k) * harmonic(n - k) for k in range(n + 1)
+        ), F(0)),
         "",
     ),
     ("thm_kk1", "lhs"): (
-        lambda m, n: exact_sum((harmonic_like(n - k, m), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        lambda m, n: sum((harmonic_like(n - k, m) * F(1, k * (k + 1)) for k in range(1, n + 1)), F(0)),
         "m",
     ),
     ("thm_kk1_m1", "lhs"): (
-        lambda n: exact_sum((harmonic(n - k), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        lambda n: sum((harmonic(n - k) * F(1, k * (k + 1)) for k in range(1, n + 1)), F(0)),
         "",
     ),
     ("thm_kk1_m2", "lhs"): (
-        lambda n: exact_sum(
-            (harmonic(n - k) ** 2 - harmonic_order(n - k, 2), F(1, k * (k + 1))) for k in range(1, n + 1)
-        ),
+        lambda n: sum((
+            (harmonic(n - k) ** 2 - harmonic_order(n - k, 2)) * F(1, k * (k + 1)) for k in range(1, n + 1)
+        ), F(0)),
         "",
     ),
-    ("thm_hnp1_m1", "lhs"): (lambda n: exact_sum((harmonic(k), F(1, n - k + 1)) for k in range(1, n + 1)), ""),
+    ("thm_hnp1_m1", "lhs"): (lambda n: sum((harmonic(k) * F(1, n - k + 1) for k in range(1, n + 1)), F(0)), ""),
     # the running sums
     ("oklok93", "lhs"): (
-        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(1, n + 1)),
+        lambda n: sum((binomial(2 * k, k) * F(1, 4**k) * odd_harmonic(k) for k in range(1, n + 1)), F(0)),
         "",
     ),
     ("thm_odd_id1_m0", "lhs"): (
-        lambda n: exact_sum((binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(n + 1)),
+        lambda n: sum((binomial(2 * k, k) * F(1, 4**k) * odd_harmonic(k) for k in range(n + 1)), F(0)),
         "",
     ),
     ("har_example_p0", "lhs"): (
-        lambda n: exact_sum((harmonic(k), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        lambda n: sum((harmonic(k) * F(1, k * (k + 1)) for k in range(1, n + 1)), F(0)),
         "",
     ),
     ("har_example_p_pos", "lhs"): (
-        lambda p, n: exact_sum((harmonic(k + p), F(1, k * (k + 1))) for k in range(1, n + 1)),
+        lambda p, n: sum((harmonic(k + p) * F(1, k * (k + 1)) for k in range(1, n + 1)), F(0)),
         "p",
     ),
-    ("warmup_Hprev_over_k", "lhs"): (lambda n: exact_sum((harmonic(k - 1), F(1, k)) for k in range(1, n + 1)), ""),
-    ("warmup_sum_Hk", "lhs"): (lambda n: exact_sum(harmonic(k) for k in range(1, n + 1)), ""),
-    ("warmup_fib_harmonic", "lhs"): (lambda n: exact_sum((harmonic(k), fibonacci(k)) for k in range(1, n + 1)), ""),
-    ("thm_o107dby_m1", "lhs"): (lambda n: exact_sum((harmonic(k), F(1, k)) for k in range(1, n + 1)), ""),
+    ("warmup_Hprev_over_k", "lhs"): (lambda n: sum((harmonic(k - 1) * F(1, k) for k in range(1, n + 1)), F(0)), ""),
+    ("warmup_sum_Hk", "lhs"): (lambda n: sum((harmonic(k) for k in range(1, n + 1)), F(0)), ""),
+    ("warmup_fib_harmonic", "lhs"): (lambda n: sum((harmonic(k) * fibonacci(k) for k in range(1, n + 1)), F(0)), ""),
+    ("thm_o107dby_m1", "lhs"): (lambda n: sum((harmonic(k) * F(1, k) for k in range(1, n + 1)), F(0)), ""),
     ("thm_k_weighted_half_p0", "lhs"): (
-        lambda n: exact_sum((k, binomial(2 * k, k), F(1, 4**k), odd_harmonic(k)) for k in range(1, n + 1)),
+        lambda n: sum((k * binomial(2 * k, k) * F(1, 4**k) * odd_harmonic(k) for k in range(1, n + 1)), F(0)),
         "",
     ),
 }

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from multiharm import identities, transforms
 from multiharm.identities import verify_identity
-from multiharm.rational import binomial, exact_sum, factorial
+from multiharm.rational import binomial, factorial
 from multiharm.sequences import harmonic, harmonic_like, harmonic_like_column, harmonic_order, stirling1
 from multiharm.transforms import (
     AB_FIXTURES,
@@ -329,13 +329,19 @@ def test_route_matches_its_fraction_loop(route, reference):
 
 _cauchy_column = transforms.cauchy_column
 
+#: The readers whose running sums are products with 1, 1, ... over 1, at x = y = 1.
+_RUNNING_READERS = (
+    "warmup_fib_harmonic", "thm_o107dby", "thm_o107dby_m2", "thm_kollar", "thm_kollar_m1", "thm_kollar_m2",
+)
 #: The entries a side of which reads cauchy_column.
 _HELPER_READERS = (
-    "main_id1", "remark_m1", "cor_id3", "cor_id4", "cor_id5", "hn3_double", "thm_hnp1", "thm_hnp1_m2", "thm_kk1_m2",
-    "thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1", "thm_odd_id1", "thm_odd_id1_m0", "thm_odd_id1_m1", "thm_general_p",
+    "main_id1", "remark_m1", "cor_id3", "cor_id4", "cor_id5", "classical_Hk", "ex_Hk2_2n", "ex_2k_alt", "ex_3n",
+    "hn3_double", "thm_hnp1", "thm_hnp1_m2", "thm_kk1_m2", "thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1",
+    "thm_odd_id1", "thm_odd_id1_m0", "thm_odd_id1_m1", "thm_general_p", "fib_Hk2", "lucas_Hk2", "fib_alt_Hk2",
+    "lucas_alt_Hk2", *_RUNNING_READERS,
 )
 #: The readers that take the product of two plain sequences, x = y = 1.
-_UNIT_READERS = _HELPER_READERS[5:]
+_UNIT_READERS = _HELPER_READERS[9:]
 
 
 def _use_helper(monkeypatch, helper):
@@ -409,8 +415,9 @@ def _first_weight_doubled(x, y, *pairs):
 @pytest.mark.parametrize("identity_id", _HELPER_READERS)
 @pytest.mark.parametrize("mutant, unchanged", [
     pytest.param(_denominator_times_y, (), id="den_y"),
-    # the x factor C(k+p, k) of the thm_hyphar family is an integer and x = 1: there is no denominator to multiply by
-    pytest.param(_denominator_times_x, ("thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1"), id="den_x"),
+    # the x factor C(k+p, k) of the thm_hyphar family, and 1, 1, ... of the running sums, are integers and x = 1:
+    # there is no denominator to multiply by
+    pytest.param(_denominator_times_x, ("thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1", *_RUNNING_READERS), id="den_x"),
     # at x = y = 1 every power is 1
     pytest.param(_swapped_powers, _UNIT_READERS, id="swap"),
     pytest.param(_one_term_short, (), id="short"),
@@ -432,67 +439,3 @@ def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
     assert binomial_sum_direct_column(F(1, 2), F(-1, 3), 3, 12) == [
         direct_reference(F(1, 2), F(-1, 3), 3, i) for i in range(13)
     ]
-
-
-# ---------------------------------------------------------------------------
-# the shared summation primitive
-
-_SCALARS = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))
-# a term is a scalar or a tuple of 1 to 4 factors, which exact_sum reads as their product
-_TERMS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=4).map(tuple)), max_size=30)
-
-
-def _matches_fraction_sum(sum_fn):
-    @settings(max_examples=200, deadline=None)
-    @given(_TERMS)
-    @example([])
-    @example([0, F(0), 0])
-    @example([1, F(1, 2), F(-1, 3)])
-    @example([F(5, 6), F(1, 6), -1])
-    @example([(F(2, 3),), (F(3, 4), F(-2, 9)), (-1, F(5, 6), 0, F(7, 5)), (F(1, 2), 3, F(-4, 5), F(1, 7))])
-    @example([F(1, 3), (F(1, 6), -2), 5, (F(-3, 10), F(10, 3), F(1, 2))])
-    def check(terms):
-        total = sum_fn(iter(terms))
-        assert type(total) is Fraction
-        assert total == sum((math.prod(t) if isinstance(t, tuple) else t for t in terms), F(0))
-
-    return check
-
-
-def test_exact_sum_matches_fraction_sum():
-    _matches_fraction_sum(exact_sum)()
-
-
-def _exact_sum_mutant(fraction_of, scaled=True):
-    """exact_sum with ``fraction_of(factors)`` in place of a tuple term's
-    (numerator, denominator), and without the L // den scale if not ``scaled``."""
-    def mutant(terms):
-        pairs = [fraction_of(t) if isinstance(t, tuple) else (t.numerator, t.denominator) for t in terms]
-        common = math.lcm(*[den for _, den in pairs])
-        return Fraction(sum(num * (common // den if scaled else 1) for num, den in pairs), common)
-
-    return mutant
-
-
-def _factor_pair(factors):
-    return math.prod(f.numerator for f in factors), math.prod(f.denominator for f in factors)
-
-
-def test_exact_sum_rebuilt_for_the_mutants_passes_the_fraction_sum_check():
-    _matches_fraction_sum(_exact_sum_mutant(_factor_pair))()
-
-
-def test_exact_sum_without_the_scale_fails_the_fraction_sum_check():
-    # mutant: every numerator added over L without the L // den scale
-    with pytest.raises(AssertionError):
-        _matches_fraction_sum(_exact_sum_mutant(_factor_pair, scaled=False))()
-
-
-def test_exact_sum_without_one_factors_denominator_fails_the_fraction_sum_check():
-    # mutant: a tuple term's last factor contributes its numerator only
-    def first_denominators(factors):
-        num, _ = _factor_pair(factors)
-        return num, math.prod(f.denominator for f in factors[:-1])
-
-    with pytest.raises(AssertionError):
-        _matches_fraction_sum(_exact_sum_mutant(first_denominators))()
