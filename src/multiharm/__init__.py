@@ -54,7 +54,7 @@ from multiharm.transforms import (
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
-    binomial_transform,
+    binomial_sums,
 )
 
 __version__ = "0.1.0"

@@ -35,12 +35,13 @@ Each side sums in one form.  Every left side whose anchor sums O(n) terms per
 point is a literal integer column: once per run it reads each sequence (one
 ``*_column`` read where the family has one), takes one lcm, the powers it
 needs and one list of integer numerators, and then each value costs one
-integer dot product and one ``Fraction``.  There are four of them: the
-literal binomial sum (``transforms.binomial_sum_direct_column``), the
-binomial transforms sum_k C(i,k) x_k of a list x that depends on k only
-(``_binomial_transforms``), the convolutions (``_products``), and the running
-sums of a summand that does not depend on n (``_running_sums``).  Each takes
-its own common denominator (``_numerators``).  Every right side is a closed
+integer dot product and one ``Fraction``.  There are three of them: the
+binomial sums sum_k C(i,k) a^k b^(i-k) x_k of a list x that depends on k only,
+at the anchor's own a and b (``transforms.binomial_sums``), which every
+binomial transform and main-theorem left side reads, the convolutions
+(``_products``), and the running sums of a summand that does not depend on n
+(``_running_sums``).  Each takes its own common denominator, the last two by
+``_numerators``.  Every right side is a closed
 form at a point or a column of Cauchy products along n taken by
 ``transforms.cauchy_column`` over factors in ``transforms.integer_form``: the
 closed binomial sums at fixed a and b, the convolutions, and the running sums
@@ -71,7 +72,7 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from operator import add, mul
+from operator import mul
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
 
@@ -98,10 +99,10 @@ from multiharm.sequences import (
 from multiharm.transforms import (
     AB_FIXTURES,
     binomial_sum_closed,
-    binomial_sum_direct_column,
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
+    binomial_sums,
     cauchy_column,
     integer_form,
     weighted_m2,
@@ -440,16 +441,6 @@ def _numerators(values: list[RationalLike]) -> tuple[list[int], int]:
     return [v.numerator * (common // v.denominator) for v in values], common
 
 
-def _binomial_transforms(x: list[RationalLike]) -> list[Fraction]:
-    # sum_{k=0..i} C(i,k) x[k] at each index i: row i of Pascal's triangle dotted with the numerators of x
-    nums, common = _numerators(x)
-    values, row = [], [1]
-    for _ in nums:
-        values.append(Fraction(sum(map(mul, row, nums)), common))
-        row = [1, *map(add, row, row[1:]), 1]
-    return values
-
-
 def _products(f: list[RationalLike], g: list[RationalLike]) -> list[Fraction]:
     # sum_{k=0..i} f[k] g[i-k] at each index i, one integer dot product of the numerators of f and g:
     # the literal form of the left sides' Cauchy products, whose right sides are cauchy_column columns
@@ -563,7 +554,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) a^k b^(n-k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (a+b)^k ((m-j)!/(n-k)!) (-1)^(n-k) b^(n-k) s(n-k,m-j)",
             {("a", "b"): AB_FIXTURES, "m": range(0, 5), "n": range(0, 26)},
-            lambda a, b, m, n: binomial_sum_direct_column(a, b, m, n),
+            lambda a, b, m, n: binomial_sums(a, b, harmonic_like_column(n, m)),
             lambda a, b, m, n: binomial_sum_closed(a, b, m, n),
         ),
         IdentityDescriptor(
@@ -571,7 +562,7 @@ _REGISTRY = _build_registry({
             "m=1 closed form of the binomial sum",
             "sum_{k=0..n} C(n,k) a^k b^(n-k) H_k = H_n (a+b)^n - sum_{k=0..n-1} (a+b)^k b^(n-k)/(n-k)",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct_column(a, b, 1, n),
+            lambda a, b, n: binomial_sums(a, b, harmonic_like_column(n, 1)),
             lambda a, b, n: binomial_sum_m1(a, b, n),
         ),
         IdentityDescriptor(
@@ -579,7 +570,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,m)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,m) = (-1)^n (m!/n!) s(n,m)",
             {"m": range(0, 6), "n": range(0, 26)},
-            lambda m, n: _binomial_transforms([(-1) ** k * v for k, v in enumerate(harmonic_like_column(n, m))]),
+            lambda m, n: binomial_sums(-1, 1, harmonic_like_column(n, m)),
             lambda m, n: (-1) ** n * Fraction(fact(m), fact(n)) * stir(n, m),
         ),
         IdentityDescriptor(
@@ -588,7 +579,7 @@ _REGISTRY = _build_registry({
             "sum_{k=m..n} C(n,k) s(k,m)/k! = HL(n,m)/m!",
             {"m": range(0, 6), "n": range(0, 31)},
             # s(k,m) = 0 for k < m, so the transform may start at k = 0
-            lambda m, n: _binomial_transforms([Fraction(v, fact(k)) for k, v in enumerate(stirling1_column(n, m))]),
+            lambda m, n: binomial_sums(1, 1, [Fraction(v, fact(k)) for k, v in enumerate(stirling1_column(n, m))]),
             lambda m, n: Fraction(hlike(n, m), 1) / fact(m),
         ),
         IdentityDescriptor(
@@ -597,7 +588,7 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} C(n,k) HL(k,m) = "
             "sum_{j=0..m} C(m,j) sum_{k=0..n} HL(k,j) (-1)^(n-k) 2^k ((m-j)!/(n-k)!) s(n-k,m-j)",
             {"m": range(0, 5), "n": range(0, 26)},
-            lambda m, n: _binomial_transforms(harmonic_like_column(n, m)),
+            lambda m, n: binomial_sums(1, 1, harmonic_like_column(n, m)),
             # the main theorem at a = b = 1
             lambda m, n: binomial_sum_closed(1, 1, m, n),
         ),
@@ -606,7 +597,7 @@ _REGISTRY = _build_registry({
             "plain binomial transform of harmonic numbers",
             "sum_{k=0..n} C(n,k) H_k = 2^n (H_n - sum_{k=1..n} 1/(2^k k))",
             {"n": range(0, 41)},
-            lambda n: _binomial_transforms([harm(k) for k in range(n + 1)]),
+            lambda n: binomial_sums(1, 1, [harm(k) for k in range(n + 1)]),
             # the m = 1 specialization at a = b = 1
             lambda n: binomial_sum_m1(1, 1, n),
         ),
@@ -615,7 +606,7 @@ _REGISTRY = _build_registry({
             "m=2 closed form of the binomial sum",
             "S(a,b,2,n) = HL(n,2) (a+b)^n + 2 sum_{k=1..n} (a+b)^(n-k) b^k (H_{k-1} - H_{n-k})/k",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct_column(a, b, 2, n),
+            lambda a, b, n: binomial_sums(a, b, harmonic_like_column(n, 2)),
             lambda a, b, n: binomial_sum_m2(a, b, n),
         ),
         IdentityDescriptor(
@@ -623,7 +614,7 @@ _REGISTRY = _build_registry({
             "plain binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) HL(k,2) = 2^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(2^k k))",
             {"n": range(0, 31)},
-            lambda n: _binomial_transforms(harmonic_like_column(n, 2)),
+            lambda n: binomial_sums(1, 1, harmonic_like_column(n, 2)),
             # the m = 2 specialization at a = b = 1
             lambda n: binomial_sum_m2(1, 1, n),
         ),
@@ -632,7 +623,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k HL(k,2) = (2/n) H_{n-1}",
             {"n": range(1, 41)},
-            lambda n: _binomial_transforms([(-1) ** k * v for k, v in enumerate(harmonic_like_column(n, 2))]),
+            lambda n: binomial_sums(-1, 1, harmonic_like_column(n, 2)),
             lambda n: Fraction(2, n) * harm(n - 1),
         ),
         IdentityDescriptor(
@@ -640,7 +631,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of order-2 harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^(2) = -H_n/n",
             {"n": range(1, 41)},
-            lambda n: _binomial_transforms([(-1) ** k * harmonic_order(k, 2) for k in range(n + 1)]),
+            lambda n: binomial_sums(-1, 1, [harmonic_order(k, 2) for k in range(n + 1)]),
             lambda n: -harm(n) / n,
         ),
         IdentityDescriptor(
@@ -648,7 +639,7 @@ _REGISTRY = _build_registry({
             "alternating binomial transform of squared harmonic numbers",
             "sum_{k=0..n} C(n,k) (-1)^k H_k^2 = H_n/n - 2/n^2",
             {"n": range(1, 41)},
-            lambda n: _binomial_transforms([(-1) ** k * harm(k) ** 2 for k in range(n + 1)]),
+            lambda n: binomial_sums(-1, 1, [harm(k) ** 2 for k in range(n + 1)]),
             lambda n: harm(n) / n - Fraction(2, n * n),
         ),
         IdentityDescriptor(
@@ -656,7 +647,8 @@ _REGISTRY = _build_registry({
             "inverse-transform companion with H_k/k",
             "sum_{k=1..n} C(n,k) (-1)^(k+1) H_k/k = H_n^(2)",
             {"n": range(1, 41)},
-            lambda n: _binomial_transforms([0, *((-1) ** (k + 1) * harm(k) / k for k in range(1, n + 1))]),
+            # (-1)^(k+1) = -(-1)^k
+            lambda n: binomial_sums(-1, 1, [0, *(-harm(k) / k for k in range(1, n + 1))]),
             lambda n: harmonic_order(n, 2),
         ),
         IdentityDescriptor(
@@ -664,13 +656,8 @@ _REGISTRY = _build_registry({
             "mixed-weight transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k (-1)^(n-k) HL(k,2) = HL(n,2) + 2 sum_{k=1..n} (-1)^k (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            # (-1)^(n-k) = (-1)^n (-1)^k
-            lambda n: [
-                (-1) ** i * v
-                for i, v in enumerate(
-                    _binomial_transforms([(-2) ** k * v for k, v in enumerate(harmonic_like_column(n, 2))])
-                )
-            ],
+            # 2^k (-1)^(n-k) = a^k b^(n-k) at a = 2, b = -1
+            lambda n: binomial_sums(2, -1, harmonic_like_column(n, 2)),
             # the m = 2 specialization at a = 2, b = -1
             lambda n: binomial_sum_m2(2, -1, n),
         ),
@@ -679,7 +666,7 @@ _REGISTRY = _build_registry({
             "weight-2^k binomial transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) 2^k HL(k,2) = 3^n (HL(n,2) + 2 sum_{k=1..n} (H_{k-1} - H_{n-k})/(3^k k))",
             {"n": range(0, 26)},
-            lambda n: _binomial_transforms([2**k * v for k, v in enumerate(harmonic_like_column(n, 2))]),
+            lambda n: binomial_sums(2, 1, harmonic_like_column(n, 2)),
             # the m = 2 specialization at a = 2, b = 1
             lambda n: binomial_sum_m2(2, 1, n),
         ),
@@ -688,7 +675,7 @@ _REGISTRY = _build_registry({
             "Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) F_k HL(k,2) = HL(n,2) F_{2n} + 2 sum_{k=1..n} F_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _binomial_transforms([fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
+            lambda n: binomial_sums(1, 1, [fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: weighted_m2(1, 1, [fib(2 * i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
@@ -696,7 +683,7 @@ _REGISTRY = _build_registry({
             "Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) L_k HL(k,2) = HL(n,2) L_{2n} + 2 sum_{k=1..n} L_{2(n-k)} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _binomial_transforms([luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
+            lambda n: binomial_sums(1, 1, [luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: weighted_m2(1, 1, [luc(2 * i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
@@ -704,9 +691,8 @@ _REGISTRY = _build_registry({
             "alternating Fibonacci-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^(k+1) F_k HL(k,2) = HL(n,2) F_n + 2 sum_{k=1..n} F_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _binomial_transforms(
-                [(-1) ** (k + 1) * fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]
-            ),
+            # (-1)^(k+1) = -(-1)^k
+            lambda n: binomial_sums(-1, 1, [-fib(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: weighted_m2(1, 1, [fib(i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
@@ -714,7 +700,7 @@ _REGISTRY = _build_registry({
             "alternating Lucas-weighted transform of HL(.,2)",
             "sum_{k=0..n} C(n,k) (-1)^k L_k HL(k,2) = HL(n,2) L_n + 2 sum_{k=1..n} L_{n-k} (H_{k-1} - H_{n-k})/k",
             {"n": range(0, 31)},
-            lambda n: _binomial_transforms([(-1) ** k * luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
+            lambda n: binomial_sums(-1, 1, [luc(k) * v for k, v in enumerate(harmonic_like_column(n, 2))]),
             lambda n: weighted_m2(1, 1, [luc(i) for i in range(n + 1)]),
         ),
         IdentityDescriptor(
@@ -723,7 +709,7 @@ _REGISTRY = _build_registry({
             "S(a,b,3,n) = HL(n,3) (a+b)^n - 3 sum_{k=1..n} (a+b)^(n-k) b^k "
             "(H_{k-1}^2 - H_{k-1}^(2) - 2 H_{k-1} H_{n-k} + H_{n-k}^2 - H_{n-k}^(2))/k",
             {("a", "b"): AB_FIXTURES, "n": range(0, 26)},
-            lambda a, b, n: binomial_sum_direct_column(a, b, 3, n),
+            lambda a, b, n: binomial_sums(a, b, harmonic_like_column(n, 3)),
             lambda a, b, n: binomial_sum_m3(a, b, n),
         ),
         IdentityDescriptor(

@@ -48,8 +48,8 @@ is refused when (n+1)^2 * w exceeds :data:`SIZE_CEILING`, the weight w being::
     p                    hyperharmonic
     (k+1)*bit_length(n)  stirling1, for k <= n (k > n is 0 at once)
 
-At small n, where the rule admits any order, ``hyperharmonic`` and
-``harmonic_order`` refuse (n+1) times the order over :data:`TABLE_CEILING`.
+At small n, where the rule admits any order, ``hyperharmonic`` refuses
+(n+1)*p and ``harmonic_order`` (n+1)*r^2 over :data:`TABLE_CEILING`.
 Two ceilings bound time: ``harmonic_like`` refuses (n+1)^2 * max(m, 1) over
 :data:`HARMONIC_LIKE_CEILING` for m <= n, and ``hyperharmonic_half`` r + p
 over :data:`HALF_CEILING`.
@@ -223,7 +223,7 @@ def harmonic_order(n: int, r: int) -> Fraction:
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    _check_order(n, r, "r")
+    _check_order(n, r, "r", r * r)
     if r == 1:
         return harmonic(n)
     return _harmonic_order[r].value(n, 0)
@@ -323,10 +323,14 @@ _SIZE_WEIGHTS = {
     "k": ("(k+1)*bit_length(n)", "stirling1 with k <= n"),
 }
 
-#: Ceiling on (n + 1) times the order of a ``hyperharmonic`` or
-#: ``harmonic_order`` query, read at call time, for small n, where the size
+#: Ceiling on (n + 1) p for a ``hyperharmonic`` query and (n + 1) r^2 for a
+#: ``harmonic_order`` one, read at call time, for small n, where the size
 #: rule admits any order: ``hyperharmonic(2, 10**8)`` would grow 10^8 table
-#: levels, and ``harmonic_order`` has terms with r times the digits of k.
+#: levels, and a term 1/k^r of ``harmonic_order`` has r times the digits of
+#: k, so each addition's gcd costs about r^2: ``harmonic_order(250, r)`` fills
+#: in 0.53 s at r = 500 and 1.85 s at r = 1000.  Of the largest orders
+#: admitted at n = 250, 1000, 5000, 10000 and 22359, the slowest to fill is
+#: ``harmonic_order(10000, 9)``, at 1.6 s.
 TABLE_CEILING = 1_000_000
 
 #: Ceiling on (n + 1)^2 * max(m, 1) for a ``harmonic_like`` query with m <= n,
@@ -344,8 +348,8 @@ HARMONIC_LIKE_CEILING = 175_000_000
 #: ``seq --family hyperharmonic_half --p 2000 --n 2000`` take about 7 s.
 HALF_CEILING = 4_000
 
-#: What each ceiling above bounds, as refusals and ``--help`` print it; ``_ORDER_WORK`` precedes p or r.
-_ORDER_WORK = "(n+1)*"
+#: What each ceiling above bounds, as refusals and ``--help`` print it; ``_ORDER_WORK`` by the order's name.
+_ORDER_WORK = {"p": "(n+1)*p", "r": "(n+1)*r^2"}
 _HARMONIC_LIKE_WORK = "(n+1)^2*max(m,1)"
 _HALF_WORK = "r+p"
 
@@ -365,9 +369,9 @@ def _check_size(n: int, weight: int = 1, param: str = "", value: int = 0) -> Non
         _refuse(f"(n+1)^2*{_SIZE_WEIGHTS[param][0]}", SIZE_CEILING, n=n, **{param: value})
 
 
-def _check_order(n: int, order: int, param: str) -> None:
-    if (n + 1) * order > TABLE_CEILING:
-        _refuse(_ORDER_WORK + param, TABLE_CEILING, n=n, **{param: order})
+def _check_order(n: int, order: int, param: str, weight: int) -> None:
+    if (n + 1) * weight > TABLE_CEILING:
+        _refuse(_ORDER_WORK[param], TABLE_CEILING, n=n, **{param: order})
     _check_size(n, order, param, order)
 
 
@@ -484,7 +488,7 @@ def hyperharmonic(n: int, p: int) -> Fraction:
     """
     _check_index(n)
     _check_index(p, "p")
-    _check_order(n, p, "p")
+    _check_order(n, p, "p", p)
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -499,7 +503,7 @@ def hyperharmonic_closed(n: int, p: int) -> Fraction:
     """
     _check_index(n)
     _check_index(p, "p")
-    _check_order(n, p, "p")
+    _check_order(n, p, "p", p)
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -581,11 +585,11 @@ class _Family(NamedTuple):
 
 _FAMILIES: dict[str, _Family] = {
     "harmonic": _Family(harmonic, limit=_check_size),
-    "harmonic_order": _Family(harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r")),
+    "harmonic_order": _Family(harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r", r * r)),
     "odd_harmonic": _Family(odd_harmonic, limit=_check_size),
     "harmonic_like": _Family(harmonic_like, {"m": 0}, _check_harmonic_like_work),
     "stirling1": _Family(stirling1, {"k": 0}, _check_stirling),
-    "hyperharmonic": _Family(hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p")),
+    "hyperharmonic": _Family(hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p", p)),
     "hyperharmonic_half": _Family(hyperharmonic_half, {"p": 0}, _check_half_index),
     "fibonacci": _Family(fibonacci, limit=_check_size),
     "lucas": _Family(lucas, limit=_check_size),

@@ -1,18 +1,21 @@
 """Binomial sums over harmonic-like numbers and generic binomial transforms.
 
 The central object is S(a, b, m, n) = sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m)
-where t(k, m) is the multiple harmonic-like number.  ``binomial_sum_direct``
-is the literal sum at one n, O(n) terms; ``binomial_sum_direct_column`` is the
-same sum at every index 0..n, by the same code (``_literal_sums``), which
-reads the harmonic-like values and takes their lcm and the powers of a and b
-once for the whole column.  ``binomial_sum_closed`` is the independent closed
-form in terms of Stirling numbers of the first kind; ``binomial_sum_m1/m2/m3``
-are the short specializations, and ``weighted_m2`` is the m = 2 one with a
-list of integer weights in place of the powers of a + b.  All routes must
-agree exactly on every input.  The closed routes return a column, the values
-at n = 0..n_max in order, each a sum of Cauchy products along n taken by
-:func:`cauchy_column`, whose docstring states the one integer form of those
-products; the identity registry takes its right sides' products there too.
+where t(k, m) is the multiple harmonic-like number.  ``binomial_sums`` is the
+literal sum of any list x in place of t(., m) at every index 0..n, with the
+lcm of the denominators of x and the powers of a and b taken once for the
+whole column.  The binomial transform sum_k C(n,k) (-1)^k x_k is its column
+at a = -1, b = 1, and the unsigned one its column at a = b = 1.
+``binomial_sum_direct`` is the literal sum of t(., m) at one n, O(n) terms,
+by the same code (``_literal_sums``).  ``binomial_sum_closed`` is the
+independent closed form in terms of Stirling numbers of the first kind;
+``binomial_sum_m1/m2/m3`` are the short specializations, and ``weighted_m2``
+is the m = 2 one with a list of integer weights in place of the powers of
+a + b.  All routes must agree exactly on every input.  The closed routes
+return a column, the values at n = 0..n_max in order, each a sum of Cauchy
+products along n taken by :func:`cauchy_column`, whose docstring states the
+one integer form of those products; the identity registry takes its right
+sides' products there too.
 
 The literal route, in both forms, adds its own integers over one common
 denominator and reduces each value once.  It shares nothing with the closed
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from multiharm.rational import RationalLike, binomial, factorial
 # harmonic_like is not called here; it stays importable as transforms.harmonic_like, which the
@@ -61,23 +64,22 @@ def _binomial_row(n: int) -> Iterator[int]:
         c = c * (n - k) // (k + 1)
 
 
-def _literal_sums(a: RationalLike, b: RationalLike, m: int, n: int, indices: Iterable[int]) -> list[Fraction]:
-    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) t(k, m) at each index i of ``indices``, none above n.
+def _literal_sums(a: RationalLike, b: RationalLike, x: list[RationalLike], indices: Iterable[int]) -> list[Fraction]:
+    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at each index i of ``indices``, none past the end of x.
 
     With a = p/q and b = r/s, value i is over L (q s)^i, L = lcm of the
-    denominators of t(k, m) for k <= n; term k is C(i,k) (r q)^(i-k) times the
-    integer w[k] = (p s)^k t.num (L // t.den).  The harmonic-like column, L,
-    the powers and w are built once for all the indices, and each value is one
-    integer dot product reduced once.
+    denominators of x; term k is C(i,k) (r q)^(i-k) times the integer
+    w[k] = (p s)^k x[k].num (L // x[k].den).  L, the powers and w are built
+    once for all the indices, and each value is one integer dot product
+    reduced once.
     """
-    _check_index(n)
     a = Fraction(a)
     b = Fraction(b)
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    hl = harmonic_like_column(n, m)
-    common = math.lcm(*[t.denominator for t in hl])
+    n = len(x) - 1
+    common = math.lcm(*[t.denominator for t in x])
     ps_pow = accumulate(repeat(p * s, n), mul, initial=1)
-    weighted = [t.numerator * (common // t.denominator) * w for t, w in zip(hl, ps_pow)]
+    weighted = [t.numerator * (common // t.denominator) * w for t, w in zip(x, ps_pow)]
     rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
     return [
         Fraction(sum(map(mul, map(mul, _binomial_row(i), rq_pow[i::-1]), weighted)), common * (q * s) ** i)
@@ -85,15 +87,16 @@ def _literal_sums(a: RationalLike, b: RationalLike, m: int, n: int, indices: Ite
     ]
 
 
+def binomial_sums(a: RationalLike, b: RationalLike, x: list[RationalLike]) -> list[Fraction]:
+    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at every index i of the list x, of ints and
+    ``Fraction`` values.  At a = -1, b = 1 it is the signed binomial transform of x, which is an involution."""
+    return _literal_sums(a, b, x, range(len(x)))
+
+
 def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fraction:
     """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m), in O(n) terms."""
-    return _literal_sums(a, b, m, n, [n])[0]
-
-
-def binomial_sum_direct_column(a: RationalLike, b: RationalLike, m: int, n: int) -> list[Fraction]:
-    """``[binomial_sum_direct(a, b, m, i) for i in range(n + 1)]``, by the same code, which reads the
-    harmonic-like column and takes the lcm and the powers once for the whole column."""
-    return _literal_sums(a, b, m, n, range(n + 1))
+    _check_index(n)
+    return _literal_sums(a, b, harmonic_like_column(n, m), [n])[0]
 
 
 def integer_form(values: list[RationalLike]) -> tuple[list[int], int]:
@@ -219,16 +222,3 @@ def binomial_sum_m3(a: RationalLike, b: RationalLike, n: int) -> list[Fraction]:
         ((h, h_den), _divided([6 * v for v in h[:n]], h_den)),
         ((sq, sq_den), _divided([-3] * n, 1)),
     )
-
-
-def binomial_transform(seq: Callable[[int], RationalLike], n: int, signed: bool = True) -> Fraction:
-    """Binomial transform at index n of a sequence callback defined on 0..n.
-
-    Signed: sum_{k=0..n} C(n,k) (-1)^k seq(k).  Unsigned drops the sign.  The
-    signed transform is an involution: applying it twice returns the original
-    sequence.
-    """
-    _check_index(n)
-    nums, common = integer_form([seq(k) for k in range(n + 1)])
-    row = ((-c if signed and k % 2 else c) for k, c in enumerate(_binomial_row(n)))
-    return Fraction(sum(map(mul, row, nums)), common)

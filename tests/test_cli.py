@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from multiharm import cli, identities, sequences, series
+from multiharm import cli, identities, sequences, series, transforms
 from multiharm.identities import IdentityDescriptor
 from multiharm.sequences import SeqSpec
 
@@ -218,6 +218,23 @@ def test_transform_family_mode(capsys):
     assert out == "n,value\n0,0\n1,-1\n2,-1/2\n3,-1/3\n"
 
 
+@pytest.mark.parametrize("signed", [pytest.param((), id="unsigned"), pytest.param(("--signed",), id="signed")])
+def test_transform_family_sums_its_rows_as_one_column(capsys, monkeypatch, signed):
+    # one lcm and one set of powers for all n + 1 rows, not one per row
+    calls = []
+    literal_sums = transforms._literal_sums
+
+    def counted(*args):
+        calls.append(args)
+        return literal_sums(*args)
+
+    monkeypatch.setattr(transforms, "_literal_sums", counted)
+    code, out = run(capsys, "transform", "--family", "odd_harmonic", "--n", "40", *signed)
+    assert code == 0
+    assert out.count("\n") == 42
+    assert len(calls) == 1
+
+
 def test_transform_rejects_mixed_modes(capsys):
     code, _ = run(capsys, "transform", "--family", "harmonic", "--a", "1", "--b", "1", "--n", "2")
     assert code == 2
@@ -385,8 +402,10 @@ def test_overflow_error_exits_two(capsys, command):
     # one table level per unit of p, before index n is read
     ["seq", "--family", "hyperharmonic", "--p", "99999999999999999999", "--n", "2"],
     ["gf-check", "--family", "hyperharmonic", "--p", "99999999999999999999", "--order", "2"],
-    # terms 1/k^r with r times the digits of k
+    # terms 1/k^r with r times the digits of k, each addition's gcd about r^2: (n+1)*r^2 over TABLE_CEILING
     ["seq", "--family", "harmonic_order", "--r", "99999999999999999999", "--n", "2"],
+    ["seq", "--family", "harmonic_order", "--r", "3900", "--n", "250"],
+    ["transform", "--family", "harmonic_order", "--r", "3900", "--n", "250"],
     # (n+1)^2 m = 7.5e10 over HARMONIC_LIKE_CEILING; r + p over HALF_CEILING
     ["seq", "--family", "harmonic_like", "--m", "3000", "--n", "5000"],
     ["seq", "--family", "hyperharmonic_half", "--p", "1000000", "--n", "1000"],
@@ -420,7 +439,7 @@ def test_table_ceiling_exits_two(capsys, memo_sizes, command):
     ["seq", "--family", "harmonic_order", "--r", "3", "--n", "40"],
 ])
 def test_table_ceiling_refuses_before_the_first_row(capsys, monkeypatch, memo_sizes, command):
-    # rows 0..8 (or 0..32) are under the ceiling; the last index is not
+    # rows 0..8 (or 0..10 for harmonic_order, (n+1)*r^2) are under the ceiling; the last index is not
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     for name in ("gf_harmonic_like", "gf_stirling_column", "gf_hyperharmonic", "gf_odd_central"):
         monkeypatch.setattr(series, name, lambda *args: pytest.fail("a generating function was built"))
@@ -519,7 +538,7 @@ def test_seq_help_names_the_table_ceiling(capsys, monkeypatch):
     assert cli.main(["seq", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"(n+1)*p > {sequences.TABLE_CEILING}" in help_text
-    assert f"(n+1)*r > {sequences.TABLE_CEILING}" in help_text
+    assert f"(n+1)*r^2 > {sequences.TABLE_CEILING}" in help_text
     # read when the parser is built, not when the module is imported
     monkeypatch.setattr(sequences, "TABLE_CEILING", 4321)
     assert cli.main(["seq", "--help"]) == 0

@@ -132,12 +132,12 @@ def test_table_ceiling_refuses_before_any_table_grows(monkeypatch, memo_sizes):
     monkeypatch.setattr(sequences, "TABLE_CEILING", 100)
     clear_caches()
     assert hyperharmonic(9, 10) == hyperharmonic_closed(9, 10)  # (n+1)*p = 100
-    assert harmonic_order(49, 2) == sum(Fraction(1, k * k) for k in range(1, 50))  # (n+1)*r = 100
+    assert harmonic_order(24, 2) == sum(Fraction(1, k * k) for k in range(1, 25))  # (n+1)*r^2 = 100
     sizes = memo_sizes()
     for route, n, order in [
         (hyperharmonic, 9, 11),
         (hyperharmonic, 2, 99999999999999999999),
-        (harmonic_order, 50, 2),
+        (harmonic_order, 25, 2),
         (harmonic_order, 2, 99999999999999999999),
     ]:
         with pytest.raises(FeasibilityError, match="exceeds the ceiling of 100"):
@@ -176,8 +176,8 @@ def test_seqspec_check_refuses_exactly_what_evaluate_refuses(monkeypatch, memo_s
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 15) is None
     assert _refusal(SeqSpec("hyperharmonic_half", {"p": 10}).check, 16) is FeasibilityError
     # the size rule refuses these before TABLE_CEILING would: (n+1)^2*p is 640 at n = 7 and 810 at
-    # n = 8 for p = 10, (n+1)^2*r is 539 at n = 6 and 704 at n = 7 for r = 11
-    for spec, n in ((SeqSpec("hyperharmonic", {"p": 10}), 8), (SeqSpec("harmonic_order", {"r": 11}), 7)):
+    # n = 8 for p = 10, (n+1)^2*r is 648 at n = 17 and 722 at n = 18 for r = 2, where (n+1)*r^2 is 76
+    for spec, n in ((SeqSpec("hyperharmonic", {"p": 10}), 8), (SeqSpec("harmonic_order", {"r": 2}), 18)):
         spec.check(n - 1)
         with pytest.raises(FeasibilityError, match=rf"^\(n\+1\)\^2\*[pr] exceeds the ceiling of 676 at n={n}, "):
             spec.check(n)

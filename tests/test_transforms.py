@@ -12,11 +12,10 @@ from multiharm.transforms import (
     AB_FIXTURES,
     binomial_sum_closed,
     binomial_sum_direct,
-    binomial_sum_direct_column,
     binomial_sum_m1,
     binomial_sum_m2,
     binomial_sum_m3,
-    binomial_transform,
+    binomial_sums,
 )
 
 F = Fraction
@@ -137,7 +136,7 @@ def test_routes_agree_off_the_fixture_pairs():
 @example((F(0), F(0)), 2, 5)
 def test_the_column_form_of_the_literal_sum_is_the_literal_sum_at_every_index(ab, m, n):
     a, b = ab
-    assert binomial_sum_direct_column(a, b, m, n) == [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
+    assert binomial_sums(a, b, harmonic_like_column(n, m)) == [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
 
 
 def test_the_literal_route_reads_one_harmonic_like_column_and_one_binomial_row(monkeypatch):
@@ -167,27 +166,25 @@ def test_a_column_offset_by_one_index_fails_the_literal_sum_check(m):
         _columns_match_the_literal_sum(shifted)()
 
 
+# The binomial transform of a list x is the column of binomial_sums at a = -1, b = 1 (signed) or a = b = 1.
+
+
 def test_signed_transform_spot_values():
-    assert binomial_transform(harmonic, 3) == F(-1, 3)
-    assert binomial_transform(lambda k: harmonic_like(k, 2), 3) == 1
-    assert binomial_transform(harmonic, 2, signed=False) == F(7, 2)
-    assert binomial_transform(lambda k: 1, 3000, signed=False) == 2**3000
+    assert binomial_sums(-1, 1, [harmonic(k) for k in range(4)])[3] == F(-1, 3)
+    assert binomial_sums(-1, 1, harmonic_like_column(3, 2))[3] == 1
+    assert binomial_sums(1, 1, [harmonic(k) for k in range(3)])[2] == F(7, 2)
+    assert binomial_sums(1, 1, [1] * 301) == [2**i for i in range(301)]
 
 
 def test_inverse_recovers_preimage_of_signed_transform():
     for m in range(4):
-        image = lambda k, m=m: binomial_transform(lambda j: harmonic_like(j, m), k)
-        for n in range(15):
-            assert binomial_transform(image, n) == harmonic_like(n, m)
+        image = binomial_sums(-1, 1, harmonic_like_column(14, m))
+        assert binomial_sums(-1, 1, image) == harmonic_like_column(14, m)
 
 
 def test_round_trip_example():
     seq = [F(1), F(1, 2), F(1, 3), F(1, 4)]
-    transformed = [binomial_transform(lambda k: seq[k], n) for n in range(4)]
-    recovered = [
-        binomial_transform(lambda k: transformed[k], n) for n in range(4)
-    ]
-    assert recovered == seq
+    assert binomial_sums(-1, 1, binomial_sums(-1, 1, seq)) == seq
 
 
 @settings(max_examples=30)
@@ -199,28 +196,25 @@ def test_round_trip_example():
     )
 )
 def test_signed_transform_is_an_involution(seq):
-    transformed = [binomial_transform(lambda k: seq[k], n) for n in range(21)]
-    for n in range(21):
-        assert binomial_transform(lambda k: transformed[k], n) == seq[n]
+    assert binomial_sums(-1, 1, binomial_sums(-1, 1, seq)) == seq
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=40), min_size=1, max_size=80), st.booleans())
 def test_transform_matches_its_per_term_comb_sum(seq, signed):
-    n = len(seq) - 1
-    expected = sum((math.comb(n, k) * (-1 if signed and k % 2 else 1) * seq[k] for k in range(n + 1)), F(0))
-    assert binomial_transform(seq.__getitem__, n, signed) == expected
+    expected = [
+        sum((math.comb(n, k) * (-1 if signed and k % 2 else 1) * seq[k] for k in range(n + 1)), F(0))
+        for n in range(len(seq))
+    ]
+    assert binomial_sums(-1 if signed else 1, 1, seq) == expected
 
 
 @pytest.mark.parametrize("route", [
     pytest.param(lambda: binomial_sum_direct(1, 1, 0, -1), id="direct"),
-    pytest.param(lambda: binomial_sum_direct_column(1, 1, 0, -1), id="direct-column"),
     pytest.param(lambda: binomial_sum_closed(1, 1, 2, -1), id="closed"),
     pytest.param(lambda: binomial_sum_m1(1, 1, -1), id="m1"),
     pytest.param(lambda: binomial_sum_m2(1, 1, -1), id="m2"),
     pytest.param(lambda: binomial_sum_m3(1, 1, -1), id="m3"),
-    pytest.param(lambda: binomial_transform(lambda k: F(1), -1), id="transform"),
-    pytest.param(lambda: binomial_transform(lambda k: F(1), -1, signed=False), id="unsigned-transform"),
 ])
 def test_every_route_refuses_a_negative_index(route):
     # the cross-checked routes share one domain: none of them returns 0 for n < 0
@@ -296,6 +290,21 @@ def m3_reference(a, b, n):
 
 # a / b built from a numerator and a nonzero denominator of either sign
 _RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(-9, 9).filter(bool))
+
+
+def sums_reference(a, b, x):
+    a_pow, b_pow = _fraction_powers(F(a), len(x)), _fraction_powers(F(b), len(x))
+    return [sum((binomial(i, k) * a_pow[k] * b_pow[i - k] * x[k] for k in range(i + 1)), F(0)) for i in range(len(x))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.lists(st.one_of(st.integers(-30, 30), _RATIONALS), max_size=40))
+@example(F(2, 3), F(-2, 3), [F(1, 2), 3, F(-5, 7), 0, F(9, 4)])  # a + b = 0
+@example(F(0), F(-5, 7), [4, F(1, 3), F(-2, 9), 7])  # a = 0
+@example(F(-9, 4), F(0), [F(3, 8), -6, F(5, 2), 1])  # b = 0
+@example(F(3, -5), F(7, 9), [F(-4, 9)])  # one element
+def test_binomial_sums_match_their_fraction_loop(a, b, x):
+    assert binomial_sums(a, b, x) == sums_reference(a, b, x)
 
 
 @pytest.mark.parametrize("route, reference", [
@@ -436,6 +445,6 @@ def test_the_literal_route_reads_no_closed_route_helper(monkeypatch):
     monkeypatch.setattr(transforms, "cauchy_column", forbidden)
     monkeypatch.setattr(transforms, "integer_form", forbidden)
     assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 12) == direct_reference(F(1, 2), F(-1, 3), 3, 12)
-    assert binomial_sum_direct_column(F(1, 2), F(-1, 3), 3, 12) == [
+    assert binomial_sums(F(1, 2), F(-1, 3), harmonic_like_column(12, 3)) == [
         direct_reference(F(1, 2), F(-1, 3), 3, i) for i in range(13)
     ]
