@@ -15,12 +15,14 @@ the one denominator they share and converts to and from ``Fraction``.
   multiply is Karatsuba: 0.015 s against 0.052 s for 470k-bit operands
   (CPython 3.11.7, libmpdec 2.5.1, 2 cores).  Slot ``n`` holds ``h_n = sum a_k
   b_(n-k)``, so ``|h_n| <= min(len a, len b) * max|a| * max|b|``, and ``d``
-  is the digit count of twice that bound.  Adding ``5 * 10**(d-1)`` to every
-  slot makes each one non-negative without a borrow from its neighbour, so
-  one ``format(..., "f")`` string and slices of it read every coefficient.
-  Ints go in and out by ``Context.create_decimal`` and ``int(Decimal)``,
-  never ``str(int)`` or ``int(str)``, which refuse more than
-  ``sys.get_int_max_str_digits()`` digits.  The module context ``_EXACT``
+  is the digit count of twice that bound, so ``|h_n| < 10**d / 2``.  One
+  ``format(..., "f")`` string of the product's absolute value holds every
+  slot; read from slot 0 up with a carry of 0 or 1, each slot has exactly
+  one value of that size, and the product's sign is applied to all of them.
+  Ints go in by ``Context.create_decimal``, never ``str(int)``, and come out
+  by ``int(str)`` on each slot's digits, split in halves only while a piece
+  is longer than ``sys.get_int_max_str_digits()`` allows (0, or a Python
+  without the limit, means no split).  The module context ``_EXACT``
   traps ``Inexact`` and ``Rounded``, so a result is exact or raises; the
   thread's ``decimal.getcontext()`` is never modified.  When ``a is b`` (as in
   ``f * f`` and every step of ``f ** m``) the vector is packed once and
@@ -56,6 +58,7 @@ likewise kept only for the benchmark's run metadata.
 
 from __future__ import annotations
 
+import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from math import gcd
@@ -71,8 +74,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 _EXACT_ZERO = _EXACT.create_decimal(0)
 
 
-def _at_power(values, size):
-    """sum(values[i] * 10**(size*i)) for a list of Decimals, merged pairwise."""
+def _pack(a, size):
+    """The integer vector ``a`` evaluated at ``10**size``, as one exact ``Decimal``."""
+    values = list(map(_EXACT.create_decimal, a))
     while len(values) > 1:
         if len(values) % 2:
             values.append(_EXACT_ZERO)
@@ -81,9 +85,12 @@ def _at_power(values, size):
     return values[0]
 
 
-def _pack(a, size):
-    """The integer vector ``a`` evaluated at ``10**size``, as one exact ``Decimal``."""
-    return _at_power(list(map(_EXACT.create_decimal, a)), size)
+def _read(digits, limit):
+    """int(digits), split in halves while a piece has more than ``limit`` digits (0: no limit)."""
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    low = len(digits) // 2
+    return _read(digits[:-low], limit) * 10**low + _read(digits[-low:], limit)
 
 
 def _convolve(a, b, lo, hi):
@@ -98,22 +105,33 @@ def _convolve(a, b, lo, hi):
     if not bound:
         return [0] * (hi - lo)
     size = _EXACT.create_decimal(2 * bound).adjusted() + 1  # digits of 2 * bound
-    half = 5 * 10 ** (size - 1)
     packed = _pack(a, size)
     product = _EXACT.multiply(packed, packed if square else _pack(b, size))
     del packed
-    # Bias every slot by half: slot n then holds h_n + half in [0, 10**size),
-    # so no slot borrows from the next and the digit string is the slots'.
+    negative = product.is_signed()
+    product = product.copy_abs()
     slots = len(a) + len(b) - 1
-    product = _EXACT.add(product, _at_power([_EXACT.create_decimal(half)] * slots, size))
     end = size * slots
-    digits = format(product, "f").zfill(end)
+    digits = format(product, "f")
     del product
+    digits = digits.zfill(end)
+    # |product| = sum g_n 10**(size*n) with |g_n| <= bound < 10**size / 2.
+    # Read from slot 0 up, slot n plus the carry (0 or 1) is g_n mod 10**size,
+    # and it stands for g_n - 10**size, carrying 1 into slot n + 1, exactly
+    # when its first digit is 5 or more; so slot lo - 1 alone sets the carry.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
+    wide = 10**size
     top = min(hi, slots)  # slots at or past len(a) + len(b) - 1 are 0
-    return [
-        int(_EXACT.create_decimal(digits[end - size * (n + 1) : end - size * n])) - half
-        for n in range(lo, top)
-    ] + [0] * (hi - max(lo, top))
+    carry = 0 < lo < top and digits[end - size * lo] >= "5"  # first digit of slot lo - 1
+    out = []  # slot n is digits[j : j + size] with j = end - size * (n + 1)
+    for j in range(end - size * (lo + 1), end - size * top - 1, -size):
+        g = _read(digits[j : j + size], limit) + carry
+        carry = digits[j] >= "5"
+        if carry:
+            g -= wide
+        out.append(-g if negative else g)
+    return out + [0] * (hi - max(lo, top))
 
 
 def _reduce(b, e):

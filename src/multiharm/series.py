@@ -22,10 +22,12 @@ The generating functions are built from three blocks, each one integer
 constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``), ``1/(1 - a z)``
 (``geometric``) and ``(1 - a z)^alpha`` for rational alpha
 (``power_of_one_minus``).  ``gf_hyperharmonic`` and ``gf_odd_central`` take
-their ``(1 - z)^(-p)`` and ``(1 - 4z)^(-1/2)`` from the last, so no
-series is ever inverted or square-rooted.  ``geometric`` keeps its
-own running product; it equals ``power_of_one_minus(a, -1, order)``.  This
-module reads only :mod:`multiharm.rational` and the kernels, never
+their ``(1 - z)^(-p)`` and ``(1 - w)^(-1/2)`` from the last, so no series is
+ever inverted or square-rooted; ``gf_odd_central`` builds its product at
+``w = 4z`` and scales numerator n by 4^n afterwards.  ``gf_harmonic_like``
+divides by ``1 - z`` with a running sum instead of a product.  ``geometric``
+keeps its own running product; it equals ``power_of_one_minus(a, -1, order)``.
+This module reads only :mod:`multiharm.rational` and the kernels, never
 :mod:`multiharm.sequences`, so the series stay independent of the recurrences
 they are compared with.
 """
@@ -33,6 +35,7 @@ they are compared with.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -211,10 +214,15 @@ def power_of_one_minus(a: RationalLike, alpha: RationalLike, order: int) -> Trun
 
 
 def gf_harmonic_like(m: int, order: int) -> TruncatedSeries:
-    """(-ln(1-z))^m / (1-z); coefficient n is the harmonic-like number t(n, m)."""
+    """(-ln(1-z))^m / (1-z); coefficient n is the harmonic-like number t(n, m).
+
+    Dividing by 1 - z is a running sum of the numerators of (-ln(1-z))^m, so
+    the series costs only the products of the power.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return (neg_log_one_minus(1, order) ** m) * geometric(1, order)
+    power = neg_log_one_minus(1, order) ** m
+    return TruncatedSeries._from_integers(accumulate(power._nums), power._den)
 
 
 def gf_stirling_column(k: int, order: int) -> TruncatedSeries:
@@ -242,8 +250,10 @@ def gf_hyperharmonic(p: int, order: int) -> TruncatedSeries:
 def gf_odd_central(order: int) -> TruncatedSeries:
     """Series whose coefficient n is C(2n, n) * O_n.
 
-    Built as (1/2) * (-ln(1-4z)) * (1-4z)^(-1/2): the second factor, from
-    ``power_of_one_minus``, generates the central binomial coefficients, so
-    the series costs one product.
+    Built as (1/2) (-ln(1-w)) (1-w)^(-1/2) at w = 4z: the second factor, from
+    ``power_of_one_minus``, generates the central binomial coefficients over
+    4^n, so the series costs one product, and numerator n is then multiplied
+    by 4^n.  Neither factor carries the 4^n growth into the kernel's slots.
     """
-    return Fraction(1, 2) * neg_log_one_minus(4, order) * power_of_one_minus(4, Fraction(-1, 2), order)
+    w = neg_log_one_minus(1, order) * power_of_one_minus(1, Fraction(-1, 2), order)
+    return TruncatedSeries._from_integers((x << 2 * n for n, x in enumerate(w._nums)), 2 * w._den)

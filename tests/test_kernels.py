@@ -245,9 +245,51 @@ def test_convolve_windows_match_schoolbook(a, b, negative, square, lo, span):
     assert _kernels._convolve(a, b, lo, lo + span) == reference(a, b, lo, lo + span)
 
 
+#: Entries of 301 to 1501 digits: their products' slots run from about 600 to 3000 digits.
+wide = st.integers(min_value=300, max_value=1500).flatmap(
+    lambda e: st.integers(min_value=10**e, max_value=10 ** (e + 1))
+)
+#: 5 * 10**700 - 1 is the largest bound a 701-digit slot holds: the carry edge.
+EDGE = 5 * 10**700 - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(wide, min_size=1, max_size=8),
+    st.lists(wide, min_size=1, max_size=8),
+    st.sampled_from(list(SIGNS)),
+    st.sampled_from(list(SIGNS)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=17),
+    st.integers(min_value=0, max_value=17),
+)
+@example([EDGE, EDGE], [1], "alternating", "positive", False, 0, 3)  # top coefficient -bound
+@example([EDGE, EDGE], [1], "negative", "alternating", False, 0, 3)  # top coefficient +bound
+@example([EDGE, EDGE], [1], "positive", "positive", False, 1, 2)  # +bound, read past slot 0
+@example([10**700, 3 * 10**900, 10**1200], [10**800, 10**300], "negative", "positive", False, 0, 6)
+@example([10**1500 - 1] * 3, [1], "alternating", "positive", True, 2, 4)  # squared, lo > 0
+def test_convolve_splits_slots_past_the_int_string_digit_limit(
+    mags_a, mags_b, sign_a, sign_b, square, lo, span
+):
+    # At the lowest limit CPython allows, most slots are longer than int(str)
+    # may read at once, so they are read in pieces; windows with lo > 0 start
+    # their carry from the slots below them.
+    a = [SIGNS[sign_a](i) * x for i, x in enumerate(mags_a)]
+    b = a if square else [SIGNS[sign_b](i) * x for i, x in enumerate(mags_b)]
+    expected = reference(a, b, lo, lo + span)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = _kernels._convolve(a, b, lo, lo + span)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+
+
 def test_cauchy_product_past_the_int_string_digit_limit():
     # Entries with more digits than int <-> str conversion allows by default;
-    # the packing must not go through str(int) or int(str).
+    # the packing must never call str(int), nor int(str) on more digits than
+    # the limit.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

@@ -266,6 +266,16 @@ def test_gf_odd_central_matches_central_binomial_products():
         assert gf[n] == binomial(2 * n, n) * odd_harmonic(n)
 
 
+@pytest.mark.parametrize("order", range(61))
+def test_gf_constructors_equal_their_product_forms(order):
+    # the running sum and the product at w = 4z against the plain products
+    for m in range(6):
+        assert gf_harmonic_like(m, order) == neg_log_one_minus(1, order) ** m * geometric(1, order)
+    assert gf_odd_central(order) == (
+        F(1, 2) * neg_log_one_minus(4, order) * power_of_one_minus(4, F(-1, 2), order)
+    )
+
+
 @pytest.mark.parametrize("route", [
     pytest.param(lambda: gf_harmonic_like(2, -1), id="gf_harmonic_like"),
     pytest.param(lambda: gf_stirling_column(1, -3), id="gf_stirling_column"),
