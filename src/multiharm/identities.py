@@ -41,12 +41,16 @@ at the anchor's own a and b (``transforms.binomial_sums``), which every
 binomial transform and main-theorem left side reads, the convolutions
 (``_products``), and the running sums of a summand that does not depend on n
 (``_running_sums``).  Each takes its own common denominator, the last two by
-``_numerators``.  Every right side is a closed
+``_numerators``.  The inner step sums of the section-3 left sides
+(``_stirling_steps``, ``_harmonic_steps``) are ``binomial_sums`` columns at
+a = b = 1.  Every right side is a closed
 form at a point or a column of Cauchy products along n taken by
 ``transforms.cauchy_column`` over factors in ``transforms.integer_form``: the
 closed binomial sums at fixed a and b, the convolutions, and the running sums
-as products with 1, 1, ... (``_prefix_sums``).  No function of this module is
-called by both sides of one identity, and the module keeps no memo: a weight
+as products with 1, 1, ... (``_prefix_sums``).  No left side reads
+``cauchy_column`` or ``integer_form``, no right side reads a literal helper,
+and no function of this module is called by both sides of one identity; the
+route-trace test pins all three.  The module keeps no memo: a weight
 or inner sum that a side reads along n is an uncached column helper.
 
 Anchor strings state each identity in plain ASCII with this notation:
@@ -480,26 +484,16 @@ def _harmonic_tails(n: int) -> list[Fraction]:
 
 
 def _stirling_steps(n: int, m: int) -> list[Fraction]:
-    # sum_{j=m..s+1} C(s,j-1) s(j,m)/j! for s = 0..n, each an integer over
-    # (s+1)!: the inner sum of thm_kollar (s = k), thm_o107dby (s = k-1) and
-    # thm_hnp1 (s = n-k)
-    st = stirling1_column(n + 1, m)
-    facts = list(accumulate(range(1, n + 2), mul, initial=1))
-    return [
-        Fraction(sum(comb(s, j - 1) * st[j] * (facts[s + 1] // facts[j]) for j in range(m, s + 2)), facts[s + 1])
-        for s in range(n + 1)
-    ]
+    # sum_{j=m..s+1} C(s,j-1) s(j,m)/j! for s = 0..n, the binomial sums of s(i+1,m)/(i+1)!: the
+    # inner sum of thm_kollar (s = k), thm_o107dby (s = k-1) and thm_hnp1 (s = n-k)
+    return binomial_sums(1, 1, [Fraction(v, fact(j)) for j, v in enumerate(stirling1_column(n + 1, m)[1:], 1)])
 
 
 def _harmonic_steps(n: int) -> list[Fraction]:
-    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j for s = 0..n, each an integer over
-    # L^2 with L = lcm(1..n+1): the inner sum of thm_kollar_m2 (s = k),
-    # thm_o107dby_m2 (s = k-1) and thm_hnp1_m2 (s = n-k)
-    big = math.lcm(*range(1, n + 2))
-    # (-1)^j (L H_{j-1}) (L/j), an integer, at index j - 1 for j = 1..n+1
-    hs = map(harm, range(n + 1))
-    terms = [(-1) ** j * h.numerator * (big // h.denominator) * (big // j) for j, h in enumerate(hs, 1)]
-    return [Fraction(sum(comb(s, j - 1) * terms[j - 1] for j in range(2, s + 2)), big * big) for s in range(n + 1)]
+    # sum_{j=2..s+1} (-1)^j C(s,j-1) H_{j-1}/j for s = 0..n, the binomial sums of (-1)^(i+1) H_i/(i+1),
+    # whose index 0 is -H_0 = 0: the inner sum of thm_kollar_m2 (s = k), thm_o107dby_m2 (s = k-1) and
+    # thm_hnp1_m2 (s = n-k)
+    return binomial_sums(1, 1, [(-1) ** (i + 1) * harm(i) / (i + 1) for i in range(n + 1)])
 
 
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
@@ -791,9 +785,7 @@ _REGISTRY = _build_registry({
             "sum_{k=1..n} H_k sum_{j=m..n-k+1} C(n-k,j-1) s(j,m)/j! = (1/m!) HL(n+1,m+1)",
             {"m": range(1, 5), "n": range(1, 26)},
             # H_0 = 0, so the product may start at k = 0
-            lambda m, n: cauchy_column(
-                1, 1, (integer_form([harm(k) for k in range(n + 1)]), integer_form(_stirling_steps(n, m)))
-            ),
+            lambda m, n: _products([harm(k) for k in range(n + 1)], _stirling_steps(n, m)),
             lambda m, n: Fraction(hlike(n + 1, m + 1), 1) / fact(m),
         ),
         IdentityDescriptor(

@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, pairwise
+from math import gcd, prod
 from typing import Callable, Hashable, Mapping, NamedTuple, NoReturn
 
 from multiharm import _kernels
@@ -223,7 +223,7 @@ def harmonic_order(n: int, r: int) -> Fraction:
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    _check_order(n, r, "r", r * r)
+    _check_harmonic_order(n, r)
     if r == 1:
         return harmonic(n)
     return _harmonic_order[r].value(n, 0)
@@ -369,10 +369,16 @@ def _check_size(n: int, weight: int = 1, param: str = "", value: int = 0) -> Non
         _refuse(f"(n+1)^2*{_SIZE_WEIGHTS[param][0]}", SIZE_CEILING, n=n, **{param: value})
 
 
-def _check_order(n: int, order: int, param: str, weight: int) -> None:
-    if (n + 1) * weight > TABLE_CEILING:
-        _refuse(_ORDER_WORK[param], TABLE_CEILING, n=n, **{param: order})
-    _check_size(n, order, param, order)
+def _check_harmonic_order(n: int, r: int) -> None:
+    if (n + 1) * r * r > TABLE_CEILING:
+        _refuse(_ORDER_WORK["r"], TABLE_CEILING, n=n, r=r)
+    _check_size(n, r, "r", r)
+
+
+def _check_hyperharmonic(n: int, p: int) -> None:
+    if (n + 1) * p > TABLE_CEILING:
+        _refuse(_ORDER_WORK["p"], TABLE_CEILING, n=n, p=p)
+    _check_size(n, p, "p", p)
 
 
 def _check_stirling(n: int, k: int) -> None:
@@ -408,15 +414,9 @@ def harmonic_like_bruteforce(n: int, m: int) -> Fraction:
         )
     total = _ZERO
     for s in range(m, n + 1):
-        # compositions of s into m positive parts via cut positions
+        # compositions of s into m positive parts: the gaps between the cut positions 0 < c_1 < ... < s
         for cuts in combinations(range(1, s), m - 1):
-            prod = 1
-            prev = 0
-            for cut in cuts:
-                prod *= cut - prev
-                prev = cut
-            prod *= s - prev
-            total += Fraction(1, prod)
+            total += Fraction(1, prod(b - a for a, b in pairwise((0, *cuts, s))))
     return total
 
 
@@ -488,7 +488,7 @@ def hyperharmonic(n: int, p: int) -> Fraction:
     """
     _check_index(n)
     _check_index(p, "p")
-    _check_order(n, p, "p", p)
+    _check_hyperharmonic(n, p)
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -503,7 +503,7 @@ def hyperharmonic_closed(n: int, p: int) -> Fraction:
     """
     _check_index(n)
     _check_index(p, "p")
-    _check_order(n, p, "p", p)
+    _check_hyperharmonic(n, p)
     if p == 0:
         if n == 0:
             raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
@@ -585,11 +585,11 @@ class _Family(NamedTuple):
 
 _FAMILIES: dict[str, _Family] = {
     "harmonic": _Family(harmonic, limit=_check_size),
-    "harmonic_order": _Family(harmonic_order, {"r": 1}, lambda n, r: _check_order(n, r, "r", r * r)),
+    "harmonic_order": _Family(harmonic_order, {"r": 1}, _check_harmonic_order),
     "odd_harmonic": _Family(odd_harmonic, limit=_check_size),
     "harmonic_like": _Family(harmonic_like, {"m": 0}, _check_harmonic_like_work),
     "stirling1": _Family(stirling1, {"k": 0}, _check_stirling),
-    "hyperharmonic": _Family(hyperharmonic, {"p": 0}, lambda n, p: _check_order(n, p, "p", p)),
+    "hyperharmonic": _Family(hyperharmonic, {"p": 0}, _check_hyperharmonic),
     "hyperharmonic_half": _Family(hyperharmonic_half, {"p": 0}, _check_half_index),
     "fibonacci": _Family(fibonacci, limit=_check_size),
     "lucas": _Family(lucas, limit=_check_size),

@@ -438,9 +438,13 @@ def _allowed(module, code):
     return module == "multiharm.rational" or code in _DRIVER
 
 
-def _route_overlap(desc):
-    """The functions outside the allow-list that both sides of ``desc`` call, and the sides that read series."""
-    calls = {side: _traced_calls(desc, side) for side in ("lhs", "rhs")}
+def _side_calls(desc):
+    """The traced calls of each side of ``desc``, by side."""
+    return {side: _traced_calls(desc, side) for side in ("lhs", "rhs")}
+
+
+def _route_overlap(calls):
+    """The functions outside the allow-list that both sides call, and the sides that read series."""
     shared = {f"{module}.{code.co_name}" for module, code in calls["lhs"] & calls["rhs"] if not _allowed(module, code)}
     series_readers = {
         side for side, called in calls.items() if any(module in ("multiharm.series", "multiharm._kernels")
@@ -449,11 +453,24 @@ def _route_overlap(desc):
     return shared, series_readers
 
 
+#: The helpers of each side's one form, which the other side never calls: the right sides' Cauchy
+#: products and their factors, and the left sides' literal columns.
+_RIGHT_ONLY = {"multiharm.transforms.cauchy_column", "multiharm.transforms.integer_form",
+               "multiharm.identities._prefix_sums", "multiharm.identities._harmonic_tails"}
+_LEFT_ONLY = {"multiharm.transforms.binomial_sums", "multiharm.transforms._literal_sums",
+              "multiharm.identities._products", "multiharm.identities._running_sums",
+              "multiharm.identities._numerators"}
+
+
 @pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
 def test_no_function_is_called_by_both_sides_of_an_identity(ident):
-    shared, series_readers = _route_overlap(identities.get_identity(ident))
+    calls = _side_calls(identities.get_identity(ident))
+    shared, series_readers = _route_overlap(calls)
     assert not shared
     assert len(series_readers) < 2
+    names = {side: {f"{module}.{code.co_name}" for module, code in called} for side, called in calls.items()}
+    assert not names["lhs"] & _RIGHT_ONLY
+    assert not names["rhs"] & _LEFT_ONLY
 
 
 def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
@@ -470,7 +487,7 @@ def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
     }
     for helper, mutant in mutants.items():
         assert verify_descriptor(mutant).passed
-        shared, _ = _route_overlap(mutant)
+        shared, _ = _route_overlap(_side_calls(mutant))
         assert helper in shared
 
 
@@ -482,7 +499,7 @@ def test_two_sides_that_read_series_fail_the_trace():
         rhs=lambda n: series.power_of_one_minus(1, 0, n)[0] * (harmonic(n) ** 2 - harmonic_order(n, 2)),
     )
     assert verify_descriptor(mutant).passed
-    assert _route_overlap(mutant)[1] == {"lhs", "rhs"}
+    assert _route_overlap(_side_calls(mutant))[1] == {"lhs", "rhs"}
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ _RUNNING_READERS = (
 #: The entries a side of which reads cauchy_column.
 _HELPER_READERS = (
     "main_id1", "remark_m1", "cor_id3", "cor_id4", "cor_id5", "classical_Hk", "ex_Hk2_2n", "ex_2k_alt", "ex_3n",
-    "hn3_double", "thm_hnp1", "thm_hnp1_m2", "thm_kk1_m2", "thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1",
+    "hn3_double", "thm_hnp1_m2", "thm_kk1_m2", "thm_hyphar", "thm_hyphar_m0", "thm_hyphar_m1",
     "thm_odd_id1", "thm_odd_id1_m0", "thm_odd_id1_m1", "thm_general_p", "fib_Hk2", "lucas_Hk2", "fib_alt_Hk2",
     "lucas_alt_Hk2", *_RUNNING_READERS,
 )
