@@ -33,14 +33,14 @@ sides point by point in grid order.
 
 Each side sums in one form.  Every left side whose anchor sums O(n) terms per
 point is a literal integer column: once per run it reads each sequence (one
-``*_column`` read where the family has one), takes one lcm, the powers it
-needs and one list of integer numerators, and then each value costs one
-integer dot product and one ``Fraction``.  There are three of them: the
-binomial sums sum_k C(i,k) a^k b^(i-k) x_k of a list x that depends on k only,
-at the anchor's own a and b (``transforms.binomial_sums``), which every
-binomial transform and main-theorem left side reads, the convolutions
-(``_products``), and the running sums of a summand that does not depend on n
-(``_running_sums``).  Each takes its own common denominator, the last two by
+``*_column`` read where the family has one), takes one lcm and one list of
+integer numerators, and then each value costs at most O(n) integer steps and
+one ``Fraction``.  There are three of them: the binomial sums
+sum_k C(i,k) a^k b^(i-k) x_k of a list x that depends on k only, at the
+anchor's own a and b (``transforms.binomial_sums``, one row of Pascal's rule
+per value), which every binomial transform and main-theorem left side reads,
+the convolutions (``_products``), and the running sums of a summand that does
+not depend on n (``_running_sums``).  Each takes its own common denominator, the last two by
 ``_numerators``.  The inner step sums of the section-3 left sides
 (``_stirling_steps``, ``_harmonic_steps``) are ``binomial_sums`` columns at
 a = b = 1.  Every right side is a closed

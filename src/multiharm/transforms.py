@@ -2,12 +2,12 @@
 
 The central object is S(a, b, m, n) = sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m)
 where t(k, m) is the multiple harmonic-like number.  ``binomial_sums`` is the
-literal sum of any list x in place of t(., m) at every index 0..n, with the
-lcm of the denominators of x and the powers of a and b taken once for the
-whole column.  The binomial transform sum_k C(n,k) (-1)^k x_k is its column
-at a = -1, b = 1, and the unsigned one its column at a = b = 1.
-``binomial_sum_direct`` is the literal sum of t(., m) at one n, O(n) terms,
-by the same code (``_literal_sums``).  ``binomial_sum_closed`` is the
+literal sum of any list x in place of t(., m) at every index 0..n, built by
+Pascal's rule on the integer numerators of x over their lcm, with no binomial
+coefficient and no power list.  The binomial transform sum_k C(n,k) (-1)^k x_k
+is its column at a = -1, b = 1, and the unsigned one its column at a = b = 1.
+``binomial_sum_direct`` is the literal sum of t(., m) at one n, its own loop
+over the O(n) terms.  ``binomial_sum_closed`` is the
 independent closed form in terms of Stirling numbers of the first kind;
 ``binomial_sum_m1/m2/m3`` are the short specializations, and ``weighted_m2``
 is the m = 2 one with a list of integer weights in place of the powers of
@@ -33,7 +33,6 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Iterator
 
 from multiharm.rational import RationalLike, binomial, factorial
 # harmonic_like is not called here; it stays importable as transforms.harmonic_like, which the
@@ -56,47 +55,46 @@ AB_FIXTURES: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
-def _binomial_row(n: int) -> Iterator[int]:
-    """C(n, 0), ..., C(n, n), each from the one before by one multiply and one exact division."""
-    c = 1
-    for k in range(n + 1):
-        yield c
-        c = c * (n - k) // (k + 1)
+def binomial_sums(a: RationalLike, b: RationalLike, x: list[RationalLike]) -> list[Fraction]:
+    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at every index i of the list x, of ints and
+    ``Fraction`` values.  At a = -1, b = 1 it is the signed binomial transform of x, which is an involution.
 
-
-def _literal_sums(a: RationalLike, b: RationalLike, x: list[RationalLike], indices: Iterable[int]) -> list[Fraction]:
-    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at each index i of ``indices``, none past the end of x.
-
-    With a = p/q and b = r/s, value i is over L (q s)^i, L = lcm of the
-    denominators of x; term k is C(i,k) (r q)^(i-k) times the integer
-    w[k] = (p s)^k x[k].num (L // x[k].den).  L, the powers and w are built
-    once for all the indices, and each value is one integer dot product
-    reduced once.
+    By Pascal's rule, with a = p/q and b = r/s: row 0 is the integer
+    numerators of x over L, the lcm of their denominators, and each next row
+    is d_(i+1)[k] = (r q) d_i[k] + (p s) d_i[k+1] over L (q s)^(i+1), one entry
+    shorter.  Value i is d_i[0], reduced once.
     """
     a = Fraction(a)
     b = Fraction(b)
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    n = len(x) - 1
+    left, right, scale = b.numerator * a.denominator, a.numerator * b.denominator, a.denominator * b.denominator
     common = math.lcm(*[t.denominator for t in x])
-    ps_pow = accumulate(repeat(p * s, n), mul, initial=1)
-    weighted = [t.numerator * (common // t.denominator) * w for t, w in zip(x, ps_pow)]
-    rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
-    return [
-        Fraction(sum(map(mul, map(mul, _binomial_row(i), rq_pow[i::-1]), weighted)), common * (q * s) ** i)
-        for i in indices
-    ]
-
-
-def binomial_sums(a: RationalLike, b: RationalLike, x: list[RationalLike]) -> list[Fraction]:
-    """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at every index i of the list x, of ints and
-    ``Fraction`` values.  At a = -1, b = 1 it is the signed binomial transform of x, which is an involution."""
-    return _literal_sums(a, b, x, range(len(x)))
+    row = [t.numerator * (common // t.denominator) for t in x]
+    firsts = []
+    while row:
+        firsts.append(row[0])
+        row = [left * u + right * v for u, v in zip(row, row[1:])]
+    return [Fraction(d, common * den) for d, den in zip(firsts, accumulate(repeat(scale), mul, initial=1))]
 
 
 def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fraction:
-    """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m), in O(n) terms."""
+    """The literal sum: sum_{k=0..n} C(n,k) a^k b^(n-k) t(k, m), in O(n) terms.
+
+    With a = p/q and b = r/s, term k is C(n,k) (p s)^k (r q)^(n-k) times the
+    numerator of t(k, m) over L, the lcm of the column's denominators; the
+    terms are added over L (q s)^n and the value is reduced once.
+    """
     _check_index(n)
-    return _literal_sums(a, b, harmonic_like_column(n, m), [n])[0]
+    a = Fraction(a)
+    b = Fraction(b)
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    x = harmonic_like_column(n, m)
+    common = math.lcm(*[t.denominator for t in x])
+    rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
+    total, c = 0, 1
+    for k, (t, ps, rq) in enumerate(zip(x, accumulate(repeat(p * s, n), mul, initial=1), reversed(rq_pow))):
+        total += c * ps * rq * t.numerator * (common // t.denominator)
+        c = c * (n - k) // (k + 1)  # C(n, k + 1)
+    return Fraction(total, common * (q * s) ** n)
 
 
 def integer_form(values: list[RationalLike]) -> tuple[list[int], int]:

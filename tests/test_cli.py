@@ -220,15 +220,15 @@ def test_transform_family_mode(capsys):
 
 @pytest.mark.parametrize("signed", [pytest.param((), id="unsigned"), pytest.param(("--signed",), id="signed")])
 def test_transform_family_sums_its_rows_as_one_column(capsys, monkeypatch, signed):
-    # one lcm and one set of powers for all n + 1 rows, not one per row
+    # one column for all n + 1 rows, not one sum per row
     calls = []
-    literal_sums = transforms._literal_sums
+    binomial_sums = transforms.binomial_sums
 
     def counted(*args):
         calls.append(args)
-        return literal_sums(*args)
+        return binomial_sums(*args)
 
-    monkeypatch.setattr(transforms, "_literal_sums", counted)
+    monkeypatch.setattr(transforms, "binomial_sums", counted)
     code, out = run(capsys, "transform", "--family", "odd_harmonic", "--n", "40", *signed)
     assert code == 0
     assert out.count("\n") == 42

@@ -457,9 +457,8 @@ def _route_overlap(calls):
 #: products and their factors, and the left sides' literal columns.
 _RIGHT_ONLY = {"multiharm.transforms.cauchy_column", "multiharm.transforms.integer_form",
                "multiharm.identities._prefix_sums", "multiharm.identities._harmonic_tails"}
-_LEFT_ONLY = {"multiharm.transforms.binomial_sums", "multiharm.transforms._literal_sums",
-              "multiharm.identities._products", "multiharm.identities._running_sums",
-              "multiharm.identities._numerators"}
+_LEFT_ONLY = {"multiharm.transforms.binomial_sums", "multiharm.identities._products",
+              "multiharm.identities._running_sums", "multiharm.identities._numerators"}
 
 
 @pytest.mark.parametrize("ident", sorted(identities._REGISTRY))

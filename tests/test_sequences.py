@@ -57,6 +57,14 @@ def test_harmonic_order_values():
         harmonic_order(3, 0)
 
 
+def test_harmonic_order_is_its_fraction_sum_at_orders_past_two():
+    # no registry entry reads an order past 2, so only this test pins those tables
+    for r in range(3, 9):
+        for n in range(41):
+            assert harmonic_order(n, r) == sum(Fraction(1, k**r) for k in range(1, n + 1))
+    assert harmonic_order(300, 3) == sum(Fraction(1, k**3) for k in range(1, 301))
+
+
 def test_odd_harmonic_values():
     assert odd_harmonic(0) == 0
     assert odd_harmonic(2) == Fraction(4, 3)

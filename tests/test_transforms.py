@@ -139,23 +139,22 @@ def test_the_column_form_of_the_literal_sum_is_the_literal_sum_at_every_index(ab
     assert binomial_sums(a, b, harmonic_like_column(n, m)) == [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
 
 
-def test_the_literal_route_reads_one_harmonic_like_column_and_one_binomial_row(monkeypatch):
-    # the point route stays O(n): one read of the n + 1 harmonic-like values, and the terms of row n only
-    reads, rows = [], []
-    binomial_row = transforms._binomial_row
+def test_the_point_route_reads_one_harmonic_like_column_and_no_column_sum(monkeypatch):
+    # the point route stays O(n): one read of the n + 1 harmonic-like values, and no O(n^2) column
+    reads, sums = [], []
 
     def column(n, m):
         reads.append((n, m))
         return harmonic_like_column(n, m)
 
-    def row(n):
-        rows.append(n)
-        return binomial_row(n)
+    def column_sums(*args):
+        sums.append(args)
+        return binomial_sums(*args)
 
     monkeypatch.setattr(transforms, "harmonic_like_column", column)
-    monkeypatch.setattr(transforms, "_binomial_row", row)
+    monkeypatch.setattr(transforms, "binomial_sums", column_sums)
     assert binomial_sum_direct(F(1, 2), F(-1, 3), 3, 40) == direct_reference(F(1, 2), F(-1, 3), 3, 40)
-    assert reads == [(40, 3)] and rows == [40]
+    assert reads == [(40, 3)] and sums == []
 
 
 @pytest.mark.parametrize("m", [None, 1, 2, 3])
