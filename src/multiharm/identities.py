@@ -204,11 +204,6 @@ def _evaluate(desc: IdentityDescriptor, side: str, run: list[dict[str, Any]]) ->
     return itertools.chain((evaluate(**binding) for binding in run[:-1]), [top])
 
 
-#: The value types that ``verify_descriptor`` compares as they are: an int and a Fraction compare
-#: exactly, and ``str`` of an int is that of its Fraction.  Any other value is converted first.
-_EXACT = (int, Fraction)
-
-
 def verify_descriptor(
     desc: IdentityDescriptor, overrides: Mapping[str, int] | None = None
 ) -> VerificationReport:
@@ -219,10 +214,6 @@ def verify_descriptor(
     for run in _runs(desc, overrides):
         for binding, lhs, rhs in zip(run, _evaluate(desc, "lhs", run), _evaluate(desc, "rhs", run)):
             cases += 1
-            if type(lhs) not in _EXACT:
-                lhs = Fraction(lhs)
-            if type(rhs) not in _EXACT:
-                rhs = Fraction(rhs)
             if lhs != rhs and first_failure is None:
                 first_failure = {
                     "binding": {k: _json_value(v) for k, v in binding.items()},

@@ -870,3 +870,5 @@ def test_only_verify_imports_the_identity_registry(command, loads_registry):
                 for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert done.returncode == 0 and done.stdout
     assert ("multiharm.identities" in imported) is loads_registry
+    # the registry is built on dataclasses, which no other command loads
+    assert ("dataclasses" in imported) is loads_registry

@@ -280,8 +280,8 @@ def test_corrupted_column_side_reports_the_smallest_failure():
 
 
 def test_an_int_side_and_a_fraction_side_compare_exactly_and_print_as_fractions():
-    # sides returning int and Fraction are compared as they are; the failure strings are those of
-    # their Fractions, and a value of any other type is converted to a Fraction first
+    # each side's value is compared as it is, since Python compares int, Fraction, float and bool
+    # exactly; the failure strings are those of the values' Fractions
     def entry(lhs, rhs):
         return IdentityDescriptor("mixed", "mixed", "mixed", {"n": range(0, 6)}, lhs, rhs)
 

@@ -111,6 +111,7 @@ def _columns_match_the_literal_sum(columns):
     @example((F(-7, 9), F(0)), 2, 30)  # b = 0
     @example((F(-3, 2), F(0)), 3, 30)  # b = 0
     @example((F(7), F(7)), 4, 12)
+    @example((F(2), F(-1, 3)), 1, 30)  # m = 1 off a = 0
     def check(ab, m, n):
         a, b = ab
         direct = [binomial_sum_direct(a, b, m, i) for i in range(n + 1)]
