@@ -28,25 +28,19 @@ the one denominator they share and converts to and from ``Fraction``.
   ``f * f`` and every step of ``f ** m``) the vector is packed once and
   squared, 1.4 times as fast as a general multiply of that size (0.0105 s).
 * ``invert_series(a)`` returns ``(b, e)`` with ``a * b / e = 1`` up to the
-  length of ``a``, by the Newton iteration ``g <- g (2 - a g)``.  If ``g`` is
-  right to ``k`` terms the result is right to ``2k``, and only the new terms
-  ``k..2k-1`` need computing: they are ``-(g r)``, where ``r`` holds the
-  terms ``k..2k-1`` of ``a g``.
-* ``sqrt_series(a)`` returns ``(b, e)`` with ``(b / e)**2 = a / a[0]``: the
-  series is ``f = a / a[0]``, because its head must be 1.  It runs Newton for
-  the inverse square root, ``h <- h (3 - f h^2) / 2`` (new terms
-  ``-(h r) / 2``, with ``r`` the terms ``k..2k-1`` of ``f h^2``), then
-  returns ``f h``.
+  length ``L`` of ``a``, by the recurrence ``b[0] = d**(L-1)``,
+  ``b[n] = -(sum_{k=1..n} a[k] b[n-k]) / d`` over ``e = d**L``, ``d = a[0]``.
+* ``sqrt_series(a)`` returns ``(b, e)`` with ``(b / e)**2 = a / a[0]`` (the
+  root's head must be 1), by ``C[0] = 1``, ``2 C[n] = a[n] 4**n d**(n-1) -
+  sum_{0<k<n} C[k] C[n-k]`` and ``b[n] = C[n] (4d)**(L-1-n)`` over
+  ``e = (4d)**(L-1)``.
 
-Each Newton step keeps its iterate as integers over one denominator, divided
-by their gcd.  All arithmetic is exact, so every coefficient equals what the
-schoolbook ``Fraction`` loops give.  The Newton steps call the private
-convolution ``_convolve`` directly, never the public ``cauchy_product``; the
-square ``h^2`` in ``sqrt_series`` takes the squaring path.  Nothing in the
-package calls the Newton kernels any more (``series.power_of_one_minus``
-builds ``(1 - 4z)^(-1/2)`` directly); they stay only because the benchmark
-harness under ``perfbench/`` reads them by name, until that harness is
-revised (ROADMAP item 1).
+Every division in them is exact, and each result is divided by its gcd once,
+so every coefficient equals what the schoolbook ``Fraction`` loops give.
+Nothing in the package calls them (``series.power_of_one_minus`` builds
+``(1 - 4z)^(-1/2)`` directly); they stay only because the benchmark harness
+under ``perfbench/`` reads them by name, until that harness is revised
+(ROADMAP item 1).
 
 ``harmonic_like_levels`` is only the cross-check route
 ``sequences.harmonic_like_convolution``: the primary
@@ -62,6 +56,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 BACKEND = "pure"
 
@@ -93,17 +88,19 @@ def _read(digits, limit):
     return _read(digits[:-low], limit) * 10**low + _read(digits[-low:], limit)
 
 
-def _convolve(a, b, lo, hi):
-    """Coefficients lo..hi-1 of the product of the integer vectors a and b.
+def cauchy_product(a, b, order):
+    """Coefficients 0..order of the product of the integer vectors a and b.
 
     When ``a is b`` the vector is packed once and the packed value is squared.
     """
+    if order < 0:
+        return []
     square = a is b
-    a = a[:hi]
-    b = a if square else b[:hi]
+    a = a[: order + 1]
+    b = a if square else b[: order + 1]
     bound = min(len(a), len(b)) * max(map(abs, a), default=0) * max(map(abs, b), default=0)
     if not bound:
-        return [0] * (hi - lo)
+        return [0] * (order + 1)
     size = _EXACT.create_decimal(2 * bound).adjusted() + 1  # digits of 2 * bound
     packed = _pack(a, size)
     product = _EXACT.multiply(packed, packed if square else _pack(b, size))
@@ -118,20 +115,20 @@ def _convolve(a, b, lo, hi):
     # |product| = sum g_n 10**(size*n) with |g_n| <= bound < 10**size / 2.
     # Read from slot 0 up, slot n plus the carry (0 or 1) is g_n mod 10**size,
     # and it stands for g_n - 10**size, carrying 1 into slot n + 1, exactly
-    # when its first digit is 5 or more; so slot lo - 1 alone sets the carry.
+    # when its first digit is 5 or more.
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     limit = get_limit() if get_limit else 0
     wide = 10**size
-    top = min(hi, slots)  # slots at or past len(a) + len(b) - 1 are 0
-    carry = 0 < lo < top and digits[end - size * lo] >= "5"  # first digit of slot lo - 1
+    top = min(order + 1, slots)  # slots at or past len(a) + len(b) - 1 are 0
+    carry = 0
     out = []  # slot n is digits[j : j + size] with j = end - size * (n + 1)
-    for j in range(end - size * (lo + 1), end - size * top - 1, -size):
+    for j in range(end - size, end - size * top - 1, -size):
         g = _read(digits[j : j + size], limit) + carry
         carry = digits[j] >= "5"
         if carry:
             g -= wide
         out.append(-g if negative else g)
-    return out + [0] * (hi - max(lo, top))
+    return out + [0] * (order + 1 - top)
 
 
 def _reduce(b, e):
@@ -142,26 +139,16 @@ def _reduce(b, e):
     return [x // g for x in b], e // g
 
 
-def cauchy_product(a, b, order):
-    """Coefficients 0..order of the product of the integer vectors a and b."""
-    if order < 0:
-        return []
-    return _convolve(a, b, 0, order + 1)
-
-
 def invert_series(a):
     """(b, e) with a * b / e = 1 up to z**(len(a)-1).  Requires a[0] != 0."""
-    if not a[0]:
+    d = a[0]
+    if not d:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    length = len(a)
-    b, e = [1], a[0]
-    k = 1
-    while k < length:
-        nk = min(2 * k, length)
-        r = _convolve(a, b, k, nk)  # terms k..nk-1 of a*b, over e
-        b, e = _reduce([x * e for x in b] + [-h for h in _convolve(b, r, 0, nk - k)], e * e)
-        k = nk
-    return b, e
+    b = [d ** (len(a) - 1)]  # b[n] = e c[n] for the inverse c, with e = d**len(a)
+    for n in range(1, len(a)):
+        # c[n] has at most d**(n+1) in its denominator, so b[n] is an integer
+        b.append(-sum(map(mul, a[1 : n + 1], reversed(b))) // d)
+    return _reduce(b, d ** len(a))
 
 
 def sqrt_series(a):
@@ -169,17 +156,14 @@ def sqrt_series(a):
     d = a[0]
     if not d:
         raise ZeroDivisionError("series sqrt needs a nonzero constant term")
-    length = len(a)
-    c, e = [1], 1  # (a / d)**(-1/2) is c / e, right to k terms
-    k = 1
-    while k < length:
-        nk = min(2 * k, length)
-        square = _convolve(c, c, 0, nk)  # h**2, over e**2
-        r = _convolve(a, square, k, nk)  # terms k..nk-1 of f*h**2, over d*e**2
-        scale = 2 * d * e * e
-        c, e = _reduce([x * scale for x in c] + [-h for h in _convolve(c, r, 0, nk - k)], scale * e)
-        k = nk
-    return _convolve(a, c, 0, length), d * e
+    top = len(a) - 1
+    c = [1]  # c[n] = (4d)**n s[n] for the root s of a / d
+    scale = 4  # 4**n d**(n-1)
+    for n in range(1, top + 1):
+        # every c[k] with k >= 1 is even, so the halving is exact
+        c.append((a[n] * scale - sum(map(mul, c[1:n], reversed(c[1:n])))) // 2)
+        scale *= 4 * d
+    return _reduce([x * (4 * d) ** (top - n) for n, x in enumerate(c)], (4 * d) ** top)
 
 
 def harmonic_like_levels(n_max, m_max):

@@ -189,6 +189,7 @@ def cmd_gf_check(args: argparse.Namespace) -> int:
     """Recurrence values against generating-function coefficients for n = 0..order."""
     family, name, seq_scale, coeff_scale = _GF_CHECKS[args.family]
     spec = SeqSpec(family, _params(args))
+    sequences._check_index(args.order, "order")
     spec.check(args.order)
     _check_gf_work(args.order, spec.params)
     coeffs = getattr(series, name)(*spec.params.values(), args.order)

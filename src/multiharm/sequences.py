@@ -604,7 +604,7 @@ class SeqSpec:
     """A named, parameterized sequence family with an evaluation contract.
 
     ``family`` must be one of :data:`FAMILY_NAMES`; ``params`` must supply
-    exactly the parameters that family requires (e.g. ``m`` for
+    exactly the parameters that family requires, as integers (e.g. ``m`` for
     ``harmonic_like``).  Evaluation at an index is deterministic and
     independent of call order.  A spec is a read-only value: it keeps its own
     copy of ``params``, equals a spec of the same family and parameters, and
@@ -628,7 +628,10 @@ class SeqSpec:
         if extra:
             raise ValueError(f"family {family!r} does not take: {', '.join(extra)}")
         for key, low in fam.minimum.items():
-            if params[key] < low:
+            value = params[key]
+            if not isinstance(value, int):
+                raise ValueError(f"family {family!r}: parameter {key} must be an integer, got {value!r}")
+            if value < low:
                 raise ValueError(f"family {family!r}: parameter {key} must be >= {low}")
         self.__dict__.update(family=family, params=params)
 

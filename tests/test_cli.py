@@ -531,7 +531,8 @@ def test_negative_index_is_refused_by_the_library(capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert re.fullmatch(r"error: (n|order) must be >= 0, got -1\n", captured.err)
+    option = command[-2].removeprefix("--")  # each command names its own option
+    assert captured.err == f"error: {option} must be >= 0, got -1\n"
 
 
 def test_seq_help_names_the_table_ceiling(capsys, monkeypatch):

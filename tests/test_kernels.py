@@ -1,11 +1,11 @@
 """Differential tests: the series kernels against schoolbook Fraction loops.
 
-The kernels multiply by Kronecker substitution and invert / take square roots
-by Newton iteration, on integer vectors.  The references below are the plain
-coefficient loops those kernels replaced; every output must equal theirs
-exactly.  The kernels are driven through a small Fraction <-> integer adapter
-(``product``, ``inverse``, ``sqrt``), so the references and the strategies
-stay in ``Fraction`` terms.
+The kernels multiply by Kronecker substitution, and invert / take square
+roots by coefficient recurrences over one common denominator, on integer
+vectors.  The references below are the plain ``Fraction`` coefficient loops;
+every output must equal theirs exactly.  The kernels are driven through a
+small Fraction <-> integer adapter (``product``, ``inverse``, ``sqrt``), so
+the references and the strategies stay in ``Fraction`` terms.
 """
 
 import dataclasses
@@ -128,6 +128,8 @@ def test_benchmark_tracer_hooks_are_in_place():
 
 @settings(max_examples=150)
 @given(series(), series(), st.integers(min_value=-1, max_value=90))
+@example([F(-(10**60)), F(-3, 7), F(-1)], [F(-2), F(-(10**45), 11)], 9)  # all negative
+@example([F(-5), F(-(2**70)), F(-1, 3)], [F(4), F(10**60)], 6)  # a negative product
 def test_cauchy_product_matches_schoolbook(f, g, order):
     # unequal lengths, orders past len(f) + len(g) - 2, empty factors, mixed signs
     assert product(f, g, order) == schoolbook_product(f, g, order)
@@ -179,6 +181,8 @@ signed = st.one_of(
 @example([0] * 12, 30)  # all zero, order past the length
 @example([0, 0, 5, 0, -7, 0], 14)  # zeros around signed entries
 @example([-(2**63 - 1), 2**63 - 1] * 10, 45)
+@example([-(10**200), -(2**70), -1, -5], 10)  # all negative, order past the last slot
+@example([-1] * 30, 65)
 def test_cauchy_square_matches_the_general_path(a, order):
     # ``a is a`` takes the squaring path; the copy makes the general one
     general = _kernels.cauchy_product(a, list(a), order)
@@ -187,9 +191,9 @@ def test_cauchy_square_matches_the_general_path(a, order):
     assert _kernels.cauchy_product(t, t, order) == general
 
 
-def reference(a, b, lo, hi):
-    """Coefficients lo..hi-1 of a * b by the schoolbook loop, as integers."""
-    return [int(h) for h in schoolbook_product(a, b, hi - 1)[lo:hi]]
+def reference(a, b, order):
+    """Coefficients 0..order of a * b by the schoolbook loop, as integers."""
+    return [int(h) for h in schoolbook_product(a, b, order)]
 
 
 #: Sign patterns of the slot-edge vectors, by index.
@@ -203,14 +207,13 @@ SIGNS = {"positive": lambda i: 1, "negative": lambda i: -1, "alternating": lambd
     st.integers(min_value=1, max_value=30),
     st.sampled_from(list(SIGNS)),
     st.sampled_from(list(SIGNS)),
-    st.integers(min_value=0, max_value=62),
-    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=125),
 )
-@example(3, (1, -1), 9, "negative", "negative", 0, 20)  # hi past len(a) + len(b) - 1
-@example(3, (1, 0), 8, "negative", "positive", 7, 1)
-@example(2, (5, -1), 1, "positive", "negative", 0, 1)
-@example(2, (5, 0), 5, "alternating", "alternating", 3, 9)
-def test_convolve_at_the_decimal_slot_edges(k, edge, n, sign_a, sign_b, lo, span):
+@example(3, (1, -1), 9, "negative", "negative", 19)  # order past the last slot
+@example(3, (1, 0), 8, "negative", "positive", 7)
+@example(2, (5, -1), 1, "positive", "negative", 0)
+@example(2, (5, 0), 5, "alternating", "alternating", 11)
+def test_cauchy_product_at_the_decimal_slot_edges(k, edge, n, sign_a, sign_b, order):
     # The bound n * x * 1 is exactly m * 10**k + c.  A slot has the digits of
     # twice the bound, so 5*10**k - 1 fills a (k+1)-digit slot to its last
     # value and 5*10**k needs a (k+2)-th digit; 10**k - 1 and 10**k step the
@@ -221,28 +224,9 @@ def test_convolve_at_the_decimal_slot_edges(k, edge, n, sign_a, sign_b, lo, span
     assume(bound % n == 0)
     a = [SIGNS[sign_a](i) * (bound // n) for i in range(n)]
     b = [SIGNS[sign_b](i) for i in range(n)]
-    assert _kernels._convolve(a, b, lo, lo + span) == reference(a, b, lo, lo + span)
+    assert _kernels.cauchy_product(a, b, order) == reference(a, b, order)
     if (sign_a == "alternating") == (sign_b == "alternating"):
-        assert list(map(abs, _kernels._convolve(a, b, n - 1, n))) == [bound]
-
-
-@settings(max_examples=150)
-@given(
-    st.lists(signed, min_size=1, max_size=30),
-    st.lists(signed, min_size=1, max_size=30),
-    st.booleans(),
-    st.booleans(),
-    st.integers(min_value=0, max_value=65),
-    st.integers(min_value=0, max_value=65),
-)
-def test_convolve_windows_match_schoolbook(a, b, negative, square, lo, span):
-    # all-negative vectors, windows with lo > 0 and hi past len(a) + len(b) - 1,
-    # and the squaring path (a is b)
-    if negative:
-        a, b = [-abs(x) for x in a], [-abs(x) for x in b]
-    if square:
-        b = a
-    assert _kernels._convolve(a, b, lo, lo + span) == reference(a, b, lo, lo + span)
+        assert abs(_kernels.cauchy_product(a, b, n - 1)[n - 1]) == bound
 
 
 #: Entries of 301 to 1501 digits: their products' slots run from about 600 to 3000 digits.
@@ -260,27 +244,25 @@ EDGE = 5 * 10**700 - 1
     st.sampled_from(list(SIGNS)),
     st.sampled_from(list(SIGNS)),
     st.booleans(),
-    st.integers(min_value=0, max_value=17),
-    st.integers(min_value=0, max_value=17),
+    st.integers(min_value=0, max_value=33),
 )
-@example([EDGE, EDGE], [1], "alternating", "positive", False, 0, 3)  # top coefficient -bound
-@example([EDGE, EDGE], [1], "negative", "alternating", False, 0, 3)  # top coefficient +bound
-@example([EDGE, EDGE], [1], "positive", "positive", False, 1, 2)  # +bound, read past slot 0
-@example([10**700, 3 * 10**900, 10**1200], [10**800, 10**300], "negative", "positive", False, 0, 6)
-@example([10**1500 - 1] * 3, [1], "alternating", "positive", True, 2, 4)  # squared, lo > 0
-def test_convolve_splits_slots_past_the_int_string_digit_limit(
-    mags_a, mags_b, sign_a, sign_b, square, lo, span
+@example([EDGE, EDGE], [1], "alternating", "positive", False, 2)  # top coefficient -bound
+@example([EDGE, EDGE], [1], "negative", "alternating", False, 2)  # top coefficient +bound
+@example([EDGE, EDGE], [1], "positive", "positive", False, 2)  # every coefficient +bound
+@example([10**700, 3 * 10**900, 10**1200], [10**800, 10**300], "negative", "positive", False, 5)
+@example([10**1500 - 1] * 3, [1], "alternating", "positive", True, 5)  # squared
+def test_cauchy_product_splits_slots_past_the_int_string_digit_limit(
+    mags_a, mags_b, sign_a, sign_b, square, order
 ):
     # At the lowest limit CPython allows, most slots are longer than int(str)
-    # may read at once, so they are read in pieces; windows with lo > 0 start
-    # their carry from the slots below them.
+    # may read at once, so they are read in pieces.
     a = [SIGNS[sign_a](i) * x for i, x in enumerate(mags_a)]
     b = a if square else [SIGNS[sign_b](i) * x for i, x in enumerate(mags_b)]
-    expected = reference(a, b, lo, lo + span)
+    expected = reference(a, b, order)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        got = _kernels._convolve(a, b, lo, lo + span)
+        got = _kernels.cauchy_product(a, b, order)
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == expected
@@ -298,7 +280,7 @@ def test_cauchy_product_past_the_int_string_digit_limit():
         with pytest.raises(ValueError):
             str(7**6000)  # 5072 digits
         for f, g in ((a, a), (a, b), (b, a)):
-            assert _kernels.cauchy_product(f, g, 6) == reference(f, g, 0, 7)
+            assert _kernels.cauchy_product(f, g, 6) == reference(f, g, 6)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -316,7 +298,7 @@ def test_a_product_past_the_exact_context_raises(monkeypatch, a):
 
 def test_cauchy_product_leaves_the_thread_context_alone():
     a, b = [3**80, -(2**90), 7], [-5, 11**40, 0, 1]
-    expected = reference(a, b, 0, 9)
+    expected = reference(a, b, 8)
     before = decimal.getcontext()
     snapshot = repr(before)  # every setting, flag and trap
     assert _kernels.cauchy_product(a, b, 8) == expected
@@ -327,7 +309,7 @@ def test_cauchy_product_leaves_the_thread_context_alone():
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
         inner = repr(ctx)
         assert _kernels.cauchy_product(a, b, 8) == expected
-        assert _kernels.cauchy_product(a, a, 4) == reference(a, a, 0, 5)
+        assert _kernels.cauchy_product(a, a, 4) == reference(a, a, 4)
         assert repr(decimal.getcontext()) == inner
 
 
@@ -382,6 +364,20 @@ def test_invert_series_matches_schoolbook(tail, head):
 def test_sqrt_series_matches_schoolbook(tail):
     f = [F(1)] + tail[1:]
     assert sqrt(f) == schoolbook_sqrt(f)
+
+
+@given(
+    st.integers(min_value=-(10**6), max_value=-1),
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=20),
+)
+@example(-4, [8, 0, 0])
+@example(-3, [1, 5])
+@example(-1, [2, 3, 4, 5])
+def test_sqrt_and_invert_series_with_a_negative_head(head, tail):
+    # the root is taken of a / a[0], so a negative head is a valid input
+    a = [head, *tail]
+    assert over(*_kernels.sqrt_series(a)) == schoolbook_sqrt([F(x, head) for x in a])
+    assert over(*_kernels.invert_series(a)) == schoolbook_inverse(a)
 
 
 def test_newton_kernels_at_deep_orders():

@@ -809,6 +809,14 @@ def test_seqspec_validation():
         ("harmonic", {"m": 1, "k": 2}, "family 'harmonic' does not take: m, k"),
         ("harmonic_like", {"m": -1}, "family 'harmonic_like': parameter m must be >= 0"),
         ("harmonic_order", {"r": 0}, "family 'harmonic_order': parameter r must be >= 1"),
+        # refused by name, not by a TypeError when evaluate reads a table
+        ("harmonic_like", {"m": 1.5}, "family 'harmonic_like': parameter m must be an integer, got 1.5"),
+        ("stirling1", {"k": 2.0}, "family 'stirling1': parameter k must be an integer, got 2.0"),
+        ("hyperharmonic", {"p": 1.5}, "family 'hyperharmonic': parameter p must be an integer, got 1.5"),
+        ("harmonic_order", {"r": 2.5}, "family 'harmonic_order': parameter r must be an integer, got 2.5"),
+        ("hyperharmonic_half", {"p": Fraction(1, 2)},
+         "family 'hyperharmonic_half': parameter p must be an integer, got Fraction(1, 2)"),
+        ("harmonic_like", {"m": "2"}, "family 'harmonic_like': parameter m must be an integer, got '2'"),
     ]:
         with pytest.raises(ValueError) as info:
             SeqSpec(family, params)
