@@ -26,10 +26,14 @@ library call is serial in the calling process unless it passes ``jobs``.
 A side is a point side, which returns its value at the bindings it is called
 with, or a column side, which returns a ``list``: its values at 0..n in order
 for the top index n it is called with.  A side is known by its value alone.
-:func:`verify_descriptor` splits the grid into runs of consecutive bindings
-that differ only in n, calls each side once with a run's last binding, and
-calls a point side again at the run's other bindings; it still compares the
-sides point by point in grid order.
+:func:`verify_descriptor` checks a grid one run at a time, a run being
+consecutive bindings that differ only in n.  It builds the runs from the grid
+itself: where n is the last axis, a run is one point of the other axes with n
+over its range; on any other grid each binding is a run of its own.  It calls
+each side once with a run's last binding, and a point side again at the run's
+other bindings, and compares the two sides' lists of values for the whole run.
+Only where the lists differ does it look for the first mismatch, so a report
+is the one that comparing point by point in grid order gives.
 
 Each side sums in one form.  Every left side whose anchor sums O(n) terms per
 point is a literal integer column: once per run it reads each sequence (one
@@ -43,7 +47,8 @@ the convolutions (``_products``), and the running sums of a summand that does
 not depend on n (``_running_sums``).  Each takes its own common denominator, the last two by
 ``_numerators``.  The inner step sums of the section-3 left sides
 (``_stirling_steps``, ``_harmonic_steps``) are ``binomial_sums`` columns at
-a = b = 1.  Every right side is a closed
+a = b = 1.  Both sides of the ``thm_kollar`` family read C(r-1, k) and C(r, k)
+as ``rational.gen_binomial_column`` columns.  Every right side is a closed
 form at a point or a column of Cauchy products along n taken by
 ``transforms.cauchy_column`` over factors in ``transforms.integer_form``: the
 closed binomial sums at fixed a and b, the convolutions, and the running sums
@@ -70,21 +75,23 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import marshal
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from operator import mul
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import Any, Callable, Iterator, Mapping, NoReturn
 
 from multiharm.rational import (
     RationalLike,
     binomial as comb,
     factorial as fact,
     gen_binomial as gbin,
+    gen_binomial_column as gbin_column,
 )
 from multiharm.sequences import (
     fibonacci as fib,
@@ -116,6 +123,9 @@ from multiharm.transforms import (
 # ---------------------------------------------------------------------------
 # descriptors and reports
 
+#: The axes of a grid in order, each as its key and its values.
+_Axes = list[tuple[str | tuple[str, ...], range | tuple[Any, ...]]]
+
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
@@ -136,18 +146,14 @@ class IdentityDescriptor:
     section: str = ""
 
     def bindings(self, overrides: Mapping[str, int] | None = None) -> Iterator[dict[str, Any]]:
-        overrides = overrides or {}
-        names: list[str] = []
-        axes = []
-        for key, values in self.grid.items():
-            if isinstance(values, range) and key in overrides:
-                values = range(values.start, overrides[key] + 1)
-            if not isinstance(key, tuple):
-                key, values = (key,), [(v,) for v in values]
-            names.extend(key)
-            axes.append(values)
-        for combo in itertools.product(*axes):
-            yield dict(zip(names, itertools.chain.from_iterable(combo)))
+        return _product(self._axes(overrides or {}))
+
+    def _axes(self, overrides: Mapping[str, int]) -> _Axes:
+        """The axes of the grid, an integer axis bounded by ``overrides``."""
+        return [
+            (key, range(values.start, overrides[key] + 1) if isinstance(values, range) and key in overrides else values)
+            for key, values in self.grid.items()
+        ]
 
     def grid_text(self) -> str:
         parts = []
@@ -188,38 +194,72 @@ def _json_value(v: Any) -> Any:
     return v if isinstance(v, int) else str(v)
 
 
-def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[list[dict[str, Any]]]:
+def _product(axes: _Axes) -> Iterator[dict[str, Any]]:
+    """The bindings over the product of ``axes``, in order, the last axis fastest."""
+    names = [name for key, _ in axes for name in (key if isinstance(key, tuple) else (key,))]
+    columns = [values if isinstance(key, tuple) else [(v,) for v in values] for key, values in axes]
+    for combo in itertools.product(*columns):
+        yield dict(zip(names, itertools.chain.from_iterable(combo)))
+
+
+class _Run:
+    """One run of a grid: consecutive bindings that differ only in n, in grid order.
+
+    Where n is the grid's last axis, ``fixed`` binds every other axis and the
+    run takes n over ``ns``.  On any other grid the run is the one binding
+    ``fixed``, and ``ns`` is None.  ``run[i]`` is the binding at index i.
+    """
+
+    __slots__ = ("fixed", "ns")
+
+    def __init__(self, fixed: dict[str, Any], ns: range | tuple[Any, ...] | None) -> None:
+        self.fixed, self.ns = fixed, ns
+
+    def __getitem__(self, i: int) -> dict[str, Any]:
+        return [self.fixed][i] if self.ns is None else {**self.fixed, "n": self.ns[i]}
+
+
+def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[_Run]:
     """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in n."""
-    bindings = desc.bindings(overrides)
-    return (list(run) for _, run in itertools.groupby(bindings, lambda b: [v for k, v in b.items() if k != "n"]))
+    axes = desc._axes(overrides or {})
+    if not axes or axes[-1][0] != "n":
+        for binding in _product(axes):
+            yield _Run(binding, None)
+    elif ns := axes[-1][1]:
+        for fixed in _product(axes[:-1]):
+            yield _Run(fixed, ns)
 
 
-def _evaluate(desc: IdentityDescriptor, side: str, run: list[dict[str, Any]]) -> Iterable[RationalLike]:
+def _evaluate(desc: IdentityDescriptor, side: str, run: _Run) -> list[RationalLike]:
     """The values of ``desc``'s side ``side`` ("lhs" or "rhs") at each binding of ``run``: called with the
     last binding, whose n is the run's top, a column side returns a list; a point side is called again at the others."""
     evaluate = getattr(desc, side)
-    top = evaluate(**run[-1])
+    if run.ns is None:
+        top = evaluate(**run.fixed)
+        return [top[run.fixed["n"]] if isinstance(top, list) else top]
+    top = evaluate(**run.fixed, n=run.ns[-1])
     if isinstance(top, list):
-        return [top[binding["n"]] for binding in run]
-    return itertools.chain((evaluate(**binding) for binding in run[:-1]), [top])
+        return [top[n] for n in run.ns]
+    return [*(evaluate(**run.fixed, n=n) for n in run.ns[:-1]), top]
 
 
 def verify_descriptor(
     desc: IdentityDescriptor, overrides: Mapping[str, int] | None = None
 ) -> VerificationReport:
-    """Check both sides of ``desc`` on every grid point (exact equality)."""
+    """Check both sides of ``desc`` on every grid point (exact equality), one run at a time."""
     start = perf_counter()
     cases = 0
     first_failure = None
     for run in _runs(desc, overrides):
-        for binding, lhs, rhs in zip(run, _evaluate(desc, "lhs", run), _evaluate(desc, "rhs", run)):
-            cases += 1
-            if lhs != rhs and first_failure is None:
-                first_failure = {
-                    "binding": {k: _json_value(v) for k, v in binding.items()},
-                    "lhs": str(Fraction(lhs)),
-                    "rhs": str(Fraction(rhs)),
-                }
+        lhs, rhs = _evaluate(desc, "lhs", run), _evaluate(desc, "rhs", run)
+        cases += len(lhs)
+        if first_failure is None and lhs != rhs:
+            i = next(i for i, (left, right) in enumerate(zip(lhs, rhs)) if left != right)
+            first_failure = {
+                "binding": {k: _json_value(v) for k, v in run[i].items()},
+                "lhs": str(Fraction(lhs[i])),
+                "rhs": str(Fraction(rhs[i])),
+            }
     elapsed_ms = (perf_counter() - start) * 1000.0
     return VerificationReport(desc.id, desc.anchor, cases, first_failure is None, first_failure, elapsed_ms)
 
@@ -274,17 +314,16 @@ def _verify_forked(
     Every index is written to one pipe before the workers are forked, and each
     process claims the next one as it becomes free, so the load balances
     itself.  If a fork fails, the processes already running claim every
-    index.  A worker sends back the reports it finished, and this process
-    trusts them only if the worker exits with status 0.  The reports are
-    returned in the order of ``descs``, and every index that no process
-    reported is verified here, so an exception is the one the serial run
-    raises, and the share of a process that raised or died is verified
+    index.  A worker sends back the reports it finished, by ``marshal``, and
+    this process trusts them only if the worker exits with status 0.  The
+    reports are returned in the order of ``descs``, and every index that no
+    process reported is verified here, so an exception is the one the serial
+    run raises, and the share of a process that raised or died is verified
     again.  This process stops claiming at an ``Exception`` in its own share,
     as a worker does; at any other, such as ``KeyboardInterrupt``, every
     worker is killed and reaped before it propagates.  On every path no
     worker is left.
     """
-    import pickle
     import signal
 
     claims, feed = os.pipe()
@@ -315,7 +354,7 @@ def _verify_forked(
             del workers[pid]
             os.close(result_r)
             if status == 0:  # a worker that died may have sent part of its reports
-                reports.update(pickle.loads(sent))
+                reports.update((i, VerificationReport(*fields)) for i, fields in marshal.loads(sent).items())
         return [reports[i] if i in reports else verify_descriptor(desc, overrides) for i, desc in enumerate(descs)]
     except BaseException:
         for pid in workers:
@@ -336,21 +375,23 @@ def _verify_in_worker(
     """A forked worker: verify claimed descriptors until the claims run out or one
     raises, send the reports it finished to ``result_w``, exit.
 
+    The reports go as one ``marshal`` dump: the fields of each report as a
+    tuple, by descriptor index.  A report holds only strings, integers,
+    floats, booleans, None and dicts of these, all of which ``marshal`` writes.
+
     It writes nothing to standard output or error and sends no exception: the
     parent verifies the index that raised again.  It exits with status 0 only
     once every byte is written, and ``os._exit`` skips clean-up handlers and
     the flushing of buffers it inherited.
     """
-    import pickle
-
     code = 1
     try:
-        reports: dict[int, VerificationReport] = {}
+        reports: dict[int, tuple[Any, ...]] = {}
         with contextlib.suppress(BaseException):  # even KeyboardInterrupt: the parent verifies this index again
             for index in _claims(claims):
-                reports[index] = verify_descriptor(descs[index], overrides)
+                reports[index] = astuple(verify_descriptor(descs[index], overrides))
         with open(result_w, "wb") as out:
-            out.write(pickle.dumps(reports))
+            out.write(marshal.dumps(reports))
         code = 0
     finally:
         os._exit(code)
@@ -859,11 +900,14 @@ _REGISTRY = _build_registry({
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
             {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
             lambda r, m, n: _running_sums(
-                [(-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_stirling_steps(n, m))]
+                [(-1) ** k * c * w for k, (c, w) in enumerate(zip(gbin_column(r - 1, n), _stirling_steps(n, m)))]
             ),
             lambda r, m, n: [
-                ((-1) ** i * gbin(r - 1, i) * hlike(i + 1, m) - total) / fact(m)
-                for i, total in enumerate(_prefix_sums([(-1) ** k * gbin(r, k) * hlike(k, m) for k in range(n + 1)]))
+                ((-1) ** i * c * hlike(i + 1, m) - total) / fact(m)
+                for i, (c, total) in enumerate(zip(
+                    gbin_column(r - 1, n),
+                    _prefix_sums([(-1) ** k * c * hlike(k, m) for k, c in enumerate(gbin_column(r, n))]),
+                ))
             ],
         ),
         IdentityDescriptor(
@@ -871,10 +915,13 @@ _REGISTRY = _build_registry({
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
             {"r": _KOLLAR_R, "n": range(1, 31)},
-            lambda r, n: _running_sums([Fraction((-1) ** k, k + 1) * gbin(r - 1, k) for k in range(n + 1)]),
+            lambda r, n: _running_sums([Fraction((-1) ** k, k + 1) * c for k, c in enumerate(gbin_column(r - 1, n))]),
             lambda r, n: [
-                (-1) ** i * gbin(r - 1, i) * harm(i + 1) - total
-                for i, total in enumerate(_prefix_sums([(-1) ** k * gbin(r, k) * harm(k) for k in range(n + 1)]))
+                (-1) ** i * c * harm(i + 1) - total
+                for i, (c, total) in enumerate(zip(
+                    gbin_column(r - 1, n),
+                    _prefix_sums([(-1) ** k * c * harm(k) for k, c in enumerate(gbin_column(r, n))]),
+                ))
             ],
         ),
         IdentityDescriptor(
@@ -883,12 +930,17 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: _running_sums([(-1) ** k * gbin(r - 1, k) * w for k, w in enumerate(_harmonic_steps(n))]),
+            lambda r, n: _running_sums(
+                [(-1) ** k * c * w for k, (c, w) in enumerate(zip(gbin_column(r - 1, n), _harmonic_steps(n)))]
+            ),
             lambda r, n: [
-                ((-1) ** i * gbin(r - 1, i) * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
-                for i, total in enumerate(
-                    _prefix_sums([(-1) ** k * gbin(r, k) * (harm(k) ** 2 - harmonic_order(k, 2)) for k in range(n + 1)])
-                )
+                ((-1) ** i * c * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
+                for i, (c, total) in enumerate(zip(
+                    gbin_column(r - 1, n),
+                    _prefix_sums([
+                        (-1) ** k * c * (harm(k) ** 2 - harmonic_order(k, 2)) for k, c in enumerate(gbin_column(r, n))
+                    ]),
+                ))
             ],
         ),
     ],

@@ -58,6 +58,27 @@ def gen_binomial(x: RationalLike, k: int) -> Fraction:
     return Fraction(num, den)
 
 
+def gen_binomial_column(x: RationalLike, n: int) -> list[Fraction]:
+    """C(x, k) for k = 0..n, each equal to :func:`gen_binomial` ``(x, k)``.
+
+    One pass of C(x, k+1) = C(x, k) (x - k)/(k + 1) on the integer numerator
+    and denominator, so the column costs one step per k where the values one
+    by one would cost k steps each.  Past a non-negative integer x every
+    value is 0.
+    """
+    if n < 0:
+        raise ValueError(f"gen_binomial_column requires n >= 0, got n={n}")
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    num = den = 1
+    column = [Fraction(1)]
+    for k in range(n):
+        num *= p - k * q
+        den *= q * (k + 1)
+        column.append(Fraction(num, den))
+    return column
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the exact wire format ("p/q" or bare "p") back into a Fraction."""
     try:

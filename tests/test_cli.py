@@ -846,9 +846,10 @@ def _fresh_python(*args):
 
 
 def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():
-    # the forked verify imports pickle and signal itself; loading them, or a pool, on import
-    # would add to the start-up time and memory of every run.  Only verify reads the identity
-    # registry and the dataclasses (with inspect) it is built on.
+    # the forked verify imports signal itself, and its workers send their reports back by the
+    # builtin marshal, so no command loads pickle; loading signal or a pool on import would add
+    # to the start-up time and memory of every run.  Only verify reads the identity registry and
+    # the dataclasses (with inspect) it is built on.
     for module in ("multiharm.cli", "multiharm.sequences"):
         probe = (
             f"import sys, {module}; "
@@ -857,6 +858,23 @@ def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():
         )
         done = _fresh_python("-c", probe)
         assert (module, done.returncode, done.stdout, done.stderr) == (module, 0, "[]\n", "")
+
+
+def test_a_forked_verify_run_through_the_program_loads_no_pickle():
+    # a selection of several identities, on two usable CPUs, forks a worker; the reports come back by marshal
+    probe = "\n".join([
+        "import contextlib, io, json, os, sys",
+        "from multiharm import cli",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(None) or fork()",
+        "cli._usable_cpus = lambda: 2",
+        "sys.argv = ['multiharm', 'verify', '--tag', 'section1']",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    code = cli.main()",
+        "print(code, len(forks), len(json.loads(out.getvalue())), 'pickle' in sys.modules)",
+    ])
+    done = _fresh_python("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 1 4 False\n", "")
 
 
 @pytest.mark.parametrize("command, loads_registry", [

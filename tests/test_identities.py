@@ -319,6 +319,28 @@ def _kollar_m2_lhs_fraction_loop(r, n):
     return total
 
 
+def _shifted(x, n):
+    # C(x, k+1) in place of C(x, k), for k = 0..n
+    return rational.gen_binomial_column(x, n + 1)[1:]
+
+
+@pytest.mark.parametrize("ident, lhs", [
+    ("thm_kollar", lambda r, m, n: identities._running_sums(
+        [(-1) ** k * c * w for k, (c, w) in enumerate(zip(_shifted(r - 1, n), identities._stirling_steps(n, m)))]
+    )),
+    ("thm_kollar_m1", lambda r, n: identities._running_sums(
+        [F((-1) ** k, k + 1) * c for k, c in enumerate(_shifted(r - 1, n))]
+    )),
+    ("thm_kollar_m2", lambda r, n: identities._running_sums(
+        [(-1) ** k * c * w for k, (c, w) in enumerate(zip(_shifted(r - 1, n), identities._harmonic_steps(n)))]
+    )),
+])
+def test_a_kollar_side_that_reads_the_next_binomial_fails_verify(ident, lhs):
+    desc = identities.get_identity(ident)
+    assert verify_descriptor(desc).passed
+    assert not verify_descriptor(replace(desc, lhs=lhs)).passed
+
+
 def test_kollar_m2_integer_inner_sum_matches_the_fraction_loop():
     desc = identities.get_identity("thm_kollar_m2")
     for r in (*identities._KOLLAR_R, F(7, 3), F(-5)):
@@ -384,6 +406,99 @@ def test_a_column_side_on_a_grid_with_n_first_gives_the_report_of_its_point_twin
         assert {**point, "elapsed_ms": None} == {**column, "elapsed_ms": None}
         assert column["cases"] == 20
         assert (column["first_failure"] or {}).get("binding") == first_failure
+
+
+def _reference_report(desc, overrides=None):
+    """The report of ``desc`` from one call of each side per grid point, walking ``desc.bindings`` in grid
+    order; a column side's value at a point is its list's entry at that point's n."""
+    cases, first_failure = 0, None
+    for binding in desc.bindings(overrides):
+        values = [getattr(desc, side)(**binding) for side in ("lhs", "rhs")]
+        lhs, rhs = (value[binding["n"]] if isinstance(value, list) else value for value in values)
+        cases += 1
+        if lhs != rhs and first_failure is None:
+            first_failure = {
+                "binding": {k: v if isinstance(v, int) else str(v) for k, v in binding.items()},
+                "lhs": str(F(lhs)),
+                "rhs": str(F(rhs)),
+            }
+    return {"identity": desc.id, "anchor": desc.anchor, "cases": cases, "passed": first_failure is None,
+            "first_failure": first_failure, "elapsed_ms": None}
+
+
+_SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _planted_entries(draw):
+    """An entry over a random grid, with overrides, whose sides differ at a few planted points.
+
+    The grid has integer and listed axes, maybe a joint (a, b) axis, and n last, first, in the middle or
+    not at all.  Each side is a point side or, on a grid with n, a column side."""
+    axes = []
+    for name in draw(st.lists(st.sampled_from("mpr"), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 2))
+            axes.append((name, range(start, start + draw(st.integers(1, 3)))))
+        else:
+            axes.append((name, tuple(draw(st.lists(_SMALL_FRACTIONS, min_size=1, max_size=3, unique=True)))))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS), min_size=1, max_size=3, unique=True))
+        axes.insert(draw(st.integers(0, len(axes))), (("a", "b"), tuple(pairs)))
+    has_n = draw(st.booleans())
+    if has_n:
+        start = draw(st.integers(0, 2))
+        axes.insert(draw(st.integers(0, len(axes))), ("n", range(start, start + draw(st.integers(1, 6)))))
+    if not axes:
+        axes.append(("m", range(0, 2)))
+    grid = dict(axes)
+    overrides = {
+        key: draw(st.integers(values.start - 2, values.start + 5), label=f"{key} bound")
+        for key, values in grid.items()
+        if isinstance(values, range) and draw(st.booleans(), label=f"bound {key}")
+    }
+    points = list(IdentityDescriptor("e", "e", "e", grid, None, None).bindings(overrides))
+    planted = {}
+    if points:
+        for i in draw(st.sets(st.integers(0, len(points) - 1), max_size=3), label="planted"):
+            planted[frozenset(points[i].items())] = draw(st.sampled_from(["lhs", "rhs"]), label="planted side")
+    kinds = {side: has_n and draw(st.booleans(), label=f"{side} is a column") for side in ("lhs", "rhs")}
+    return grid, overrides, planted, kinds
+
+
+def _planted_side(side, planted, column):
+    """A side whose value at a binding is a sum over its values, plus 1/7 at the points planted on it."""
+    def value(binding):
+        offset = F(1, 7) if planted.get(frozenset(binding.items())) == side else 0
+        return sum((F(v) * (i + 2) for i, v in enumerate(binding.values())), F(1, 3)) + offset
+
+    if column:
+        return lambda **binding: [value({**binding, "n": i}) for i in range(binding["n"] + 1)]
+    return lambda **binding: value(binding)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_entries())
+@example(({"m": range(0, 3), "n": range(1, 6)}, {}, {frozenset({"m": 2, "n": 1}.items()): "rhs",
+                                                      frozenset({"m": 1, "n": 4}.items()): "lhs"},
+          {"lhs": True, "rhs": False}))  # n last: the failing run is not the first
+@example(({"n": range(1, 6), "m": range(0, 3)}, {}, {frozenset({"n": 2, "m": 0}.items()): "rhs",
+                                                      frozenset({"n": 1, "m": 2}.items()): "rhs"},
+          {"lhs": True, "rhs": True}))  # n first: the first failure in grid order is at n = 1, not m = 0
+@example(({"m": range(0, 2), "n": range(0, 4), ("a", "b"): ((F(1), F(-1, 2)), (F(0), F(1)))}, {"n": 5},
+          {frozenset({"m": 1, "n": 5, "a": F(0), "b": F(1)}.items()): "lhs"},
+          {"lhs": False, "rhs": True}))  # n in the middle, bounded past its grid
+@example(({"r": (F(1, 2), F(-2)), "p": range(1, 3)}, {}, {frozenset({"r": F(-2), "p": 1}.items()): "rhs"},
+          {"lhs": False, "rhs": False}))  # no n
+@example(({"m": range(0, 2), "n": range(2, 5)}, {"n": 1}, {}, {"lhs": True, "rhs": False}))  # no n left
+def test_run_level_verification_gives_the_report_of_one_point_at_a_time(entry):
+    grid, overrides, planted, kinds = entry
+    desc = IdentityDescriptor("planted", "planted", "planted", grid,
+                              *(_planted_side(side, planted, kinds[side]) for side in ("lhs", "rhs")))
+    engine = {**verify_descriptor(desc, overrides).to_json_dict(), "elapsed_ms": None}
+    reference = _reference_report(desc, overrides)
+    assert json.dumps(engine) == json.dumps(reference)  # key order too: the binding is in grid order
+    assert engine["passed"] == (not planted)  # every planted point is on the grid
 
 
 # The trace: every Python function each side calls, with every sequence

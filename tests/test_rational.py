@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiharm.rational import (
     binomial,
     factorial,
     gen_binomial,
+    gen_binomial_column,
     parse_rational,
 )
 
@@ -77,6 +78,50 @@ def test_gen_binomial_matches_binomial_on_integers():
 @given(rationals, st.integers(min_value=1, max_value=20))
 def test_gen_binomial_pascal_identity(x, k):
     assert gen_binomial(x, k) == gen_binomial(x - 1, k) + gen_binomial(x - 1, k - 1)
+
+
+def _column_matches_gen_binomial(column):
+    """A check that ``column(x, n)`` is C(x, k) for k = 0..n by ``gen_binomial``, at negative, fractional and
+    non-negative integer x, the last with a tail of zeros past k = x."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(rationals, st.integers(0, 40).map(Fraction), st.integers(-40, -1).map(Fraction)),
+        st.integers(0, 60),
+    )
+    @example(Fraction(3), 60)  # the tail past k = 3 is 0
+    @example(Fraction(-2, 3), 60)
+    @example(Fraction(1, 2), 1)
+    @example(Fraction(0), 0)
+    def check(x, n):
+        assert column(x, n) == [gen_binomial(x, k) for k in range(n + 1)]
+
+    return check
+
+
+def test_gen_binomial_column_is_gen_binomial_at_every_k():
+    _column_matches_gen_binomial(gen_binomial_column)()
+
+
+def test_a_column_whose_recurrence_steps_by_x_minus_k_minus_one_fails_the_check():
+    def mutant(x, n):
+        # C(x, k+1) = C(x, k) (x - k - 1)/(k + 1)
+        column = [Fraction(1)]
+        for k in range(n):
+            column.append(column[-1] * (x - k - 1) / (k + 1))
+        return column
+
+    with pytest.raises(AssertionError):
+        _column_matches_gen_binomial(mutant)()
+
+
+def test_gen_binomial_column_examples():
+    assert gen_binomial_column(Fraction(1, 2), 3) == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+    assert gen_binomial_column(4, 6) == [1, 4, 6, 4, 1, 0, 0]
+    assert gen_binomial_column(-1, 4) == [1, -1, 1, -1, 1]
+    assert all(isinstance(v, Fraction) for v in gen_binomial_column(3, 5))
+    with pytest.raises(ValueError):
+        gen_binomial_column(Fraction(1, 2), -1)
 
 
 def test_half_integer_binomial_central_product_form():
