@@ -47,8 +47,12 @@ the convolutions (``_products``), and the running sums of a summand that does
 not depend on n (``_running_sums``).  Each takes its own common denominator, the last two by
 ``_numerators``.  The inner step sums of the section-3 left sides
 (``_stirling_steps``, ``_harmonic_steps``) are ``binomial_sums`` columns at
-a = b = 1.  Both sides of the ``thm_kollar`` family read C(r-1, k) and C(r, k)
-as ``rational.gen_binomial_column`` columns.  Every right side is a closed
+a = b = 1.  The ``thm_kollar`` family states one alternating sum at three
+levels, so each of its sides is one call of a one-sided helper and a scale:
+a left side is ``_kollar_left`` of its steps (1/(k+1) or an inner step sum),
+a right side ``_kollar_right`` of its sequence at 0..n+1 (HL(., m), H or
+H^2 - H^(2)) over m!, 1 or 2.  Both read C(r-1, k), and the right one C(r, k)
+too, as ``rational.gen_binomial_column`` columns.  Every right side is a closed
 form at a point or a column of Cauchy products along n taken by
 ``transforms.cauchy_column`` over factors in ``transforms.integer_form``: the
 closed binomial sums at fixed a and b, the convolutions, and the running sums
@@ -528,6 +532,18 @@ def _harmonic_steps(n: int) -> list[Fraction]:
     return binomial_sums(1, 1, [(-1) ** (i + 1) * harm(i) / (i + 1) for i in range(n + 1)])
 
 
+def _kollar_left(r: Fraction, n: int, steps: list[RationalLike]) -> list[Fraction]:
+    # sum_{k=0..i} (-1)^k C(r-1,k) steps[k] for i = 0..n: the left sides of the thm_kollar family
+    return _running_sums([(-1) ** k * c * w for k, (c, w) in enumerate(zip(gbin_column(r - 1, n), steps))])
+
+
+def _kollar_right(r: Fraction, n: int, x: list[RationalLike]) -> list[Fraction]:
+    # (-1)^i C(r-1,i) x[i+1] - sum_{k=0..i} (-1)^k C(r,k) x[k] for i = 0..n, x given at 0..n+1: the
+    # right sides of the thm_kollar family, each before its scale
+    totals = _prefix_sums([(-1) ** k * c * v for k, (c, v) in enumerate(zip(gbin_column(r, n), x))])
+    return [(-1) ** i * c * x[i + 1] - total for i, (c, total) in enumerate(zip(gbin_column(r - 1, n), totals))]
+
+
 def _build_registry(sections: Mapping[str, list[IdentityDescriptor]]) -> dict[str, IdentityDescriptor]:
     registry: dict[str, IdentityDescriptor] = {}
     for section, entries in sections.items():
@@ -899,30 +915,16 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=m..k+1} C(k,j-1) s(j,m)/j! = "
             "(-1)^n C(r-1,n) HL(n+1,m)/m! - (1/m!) sum_{k=0..n} (-1)^k C(r,k) HL(k,m)",
             {"r": _KOLLAR_R, "m": range(1, 5), "n": range(1, 21)},
-            lambda r, m, n: _running_sums(
-                [(-1) ** k * c * w for k, (c, w) in enumerate(zip(gbin_column(r - 1, n), _stirling_steps(n, m)))]
-            ),
-            lambda r, m, n: [
-                ((-1) ** i * c * hlike(i + 1, m) - total) / fact(m)
-                for i, (c, total) in enumerate(zip(
-                    gbin_column(r - 1, n),
-                    _prefix_sums([(-1) ** k * c * hlike(k, m) for k, c in enumerate(gbin_column(r, n))]),
-                ))
-            ],
+            lambda r, m, n: _kollar_left(r, n, _stirling_steps(n, m)),
+            lambda r, m, n: [v / fact(m) for v in _kollar_right(r, n, [hlike(k, m) for k in range(n + 2)])],
         ),
         IdentityDescriptor(
             "thm_kollar_m1",
             "alternating generalized-binomial sums, harmonic case",
             "sum_{k=0..n} ((-1)^k/(k+1)) C(r-1,k) = (-1)^n C(r-1,n) H_{n+1} - sum_{k=0..n} (-1)^k C(r,k) H_k",
             {"r": _KOLLAR_R, "n": range(1, 31)},
-            lambda r, n: _running_sums([Fraction((-1) ** k, k + 1) * c for k, c in enumerate(gbin_column(r - 1, n))]),
-            lambda r, n: [
-                (-1) ** i * c * harm(i + 1) - total
-                for i, (c, total) in enumerate(zip(
-                    gbin_column(r - 1, n),
-                    _prefix_sums([(-1) ** k * c * harm(k) for k, c in enumerate(gbin_column(r, n))]),
-                ))
-            ],
+            lambda r, n: _kollar_left(r, n, [Fraction(1, k + 1) for k in range(n + 1)]),
+            lambda r, n: _kollar_right(r, n, [harm(k) for k in range(n + 2)]),
         ),
         IdentityDescriptor(
             "thm_kollar_m2",
@@ -930,17 +932,9 @@ _REGISTRY = _build_registry({
             "sum_{k=0..n} (-1)^k C(r-1,k) sum_{j=2..k+1} (-1)^j C(k,j-1) H_{j-1}/j = "
             "(-1)^n C(r-1,n) (H_{n+1}^2 - H_{n+1}^(2))/2 - (1/2) sum_{k=0..n} (-1)^k C(r,k) (H_k^2 - H_k^(2))",
             {"r": _KOLLAR_R, "n": range(1, 26)},
-            lambda r, n: _running_sums(
-                [(-1) ** k * c * w for k, (c, w) in enumerate(zip(gbin_column(r - 1, n), _harmonic_steps(n)))]
-            ),
+            lambda r, n: _kollar_left(r, n, _harmonic_steps(n)),
             lambda r, n: [
-                ((-1) ** i * c * (harm(i + 1) ** 2 - harmonic_order(i + 1, 2)) - total) / 2
-                for i, (c, total) in enumerate(zip(
-                    gbin_column(r - 1, n),
-                    _prefix_sums([
-                        (-1) ** k * c * (harm(k) ** 2 - harmonic_order(k, 2)) for k, c in enumerate(gbin_column(r, n))
-                    ]),
-                ))
+                v / 2 for v in _kollar_right(r, n, [harm(k) ** 2 - harmonic_order(k, 2) for k in range(n + 2)])
             ],
         ),
     ],

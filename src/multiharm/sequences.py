@@ -15,8 +15,9 @@ exists it is exposed as a separate function so the two can be cross-checked:
 * ``hyperharmonic_half`` (central-binomial form) vs
   ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
 
-Every cached family has its own ``_LevelTable`` (``harmonic_order`` one per
-order r, in a ``_KeyedTables``).  The one-index partial sums and the
+Every cached family has its own ``_LevelTable``, except that ``harmonic``
+and ``harmonic_order`` share one ``_KeyedTables`` of them, one per order r:
+``harmonic`` reads the order-1 table.  The one-index partial sums and the
 Fibonacci numbers, a two-term recurrence, are one-level tables that read
 their own prefix, and Lucas numbers are read off the Fibonacci table;
 ``hyperharmonic_half`` reads C(2i, i) off another such table.
@@ -202,7 +203,6 @@ class _KeyedTables(dict):
 # harmonic numbers and relatives
 
 
-_harmonic = _partial_sums(lambda k: Fraction(1, k))
 _harmonic_order = _KeyedTables(lambda r: _partial_sums(lambda k: Fraction(1, k**r)))
 _odd_harmonic = _partial_sums(lambda k: Fraction(1, 2 * k - 1))
 _half_offset = _partial_sums(lambda k: Fraction(2, 2 * k - 1))
@@ -212,20 +212,18 @@ def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0, refused over the size rule (see the module docstring)."""
     _check_index(n)
     _check_size(n)
-    return _harmonic.value(n, 0)
+    return _harmonic_order[1].value(n, 0)
 
 
 def harmonic_order(n: int, r: int) -> Fraction:
     """Order-r harmonic number: sum of 1/k^r for k = 1..n.
 
-    Refused over the size rule or :data:`TABLE_CEILING`; at r = 1 it reads :func:`harmonic`.
+    Refused over the size rule or :data:`TABLE_CEILING`; at r = 1 it reads the table of :func:`harmonic`.
     """
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     _check_harmonic_order(n, r)
-    if r == 1:
-        return harmonic(n)
     return _harmonic_order[r].value(n, 0)
 
 
@@ -360,8 +358,8 @@ def _refuse(formula: str, ceiling: int, **at: int) -> NoReturn:
     raise FeasibilityError(f"{formula} exceeds the ceiling of {ceiling} at {where}")
 
 
-# Each check is one comparison: the checks run about 200 000 times in one
-# ``verify``, so a refusal's text is built only when it is raised.
+# Each check is one comparison: ``_check_size`` alone runs about 17 000 times in
+# one default ``verify``, so a refusal's text is built only when it is raised.
 def _check_size(n: int, weight: int = 1, param: str = "", value: int = 0) -> None:
     if (n + 1) ** 2 * weight > SIZE_CEILING:
         if not param:
@@ -658,7 +656,7 @@ class SeqSpec:
 
 
 #: Every memo of this module, each of them emptied by its ``cache_clear()``.
-_MEMOS: tuple = (_harmonic, _harmonic_order, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper, _central,
+_MEMOS: tuple = (_harmonic_order, _odd_harmonic, _half_offset, _hlike, _stirling, _hyper, _central,
                   _fibonacci)
 
 

@@ -18,15 +18,15 @@ them in, and indexing, iteration and ``coeffs`` hand them out.  Every other
 constructor builds integer numerators (powers of a rational come from
 ``geometric``) and reduces once, in ``_from_integers``.
 
-The generating functions are built from three blocks, each one integer
-constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``), ``1/(1 - a z)``
-(``geometric``) and ``(1 - a z)^alpha`` for rational alpha
-(``power_of_one_minus``).  ``gf_hyperharmonic`` and ``gf_odd_central`` take
-their ``(1 - z)^(-p)`` and ``(1 - w)^(-1/2)`` from the last, so no series is
-ever inverted or square-rooted; ``gf_odd_central`` builds its product at
-``w = 4z`` and scales numerator n by 4^n afterwards.  ``gf_harmonic_like``
-divides by ``1 - z`` with a running sum instead of a product.  ``geometric``
-keeps its own running product; it equals ``power_of_one_minus(a, -1, order)``.
+The generating functions are built from two blocks, each one integer
+constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``) and ``(1 - a z)^alpha``
+for rational alpha (``power_of_one_minus``), whose alpha = -1 is
+``geometric``, ``1/(1 - a z)``.  ``gf_hyperharmonic`` and ``gf_odd_central``
+take their ``(1 - z)^(-p)`` and ``(1 - w)^(-1/2)`` from the second, so no
+series is ever inverted or square-rooted; ``gf_odd_central`` builds its
+product at ``w = 4z`` and scales numerator n by 4^n afterwards.
+``gf_harmonic_like`` divides by ``1 - z`` with a running sum instead of a
+product.
 This module reads only :mod:`multiharm.rational` and the kernels, never
 :mod:`multiharm.sequences`, so the series stay independent of the recurrences
 they are compared with.
@@ -183,13 +183,11 @@ def neg_log_one_minus(a: RationalLike, order: int) -> TruncatedSeries:
 
 
 def geometric(a: RationalLike, order: int) -> TruncatedSeries:
-    """1/(1 - a*z) = sum a^n z^n; with a = p/q, numerator n is p^n q^(order-n) over q^order."""
-    _check_order(order)
-    a = Fraction(a)
-    nums = [a.denominator**order]
-    for _ in range(order):  # p^n q^(order-n) from p^(n-1) q^(order-n+1): exact division
-        nums.append(nums[-1] // a.denominator * a.numerator)
-    return TruncatedSeries._from_integers(nums, nums[0])
+    """1/(1 - a*z) = sum a^n z^n, the alpha = -1 case of :func:`power_of_one_minus`.
+
+    With a = p/q, numerator n is p^n q^(order-n) over q^order, in lowest terms.
+    """
+    return power_of_one_minus(a, -1, order)
 
 
 def power_of_one_minus(a: RationalLike, alpha: RationalLike, order: int) -> TruncatedSeries:

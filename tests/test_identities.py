@@ -571,9 +571,11 @@ def _route_overlap(calls):
 #: The helpers of each side's one form, which the other side never calls: the right sides' Cauchy
 #: products and their factors, and the left sides' literal columns.
 _RIGHT_ONLY = {"multiharm.transforms.cauchy_column", "multiharm.transforms.integer_form",
-               "multiharm.identities._prefix_sums", "multiharm.identities._harmonic_tails"}
+               "multiharm.identities._prefix_sums", "multiharm.identities._harmonic_tails",
+               "multiharm.identities._kollar_right"}
 _LEFT_ONLY = {"multiharm.transforms.binomial_sums", "multiharm.identities._products",
-              "multiharm.identities._running_sums", "multiharm.identities._numerators"}
+              "multiharm.identities._running_sums", "multiharm.identities._numerators",
+              "multiharm.identities._kollar_left"}
 
 
 @pytest.mark.parametrize("ident", sorted(identities._REGISTRY))
@@ -598,6 +600,11 @@ def test_a_side_that_calls_the_other_sides_helper_fails_the_trace():
         "multiharm.identities._running_sums": replace(desc, rhs=lambda p, n: identities._running_sums(
             [binomial(k + p, k) * (harmonic(k + p) - harmonic(p)) for k in range(n + 1)]
         )),
+        # a thm_kollar_m1 right side as its left side's alternating sums, by the left side's helper
+        "multiharm.identities._kollar_left": replace(
+            identities.get_identity("thm_kollar_m1"),
+            rhs=lambda r, n: identities._kollar_left(r, n, [F(1, k + 1) for k in range(n + 1)]),
+        ),
     }
     for helper, mutant in mutants.items():
         assert verify_descriptor(mutant).passed

@@ -415,7 +415,7 @@ def test_interrupted_scale_fill_leaves_table_consistent(monkeypatch):
 
 
 _PARTIAL_SUMS = {
-    "harmonic": (lambda: sequences._harmonic, harmonic),
+    "harmonic": (lambda: sequences._harmonic_order[1], harmonic),
     "harmonic_order": (lambda: sequences._harmonic_order[3], lambda n: harmonic_order(n, 3)),
     "odd_harmonic": (lambda: sequences._odd_harmonic, odd_harmonic),
     "half_harmonic_offset": (lambda: sequences._half_offset, half_harmonic_offset),
@@ -469,8 +469,19 @@ def test_clear_caches_resets_every_table(memo_sizes):
     assert memo_sizes() == cold
     tables = [memo for memo in sequences._MEMOS if isinstance(memo, sequences._LevelTable)]
     assert [(table.scales, table.ratios) for table in tables] == [([1], [1])] * len(tables)
-    # the order-r tables are unlinked, not emptied, so a read racing the clear finishes on its old table
-    assert [[len(level) for level in table.levels] for table in orders] == [[31]] * 2
+    # the order-r tables, harmonic's order 1 among them, are unlinked, not emptied, so a read racing
+    # the clear finishes on its old table
+    assert [[len(level) for level in table.levels] for table in orders] == [[31]] * 3
+
+
+def test_harmonic_is_the_order_one_table(memo_sizes):
+    clear_caches()
+    cold = memo_sizes()
+    harmonic(30)
+    grown = [{1: [31]} if memo is sequences._harmonic_order else size for memo, size in zip(sequences._MEMOS, cold)]
+    assert memo_sizes() == grown
+    assert [harmonic_order(n, 1) for n in range(31)] == [harmonic(n) for n in range(31)]
+    assert memo_sizes() == grown
 
 
 def test_warm_reads_take_no_lock():
