@@ -33,7 +33,6 @@ from multiharm.sequences import (
     hyperharmonic,
     hyperharmonic_closed,
     hyperharmonic_half,
-    hyperharmonic_half_via_binomial,
     lucas,
     odd_harmonic,
     stirling1,

@@ -48,7 +48,10 @@ their last index against the family's ceiling before the first row;
 ``gf-check`` checks its work ceiling before either side runs, and
 ``transform --family`` its own before the first row.  Any other exception
 is a fault in the program: it exits 3 with one
-``error: internal error: <Type>: <message>`` line and no traceback.  A
+``error: internal error: <Type>: <message>`` line and no traceback.  An
+``error:`` line that cannot be written, to a closed pipe say, leaves the
+status as it is: a broken standard output exits 2 even when standard error
+is the same broken pipe.  A
 forked ``verify`` worker sends back only the reports it finished and writes
 nothing itself; the parent then verifies, in order, every identity that no
 process finished, one that raised or whose worker died, so an exception is
@@ -63,6 +66,7 @@ while writing can leave partial output (still exit 2).  If
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -320,14 +324,20 @@ def _run(argv: Sequence[str], jobs: int) -> int:
             raise ValueError(f"--decimal must be >= 1 and <= {DECIMAL_MAX}, got {args.decimal}")
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _print_error("error: out of memory")
         return 2
     except Exception as exc:  # a fault in the program, never an identity failure (1) or a refusal (2)
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_error(f"error: internal error: {type(exc).__name__}: {exc}")
         return 3
+
+
+def _print_error(line: str) -> None:
+    """``line`` on standard error; a stream that cannot take it, such as a closed pipe, leaves the status alone."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
 
 
 def _usable_cpus() -> int:

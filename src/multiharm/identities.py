@@ -28,8 +28,9 @@ with, or a column side, which returns a ``list``: its values at 0..n in order
 for the top index n it is called with.  A side is known by its value alone.
 :func:`verify_descriptor` checks a grid one run at a time, a run being
 consecutive bindings that differ only in n.  It builds the runs from the grid
-itself: where n is the last axis, a run is one point of the other axes with n
-over its range; on any other grid each binding is a run of its own.  It calls
+itself, each a pair of a binding and the values of n: where n is the last
+axis, a run is one point of the other axes and n's range; on any other grid
+each binding is a run of its own, paired with None.  It calls
 each side once with a run's last binding, and a point side again at the run's
 other bindings, and compares the two sides' lists of values for the whole run.
 Only where the lists differ does it look for the first mismatch, so a report
@@ -44,11 +45,12 @@ sum_k C(i,k) a^k b^(i-k) x_k of a list x that depends on k only, at the
 anchor's own a and b (``transforms.binomial_sums``, one row of Pascal's rule
 per value), which every binomial transform and main-theorem left side reads,
 the convolutions (``_products``), and the running sums of a summand that does
-not depend on n (``_running_sums``).  Each takes its own common denominator, the last two by
-``_numerators``.  The inner step sums of the section-3 left sides
-(``_stirling_steps``, ``_harmonic_steps``) are ``binomial_sums`` columns at
-a = b = 1.  The ``thm_kollar`` family states one alternating sum at three
-levels, so each of its sides is one call of a one-sided helper and a scale:
+not depend on n (``_running_sums``).  Each takes its own common denominator
+by ``transforms._numerators``, the one integer form of the literal route.
+The inner step sums of the section-3 left sides (``_stirling_steps``,
+``_harmonic_steps``) are ``binomial_sums`` columns at a = b = 1.  The
+``thm_kollar`` family states one alternating sum at three levels, so each of
+its sides is one call of a one-sided helper and a scale:
 a left side is ``_kollar_left`` of its steps (1/(k+1) or an inner step sum),
 a right side ``_kollar_right`` of its sequence at 0..n+1 (HL(., m), H or
 H^2 - H^(2)) over m!, 1 or 2.  Both read C(r-1, k), and the right one C(r, k)
@@ -80,7 +82,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import marshal
-import math
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass, replace
@@ -113,6 +114,7 @@ from multiharm.sequences import (
 )
 from multiharm.transforms import (
     AB_FIXTURES,
+    _numerators,
     binomial_sum_closed,
     binomial_sum_m1,
     binomial_sum_m2,
@@ -206,45 +208,32 @@ def _product(axes: _Axes) -> Iterator[dict[str, Any]]:
         yield dict(zip(names, itertools.chain.from_iterable(combo)))
 
 
-class _Run:
-    """One run of a grid: consecutive bindings that differ only in n, in grid order.
+def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[tuple[dict[str, Any], Any]]:
+    """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in n.
 
-    Where n is the grid's last axis, ``fixed`` binds every other axis and the
-    run takes n over ``ns``.  On any other grid the run is the one binding
-    ``fixed``, and ``ns`` is None.  ``run[i]`` is the binding at index i.
+    A run is a pair (fixed, ns).  Where n is the grid's last axis, ``fixed``
+    binds every other axis and the run takes n over ``ns``.  On any other grid
+    the run is the one binding ``fixed``, and ``ns`` is None.
     """
-
-    __slots__ = ("fixed", "ns")
-
-    def __init__(self, fixed: dict[str, Any], ns: range | tuple[Any, ...] | None) -> None:
-        self.fixed, self.ns = fixed, ns
-
-    def __getitem__(self, i: int) -> dict[str, Any]:
-        return [self.fixed][i] if self.ns is None else {**self.fixed, "n": self.ns[i]}
-
-
-def _runs(desc: IdentityDescriptor, overrides: Mapping[str, int] | None) -> Iterator[_Run]:
-    """The bindings of ``desc`` in grid order, in runs of consecutive bindings that differ only in n."""
     axes = desc._axes(overrides or {})
     if not axes or axes[-1][0] != "n":
-        for binding in _product(axes):
-            yield _Run(binding, None)
+        yield from ((binding, None) for binding in _product(axes))
     elif ns := axes[-1][1]:
-        for fixed in _product(axes[:-1]):
-            yield _Run(fixed, ns)
+        yield from ((fixed, ns) for fixed in _product(axes[:-1]))
 
 
-def _evaluate(desc: IdentityDescriptor, side: str, run: _Run) -> list[RationalLike]:
+def _evaluate(desc: IdentityDescriptor, side: str, run: tuple[dict[str, Any], Any]) -> list[RationalLike]:
     """The values of ``desc``'s side ``side`` ("lhs" or "rhs") at each binding of ``run``: called with the
     last binding, whose n is the run's top, a column side returns a list; a point side is called again at the others."""
     evaluate = getattr(desc, side)
-    if run.ns is None:
-        top = evaluate(**run.fixed)
-        return [top[run.fixed["n"]] if isinstance(top, list) else top]
-    top = evaluate(**run.fixed, n=run.ns[-1])
+    fixed, ns = run
+    if ns is None:
+        top = evaluate(**fixed)
+        return [top[fixed["n"]] if isinstance(top, list) else top]
+    top = evaluate(**fixed, n=ns[-1])
     if isinstance(top, list):
-        return [top[n] for n in run.ns]
-    return [*(evaluate(**run.fixed, n=n) for n in run.ns[:-1]), top]
+        return [top[n] for n in ns]
+    return [*(evaluate(**fixed, n=n) for n in ns[:-1]), top]
 
 
 def verify_descriptor(
@@ -259,8 +248,9 @@ def verify_descriptor(
         cases += len(lhs)
         if first_failure is None and lhs != rhs:
             i = next(i for i, (left, right) in enumerate(zip(lhs, rhs)) if left != right)
+            fixed, ns = run
             first_failure = {
-                "binding": {k: _json_value(v) for k, v in run[i].items()},
+                "binding": {k: _json_value(v) for k, v in (fixed if ns is None else {**fixed, "n": ns[i]}).items()},
                 "lhs": str(Fraction(lhs[i])),
                 "rhs": str(Fraction(rhs[i])),
             }
@@ -472,13 +462,6 @@ def _odd_weights(n: int, p: int) -> list[Fraction]:
     # left sides of thm_suzj3to, thm_general_p and thm_k_weighted_half, and at
     # p = 0, C(2k,k) O_k/4^k, of oklok93, the thm_odd_id1 family and thm_k_weighted_half_p0
     return [_cw(k, p) * (oddh(k + p) - oddh(p)) for k in range(n + 1)]
-
-
-def _numerators(values: list[RationalLike]) -> tuple[list[int], int]:
-    # values as integers over their lcm, for the left sides' literal columns below; the right
-    # sides take transforms.integer_form, so no function is called by both sides of an entry
-    common = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def _products(f: list[RationalLike], g: list[RationalLike]) -> list[Fraction]:

@@ -12,8 +12,8 @@ exists it is exposed as a separate function so the two can be cross-checked:
   log-power generating function in :mod:`multiharm.series`.
 * ``hyperharmonic`` (iterated partial sums) vs ``hyperharmonic_closed``
   (binomial times harmonic difference).
-* ``hyperharmonic_half`` (central-binomial form) vs
-  ``hyperharmonic_half_via_binomial`` (generalized-binomial form).
+* ``hyperharmonic_half`` (central-binomial form) vs the generalized-binomial
+  form, the right side of the registry's ``lemma_m2jjbl5``.
 
 Every cached family has its own ``_LevelTable``, except that ``harmonic``
 and ``harmonic_order`` share one ``_KeyedTables`` of them, one per order r:
@@ -69,7 +69,7 @@ from math import gcd, prod
 from typing import Callable, Hashable, Mapping, NamedTuple, NoReturn
 
 from multiharm import _kernels
-from multiharm.rational import binomial, gen_binomial
+from multiharm.rational import binomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -497,15 +497,13 @@ def hyperharmonic(n: int, p: int) -> Fraction:
 def hyperharmonic_closed(n: int, p: int) -> Fraction:
     """Cross-check route for :func:`hyperharmonic`:
     value(n, p) = C(n+p-1, n) * (H_{n+p-1} - H_{p-1}) for p >= 1.
-    Refused as :func:`hyperharmonic` is, before the binomial.
+    Refused as :func:`hyperharmonic` is, before the binomial; p <= 0 is
+    :func:`hyperharmonic`'s own base level or refusal.
     """
+    if p <= 0:
+        return hyperharmonic(n, p)
     _check_index(n)
-    _check_index(p, "p")
     _check_hyperharmonic(n, p)
-    if p == 0:
-        if n == 0:
-            raise ValueError("hyperharmonic(0, 0) is undefined (base level is 1/n)")
-        return Fraction(1, n)
     return binomial(n + p - 1, n) * (harmonic(n + p - 1) - harmonic(p - 1))
 
 
@@ -529,17 +527,6 @@ def hyperharmonic_half(r: int, p: int) -> Fraction:
         * binomial(r + p, r)
         * (odd_harmonic(r + p) - odd_harmonic(p))
     )
-
-
-def hyperharmonic_half_via_binomial(r: int, p: int) -> Fraction:
-    """Independent route for :func:`hyperharmonic_half`:
-    C(r+p-1/2, r) * 2 * (O_{r+p} - O_p), via the generalized binomial.
-    Refused as :func:`hyperharmonic_half` is, before the O(r) binomial.
-    """
-    _check_index(r, "r")
-    _check_index(p, "p")
-    _check_half_index(r, p)
-    return gen_binomial(Fraction(2 * (r + p) - 1, 2), r) * 2 * (odd_harmonic(r + p) - odd_harmonic(p))
 
 
 # ---------------------------------------------------------------------------

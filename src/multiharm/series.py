@@ -15,8 +15,8 @@ A square (``f * f``, and so every step of ``f ** m``) hands the kernel the
 same numerator tuple twice, which it packs once and squares.
 ``Fraction`` values appear only at the boundary: the public constructor takes
 them in, and indexing, iteration and ``coeffs`` hand them out.  Every other
-constructor builds integer numerators (powers of a rational come from
-``geometric``) and reduces once, in ``_from_integers``.
+constructor builds integer numerators and reduces once, in
+``_from_integers``.
 
 The generating functions are built from two blocks, each one integer
 constructor: ``-ln(1 - a z)`` (``neg_log_one_minus``) and ``(1 - a z)^alpha``
@@ -174,12 +174,16 @@ class TruncatedSeries:
 
 
 def neg_log_one_minus(a: RationalLike, order: int) -> TruncatedSeries:
-    """-ln(1 - a*z) = sum_{k>=1} a^k z^k / k, truncated at ``order``."""
-    g = geometric(a, order)
-    # with a = p/q and L = lcm(1..order): p^k q^(order-k) L/k over L q^order
+    """-ln(1 - a*z) = sum_{k>=1} a^k z^k / k, truncated at ``order``.
+
+    With a = p/q and L = lcm(1..order), numerator k is p^k q^(order-k) L/k
+    over L q^order.
+    """
+    _check_order(order)
+    p, q = Fraction(a).as_integer_ratio()
     big_l = lcm(*range(1, order + 1))
-    nums = [0] + [g._nums[k] * (big_l // k) for k in range(1, order + 1)]
-    return TruncatedSeries._from_integers(nums, big_l * g._den)
+    nums = [0, *(p**k * q ** (order - k) * (big_l // k) for k in range(1, order + 1))]
+    return TruncatedSeries._from_integers(nums, big_l * q**order)
 
 
 def geometric(a: RationalLike, order: int) -> TruncatedSeries:

@@ -17,10 +17,12 @@ products along n taken by :func:`cauchy_column`, whose docstring states the
 one integer form of those products; the identity registry takes its right
 sides' products there too.
 
-The literal route, in both forms, adds its own integers over one common
-denominator and reduces each value once.  It shares nothing with the closed
-routes but the sequences layer and the stdlib, so a fault in ``cauchy_column``
-cannot scale both sides of a check alike.  The registry checks each closed
+The literal route, in both forms, takes its values as integers over one
+common denominator from ``_numerators``, its one integer form, adds them and
+reduces each value once; the identity registry's literal left sides read the
+same form.  It shares nothing with the closed routes but the sequences layer
+and the stdlib, so a fault in ``cauchy_column`` or ``integer_form`` cannot
+scale both sides of a check alike.  The registry checks each closed
 route against the column form of the literal route only.
 
 Conventions: 0^0 = 1 (so the m = 0 case collapses to (a+b)^n even at a = -b),
@@ -55,6 +57,14 @@ AB_FIXTURES: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
+def _numerators(values: list[RationalLike]) -> tuple[list[int], int]:
+    # values as integers over their lcm: the one integer form of the literal route, in both its forms, and of
+    # the identity registry's literal left-side columns; the closed routes and the right sides take
+    # integer_form, so no function is called by both sides of a check
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
 def binomial_sums(a: RationalLike, b: RationalLike, x: list[RationalLike]) -> list[Fraction]:
     """The literal sum sum_{k=0..i} C(i,k) a^k b^(i-k) x[k] at every index i of the list x, of ints and
     ``Fraction`` values.  At a = -1, b = 1 it is the signed binomial transform of x, which is an involution.
@@ -67,8 +77,7 @@ def binomial_sums(a: RationalLike, b: RationalLike, x: list[RationalLike]) -> li
     a = Fraction(a)
     b = Fraction(b)
     left, right, scale = b.numerator * a.denominator, a.numerator * b.denominator, a.denominator * b.denominator
-    common = math.lcm(*[t.denominator for t in x])
-    row = [t.numerator * (common // t.denominator) for t in x]
+    row, common = _numerators(x)
     firsts = []
     while row:
         firsts.append(row[0])
@@ -87,12 +96,11 @@ def binomial_sum_direct(a: RationalLike, b: RationalLike, m: int, n: int) -> Fra
     a = Fraction(a)
     b = Fraction(b)
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    x = harmonic_like_column(n, m)
-    common = math.lcm(*[t.denominator for t in x])
+    x, common = _numerators(harmonic_like_column(n, m))
     rq_pow = list(accumulate(repeat(r * q, n), mul, initial=1))
     total, c = 0, 1
     for k, (t, ps, rq) in enumerate(zip(x, accumulate(repeat(p * s, n), mul, initial=1), reversed(rq_pow))):
-        total += c * ps * rq * t.numerator * (common // t.denominator)
+        total += c * ps * rq * t
         c = c * (n - k) // (k + 1)  # C(n, k + 1)
     return Fraction(total, common * (q * s) ** n)
 

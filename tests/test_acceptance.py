@@ -18,6 +18,7 @@ from pathlib import Path
 
 from multiharm import cli
 from multiharm.identities import (
+    get_identity,
     registry_catalog,
     verify_all,
     verify_identity,
@@ -29,7 +30,6 @@ from multiharm.sequences import (
     harmonic_like_bruteforce,
     harmonic_like_convolution,
     hyperharmonic_half,
-    hyperharmonic_half_via_binomial,
     odd_harmonic,
     stirling1,
 )
@@ -164,9 +164,10 @@ def test_criterion_6_telescoping_combinators():
 
 def test_criterion_7_half_integer_machinery():
     with criterion(7, "half-integer hyperharmonic routes agree; partial-sum identities hold"):
+        binomial_route = get_identity("lemma_m2jjbl5").rhs
         for r in range(16):
             for p in range(16):
-                assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p), (r, p)
+                assert hyperharmonic_half(r, p) == binomial_route(r=r, p=p), (r, p)
 
         # spot value at n = 1: both sides are 1/2
         lhs = odd_harmonic(1) * binomial(2, 1) / F(4)

@@ -837,12 +837,26 @@ def test_seq_help_names_the_stirling_ceiling(capsys, monkeypatch):
     assert "(k+1)*bit_length(n) for stirling1 with k <= n" in help_text
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter that imports this checkout's ``multiharm``."""
+def _fresh_python(*args, **streams):
+    """Run a fresh interpreter that imports this checkout's ``multiharm``; its output is captured
+    unless ``streams`` gives the ``stdout`` and ``stderr`` of the run."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+                          text=True, timeout=60, **(streams or {"capture_output": True}))
+
+
+@pytest.mark.parametrize("command", ["verify --tag section1", "seq --family harmonic --n 3", "verify --id nope"])
+def test_a_closed_pipe_for_both_streams_exits_2(command):
+    # the write to stdout fails, and so does the error line that reports it, on the same pipe; that
+    # second failure must not turn the refusal (2) into the status of a failed identity (1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _fresh_python("-m", "multiharm.cli", *command.split(), stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
 
 
 def test_importing_the_cli_loads_no_pickle_signal_or_process_pool_module():

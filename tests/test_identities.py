@@ -574,7 +574,7 @@ _RIGHT_ONLY = {"multiharm.transforms.cauchy_column", "multiharm.transforms.integ
                "multiharm.identities._prefix_sums", "multiharm.identities._harmonic_tails",
                "multiharm.identities._kollar_right"}
 _LEFT_ONLY = {"multiharm.transforms.binomial_sums", "multiharm.identities._products",
-              "multiharm.identities._running_sums", "multiharm.identities._numerators",
+              "multiharm.identities._running_sums", "multiharm.transforms._numerators",
               "multiharm.identities._kollar_left"}
 
 
@@ -1138,7 +1138,8 @@ def test_threads_verifying_identities_with_memos_give_the_serial_reports():
 def test_running_sums_read_while_every_memo_is_cleared_stay_exact():
     # the running sums of thm_kollar, both sides columns, read while the tables they read are emptied
     kollar = identities.get_identity("thm_kollar")
-    reads = [(side, run[-1]) for side in (kollar.lhs, kollar.rhs) for run in identities._runs(kollar, None)]
+    reads = [(side, {**fixed, "n": ns[-1]}) for side in (kollar.lhs, kollar.rhs)
+             for fixed, ns in identities._runs(kollar, None)]
     sequences.clear_caches()
     serial = [side(**binding) for side, binding in reads]
     sequences.clear_caches()

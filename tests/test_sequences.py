@@ -31,7 +31,6 @@ from multiharm.sequences import (
     hyperharmonic,
     hyperharmonic_closed,
     hyperharmonic_half,
-    hyperharmonic_half_via_binomial,
     lucas,
     odd_harmonic,
     stirling1,
@@ -711,9 +710,10 @@ def test_central_binomials_are_read_off_one_table():
 
 
 def test_hyperharmonic_half_two_routes_agree():
+    binomial_route = identities.get_identity("lemma_m2jjbl5").rhs
     for r in range(16):
         for p in range(16):
-            assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p)
+            assert hyperharmonic_half(r, p) == binomial_route(r=r, p=p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -726,22 +726,7 @@ def test_hyperharmonic_half_two_routes_agree():
 @example((200, 200))
 def test_hyperharmonic_half_routes_agree_past_the_registry_grid(rp):
     r, p = rp
-    assert hyperharmonic_half(r, p) == hyperharmonic_half_via_binomial(r, p)
-
-
-def test_the_binomial_route_of_hyperharmonic_half_is_refused_as_the_primary_is(memo_sizes):
-    # without its own check, the O(r) generalized binomial at r = 200000 ran
-    # for longer than 20 s before the odd harmonic table refused the query
-    clear_caches()
-    sizes = memo_sizes()
-    for r, p in [(sequences.HALF_CEILING + 1, 0), (200_000, 0)]:
-        with pytest.raises(FeasibilityError) as primary:
-            hyperharmonic_half(r, p)
-        start = time.perf_counter()
-        with pytest.raises(FeasibilityError, match=f"^{re.escape(str(primary.value))}$"):
-            hyperharmonic_half_via_binomial(r, p)
-        assert time.perf_counter() - start < 1.0
-    assert memo_sizes() == sizes
+    assert hyperharmonic_half(r, p) == identities.get_identity("lemma_m2jjbl5").rhs(r=r, p=p)
 
 
 def test_the_closed_route_of_hyperharmonic_is_refused_as_the_primary_is(memo_sizes):
@@ -757,6 +742,17 @@ def test_the_closed_route_of_hyperharmonic_is_refused_as_the_primary_is(memo_siz
             hyperharmonic_closed(n, p)
         assert time.perf_counter() - start < 1.0
     assert memo_sizes() == sizes
+
+
+def test_the_closed_route_of_hyperharmonic_takes_the_primarys_base_level():
+    # for p <= 0 the closed route is the primary itself: the same value and the same refusals
+    assert hyperharmonic_closed(3, 0) == hyperharmonic(3, 0) == Fraction(1, 3)
+    for n, p in [(0, 0), (3, -1)]:
+        with pytest.raises(ValueError) as primary:
+            hyperharmonic(n, p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(primary.value))}$") as closed:
+            hyperharmonic_closed(n, p)
+        assert type(closed.value) is type(primary.value)
 
 
 def test_hyperharmonic_half_ladder_relations():
