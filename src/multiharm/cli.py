@@ -49,9 +49,11 @@ their last index against the family's ceiling before the first row;
 ``transform --family`` its own before the first row.  Any other exception
 is a fault in the program: it exits 3 with one
 ``error: internal error: <Type>: <message>`` line and no traceback.  An
-``error:`` line that cannot be written, to a closed pipe say, leaves the
-status as it is: a broken standard output exits 2 even when standard error
-is the same broken pipe.  A
+``error:`` or usage line that cannot be written, to a closed pipe say,
+leaves the status as it is: a broken standard output exits 2 even when
+standard error is the same broken pipe, buffered or not, since standard
+output is flushed before the status is chosen and a stream that cannot be
+written is pointed at ``os.devnull``, so the flush at exit cannot fail.  A
 forked ``verify`` worker sends back only the reports it finished and writes
 nothing itself; the parent then verifies, in order, every identity that no
 process finished, one that raised or whose worker died, so an exception is
@@ -129,6 +131,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write ``chunks`` one at a time to standard output or ``--output``."""
     if args.output is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe fails here, inside the handlers of _run, not in the flush at exit
         return
     # a relative path joins the directory; an absolute one replaces it
     path = Path(os.environ.get("MULTIHARM_OUTPUT_DIR", ""), args.output)
@@ -317,27 +320,37 @@ def _join_fractions(argv: Sequence[str]) -> list[str]:
 def _run(argv: Sequence[str], jobs: int) -> int:
     try:
         args = build_parser().parse_args(_join_fractions(argv), argparse.Namespace(jobs=jobs))
-    except SystemExit as exc:
+    except SystemExit as exc:  # usage and --help, which argparse has written or tried to write
+        _flush_streams()
         return int(exc.code or 0)
     try:
         if args.decimal is not None and not 1 <= args.decimal <= DECIMAL_MAX:
             raise ValueError(f"--decimal must be >= 1 and <= {DECIMAL_MAX}, got {args.decimal}")
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
-        _print_error(f"error: {exc}")
+        _flush_streams(f"error: {exc}\n")
         return 2
     except MemoryError:
-        _print_error("error: out of memory")
+        _flush_streams("error: out of memory\n")
         return 2
     except Exception as exc:  # a fault in the program, never an identity failure (1) or a refusal (2)
-        _print_error(f"error: internal error: {type(exc).__name__}: {exc}")
+        _flush_streams(f"error: internal error: {type(exc).__name__}: {exc}\n")
         return 3
 
 
-def _print_error(line: str) -> None:
-    """``line`` on standard error; a stream that cannot take it, such as a closed pipe, leaves the status alone."""
-    with contextlib.suppress(OSError):
-        print(line, file=sys.stderr)
+def _flush_streams(error: str = "") -> None:
+    """What standard output still holds, then ``error`` and what else standard error holds.
+
+    A stream that cannot take its text, such as a closed pipe, leaves the
+    status alone: as in the Python docs' recipe for SIGPIPE, its descriptor
+    is pointed at ``os.devnull``, so the flush at exit cannot fail either.
+    """
+    for stream, text in ((sys.stdout, ""), (sys.stderr, error)):
+        try:
+            print(text, end="", file=stream, flush=True)
+        except OSError:
+            with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _usable_cpus() -> int:

@@ -846,10 +846,18 @@ def _fresh_python(*args, **streams):
                           text=True, timeout=60, **(streams or {"capture_output": True}))
 
 
-@pytest.mark.parametrize("command", ["verify --tag section1", "seq --family harmonic --n 3", "verify --id nope"])
-def test_a_closed_pipe_for_both_streams_exits_2(command):
-    # the write to stdout fails, and so does the error line that reports it, on the same pipe; that
-    # second failure must not turn the refusal (2) into the status of a failed identity (1)
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", [
+    "verify --tag section1", "seq --family harmonic --n 3", "verify --id nope", "seq --n 3",
+])
+def test_a_closed_pipe_for_both_streams_exits_2(command, unbuffered, monkeypatch):
+    # the write to stdout fails, and so does the error or usage line that reports it, on the same
+    # pipe; that second failure must not turn the refusal (2) into the status of a failed identity
+    # (1), nor may the flush of buffered streams at exit turn it into 120
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -309,14 +309,23 @@ def test_hyperharmonic_values():
     assert hyperharmonic(3, 2) == Fraction(13, 3)
     assert hyperharmonic(2, 3) == Fraction(7, 2)
     assert hyperharmonic(5, 0) == Fraction(1, 5)
+    assert hyperharmonic_closed(3, 0) == Fraction(1, 3)
     assert hyperharmonic(0, 4) == 0
 
 
 def test_hyperharmonic_zero_zero_is_a_domain_error():
-    with pytest.raises(ValueError):
-        hyperharmonic(0, 0)
-    with pytest.raises(ValueError):
-        hyperharmonic_closed(0, 0)
+    # for p <= 0 the closed route is the primary itself, with the same refusals
+    for n, p in [(0, 0), (3, -1)]:
+        with pytest.raises(ValueError) as primary:
+            hyperharmonic(n, p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(primary.value))}$") as closed:
+            hyperharmonic_closed(n, p)
+        assert type(closed.value) is type(primary.value)
+
+
+def _hyperharmonic_oracle(n, p):
+    # the closed route hands p = 0 to the primary, so the base level 1/n is its own oracle
+    return Fraction(1, n) if p == 0 else hyperharmonic_closed(n, p)
 
 
 def test_hyperharmonic_recurrence_equals_closed_form():
@@ -324,7 +333,7 @@ def test_hyperharmonic_recurrence_equals_closed_form():
         for n in range(41):
             if p == 0 and n == 0:
                 continue
-            assert hyperharmonic(n, p) == hyperharmonic_closed(n, p)
+            assert hyperharmonic(n, p) == _hyperharmonic_oracle(n, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +343,7 @@ def test_hyperharmonic_recurrence_equals_closed_form():
 @example((300, 300))
 def test_hyperharmonic_routes_agree_past_the_grid(case):
     n, p = case
-    assert hyperharmonic(n, p) == hyperharmonic_closed(n, p)
+    assert hyperharmonic(n, p) == _hyperharmonic_oracle(n, p)
 
 
 def test_hyperharmonic_high_order_does_not_recurse():
@@ -742,17 +751,6 @@ def test_the_closed_route_of_hyperharmonic_is_refused_as_the_primary_is(memo_siz
             hyperharmonic_closed(n, p)
         assert time.perf_counter() - start < 1.0
     assert memo_sizes() == sizes
-
-
-def test_the_closed_route_of_hyperharmonic_takes_the_primarys_base_level():
-    # for p <= 0 the closed route is the primary itself: the same value and the same refusals
-    assert hyperharmonic_closed(3, 0) == hyperharmonic(3, 0) == Fraction(1, 3)
-    for n, p in [(0, 0), (3, -1)]:
-        with pytest.raises(ValueError) as primary:
-            hyperharmonic(n, p)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(primary.value))}$") as closed:
-            hyperharmonic_closed(n, p)
-        assert type(closed.value) is type(primary.value)
 
 
 def test_hyperharmonic_half_ladder_relations():
